@@ -311,14 +311,6 @@ def case4_triple_category(tr: Triple) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ok(name):
-    return Check.ok(name)
-
-
-def _fail(name, locus, expected, actual):
-    return Check.fail(name, locus, expected, actual)
-
-
 def _verify_disc_4n_part(n, triples, case, checks):
     """Shared machinery: triples mapped onto categories 1-6 of the
     discriminant -4n list must be a category-respecting bijection."""
@@ -341,22 +333,25 @@ def _verify_disc_4n_part(n, triples, case, checks):
             bad_inverse = (tr, f)
         images.setdefault(f, []).append(tr)
 
-    checks.append(_ok("image_reduced") if bad_reduced is None else
-                  _fail("image_reduced", n, "reduced", f"{bad_reduced}"))
-    checks.append(_ok("image_discriminant") if bad_disc is None else
-                  _fail("image_discriminant", n, -4 * n, f"{bad_disc}"))
-    checks.append(_ok("category_match") if bad_cat is None else
-                  _fail("category_match", n, "matching category", f"{bad_cat}"))
-    checks.append(_ok("map_inverse_roundtrip") if bad_inverse is None else
-                  _fail("map_inverse_roundtrip", n, "roundtrip", f"{bad_inverse}"))
+    checks.append(Check.ok("image_reduced") if bad_reduced is None else
+                  Check.fail("image_reduced", n, "reduced", f"{bad_reduced}"))
+    checks.append(Check.ok("image_discriminant") if bad_disc is None else
+                  Check.fail("image_discriminant", n, -4 * n, f"{bad_disc}"))
+    checks.append(Check.ok("category_match") if bad_cat is None else
+                  Check.fail("category_match", n, "matching category",
+                             f"{bad_cat}"))
+    checks.append(Check.ok("map_inverse_roundtrip") if bad_inverse is None else
+                  Check.fail("map_inverse_roundtrip", n, "roundtrip",
+                             f"{bad_inverse}"))
 
     cat_of = {f: classify_form(f, case, n) for f in forms}
     onto = all(len(images.get(f, [])) == 1
                for f in forms if cat_of[f] <= 6)
     into = all(cat_of[f] <= 6 for f in images)
-    checks.append(_ok("preimage_exactly_one") if onto and into else
-                  _fail("preimage_exactly_one", n, "bijection onto cats 1-6",
-                        f"onto={onto} into={into}"))
+    checks.append(Check.ok("preimage_exactly_one") if onto and into else
+                  Check.fail("preimage_exactly_one", n,
+                             "bijection onto cats 1-6",
+                             f"onto={onto} into={into}"))
     return forms, cat_of
 
 
@@ -377,31 +372,33 @@ def verify_case(n: int) -> VerificationReport:
 
     if n % 4 == 2:
         if any(tr.r % 2 == 0 for tr in triples):
-            checks.append(_fail("open_r_odd", n, "all r odd", "even r seen"))
+            checks.append(Check.fail("open_r_odd", n, "all r odd",
+                                     "even r seen"))
         else:
-            checks.append(_ok("open_r_odd"))
+            checks.append(Check.ok("open_r_odd"))
         forms, cat_of = _verify_disc_4n_part(n, triples, "1", checks)
         b0 = sum(1 for f in forms if cat_of[f] == 7)
         checks.append(Check.ok("b0_count") if b0 == sigma(0, n // 2) else
-                      _fail("b0_count", n, sigma(0, n // 2), b0))
+                      Check.fail("b0_count", n, sigma(0, n // 2), b0))
         count_ok = len(triples) == h4n - sigma(0, n // 2)
-        checks.append(_ok("count_identity") if count_ok else
-                      _fail("count_identity", n, h4n - sigma(0, n // 2),
-                            len(triples)))
+        checks.append(Check.ok("count_identity") if count_ok else
+                      Check.fail("count_identity", n, h4n - sigma(0, n // 2),
+                                 len(triples)))
 
     elif n % 4 == 1:
         if any(tr.r % 2 for tr in triples):
-            checks.append(_fail("shifted_r_even", n, "all r even", "odd r seen"))
+            checks.append(Check.fail("shifted_r_even", n, "all r even",
+                                     "odd r seen"))
         else:
-            checks.append(_ok("shifted_r_even"))
+            checks.append(Check.ok("shifted_r_even"))
         forms, cat_of = _verify_disc_4n_part(n, triples, "2", checks)
         b0 = sum(1 for f in forms if cat_of[f] == 7)
-        checks.append(_ok("b0_count") if b0 == _b0_expected(n) else
-                      _fail("b0_count", n, _b0_expected(n), b0))
+        checks.append(Check.ok("b0_count") if b0 == _b0_expected(n) else
+                      Check.fail("b0_count", n, _b0_expected(n), b0))
         count_ok = len(triples) == h4n - Fraction(sig0, 2)
-        checks.append(_ok("count_identity") if count_ok else
-                      _fail("count_identity", n, h4n - Fraction(sig0, 2),
-                            len(triples)))
+        checks.append(Check.ok("count_identity") if count_ok else
+                      Check.fail("count_identity", n, h4n - Fraction(sig0, 2),
+                                 len(triples)))
 
     elif n % 8 == 3:
         even = [tr for tr in triples if tr.r % 2 == 0]
@@ -409,13 +406,13 @@ def verify_case(n: int) -> VerificationReport:
         forms, cat_of = _verify_disc_4n_part(n, even, "3a", checks)
         _check_doubled_forms(n, forms, cat_of, checks)
         b0 = sum(1 for f in forms if cat_of[f] == 8)
-        checks.append(_ok("b0_count") if b0 == Fraction(sig0, 2) else
-                      _fail("b0_count", n, Fraction(sig0, 2), b0))
+        checks.append(Check.ok("b0_count") if b0 == Fraction(sig0, 2) else
+                      Check.fail("b0_count", n, Fraction(sig0, 2), b0))
         _check_half_preimages(n, odd, checks)
         count_ok = len(triples) == 6 * hn - Fraction(sig0, 2)
-        checks.append(_ok("count_identity") if count_ok else
-                      _fail("count_identity", n, 6 * hn - Fraction(sig0, 2),
-                            len(triples)))
+        checks.append(Check.ok("count_identity") if count_ok else
+                      Check.fail("count_identity", n,
+                                 6 * hn - Fraction(sig0, 2), len(triples)))
 
     else:  # n = 7 mod 8
         even = [tr for tr in triples if tr.r % 2 == 0]
@@ -423,8 +420,8 @@ def verify_case(n: int) -> VerificationReport:
         forms, cat_of = _verify_disc_4n_part(n, even, "4a", checks)
         _check_doubled_forms(n, forms, cat_of, checks)
         b0 = sum(1 for f in forms if cat_of[f] == 8)
-        checks.append(_ok("b0_count") if b0 == Fraction(sig0, 2) else
-                      _fail("b0_count", n, Fraction(sig0, 2), b0))
+        checks.append(Check.ok("b0_count") if b0 == Fraction(sig0, 2) else
+                      Check.fail("b0_count", n, Fraction(sig0, 2), b0))
         _check_half_preimages(n, odd, checks)
 
         sizes = {1: 0, 2: 0, 3: 0, 4: 0}
@@ -432,24 +429,26 @@ def verify_case(n: int) -> VerificationReport:
             sizes[case4_triple_category(tr)] += 1
         size_ok = (sizes[2] == sizes[3] == sizes[4] == hn
                    and sizes[1] == hn - Fraction(sig0, 2))
-        checks.append(_ok("case4_category_sizes") if size_ok else
-                      _fail("case4_category_sizes", n,
-                            f"[{hn - Fraction(sig0, 2)},{hn},{hn},{hn}]",
-                            str([sizes[i] for i in (1, 2, 3, 4)])))
+        checks.append(Check.ok("case4_category_sizes") if size_ok else
+                      Check.fail("case4_category_sizes", n,
+                                 f"[{hn - Fraction(sig0, 2)},{hn},{hn},{hn}]",
+                                 str([sizes[i] for i in (1, 2, 3, 4)])))
         # each odd-r image must collect one preimage per category 2, 3, 4
         per_form = {}
         for tr in odd:
             per_form.setdefault(map_triple(tr), set()).add(
                 case4_triple_category(tr))
         cats_ok = all(v == {2, 3, 4} for v in per_form.values())
-        checks.append(_ok("case4_one_preimage_per_category") if cats_ok else
-                      _fail("case4_one_preimage_per_category", n,
-                            "{2,3,4}", "mismatch"))
+        checks.append(Check.ok("case4_one_preimage_per_category")
+                      if cats_ok else
+                      Check.fail("case4_one_preimage_per_category", n,
+                                 "{2,3,4}", "mismatch"))
         signed = sum(1 if (tr.r + tr.s + tr.t) % 2 == 0 else -1
                      for tr in triples)
-        checks.append(_ok("case4_signed_sum")
+        checks.append(Check.ok("case4_signed_sum")
                       if signed == Fraction(sig0, 2) else
-                      _fail("case4_signed_sum", n, Fraction(sig0, 2), signed))
+                      Check.fail("case4_signed_sum", n, Fraction(sig0, 2),
+                                 signed))
 
     return VerificationReport("bijection_case", {"n": n}, checks)
 
@@ -462,8 +461,9 @@ def _check_doubled_forms(n, forms, cat_of, checks):
     halved_ok = all(is_reduced(g) and g.discriminant == -n for g in doubled)
     expected = enumerate_reduced(-n)
     ok = halved_ok and doubled == expected
-    checks.append(_ok("doubled_forms_count") if ok else
-                  _fail("doubled_forms_count", n, len(expected), len(doubled)))
+    checks.append(Check.ok("doubled_forms_count") if ok else
+                  Check.fail("doubled_forms_count", n, len(expected),
+                             len(doubled)))
 
 
 def _check_half_preimages(n, odd_triples, checks):
@@ -493,6 +493,6 @@ def _check_half_preimages(n, odd_triples, checks):
             if k != expected:
                 bad = (f, k, f"expected {expected} preimages")
                 break
-    checks.append(_ok("odd_r_preimages") if bad is None else
-                  _fail("odd_r_preimages", n, "multiplicity 3 (1 at zzz)",
-                        str(bad)))
+    checks.append(Check.ok("odd_r_preimages") if bad is None else
+                  Check.fail("odd_r_preimages", n, "multiplicity 3 (1 at zzz)",
+                             str(bad)))

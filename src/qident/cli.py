@@ -10,19 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bijections, counting
 from .quadforms import hurwitz_H
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_suites, suite_minimums
 
 TABLE_COLUMNS = ("n", "a", "b", "r3", "H", "H4", "sigma0")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)  # "p/q" or bare integer
-    return str(value)
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _print_report_text(report, out):
@@ -40,6 +38,11 @@ def _print_report_text(report, out):
 
 
 def cmd_verify(args) -> int:
+    min_order, min_max = suite_minimums(args.suite)
+    if args.order < min_order:
+        return _usage_error(f"suite {args.suite} needs --order >= {min_order}")
+    if args.max < min_max:
+        return _usage_error(f"suite {args.suite} needs --max >= {min_max}")
     reports = run_suites(args.suite, args.order, args.max)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -65,31 +68,32 @@ def _table_row(n: int) -> dict:
 
 
 def cmd_table(args) -> int:
+    if args.max < 0:
+        return _usage_error("--max must be >= 0")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     for col in columns:
         if col not in TABLE_COLUMNS:
-            print(f"error: unknown column {col!r}; "
-                  f"choose from {', '.join(TABLE_COLUMNS)}", file=sys.stderr)
-            return 2
+            return _usage_error(f"unknown column {col!r}; "
+                                f"choose from {', '.join(TABLE_COLUMNS)}")
     rows = [_table_row(n) for n in range(args.max + 1)]
     if args.format == "json":
         payload = [{c: (None if r[c] is None else
-                        (r[c] if isinstance(r[c], int) else _fmt(r[c])))
+                        (r[c] if isinstance(r[c], int) else str(r[c])))
                     for c in columns} for r in rows]
         json.dump(payload, sys.stdout, indent=2)
         print()
     elif args.format == "csv":
         sys.stdout.write(",".join(columns) + "\n")
         for r in rows:
-            cells = ["" if r[c] is None else _fmt(r[c]) for c in columns]
+            cells = ["" if r[c] is None else str(r[c]) for c in columns]
             sys.stdout.write(",".join(cells) + "\n")
     else:
-        widths = {c: max(len(c), max((len(_fmt(r[c])) if r[c] is not None
+        widths = {c: max(len(c), max((len(str(r[c])) if r[c] is not None
                                       else 1) for r in rows))
                   for c in columns}
         print("  ".join(c.rjust(widths[c]) for c in columns))
         for r in rows:
-            print("  ".join(("-" if r[c] is None else _fmt(r[c]))
+            print("  ".join(("-" if r[c] is None else str(r[c]))
                             .rjust(widths[c]) for c in columns))
     return 0
 
@@ -97,9 +101,8 @@ def cmd_table(args) -> int:
 def cmd_bijection(args) -> int:
     n = args.n
     if n < 1 or n % 4 == 0:
-        print(f"error: n = {n} is outside the supported residue classes "
-              "(need positive n with n != 0 mod 4)", file=sys.stderr)
-        return 2
+        return _usage_error(f"n = {n} is outside the supported residue "
+                            "classes (need positive n with n != 0 mod 4)")
     triples = bijections.solution_triples(n)
     report = bijections.verify_case(n)
     entries = []

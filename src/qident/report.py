@@ -75,13 +75,6 @@ def series_check(name: str, lhs, rhs, order: int) -> Check:
     return Check.fail(name, bad, rhs.coeff(bad), lhs.coeff(bad))
 
 
-def value_check(name: str, locus, expected, actual) -> Check:
-    """Exact equality of two scalars (ints or Fractions)."""
-    if expected == actual:
-        return Check.ok(name)
-    return Check.fail(name, locus, expected, actual)
-
-
 def sweep_check(name: str, pairs) -> Check:
     """First failure over an iterable of ``(locus, expected, actual)``."""
     for locus, expected, actual in pairs:

@@ -7,13 +7,24 @@ denominator, so ring operations stay in arbitrary-precision integer
 arithmetic; ``coeff`` materialises exact ``GaussianRational`` values on
 demand.  Convolution dispatches between a sparse loop, a schoolbook
 double loop, and Kronecker-substitution packing into a single big-integer
-multiply.  Every path is exact: no floats anywhere.
+multiply.
+
+``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
+package) runs on a multi-modular numpy lane: the product is formed in uint64
+residues modulo the largest primes below ``2**62``, enough of them to cover
+an a-priori partition bound on the coefficients, and rebuilt exactly by CRT.
+Any other scalar takes the big-integer loop, which also pins the lane in the
+tests.  Every path is exact: no floats anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -571,7 +582,9 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
 
     Factors whose exponent reaches the order contribute nothing below
     ``q**order`` and are skipped.  ``offset == 0`` with ``zeta == 1`` makes
-    the first factor vanish, so the zero series is returned.
+    the first factor vanish, so the zero series is returned.  A fourth root
+    of unity ``zeta`` runs on the multi-modular lane; any other exact scalar
+    runs on the big-integer loop.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -592,48 +605,162 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
         scalar = w
         e = modulus
 
+    unit = _UNIT_INDEX.get((z.re, z.im))
+    if unit is None:
+        out = _factors_loop(z, e, modulus, order)
+    else:
+        out = _factors_lane(unit, e, modulus, order)
+    if scalar is not None:
+        out = out * scalar
+    return out
+
+
+def _factors_loop(z: GaussianRational, e: int, modulus: int,
+                  order: int) -> QSeries:
+    """``prod (1 - z*q**k)`` over ``k = e, e + modulus, ...`` below order,
+    in exact big integers over a common denominator, for any scalar z."""
     d = math.lcm(z.re.denominator, z.im.denominator)
     zr = int(z.re * d)
     zi = int(z.im * d)
 
     re = [0] * order
     re[0] = 1
-    im = [0] * order if zi else None
+    im = [0] * order
     den = 1
-
     while e < order:
-        if d == 1:
-            if zi == 0:
-                for j in range(order - 1 - e, -1, -1):
-                    x = re[j]
-                    if x:
-                        re[j + e] -= zr * x
-                    if im is not None:
-                        y = im[j]
-                        if y:
-                            im[j + e] -= zr * y
-            else:
-                for j in range(order - 1 - e, -1, -1):
-                    x = re[j]
-                    y = im[j]
-                    if x or y:
-                        re[j + e] -= zr * x - zi * y
-                        im[j + e] -= zr * y + zi * x
-        else:
-            old_re = re
-            old_im = im if im is not None else [0] * order
-            re = [d * x for x in old_re]
-            im = [d * x for x in old_im]
-            for j in range(order - e):
-                x = old_re[j]
-                y = old_im[j]
-                if x or y:
-                    re[j + e] -= zr * x - zi * y
-                    im[j + e] -= zr * y + zi * x
-            den *= d
+        old_re, old_im = re, im
+        re = [d * x for x in old_re]
+        im = [d * x for x in old_im]
+        for j in range(order - e):
+            x = old_re[j]
+            y = old_im[j]
+            if x or y:
+                re[j + e] -= zr * x - zi * y
+                im[j + e] -= zr * y + zi * x
+        den *= d
         e += modulus
+    return QSeries._raw(re, im, den, order)
 
-    out = QSeries._raw(re, im, den, order)
-    if scalar is not None:
-        out = out * scalar
+
+# ---------------------------------------------------------------------------
+# multi-modular lane for unit zeta
+# ---------------------------------------------------------------------------
+
+# (re, im) of i**u -> u, for the fourth roots of unity the lane accepts
+_UNIT_INDEX = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is
+    deterministic for every n below 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _lane_prime(i: int) -> int:
+    """The ``i``-th largest prime below ``2**62``, counting from 0."""
+    p = (1 << 62 if i == 0 else _lane_prime(i - 1)) - 1
+    while not _is_prime(p):
+        p -= 1
+    return p
+
+
+def _partition_bound_bits(n: int) -> int:
+    """A ``bits`` with ``p(n) < 2**bits``, in integers only, from
+    ``p(n) < exp(pi*sqrt(2n/3))`` (Apostol, Thm 14.5): the exponent in base
+    2 is ``pi*sqrt(2/3)/ln 2 < 3.71`` times ``sqrt(n) < isqrt(n) + 1``."""
+    return 371 * (math.isqrt(n) + 1) // 100 + 1
+
+
+def _lane_moduli(bits: int) -> list[int]:
+    """The largest primes below ``2**62``, as few as make a product above
+    ``2**(bits + 2)``: balanced residues then cover ``|c| <= 2**bits``."""
+    moduli, product = [], 1
+    while product <= 1 << (bits + 2):
+        p = _lane_prime(len(moduli))
+        moduli.append(p)
+        product *= p
+    return moduli
+
+
+def _add_mod(a, b, p, out):
+    # uint64 residues below p < 2**62: a + b cannot wrap, and s - p wraps
+    # past s exactly when s < p, so the minimum is the reduced sum
+    s = a + b
+    np.minimum(s, s - p, out=out)
+
+
+def _sub_mod(a, b, p, out):
+    # a - b wraps past p exactly when a < b, and adding p unwraps it
+    s = a - b
+    np.minimum(s, s + p, out=out)
+
+
+def _crt(rows, moduli: list[int]) -> list[int]:
+    """Balanced integers from their residues, one row per modulus."""
+    m = math.prod(moduli)
+    half = m // 2
+    weights = [(m // p) * pow(m // p, -1, p) for p in moduli]
+    out = []
+    for residues in zip(*rows):
+        x = sum(map(operator.mul, weights, residues)) % m
+        out.append(x - m if x > half else x)
     return out
+
+
+def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
+    """``prod (1 - i**unit * q**k)`` over ``k = e, e + modulus, ...`` below
+    order, computed modulo several primes and rebuilt by CRT.
+
+    Each coefficient of the product is a signed count of subsets of
+    distinct exponents with a given sum, so its real and imaginary parts
+    are at most the number of partitions into distinct parts, itself at
+    most ``p(n)``.  Reduction mod p is a ring homomorphism, so only the
+    final coefficients need to fit that bound.
+    """
+    moduli = _lane_moduli(_partition_bound_bits(order - 1))
+    p = np.array(moduli, dtype=np.uint64)[:, None]
+    re = np.zeros((len(moduli), order), dtype=np.uint64)
+    re[:, 0] = 1
+    im = np.zeros_like(re) if unit % 2 else None
+    while e < order:
+        # c <- c - zeta * q**e * c, reading only coefficients from before
+        # this factor: each step forms its sum in a fresh array, and the
+        # odd units copy the low part of re, which the im step still needs
+        hi = slice(e, None)
+        lo = slice(None, order - e)
+        if unit == 0:
+            _sub_mod(re[:, hi], re[:, lo], p, re[:, hi])
+        elif unit == 2:
+            _add_mod(re[:, hi], re[:, lo], p, re[:, hi])
+        else:
+            step_re, step_im = ((_add_mod, _sub_mod) if unit == 1
+                                else (_sub_mod, _add_mod))
+            old_re = re[:, lo].copy()
+            step_re(re[:, hi], im[:, lo], p, re[:, hi])
+            step_im(im[:, hi], old_re, p, im[:, hi])
+        e += modulus
+    return QSeries._raw(_crt(re.tolist(), moduli),
+                        None if im is None else _crt(im.tolist(), moduli),
+                        1, order)

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from qident.cli import main
 
 
@@ -44,6 +46,19 @@ def test_verify_all_small(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code = main(["verify", "--suite", "bogus"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--order", "1"),
+    ("verify", "--max", "5"),
+    ("verify", "--max", "-3"),
+    ("table", "--max", "-1"),
+])
+def test_out_of_range_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Exact series arithmetic against independent references."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qident.series import (GaussianRational, IndexBeyondOrder,
-                           NonUnitConstantTerm, QSeries, pochhammer_inf,
-                           series_eq)
+from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
+                           IndexBeyondOrder, NonUnitConstantTerm, QSeries,
+                           _factors_loop, _lane_moduli, _lane_prime,
+                           _partition_bound_bits, pochhammer_inf, series_eq)
 
 
 def naive_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -155,6 +157,93 @@ class TestPochhammer:
             pochhammer_inf(1, -1, 1, 4)
         with pytest.raises(ValueError):
             pochhammer_inf(1, 1, 0, 4)
+
+
+def naive_pochhammer(zeta, offset, modulus, order):
+    """``prod (1 - zeta*q**e)`` as a product of QSeries factors."""
+    out = QSeries.one(order)
+    for e in range(offset, order, modulus):
+        out = out * (QSeries.one(order) - QSeries.monomial(zeta, e, order))
+    return out
+
+
+def loop_pochhammer(zeta, offset, modulus, order):
+    """``pochhammer_inf`` through the big-integer loop alone."""
+    if offset:
+        return _factors_loop(zeta, offset, modulus, order)
+    return _factors_loop(zeta, modulus, modulus, order) * (1 - zeta)
+
+
+def is_strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
+                                       31, 37, 41, 43, 47, 53)):
+    """Miller-Rabin to the first sixteen prime bases."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        if all(pow(x, 2 ** r, n) != n - 1 for r in range(1, s)):
+            return False
+    return True
+
+
+def partition_numbers(n_max):
+    """p(0..n_max) by Euler's pentagonal recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k, total = 1, 0
+        while True:
+            g1, g2 = k * (3 * k - 1) // 2, k * (3 * k + 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - g1]
+            if g2 <= n:
+                total += sign * p[n - g2]
+            k += 1
+        p[n] = total
+    return p
+
+
+class TestMultiModularLane:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((ONE, I_UNIT, MINUS_ONE, MINUS_I)),
+           st.integers(0, 5), st.integers(1, 5), st.integers(1, 400))
+    def test_lane_matches_general_loop(self, zeta, offset, modulus, order):
+        assert (pochhammer_inf(zeta, offset, modulus, order)
+                == loop_pochhammer(zeta, offset, modulus, order))
+
+    def test_coefficients_beyond_int64(self):
+        order = 1500
+        lane = pochhammer_inf(-1, 1, 1, order)
+        assert lane == loop_pochhammer(MINUS_ONE, 1, 1, order)
+        bits = max(abs(x) for x in lane._re).bit_length()
+        assert 63 < bits <= _partition_bound_bits(order - 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 300, 4000, 20000])
+    def test_moduli_are_large_primes_covering_the_bound(self, order):
+        bits = _partition_bound_bits(order - 1)
+        moduli = _lane_moduli(bits)
+        assert len(set(moduli)) == len(moduli)
+        for p in moduli:
+            assert 2 ** 61 < p < 2 ** 62
+            assert is_strong_probable_prime(p)
+        assert math.prod(moduli) > 2 ** (bits + 2)
+        assert moduli[0] == _lane_prime(0) == 2 ** 62 - 57
+
+    def test_partition_bound(self):
+        p = partition_numbers(2000)
+        assert all(p[n].bit_length() <= _partition_bound_bits(n)
+                   for n in range(2001))
+
+    @pytest.mark.parametrize("zeta", [2, Fraction(1, 2), GaussianRational(1, 1)])
+    @pytest.mark.parametrize("offset,modulus", [(0, 1), (1, 1), (3, 2)])
+    def test_non_unit_zeta_falls_back(self, zeta, offset, modulus):
+        order = 24
+        assert (pochhammer_inf(zeta, offset, modulus, order)
+                == naive_pochhammer(zeta, offset, modulus, order))
 
 
 class TestRingAxioms:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
-from qident.series import QSeries
+from qident.series import GaussianRational, QSeries
 from qident.verify import SUITE_NAMES, run_suites
 
 
@@ -72,6 +72,23 @@ def test_corrupted_class_number_fails_suite(monkeypatch):
 
     monkeypatch.setattr(V, "hurwitz_H", broken)
     (report,) = run_suites("theorem17", 32, 60)
+    assert not report.passed
+    assert any(c.locus == 21 for c in report.failures)
+
+
+@pytest.mark.parametrize("name", ["theorem17", "propositions"])
+def test_imaginary_part_fails_suite(monkeypatch, name):
+    # a(21) gains an imaginary part while its real part stays correct
+    import qident.verify as V
+
+    real = V.product_side_series
+
+    def broken(order):
+        return real(order) + QSeries.monomial(GaussianRational(0, 1), 21,
+                                              order)
+
+    monkeypatch.setattr(V, "product_side_series", broken)
+    (report,) = run_suites(name, 32, 60)
     assert not report.passed
     assert any(c.locus == 21 for c in report.failures)
 
