@@ -1,190 +1,105 @@
 """Batch enumeration kernels for the counting sweeps.
 
-Two lanes compute identical int64 tables:
+Every table is exact int64 numpy with ``maxn + 1`` entries, one per n.
 
-* a numba ``@njit`` lane (``*_nb``), compiled lazily and cached, and
-* a vectorised numpy lane (``*_np``) used as the fallback.
+* Lattice counts (x^2 + 2y^2 + 2z^2, sums of squares, sums of triangular
+  numbers) are truncated products of one-variable theta indicator tables,
+  built by ``_times_sparse``.  That is the lattice sum factored by
+  variable, not an identity, so these tables stay an independent route
+  from the series they are checked against.
+* Progression counts (triple sums, signed pair sums) add each arithmetic
+  progression as one strided slice; the indices within one slice are
+  distinct, so a slice add is exact.
+* Divisor tables are strided sieves.
 
-The exported unsuffixed names bind to the numba lane when numba imports
-and the environment variable ``QIDENT_NO_NUMBA`` is unset/0, else to the
-numpy lane.  Both lanes stay defined so tests and the benchmark can
-compare them.  Everything here is exact integer arithmetic; the values
-are far below the int64 range at the package's desk scale (n <= ~10^5).
+Overflow bound: every entry is a signed or unsigned count of lattice
+points or progression terms up to ``maxn``.  A lattice entry counts points
+of at most four square variables, each in ``[-isqrt(maxn), isqrt(maxn)]``,
+so it is at most ``(2*isqrt(maxn) + 1)**4``.  A progression entry is a
+constant of at most 4 plus at most five unit terms per pair ``(r, s)`` with
+``1 <= r, s <= maxn`` (n fixes the third variable), so it is at most
+``9*(maxn + 1)**2``.  Both are below 2**63 for ``maxn <= 10**9``, past any
+table that fits in memory (8 GB each).  ``sigma_table(maxn, k)`` is at most
+``maxn**(k + 1)``; every caller passes k = 0 or 1.  Memory is linear in
+``maxn``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
+# the benchmark's provenance probe reads this; there is one numpy lane
+USE_NUMBA = False
 
 
-USE_NUMBA = NUMBA_AVAILABLE and os.environ.get("QIDENT_NO_NUMBA", "0") in ("", "0")
+def _times_sparse(a, terms):
+    """a * sum(c q^e for e, c in terms), truncated to len(a)."""
+    n = len(a)
+    out = np.zeros_like(a)
+    for e, c in terms:
+        out[e:] += c * a[:n - e]
+    return out
 
 
-@njit(cache=True)
-def _isqrt(n):
-    # floor integer sqrt; float seed plus exact correction
-    if n <= 0:
-        return 0
-    x = int(math.sqrt(n))
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
+def _unit(maxn):
+    out = np.zeros(maxn + 1, dtype=np.int64)
+    out[0] = 1
+    return out
+
+
+def _theta_terms(maxn, mult=1, signed=False):
+    """Nonzero (e, c) of sum over integers x of (+-1)^x q^(mult x^2), e <= maxn."""
+    terms = [(0, 1)]
+    x = 1
+    while mult * x * x <= maxn:
+        # x and -x have the same parity, hence the same sign
+        terms.append((mult * x * x, -2 if signed and x % 2 else 2))
         x += 1
-    return x
+    return terms
+
+
+def _alternating(out, first, step, sign):
+    """out[first + k*step] += sign * (-1)^k for k >= 0, within out."""
+    out[first::2 * step] += sign
+    out[first + step::2 * step] -= sign
 
 
 # ---------------------------------------------------------------------------
-# signed / unsigned representation counts for x^2 + 2y^2 + 2z^2
+# lattice counts
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _signed_rep_tables_nb(maxn):
-    signed = np.zeros(maxn + 1, dtype=np.int64)
-    unsigned = np.zeros(maxn + 1, dtype=np.int64)
-    xm = _isqrt(maxn)
-    for x in range(-xm, xm + 1):
-        rx = maxn - x * x
-        ym = _isqrt(rx // 2)
-        for y in range(-ym, ym + 1):
-            ry = rx - 2 * y * y
-            if ry < 0:
-                continue
-            zm = _isqrt(ry // 2)
-            for z in range(-zm, zm + 1):
-                v = maxn - ry + 2 * z * z
-                s = 1 if (x + y + z) % 2 == 0 else -1
-                signed[v] += s
-                unsigned[v] += 1
-    return signed, unsigned
+def signed_rep_tables(maxn):
+    """(signed, unsigned) counts of x^2 + 2y^2 + 2z^2 = n for n <= maxn."""
+    tables = []
+    for signed in (True, False):
+        x = _theta_terms(maxn, 1, signed)
+        yz = _theta_terms(maxn, 2, signed)
+        tables.append(_times_sparse(_times_sparse(_times_sparse(
+            _unit(maxn), x), yz), yz))
+    return tuple(tables)
 
 
-def _signed_rep_tables_np(maxn):
-    xm = math.isqrt(maxn)
-    ym = math.isqrt(maxn // 2)
-    x = np.arange(-xm, xm + 1, dtype=np.int64)
-    y = np.arange(-ym, ym + 1, dtype=np.int64)
-    v = (x[:, None, None] ** 2 + 2 * y[None, :, None] ** 2
-         + 2 * y[None, None, :] ** 2)
-    par = (x[:, None, None] + y[None, :, None] + y[None, None, :]) & 1
-    sign = np.where(par == 0, 1, -1).astype(np.int64)
-    mask = v <= maxn
-    vm = v[mask]
-    signed = np.zeros(maxn + 1, dtype=np.int64)
-    unsigned = np.zeros(maxn + 1, dtype=np.int64)
-    np.add.at(signed, vm, sign[mask])
-    np.add.at(unsigned, vm, 1)
-    return signed, unsigned
-
-
-# ---------------------------------------------------------------------------
-# sums of s squares, s in {2, 3, 4}
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _square_rep_tables_nb(s, maxn):
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    m = _isqrt(maxn)
-    if s == 2:
-        for x in range(-m, m + 1):
-            rx = maxn - x * x
-            ym = _isqrt(rx)
-            for y in range(-ym, ym + 1):
-                out[x * x + y * y] += 1
-    elif s == 3:
-        for x in range(-m, m + 1):
-            rx = maxn - x * x
-            ym = _isqrt(rx)
-            for y in range(-ym, ym + 1):
-                ry = rx - y * y
-                zm = _isqrt(ry)
-                for z in range(-zm, zm + 1):
-                    out[x * x + y * y + z * z] += 1
-    else:
-        for x in range(-m, m + 1):
-            rx = maxn - x * x
-            ym = _isqrt(rx)
-            for y in range(-ym, ym + 1):
-                ry = rx - y * y
-                zm = _isqrt(ry)
-                for z in range(-zm, zm + 1):
-                    rz = ry - z * z
-                    wm = _isqrt(rz)
-                    for w in range(-wm, wm + 1):
-                        out[maxn - rz + w * w] += 1
+def square_rep_tables(s, maxn):
+    """Ordered representations of n as a sum of s squares, 1 <= s <= 4."""
+    if not 1 <= s <= 4:
+        raise ValueError("s must be between 1 and 4")
+    theta = _theta_terms(maxn)
+    out = _unit(maxn)
+    for _ in range(s):
+        out = _times_sparse(out, theta)
     return out
 
 
-def _square_rep_tables_np(s, maxn):
-    m = math.isqrt(maxn)
-    ax = np.arange(-m, m + 1, dtype=np.int64)
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    if s == 2:
-        v = ax[:, None] ** 2 + ax[None, :] ** 2
-        np.add.at(out, v[v <= maxn], 1)
-    elif s == 3:
-        v = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
-        np.add.at(out, v[v <= maxn], 1)
-    else:
-        base = ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2
-        for x in ax:
-            v = base + x * x
-            np.add.at(out, v[v <= maxn], 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sums of three triangular numbers
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _triangular3_table_nb(maxn):
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    km = (_isqrt(8 * maxn + 1) + 1) // 2 + 1
-    tri = np.empty(km + 1, dtype=np.int64)
-    for k in range(km + 1):
-        tri[k] = k * (k + 1) // 2
-    for i in range(km + 1):
-        a = tri[i]
-        if a > maxn:
-            break
-        for j in range(km + 1):
-            b = a + tri[j]
-            if b > maxn:
-                break
-            for k in range(km + 1):
-                v = b + tri[k]
-                if v > maxn:
-                    break
-                out[v] += 1
-    return out
-
-
-def _triangular3_table_np(maxn):
-    km = (math.isqrt(8 * maxn + 1) + 1) // 2 + 1
-    tri = np.array([k * (k + 1) // 2 for k in range(km + 1)], dtype=np.int64)
-    tri = tri[tri <= maxn]
-    v = tri[:, None, None] + tri[None, :, None] + tri[None, None, :]
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    np.add.at(out, v[v <= maxn], 1)
-    return out
+def triangular3_table(maxn):
+    """Ordered triples of triangular numbers k(k+1)/2, k >= 0, summing to n."""
+    tri = []
+    k = 0
+    while k * (k + 1) // 2 <= maxn:
+        tri.append((k * (k + 1) // 2, 1))
+        k += 1
+    return _times_sparse(_times_sparse(_times_sparse(
+        _unit(maxn), tri), tri), tri)
 
 
 # ---------------------------------------------------------------------------
@@ -192,45 +107,13 @@ def _triangular3_table_np(maxn):
 #
 # open shape   (chi = 0):  n = 2r(s+t) + 4st
 # shifted shape (chi = 1): n = 2r(s+t-1) + (2s-1)(2t-1)
+#
+# for fixed (r, s) the n form the progression start + step*t, t >= 1
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _triple_tables_nb(maxn, shifted):
-    total = np.zeros(maxn + 1, dtype=np.int64)
-    signed = np.zeros(maxn + 1, dtype=np.int64)
-    r_even = np.zeros(maxn + 1, dtype=np.int64)
-    r = 1
-    while True:
-        nmin_r = 2 * r + 1 if shifted else 4 * r + 4
-        if nmin_r > maxn:
-            break
-        s = 1
-        while True:
-            if shifted:
-                step = 4 * s - 2 + 2 * r
-                start = 2 * r * s - 2 * r - 2 * s + 1
-            else:
-                step = 2 * r + 4 * s
-                start = 2 * r * s
-            n = start + step  # t = 1
-            if n > maxn:
-                break
-            sign_rs = 1 if (r + s) % 2 == 0 else -1
-            t = 1
-            while n <= maxn:
-                total[n] += 1
-                signed[n] += sign_rs if t % 2 == 0 else -sign_rs
-                if r % 2 == 0:
-                    r_even[n] += 1
-                t += 1
-                n += step
-            s += 1
-        r += 1
-    return total, signed, r_even
-
-
-def _triple_tables_np(maxn, shifted):
+def triple_tables(maxn, shifted):
+    """(total, signed, r_even) counts of the shape's triples for n <= maxn."""
     total = np.zeros(maxn + 1, dtype=np.int64)
     signed = np.zeros(maxn + 1, dtype=np.int64)
     r_even = np.zeros(maxn + 1, dtype=np.int64)
@@ -244,16 +127,14 @@ def _triple_tables_np(maxn, shifted):
             else:
                 step = 2 * r + 4 * s
                 start = 2 * r * s
-            if start + step > maxn:
+            first = start + step  # t = 1
+            if first > maxn:
                 break
-            tmax = (maxn - start) // step
-            n = start + step * np.arange(1, tmax + 1, dtype=np.int64)
-            sign_rs = 1 if (r + s) % 2 == 0 else -1
-            signs = np.where(np.arange(1, tmax + 1) % 2 == 0, sign_rs, -sign_rs)
-            np.add.at(total, n, 1)
-            np.add.at(signed, n, signs)
+            total[first::step] += 1
+            # (-1)^(r+s+t), and t = 1 is odd
+            _alternating(signed, first, step, -1 if (r + s) % 2 == 0 else 1)
             if r % 2 == 0:
-                np.add.at(r_even, n, 1)
+                r_even[first::step] += 1
             s += 1
         r += 1
     return total, signed, r_even
@@ -264,47 +145,19 @@ def _triple_tables_np(maxn, shifted):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _pair_tables_nb(maxn):
+def pair_tables(maxn):
+    """Signed sums of (-1)^(r+s) over 2rs = n, 4rs = n, (2r-1)(2s-1) = n."""
     even2 = np.zeros(maxn + 1, dtype=np.int64)
     even4 = np.zeros(maxn + 1, dtype=np.int64)
     odd = np.zeros(maxn + 1, dtype=np.int64)
     for r in range(1, maxn // 2 + 1):
-        for s in range(1, maxn // (2 * r) + 1):
-            sign = 1 if (r + s) % 2 == 0 else -1
-            even2[2 * r * s] += sign
-            if 4 * r * s <= maxn:
-                even4[4 * r * s] += sign
-    s = 1
-    while (2 * s - 1) <= maxn:
-        t = 1
-        while (2 * s - 1) * (2 * t - 1) <= maxn:
-            sign = 1 if (s + t) % 2 == 0 else -1
-            odd[(2 * s - 1) * (2 * t - 1)] += sign
-            t += 1
-        s += 1
-    return even2, even4, odd
-
-
-def _pair_tables_np(maxn):
-    even2 = np.zeros(maxn + 1, dtype=np.int64)
-    even4 = np.zeros(maxn + 1, dtype=np.int64)
-    odd = np.zeros(maxn + 1, dtype=np.int64)
-    for r in range(1, maxn // 2 + 1):
-        smax = maxn // (2 * r)
-        s = np.arange(1, smax + 1, dtype=np.int64)
-        signs = np.where((r + s) % 2 == 0, 1, -1)
-        np.add.at(even2, 2 * r * s, signs)
-        sel = 4 * r * s <= maxn
-        np.add.at(even4, 4 * r * s[sel], signs[sel])
-    s = 1
-    while 2 * s - 1 <= maxn:
-        tmax = ((maxn // (2 * s - 1)) + 1) // 2
-        t = np.arange(1, tmax + 1, dtype=np.int64)
-        vals = (2 * s - 1) * (2 * t - 1)
-        signs = np.where((s + t) % 2 == 0, 1, -1)
-        np.add.at(odd, vals, signs)
-        s += 1
+        # s = 1, 2, ... gives n = 2r, 4r, ... with sign (-1)^(r+1) at s = 1
+        sign = 1 if r % 2 else -1
+        _alternating(even2, 2 * r, 2 * r, sign)
+        _alternating(even4, 4 * r, 4 * r, sign)
+    for r in range(1, (maxn + 1) // 2 + 1):
+        a = 2 * r - 1
+        _alternating(odd, a, 2 * a, 1 if r % 2 else -1)
     return even2, even4, odd
 
 
@@ -313,48 +166,21 @@ def _pair_tables_np(maxn):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _hlm_tables_nb(maxn):
+def hlm_tables(maxn):
+    """Signed sums of (-1)^(r+s) over rs = n and (-1)^(r+s+t) over
+    rs + rt + st = n, all variables >= 1."""
     pair = np.zeros(maxn + 1, dtype=np.int64)
     triple = np.zeros(maxn + 1, dtype=np.int64)
     for r in range(1, maxn + 1):
-        for s in range(1, maxn // r + 1):
-            pair[r * s] += 1 if (r + s) % 2 == 0 else -1
-    for r in range(1, maxn + 1):
-        for s in range(1, maxn + 1):
-            base = r * s
-            step = r + s
-            if base + step > maxn:
-                break
-            sign_rs = 1 if (r + s) % 2 == 0 else -1
-            n = base + step
-            t = 1
-            while n <= maxn:
-                triple[n] += sign_rs if t % 2 == 0 else -sign_rs
-                t += 1
-                n += step
-    return pair, triple
-
-
-def _hlm_tables_np(maxn):
-    pair = np.zeros(maxn + 1, dtype=np.int64)
-    triple = np.zeros(maxn + 1, dtype=np.int64)
-    for r in range(1, maxn + 1):
-        s = np.arange(1, maxn // r + 1, dtype=np.int64)
-        np.add.at(pair, r * s, np.where((r + s) % 2 == 0, 1, -1))
-    for r in range(1, maxn + 1):
-        if r * 1 + (r + 1) > maxn:
-            break
-        for s in range(1, maxn + 1):
-            base = r * s
-            step = r + s
-            if base + step > maxn:
-                break
-            tmax = (maxn - base) // step
-            t = np.arange(1, tmax + 1, dtype=np.int64)
-            sign_rs = 1 if (r + s) % 2 == 0 else -1
-            signs = np.where(t % 2 == 0, sign_rs, -sign_rs)
-            np.add.at(triple, base + step * t, signs)
+        _alternating(pair, r, r, 1 if r % 2 else -1)
+    r = 1
+    while 2 * r + 1 <= maxn:  # s = t = 1
+        s = 1
+        while r * s + r + s <= maxn:
+            _alternating(triple, r * s + r + s, r + s,
+                         -1 if (r + s) % 2 == 0 else 1)
+            s += 1
+        r += 1
     return pair, triple
 
 
@@ -364,67 +190,34 @@ def _hlm_tables_np(maxn):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _triangular_sum_side_nb(order):
-    out = np.zeros(order, dtype=np.int64)
-    out[0] = 1
-    for r in range(1, order):
-        out[r] += 3
-    for r in range(1, order):
-        if 3 * r + 1 >= order:
-            break
-        for s in range(1, order):
-            e = 2 * r * s + r + s
-            if e >= order:
-                break
-            out[e] += 3
-    # two octants of 2(rs+rt+st) + sign*(r+s+t); the all-negative octant
-    # maps to sign = -1 under (r,s,t) -> (-r,-s,-t)
-    for sign in (1, -1):
-        for r in range(1, order):
-            if 2 * r * 1 + sign * (r + 1) + 2 * r + 2 + sign >= order:
-                break
-            for s in range(1, order):
-                base = 2 * r * s + sign * (r + s)
-                step = 2 * r + 2 * s + sign
-                if base + step >= order:
-                    break
-                e = base + step
-                while e < order:
-                    out[e] += 1
-                    e += step
-    return out
-
-
-def _triangular_sum_side_np(order):
+def triangular_sum_side(order):
+    """Sum side of the sum-of-three-triangular-numbers identity, q^0..q^(order-1)."""
     out = np.zeros(order, dtype=np.int64)
     out[0] = 1
     out[1:] += 3
-    for r in range(1, order):
-        if 2 * r + r + 1 >= order:
-            break
-        s = np.arange(1, (order - 1 - r) // (2 * r + 1) + 1, dtype=np.int64)
-        e = 2 * r * s + r + s
-        np.add.at(out, e[e < order], 3)
+    r = 1
+    while 3 * r + 1 < order:
+        out[3 * r + 1::2 * r + 1] += 3  # 2rs + r + s for s >= 1
+        r += 1
+    # two octants of 2(rs+rt+st) + sign*(r+s+t); the all-negative octant
+    # maps to sign = -1 under (r,s,t) -> (-r,-s,-t)
     for sign in (1, -1):
-        for r in range(1, order):
-            done = True
-            for s in range(1, order):
-                base = 2 * r * s + sign * (r + s)
+        r = 1
+        while 2 * r + sign * (r + 1) + 2 * r + 2 + sign < order:
+            s = 1
+            while True:
                 step = 2 * r + 2 * s + sign
-                if base + step >= order:
+                first = 2 * r * s + sign * (r + s) + step  # t = 1
+                if first >= order:
                     break
-                done = False
-                tmax = (order - 1 - base) // step
-                t = np.arange(1, tmax + 1, dtype=np.int64)
-                np.add.at(out, base + step * t, 1)
-            if done:
-                break
+                out[first::step] += 1
+                s += 1
+            r += 1
     return out
 
 
 # ---------------------------------------------------------------------------
-# divisor tables (cheap sieves, numpy in both lanes)
+# divisor tables (strided sieves)
 # ---------------------------------------------------------------------------
 
 
@@ -453,48 +246,3 @@ def sigma_no_mult4_table(maxn: int) -> np.ndarray:
         if d % 4:
             out[d::d] += d
     return out
-
-
-# ---------------------------------------------------------------------------
-# lane selection
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    signed_rep_tables = _signed_rep_tables_nb
-    square_rep_tables = _square_rep_tables_nb
-    triangular3_table = _triangular3_table_nb
-    triple_tables = _triple_tables_nb
-    pair_tables = _pair_tables_nb
-    hlm_tables = _hlm_tables_nb
-    triangular_sum_side = _triangular_sum_side_nb
-else:
-    signed_rep_tables = _signed_rep_tables_np
-    square_rep_tables = _square_rep_tables_np
-    triangular3_table = _triangular3_table_np
-    triple_tables = _triple_tables_np
-    pair_tables = _pair_tables_np
-    hlm_tables = _hlm_tables_np
-    triangular_sum_side = _triangular_sum_side_np
-
-LANES = {
-    "numba": {
-        "available": NUMBA_AVAILABLE,
-        "signed_rep_tables": _signed_rep_tables_nb,
-        "square_rep_tables": _square_rep_tables_nb,
-        "triangular3_table": _triangular3_table_nb,
-        "triple_tables": _triple_tables_nb,
-        "pair_tables": _pair_tables_nb,
-        "hlm_tables": _hlm_tables_nb,
-        "triangular_sum_side": _triangular_sum_side_nb,
-    },
-    "numpy": {
-        "available": True,
-        "signed_rep_tables": _signed_rep_tables_np,
-        "square_rep_tables": _square_rep_tables_np,
-        "triangular3_table": _triangular3_table_np,
-        "triple_tables": _triple_tables_np,
-        "pair_tables": _pair_tables_np,
-        "hlm_tables": _hlm_tables_np,
-        "triangular_sum_side": _triangular_sum_side_np,
-    },
-}

@@ -2,8 +2,8 @@
 
 The per-n functions here are deliberately simple loops: they are the
 trusted oracles everything else is checked against.  The sweep-scale
-tables delegate to the batch kernels in ``_kernels`` (numba or numpy
-lane); tests pin both against the per-n oracles.
+tables delegate to the batch kernels in ``_kernels``; tests pin every
+kernel against the per-n oracles.
 """
 
 from __future__ import annotations
@@ -275,11 +275,14 @@ def signed_rep_tables(maxn: int):
 
 
 def rep_squares_table(s: int, maxn: int):
+    """rep_squares(s, n) for all n <= maxn, 1 <= s <= 4."""
     return _kernels.square_rep_tables(s, maxn)
 
 
 def triple_sum_tables(maxn: int, shape: str):
     """(total, signed, r_even) tables for the shape equation, n <= maxn."""
+    if shape not in (OPEN, SHIFTED):
+        raise ValueError(f"unknown shape {shape!r}")
     return _kernels.triple_tables(maxn, shape == SHIFTED)
 
 

@@ -1,6 +1,10 @@
 """Counting oracles, kernels, and the sum-side series."""
 
+import functools
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qident import _kernels
 from qident import counting as C
@@ -112,8 +116,120 @@ def test_classical_checks():
     assert report.passed, report.failures
 
 
+# ---------------------------------------------------------------------------
+# per-n oracles for every kernel, up to ORACLE_MAX
+# ---------------------------------------------------------------------------
+
+ORACLE_MAX = 300
+
+
+def _sign(k):
+    return 1 if k % 2 == 0 else -1
+
+
+def _naive_pair_tables(maxn):
+    even2, even4, odd = ([0] * (maxn + 1) for _ in range(3))
+    for r in range(1, maxn + 1):
+        for s in range(1, maxn + 1):
+            if 2 * r * s <= maxn:
+                even2[2 * r * s] += _sign(r + s)
+            if 4 * r * s <= maxn:
+                even4[4 * r * s] += _sign(r + s)
+            if (2 * r - 1) * (2 * s - 1) <= maxn:
+                odd[(2 * r - 1) * (2 * s - 1)] += _sign(r + s)
+    return even2, even4, odd
+
+
+def _naive_hlm_tables(maxn):
+    pair, triple = [0] * (maxn + 1), [0] * (maxn + 1)
+    for r in range(1, maxn + 1):
+        for s in range(1, maxn + 1):
+            if r * s <= maxn:
+                pair[r * s] += _sign(r + s)
+            for t in range(1, maxn + 1):
+                n = r * s + r * t + s * t
+                if n > maxn:
+                    break
+                triple[n] += _sign(r + s + t)
+    return pair, triple
+
+
+def _naive_triangular_sum_side(order):
+    out = [1] + [3] * (order - 1)
+    for r in range(1, order):
+        for s in range(1, order):
+            if 2 * r * s + r + s < order:
+                out[2 * r * s + r + s] += 3
+            for t in range(1, order):
+                if 2 * (r * s + r * t + s * t) - (r + s + t) >= order:
+                    break
+                for sign in (1, -1):
+                    e = 2 * (r * s + r * t + s * t) + sign * (r + s + t)
+                    if e < order:
+                        out[e] += 1
+    return out
+
+
+def _naive_sigma_no_mult4(maxn):
+    return [0] + [sum(d for d in range(1, n + 1) if n % d == 0 and d % 4)
+                  for n in range(1, maxn + 1)]
+
+
+@functools.cache
+def _oracle_tables():
+    """Every kernel's table at ORACLE_MAX, from per-n oracles only."""
+    m = ORACLE_MAX
+    ns = range(m + 1)
+    tables = {
+        "signed": [C.signed_rep_count(n) for n in ns],
+        "unsigned": [C.rep_count(n) for n in ns],
+        "triangular3": [C.r3_triangular(n) for n in ns],
+        "sigma0": [0] + [C.sigma(0, n) for n in ns[1:]],
+        "sigma1": [0] + [C.sigma(1, n) for n in ns[1:]],
+        "d1": [0] + [C.d_mod4(1, n) for n in ns[1:]],
+        "d3": [0] + [C.d_mod4(3, n) for n in ns[1:]],
+        "sigma_no_mult4": _naive_sigma_no_mult4(m),
+        "pair": _naive_pair_tables(m),
+        "hlm": _naive_hlm_tables(m),
+        "triangular_sum_side": _naive_triangular_sum_side(m + 1),
+    }
+    for s in (1, 2, 3, 4):
+        tables[f"r{s}"] = [C.rep_squares(s, n) for n in ns]
+    for shape in (C.OPEN, C.SHIFTED):
+        trs = [[]] + [list(C.iter_solution_triples(n, shape)) for n in ns[1:]]
+        tables[shape] = (
+            [len(t) for t in trs],
+            [sum(_sign(r + s + u) for r, s, u in t) for t in trs],
+            [sum(1 for r, _, _ in t if r % 2 == 0) for t in trs])
+    return tables
+
+
+def _kernel_cases(maxn):
+    """(kernel name, args, expected tables truncated to maxn) for each kernel."""
+    o = _oracle_tables()
+
+    def cut(*tables):
+        return [t[:maxn + 1] for t in tables]
+
+    return [
+        ("signed_rep_tables", (maxn,), cut(o["signed"], o["unsigned"])),
+        *(("square_rep_tables", (s, maxn), cut(o[f"r{s}"]))
+          for s in (1, 2, 3, 4)),
+        ("triangular3_table", (maxn,), cut(o["triangular3"])),
+        ("triple_tables", (maxn, False), cut(*o[C.OPEN])),
+        ("triple_tables", (maxn, True), cut(*o[C.SHIFTED])),
+        ("pair_tables", (maxn,), cut(*o["pair"])),
+        ("hlm_tables", (maxn,), cut(*o["hlm"])),
+        ("triangular_sum_side", (maxn + 1,), cut(o["triangular_sum_side"])),
+        ("sigma_table", (maxn, 0), cut(o["sigma0"])),
+        ("sigma_table", (maxn, 1), cut(o["sigma1"])),
+        ("d_mod4_tables", (maxn,), cut(o["d1"], o["d3"])),
+        ("sigma_no_mult4_table", (maxn,), cut(o["sigma_no_mult4"])),
+    ]
+
+
 class TestKernelLanes:
-    """Both kernel lanes must agree with each other and the per-n oracles."""
+    """Every kernel must agree with its per-n oracle."""
 
     def test_signed_rep_tables_vs_oracle(self):
         sg, un = C.signed_rep_tables(150)
@@ -122,7 +238,7 @@ class TestKernelLanes:
             assert int(un[n]) == C.rep_count(n)
 
     def test_square_tables_vs_oracle(self):
-        for s in (2, 3, 4):
+        for s in (1, 2, 3, 4):
             table = C.rep_squares_table(s, 60)
             for n in range(61):
                 assert int(table[n]) == C.rep_squares(s, n)
@@ -142,25 +258,6 @@ class TestKernelLanes:
                     1 if (r + s + t) % 2 == 0 else -1 for r, s, t in trs)
                 assert int(r_even[n]) == sum(1 for r, _, _ in trs if r % 2 == 0)
 
-    @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba missing")
-    def test_lanes_agree(self):
-        pairs = [("signed_rep_tables", (130,)),
-                 ("square_rep_tables", (3, 130)),
-                 ("square_rep_tables", (4, 60)),
-                 ("triangular3_table", (130,)),
-                 ("triple_tables", (130, True)),
-                 ("triple_tables", (130, False)),
-                 ("pair_tables", (130,)),
-                 ("hlm_tables", (130,)),
-                 ("triangular_sum_side", (131,))]
-        for name, args in pairs:
-            a = _kernels.LANES["numba"][name](*args)
-            b = _kernels.LANES["numpy"][name](*args)
-            if isinstance(a, tuple):
-                assert all((x == y).all() for x, y in zip(a, b)), name
-            else:
-                assert (a == b).all(), name
-
     def test_pair_tables_spot(self):
         even2, even4, odd = _kernels.pair_tables(12)
         # 2rs = 2 only from (1,1); (2s-1)(2t-1) = 1 only from (1,1)
@@ -179,3 +276,32 @@ class TestKernelLanes:
         for n in range(1, 101):
             assert int(d1[n]) == C.d_mod4(1, n)
             assert int(d3[n]) == C.d_mod4(3, n)
+
+    def test_square_tables_reject_s_outside_1_to_4(self):
+        for s in (0, 5):
+            with pytest.raises(ValueError):
+                C.rep_squares_table(s, 10)
+
+    def test_triple_tables_reject_unknown_shape(self):
+        with pytest.raises(ValueError, match="unknown shape"):
+            C.triple_sum_tables(10, "bogus")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=ORACLE_MAX))
+    @example(0)
+    @example(ORACLE_MAX)
+    def test_every_kernel_vs_oracle(self, maxn):
+        for name, args, want in _kernel_cases(maxn):
+            got = getattr(_kernels, name)(*args)
+            got = got if isinstance(got, tuple) else (got,)
+            assert [t.dtype for t in got] == [np.int64] * len(want), name
+            assert [t.tolist() for t in got] == want, (name, args)
+
+    def test_signed_rep_tables_at_scale(self):
+        maxn = 100_000
+        signed, unsigned = _kernels.signed_rep_tables(maxn)
+        assert len(signed) == len(unsigned) == maxn + 1
+        for n in (99_997, 99_998, 99_999, 100_000):
+            assert int(signed[n]) == C.signed_rep_count(n), n
+            assert int(unsigned[n]) == C.rep_count(n), n
+
