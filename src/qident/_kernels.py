@@ -20,8 +20,8 @@ constant of at most 4 plus at most five unit terms per pair ``(r, s)`` with
 ``1 <= r, s <= maxn`` (n fixes the third variable), so it is at most
 ``9*(maxn + 1)**2``.  Both are below 2**63 for ``maxn <= 10**9``, past any
 table that fits in memory (8 GB each).  ``sigma_table(maxn, k)`` is at most
-``maxn**(k + 1)``; every caller passes k = 0 or 1.  Memory is linear in
-``maxn``.
+``maxn**(k + 1)``; it raises ``OverflowError`` when that reaches 2**63.
+Memory is linear in ``maxn``.
 """
 
 from __future__ import annotations
@@ -222,6 +222,9 @@ def triangular_sum_side(order):
 
 
 def sigma_table(maxn: int, k: int = 0) -> np.ndarray:
+    """sum of d**k over the divisors d of n; at most maxn**(k + 1)."""
+    if maxn ** (k + 1) >= 2 ** 63:
+        raise OverflowError(f"sigma_{k}(n) for n <= {maxn} may exceed int64")
     out = np.zeros(maxn + 1, dtype=np.int64)
     for d in range(1, maxn + 1):
         out[d::d] += d ** k

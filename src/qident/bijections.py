@@ -360,14 +360,20 @@ def _b0_expected(n: int) -> Fraction:
     return Fraction(sigma(0, n) + (1 if root * root == n else 0), 2)
 
 
-def verify_case(n: int) -> VerificationReport:
-    """Machine-check the triple-to-form construction for one n."""
+def verify_case(n: int, h4n: Fraction | None = None,
+                hn: Fraction | None = None) -> VerificationReport:
+    """Machine-check the triple-to-form construction for one n.
+
+    ``h4n`` and ``hn`` are H(4n) and H(n), from ``hurwitz_H`` when not
+    given."""
     if n < 1 or n % 4 == 0:
         raise CaseMismatch("n must be positive and not 0 mod 4")
     checks: list[Check] = []
     triples = solution_triples(n)
-    h4n = hurwitz_H(4 * n)
-    hn = hurwitz_H(n)
+    if h4n is None:
+        h4n = hurwitz_H(4 * n)
+    if hn is None:
+        hn = hurwitz_H(n)
     sig0 = sigma(0, n)
 
     if n % 4 == 2:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from . import _kernels
-from .quadforms import hurwitz_H
+from .quadforms import hurwitz_table
 from .report import VerificationReport, series_check, sweep_check
 from .series import QSeries
 from .theta import Jm
@@ -291,10 +291,13 @@ def triple_sum_tables(maxn: int, shape: str):
 # ---------------------------------------------------------------------------
 
 
-def three_squares_parity_check(n: int) -> bool:
-    """rep_count(n) equals the number of x^2+u^2+v^2 = n solutions with
-    u = v mod 2, via the explicit mutually inverse maps; for n = 0 mod 4
-    additionally r3(n) = r3(n/4) = signed_rep_count(n)."""
+def parity_bijection_images(n: int) -> int | None:
+    """The explicit arm of the three-squares parity bijection at n.
+
+    Maps every solution of x^2+u^2+v^2 = n with u = v mod 2 to
+    (x, (u+v)/2, (u-v)/2) and back.  Returns the number of distinct images,
+    each a solution of x^2+2y^2+2z^2 = n, or None if a map or the inverse
+    fails or two solutions share an image."""
     if n < 0:
         raise ValueError("n must be >= 0")
     xm = math.isqrt(n)
@@ -316,23 +319,45 @@ def three_squares_parity_check(n: int) -> bool:
     for x, u, v in parity_solutions:
         y, z = (u + v) // 2, (u - v) // 2
         if x * x + 2 * y * y + 2 * z * z != n:
-            return False
+            return None
         if (x, y + z, y - z) != (x, u, v):
-            return False
+            return None
         images.add((x, y, z))
-    if len(images) != len(parity_solutions) or len(images) != rep_count(n):
-        return False
-    if n % 4 == 0:
-        r3n = rep_squares(3, n)
-        if not (r3n == rep_squares(3, n // 4) == signed_rep_count(n)):
+    if len(images) != len(parity_solutions):
+        return None
+    return len(images)
+
+
+def three_squares_parity_check(n: int, counts=None) -> bool:
+    """rep_count(n) equals the number of x^2+u^2+v^2 = n solutions with
+    u = v mod 2, via the explicit mutually inverse maps; for n = 0 mod 4
+    additionally r3(n) = r3(n/4) = signed_rep_count(n).
+
+    ``counts`` is None, and the counts come from the per-n oracles, or a
+    triple (signed, unsigned, r3) of tables indexed by n, as from
+    ``signed_rep_tables`` and ``rep_squares_table(3, ...)``, read instead.
+    """
+    images = parity_bijection_images(n)
+    if counts is None:
+        if images is None or images != rep_count(n):
             return False
-    return True
+        return n % 4 != 0 or (rep_squares(3, n) == rep_squares(3, n // 4)
+                              == signed_rep_count(n))
+    signed, unsigned, r3 = counts
+    if images is None or images != int(unsigned[n]):
+        return False
+    return n % 4 != 0 or int(r3[n]) == int(r3[n // 4]) == int(signed[n])
 
 
-def classical_checks(maxn: int) -> VerificationReport:
-    """The classical square-counting identities, swept to maxn."""
+def classical_checks(maxn: int, h12=None) -> VerificationReport:
+    """The classical square-counting identities, swept to maxn.
+
+    ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries; it
+    is built when not given."""
     if maxn < 8:
         raise ValueError("maxn must be >= 8")
+    if h12 is None:
+        h12 = hurwitz_table(4 * maxn)
     checks = []
 
     r2 = _kernels.square_rep_tables(2, maxn)
@@ -376,9 +401,9 @@ def classical_checks(maxn: int) -> VerificationReport:
         for n in range(1, maxn + 1):
             res = n % 8
             if res in (1, 2, 5, 6):
-                yield n, 12 * hurwitz_H(4 * n), Fraction(int(r3[n]))
+                yield n, Fraction(int(h12[4 * n])), Fraction(int(r3[n]))
             elif res == 3:
-                yield n, 24 * hurwitz_H(n), Fraction(int(r3[n]))
+                yield n, Fraction(2 * int(h12[n])), Fraction(int(r3[n]))
             elif res == 7:
                 yield n, Fraction(0), Fraction(int(r3[n]))
             else:

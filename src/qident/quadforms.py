@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .report import VerificationReport, sweep_check
 
 
@@ -130,6 +132,38 @@ def hurwitz_H(N: int) -> Fraction:
         else:
             total += 1
     return total
+
+
+def hurwitz_table(X: int) -> np.ndarray:
+    """``12*H(N)`` for 0 <= N <= X, an exact int64 table.
+
+    One pass over the pairs (a, b) with |b| <= a and 3a² <= X: the reduced
+    forms (a, b, c) with c >= c0 have discriminants -(4ac - b²), a
+    progression of step 4a, added as one strided slice of weight 12.  c0 is
+    a, or a + 1 for b < 0 (a reduced form with a == c has b >= 0), and b = -a
+    is never reduced.  The (a,0,a) and (a,a,a) starts get weight 6 and 4.
+    N = 1, 2 mod 4 is never hit, and 12*H(0) = -1.
+
+    Overflow bound: each pair adds at most 12 to an entry, so every entry is
+    below ``12*A*(A + 1)`` with ``A = isqrt(X // 3)``, about ``4X``.
+    """
+    if X < 0:
+        raise ValueError("X must be non-negative")
+    amax = math.isqrt(X // 3)
+    if 12 * amax * (amax + 1) >= 2 ** 63:
+        raise OverflowError(f"12*H(N) for N <= {X} may exceed int64")
+    out = np.zeros(X + 1, dtype=np.int64)
+    out[0] = -1
+    for a in range(1, amax + 1):
+        step = 4 * a
+        for b in range(1 - a, a + 1):
+            start = step * (a if b >= 0 else a + 1) - b * b
+            if start <= X:
+                out[start::step] += 12
+        if 4 * a * a <= X:
+            out[4 * a * a] -= 6   # (a, 0, a)
+        out[3 * a * a] -= 8       # (a, a, a)
+    return out
 
 
 def verify_hurwitz_doubling(max_n: int) -> VerificationReport:

@@ -21,7 +21,15 @@ class NegativeQPower(ArithmeticError):
 
 
 class InternalCrossCheckFailure(AssertionError):
-    """Two supposedly equal internal computation routes disagreed."""
+    """Two supposedly equal internal computation routes disagreed.
+
+    ``locus`` is the first exponent where they differ, and ``expected`` and
+    ``actual`` are the two coefficients there, when the raiser knows them.
+    """
+
+    def __init__(self, message, locus=None, expected=None, actual=None):
+        super().__init__(message)
+        self.locus, self.expected, self.actual = locus, expected, actual
 
 
 _UNITS = (ONE, I_UNIT, MINUS_ONE, MINUS_I)  # i**k for k = 0..3
@@ -245,7 +253,9 @@ def product_side_theta(order: int) -> QSeries:
 def product_side_series(order: int) -> QSeries:
     """Generating function of the signed x²+2y²+2z² representation counts.
 
-    Computed through both product routes, which must agree exactly.
+    Computed through both product routes, which must agree exactly; the
+    theta-route series is returned, so callers that need ``j(q;q²)
+    j(q²;q⁴)²`` itself can use it.
     """
     p = product_side_pochhammer(order)
     t = product_side_theta(order)
@@ -253,8 +263,9 @@ def product_side_series(order: int) -> QSeries:
     if bad is not None:
         raise InternalCrossCheckFailure(
             f"pochhammer and theta routes differ first at q^{bad}: "
-            f"{p.coeff(bad)} vs {t.coeff(bad)}")
-    return p
+            f"{p.coeff(bad)} vs {t.coeff(bad)}",
+            bad, t.coeff(bad), p.coeff(bad))
+    return t
 
 
 def rep_count_product_series(order: int) -> QSeries:

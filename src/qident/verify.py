@@ -2,21 +2,22 @@
 
 Each suite returns a ``VerificationReport`` whose checks carry first-failure
 loci with exact expected/actual values.  Suite names are the stable CLI
-tokens; ``run_suites`` resolves them.
+tokens; ``run_suites`` resolves them and hands every suite one ``Tables``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import _kernels, bijections, counting
 from .appell import verify_appell_suite
-from .quadforms import hurwitz_H, verify_hurwitz_doubling
+from .quadforms import hurwitz_table, verify_hurwitz_doubling
 from .report import Check, VerificationReport, series_check, sweep_check
 from .series import QSeries
-from .theta import (Jbar, product_side_pochhammer, product_side_series,
-                    product_side_theta, rep_count_product_series,
-                    verify_theta_suite)
+from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
+                    product_side_series, product_side_theta,
+                    rep_count_product_series, verify_theta_suite)
 
 SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
                "bijections", "background")
@@ -34,8 +35,64 @@ def suite_minimums(name: str) -> tuple[int, int]:
     return max(o for o, _ in floors), max(m for _, m in floors)
 
 
-def suite_main_identity(order: int, maxn: int) -> VerificationReport:
-    """Sum side equals product side, coefficient for coefficient."""
+class Tables:
+    """The tables the suites of one run share, each built on first use.
+
+    Every member depends on ``maxn`` alone; ``dkm``, the one suite whose
+    series follow ``order``, builds its own.
+
+    Members read the builders through their module bindings at first use
+    (``hurwitz_table`` and ``product_side_series`` here, ``_kernels`` and
+    ``counting`` attributes), so a patched builder is seen.
+    """
+
+    def __init__(self, maxn: int):
+        self.maxn = maxn
+
+    @cached_property
+    def signed_unsigned(self):
+        """(signed, unsigned) counts of x^2+2y^2+2z^2 = n, n <= maxn."""
+        return counting.signed_rep_tables(self.maxn)
+
+    @cached_property
+    def r3(self):
+        return counting.rep_squares_table(3, self.maxn)
+
+    @cached_property
+    def open_triples(self):
+        return counting.triple_sum_tables(self.maxn, counting.OPEN)
+
+    @cached_property
+    def shifted_triples(self):
+        return counting.triple_sum_tables(self.maxn, counting.SHIFTED)
+
+    @cached_property
+    def sigma0(self):
+        return _kernels.sigma_table(self.maxn, 0)
+
+    @cached_property
+    def h12(self):
+        """12*H(N) for N <= 4*maxn."""
+        return hurwitz_table(4 * self.maxn)
+
+    def H(self, N: int) -> Fraction:
+        return Fraction(int(self.h12[N]), 12)
+
+    @cached_property
+    def product(self) -> QSeries | Check:
+        """The signed-count series below q^(maxn+1), theta route, or a
+        failed check at the first exponent where its two routes differ."""
+        try:
+            return product_side_series(self.maxn + 1)
+        except InternalCrossCheckFailure as exc:
+            return Check.fail("pochhammer_route_eq_theta_route", exc.locus,
+                              exc.expected, exc.actual)
+
+
+def suite_main_identity(order: int, maxn: int,
+                        tables: Tables | None = None) -> VerificationReport:
+    """Sum side equals product side, coefficient for coefficient.  Both
+    product routes are built here at ``order``; ``tables`` is not read."""
     if order < 2:
         raise ValueError("order must be >= 2")
     checks = []
@@ -51,9 +108,10 @@ def suite_main_identity(order: int, maxn: int) -> VerificationReport:
     return VerificationReport("dkm", {"order": order, "max": maxn}, checks)
 
 
-def suite_corollary(order: int, maxn: int) -> VerificationReport:
+def suite_corollary(order: int, maxn: int,
+                    tables: Tables | None = None) -> VerificationReport:
     """Per-parity closed forms against the direct signed enumeration."""
-    signed, _ = counting.signed_rep_tables(maxn)
+    signed, _ = (tables or Tables(maxn)).signed_unsigned
 
     def pairs(parity):
         for n in range(1, maxn + 1):
@@ -67,10 +125,15 @@ def suite_corollary(order: int, maxn: int) -> VerificationReport:
     return VerificationReport("corollary", {"order": order, "max": maxn}, checks)
 
 
-def suite_residue_classes(order: int, maxn: int) -> VerificationReport:
+def suite_residue_classes(order: int, maxn: int,
+                          tables: Tables | None = None) -> VerificationReport:
     """The signed count through Hurwitz class numbers, by residue mod 8."""
-    a = product_side_series(maxn + 1)
-    r3 = counting.rep_squares_table(3, maxn)
+    tables = tables or Tables(maxn)
+    params = {"order": order, "max": maxn}
+    a = tables.product
+    if isinstance(a, Check):
+        return VerificationReport("theorem17", params, [a])
+    r3, H = tables.r3, tables.H
     av = a.coeff  # exact: a nonzero imaginary part fails the comparison
 
     def split(residues):
@@ -78,12 +141,12 @@ def suite_residue_classes(order: int, maxn: int) -> VerificationReport:
 
     checks = [
         sweep_check("a_eq_minus_4H4n_for_1_2_5_6_mod_8",
-                    ((n, -4 * hurwitz_H(4 * n), av(n))
+                    ((n, -4 * H(4 * n), av(n))
                      for n in split((1, 2, 5, 6)))),
         sweep_check("a_eq_6H4n_for_3_mod_8",
-                    ((n, 6 * hurwitz_H(4 * n), av(n)) for n in split((3,)))),
+                    ((n, 6 * H(4 * n), av(n)) for n in split((3,)))),
         sweep_check("a_eq_24Hn_for_3_mod_8",
-                    ((n, 24 * hurwitz_H(n), av(n)) for n in split((3,)))),
+                    ((n, 24 * H(n), av(n)) for n in split((3,)))),
         sweep_check("a_zero_for_7_mod_8",
                     ((n, Fraction(0), av(n)) for n in split((7,)))),
         sweep_check("a_eq_r3_for_0_mod_4",
@@ -93,17 +156,21 @@ def suite_residue_classes(order: int, maxn: int) -> VerificationReport:
                     ((n, int(r3[n // 4]), int(r3[n]))
                      for n in range(4, maxn + 1, 4))),
     ]
-    return VerificationReport("theorem17", {"order": order, "max": maxn}, checks)
+    return VerificationReport("theorem17", params, checks)
 
 
-def suite_propositions(order: int, maxn: int) -> VerificationReport:
+def suite_propositions(order: int, maxn: int,
+                       tables: Tables | None = None) -> VerificationReport:
     """The per-residue coefficient evaluations and the n = 0 mod 4 analysis."""
-    a = product_side_series(maxn + 1)
-    open_total, _, open_even_r = counting.triple_sum_tables(maxn, counting.OPEN)
-    sh_total, sh_signed, sh_even_r = counting.triple_sum_tables(
-        maxn, counting.SHIFTED)
-    r3 = counting.rep_squares_table(3, maxn)
-    sig0 = _kernels.sigma_table(maxn, 0)
+    tables = tables or Tables(maxn)
+    params = {"order": order, "max": maxn}
+    a = tables.product
+    if isinstance(a, Check):
+        return VerificationReport("propositions", params, [a])
+    open_total, _, open_even_r = tables.open_triples
+    sh_total, sh_signed, sh_even_r = tables.shifted_triples
+    r3, sig0 = tables.r3, tables.sigma0
+    parity_counts = (*tables.signed_unsigned, r3)
     av = a.coeff  # exact: a nonzero imaginary part fails the comparison
 
     checks = [
@@ -131,12 +198,12 @@ def suite_propositions(order: int, maxn: int) -> VerificationReport:
                     ((n, (int(r3[n]), int(r3[n // 4])), (av(n), av(n)))
                      for n in range(4, maxn + 1, 4))),
         sweep_check("three_squares_parity_bijection",
-                    ((n, True, counting.three_squares_parity_check(n))
+                    ((n, True,
+                      counting.three_squares_parity_check(n, parity_counts))
                      for n in _parity_check_range(maxn))),
     ]
     checks.extend(_prop_residue_zero_series_checks(maxn + 1, a))
-    return VerificationReport("propositions", {"order": order, "max": maxn},
-                              checks)
+    return VerificationReport("propositions", params, checks)
 
 
 def _parity_check_range(maxn: int):
@@ -150,21 +217,21 @@ def _parity_check_range(maxn: int):
 
 def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
     """The q^{4m} extraction: the only residue-0 products of the half-split
-    expansion, their non-negativity, and the corrected six-term expansion."""
+    expansion, their non-negativity, and the corrected six-term expansion.
+    ``a`` is ``product_side_series(order)``, the theta-route product."""
     A = Jbar(4, 8, order)
     B = Jbar(0, 8, order)
     C = Jbar(8, 16, order)
     D = Jbar(0, 16, order)
     checks = []
 
-    lhs = product_side_theta(order)
     expansion = (A * C * C - (B * C * C).shift(1).truncate(order)
                  - (A * C * D).shift(2).truncate(order) * 2
                  + (B * C * D).shift(3).truncate(order) * 2
                  + (A * D * D).shift(4).truncate(order)
                  - (B * D * D).shift(5).truncate(order))
     checks.append(series_check("half_split_six_term_expansion",
-                               lhs, expansion, order))
+                               a, expansion, order))
 
     residue0 = A * C * C + (A * D * D).shift(4).truncate(order)
     checks.append(sweep_check(
@@ -176,23 +243,25 @@ def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
     return checks
 
 
-def suite_triple_counts(order: int, maxn: int) -> VerificationReport:
+def suite_triple_counts(order: int, maxn: int,
+                        tables: Tables | None = None) -> VerificationReport:
     """Triple counts against Hurwitz class numbers and divisor counts."""
-    open_total, _, _ = counting.triple_sum_tables(maxn, counting.OPEN)
-    sh_total, sh_signed, _ = counting.triple_sum_tables(maxn, counting.SHIFTED)
-    sig0 = _kernels.sigma_table(maxn, 0)
+    tables = tables or Tables(maxn)
+    open_total, _, _ = tables.open_triples
+    sh_total, sh_signed, _ = tables.shifted_triples
+    sig0, H = tables.sigma0, tables.H
 
     checks = [
         sweep_check("open_count_2_mod_4",
-                    ((n, hurwitz_H(4 * n) - int(sig0[n // 2]),
+                    ((n, H(4 * n) - int(sig0[n // 2]),
                       Fraction(int(open_total[n])))
                      for n in range(2, maxn + 1, 4))),
         sweep_check("shifted_count_1_mod_4",
-                    ((n, hurwitz_H(4 * n) - Fraction(int(sig0[n]), 2),
+                    ((n, H(4 * n) - Fraction(int(sig0[n]), 2),
                       Fraction(int(sh_total[n])))
                      for n in range(1, maxn + 1, 4))),
         sweep_check("shifted_count_3_mod_8",
-                    ((n, 6 * hurwitz_H(n) - Fraction(int(sig0[n]), 2),
+                    ((n, 6 * H(n) - Fraction(int(sig0[n]), 2),
                       Fraction(int(sh_total[n])))
                      for n in range(3, maxn + 1, 8))),
         sweep_check("shifted_signed_7_mod_8",
@@ -203,14 +272,16 @@ def suite_triple_counts(order: int, maxn: int) -> VerificationReport:
     return VerificationReport("theorem61", {"order": order, "max": maxn}, checks)
 
 
-def suite_bijections(order: int, maxn: int) -> VerificationReport:
+def suite_bijections(order: int, maxn: int,
+                     tables: Tables | None = None) -> VerificationReport:
     """Every per-n construction check, aggregated with first-failure n."""
+    H = (tables or Tables(maxn)).H
     collected: dict[str, Check] = {}
     order_seen: list[str] = []
     for n in range(1, maxn + 1):
         if n % 4 == 0:
             continue
-        for check in bijections.verify_case(n).checks:
+        for check in bijections.verify_case(n, H(4 * n), H(n)).checks:
             name = check.name
             if name not in collected:
                 order_seen.append(name)
@@ -223,16 +294,19 @@ def suite_bijections(order: int, maxn: int) -> VerificationReport:
                               checks)
 
 
-def suite_background(order: int, maxn: int) -> VerificationReport:
+def suite_background(order: int, maxn: int,
+                     tables: Tables | None = None) -> VerificationReport:
     """Theta suite, Appell suite, classical checks, Hurwitz doubling, the
-    unsigned generating function, and the local-global sweep."""
+    unsigned generating function, and the local-global sweep.  Hurwitz
+    doubling stays on the per-N ``hurwitz_H``."""
+    tables = tables or Tables(maxn)
     checks = []
     checks.extend(verify_theta_suite(order).checks)
     checks.extend(verify_appell_suite(order).checks)
-    checks.extend(counting.classical_checks(maxn).checks)
+    checks.extend(counting.classical_checks(maxn, tables.h12).checks)
     checks.extend(verify_hurwitz_doubling(maxn).checks)
 
-    signed, unsigned = counting.signed_rep_tables(maxn)
+    signed, unsigned = tables.signed_unsigned
     checks.append(sweep_check(
         "abs_signed_count_eq_unsigned_count",
         ((n, abs(int(signed[n])), int(unsigned[n]))
@@ -241,7 +315,7 @@ def suite_background(order: int, maxn: int) -> VerificationReport:
         "local_global_criterion",
         ((n, counting.is_three_square_excluded(n), int(unsigned[n]) == 0)
          for n in range(maxn + 1))))
-    r3 = counting.rep_squares_table(3, maxn)
+    r3 = tables.r3
     checks.append(sweep_check(
         "unsigned_zero_iff_r3_zero",
         ((n, int(r3[n]) == 0, int(unsigned[n]) == 0)
@@ -269,9 +343,10 @@ _SUITES = {
 
 
 def run_suites(name: str, order: int, maxn: int) -> list[VerificationReport]:
-    """Run one named suite, or all of them in a stable order."""
-    if name == "all":
-        return [fn(order, maxn) for fn in _SUITES.values()]
-    if name not in _SUITES:
+    """Run one named suite, or all of them in a stable order, over one
+    shared ``Tables``."""
+    if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return [_SUITES[name](order, maxn)]
+    tables = Tables(maxn)
+    names = _SUITES if name == "all" else (name,)
+    return [_SUITES[n](order, maxn, tables) for n in names]

@@ -115,6 +115,19 @@ def test_verify_case_examples():
         assert report.passed, (n, report.failures)
 
 
+def test_verify_case_reads_given_class_numbers():
+    from qident.quadforms import hurwitz_H
+
+    for n in (21, 23):  # H(4n) feeds n = 21, H(n) feeds n = 23
+        h4n, hn = hurwitz_H(4 * n), hurwitz_H(n)
+        assert (verify_case(n, h4n, hn).to_dict()
+                == verify_case(n).to_dict())
+    assert {c.name for c in verify_case(21, h4n=hurwitz_H(84) + 1).failures
+            } == {"count_identity"}
+    assert {c.name for c in verify_case(23, hn=hurwitz_H(23) + 1).failures
+            } == {"case4_category_sizes"}
+
+
 def test_verify_case_sweep():
     for n in range(1, 260):
         if n % 4 == 0:

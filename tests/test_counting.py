@@ -111,9 +111,40 @@ def test_parity_bijection_spot():
         assert C.three_squares_parity_check(n)
 
 
+def test_parity_bijection_table_arm_matches_oracle():
+    signed, unsigned = C.signed_rep_tables(300)
+    r3 = C.rep_squares_table(3, 300)
+    for n in range(301):
+        assert C.parity_bijection_images(n) == C.rep_count(n), n
+        assert C.three_squares_parity_check(n, (signed, unsigned, r3)), n
+
+
+def test_parity_bijection_table_arm_reads_the_tables():
+    signed, unsigned = C.signed_rep_tables(40)
+    r3 = C.rep_squares_table(3, 40)
+    for table, n in ((unsigned, 13), (signed, 36), (r3, 9), (r3, 36)):
+        table[n] += 1
+        bumped = [m for m in range(41)
+                  if not C.three_squares_parity_check(m,
+                                                      (signed, unsigned, r3))]
+        table[n] -= 1
+        # r3(9) is read as r3(36/4)
+        assert bumped == [36 if table is r3 and n == 9 else n]
+
+
 def test_classical_checks():
     report = C.classical_checks(150)
     assert report.passed, report.failures
+
+
+def test_classical_checks_reads_a_given_class_number_table():
+    from qident.quadforms import hurwitz_table
+
+    h12 = hurwitz_table(4 * 40)
+    assert C.classical_checks(40, h12).passed
+    h12[4 * 21] += 1
+    (bad,) = C.classical_checks(40, h12).failures
+    assert (bad.name, bad.locus) == ("three_square_class_number_relations", 21)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +307,20 @@ class TestKernelLanes:
         for n in range(1, 101):
             assert int(d1[n]) == C.d_mod4(1, n)
             assert int(d3[n]) == C.d_mod4(3, n)
+
+    def test_sigma_table_overflow_guard(self):
+        # sigma_k(n) <= n**(k+1): the largest accepted size for k = 4 is the
+        # largest maxn with maxn**5 < 2**63
+        top = 6208
+        assert top ** 5 < 2 ** 63 <= (top + 1) ** 5
+        sig4 = _kernels.sigma_table(top, 4)
+        for n in range(top - 60, top + 1):
+            assert int(sig4[n]) == C.sigma(4, n), n
+        with pytest.raises(OverflowError):
+            _kernels.sigma_table(top + 1, 4)
+        # refused before any allocation
+        with pytest.raises(OverflowError):
+            _kernels.sigma_table(3_037_000_500, 1)
 
     def test_square_tables_reject_s_outside_1_to_4(self):
         for s in (0, 5):

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qident.quadforms import (BadDiscriminantResidue, NotPositiveDefinite,
                               QuadForm, class_number_h, enumerate_reduced,
                               enumerate_reduced_bruteforce, hurwitz_H,
-                              is_reduced, verify_hurwitz_doubling)
+                              hurwitz_table, is_reduced,
+                              verify_hurwitz_doubling)
 
 
 def test_is_reduced_examples():
@@ -98,3 +100,28 @@ def test_doubling_examples_and_sweep():
     assert hurwitz_H(12) == 4 * hurwitz_H(3)
     assert hurwitz_H(28) == 2 * hurwitz_H(7)
     assert verify_hurwitz_doubling(600).passed
+
+
+def test_hurwitz_table_matches_oracle():
+    table = hurwitz_table(4000)
+    assert table.dtype == np.int64 and len(table) == 4001
+    assert [Fraction(int(v), 12) for v in table] == [
+        hurwitz_H(N) for N in range(4001)]
+    table = hurwitz_table(40000)
+    assert [Fraction(int(table[N]), 12) for N in range(39000, 40001)] == [
+        hurwitz_H(N) for N in range(39000, 40001)]
+
+
+def test_hurwitz_table_every_small_size():
+    # the weighted starts (a,0,a) and (a,a,a) sit at the top of some tables
+    for X in range(40):
+        assert hurwitz_table(X).tolist() == [12 * hurwitz_H(N)
+                                             for N in range(X + 1)], X
+
+
+def test_hurwitz_table_guards():
+    with pytest.raises(ValueError):
+        hurwitz_table(-1)
+    # refused before any allocation: 12*A*(A+1) >= 2**63 for A = isqrt(X//3)
+    with pytest.raises(OverflowError):
+        hurwitz_table(2 ** 62)

@@ -143,6 +143,24 @@ def test_route_disagreement_raises(monkeypatch):
         T.product_side_series(20)
 
 
+def test_route_disagreement_carries_locus(monkeypatch):
+    import qident.theta as T
+    from qident.theta import InternalCrossCheckFailure
+
+    real = T.product_side_theta
+
+    def skewed(order):
+        return real(order) + QSeries.monomial(1, 7, order)
+
+    monkeypatch.setattr(T, "product_side_theta", skewed)
+    with pytest.raises(InternalCrossCheckFailure) as info:
+        T.product_side_series(20)
+    exc = info.value
+    assert exc.locus == 7
+    assert (exc.expected, exc.actual) == (GaussianRational(1),
+                                          GaussianRational(0))
+
+
 def test_corrupted_series_is_reported_with_locus():
     from qident.report import series_check
 

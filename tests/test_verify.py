@@ -64,16 +64,85 @@ def test_corrupted_table_fails_suite(monkeypatch):
 def test_corrupted_class_number_fails_suite(monkeypatch):
     import qident.verify as V
 
-    real = V.hurwitz_H
+    real = V.hurwitz_table
 
-    def broken(n):
-        value = real(n)
-        return value + 1 if n == 4 * 21 else value
+    def broken(X):
+        table = real(X)
+        table[4 * 21] += 12  # H(84) + 1
+        return table
 
-    monkeypatch.setattr(V, "hurwitz_H", broken)
+    monkeypatch.setattr(V, "hurwitz_table", broken)
     (report,) = run_suites("theorem17", 32, 60)
     assert not report.passed
     assert any(c.locus == 21 for c in report.failures)
+
+
+@pytest.mark.parametrize("name", ["theorem17", "theorem61", "bijections",
+                                  "background"])
+def test_bumped_class_number_table_fails_suite(monkeypatch, name):
+    # one unit of 12*H at N = 84 = 4*21 moves H(84) by 1/12
+    import qident.verify as V
+
+    real = V.hurwitz_table
+
+    def bumped(X):
+        table = real(X)
+        table[4 * 21] += 1
+        return table
+
+    monkeypatch.setattr(V, "hurwitz_table", bumped)
+    (report,) = run_suites(name, 32, 60)
+    assert not report.passed
+    assert {c.locus for c in report.failures} == {21}
+
+
+def test_all_suites_share_one_table_context(monkeypatch):
+    import qident.counting as C
+    import qident.verify as V
+    from qident import _kernels
+
+    calls = []
+
+    def counted(holder, attr):
+        real = getattr(holder, attr)
+
+        def wrapper(*args):
+            calls.append((attr, args))
+            return real(*args)
+
+        monkeypatch.setattr(holder, attr, wrapper)
+
+    counted(V, "product_side_series")
+    counted(V, "hurwitz_table")
+    counted(C, "hurwitz_table")
+    counted(_kernels, "triple_tables")
+    counted(_kernels, "sigma_table")
+    reports = run_suites("all", 32, 60)
+    assert all(r.passed for r in reports)
+    def args_of(attr):
+        return [args for name, args in calls if name == attr]
+
+    assert args_of("product_side_series") == [(61,)]
+    assert args_of("hurwitz_table") == [(240,)]
+    assert [a for a in args_of("triple_tables") if a[0] == 60] == [
+        (60, False), (60, True)]
+    assert args_of("sigma_table") == [(60, 0)]
+
+
+@pytest.mark.parametrize("name", ["theorem17", "propositions"])
+def test_product_route_disagreement_fails_suite(monkeypatch, name):
+    # the theta route gains q^21; the suite reports it as a failed check
+    import qident.theta as T
+
+    real = T.product_side_theta
+
+    def skewed(order):
+        return real(order) + QSeries.monomial(1, 21, order)
+
+    monkeypatch.setattr(T, "product_side_theta", skewed)
+    (report,) = run_suites(name, 32, 60)
+    assert [(c.name, c.locus) for c in report.failures] == [
+        ("pochhammer_route_eq_theta_route", 21)]
 
 
 @pytest.mark.parametrize("name", ["theorem17", "propositions"])
