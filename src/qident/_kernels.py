@@ -22,6 +22,11 @@ constant of at most 4 plus at most five unit terms per pair ``(r, s)`` with
 table that fits in memory (8 GB each).  ``sigma_table(maxn, k)`` is at most
 ``maxn**(k + 1)``; it raises ``OverflowError`` when that reaches 2**63.
 Memory is linear in ``maxn``.
+
+``ragged_blocks`` is the block iterator of the per-n lane
+(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced``):
+it walks a ragged grid row-major in blocks of at most ``BLOCK`` cells, so
+a per-n call's memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ import numpy as np
 
 # the benchmark's provenance probe reads this; there is one numpy lane
 USE_NUMBA = False
+
+# cells per block of ``ragged_blocks``
+BLOCK = 1 << 16
 
 
 def _times_sparse(a, terms):
@@ -249,3 +257,34 @@ def sigma_no_mult4_table(maxn: int) -> np.ndarray:
         if d % 4:
             out[d::d] += d
     return out
+
+
+# ---------------------------------------------------------------------------
+# ragged grids for the per-n lane
+# ---------------------------------------------------------------------------
+
+
+def ragged_blocks(first, last, row_len):
+    """Yield ``(i, j)`` int64 arrays over the cells ``0 <= j < row_len(i)``
+    of the rows ``first <= i <= last``, row-major, at most ``BLOCK`` cells
+    at a time.  ``row_len`` maps an int64 array of rows to their lengths.
+    Rows are taken ``BLOCK // 16`` at a time, so their bookkeeping stays
+    small beside a block; a row longer than ``BLOCK`` is split across
+    blocks."""
+    block = BLOCK
+    rows_step = max(1, block // 16)
+    for lo in range(first, last + 1, rows_step):
+        rows = np.arange(lo, min(lo + rows_step, last + 1), dtype=np.int64)
+        ends = np.cumsum(row_len(rows))
+        begins = np.concatenate(((0,), ends[:-1]))
+        total = int(ends[-1])
+        for start in range(0, total, block):
+            stop = min(start + block, total)
+            # the rows that hold cells start .. stop - 1, and their share
+            i0, i1 = np.searchsorted(ends, (start, stop - 1), side="right")
+            span = slice(i0, i1 + 1)
+            share = (np.minimum(ends[span], stop)
+                     - np.maximum(begins[span], start))
+            j = np.arange(start, stop, dtype=np.int64)
+            j -= np.repeat(begins[span], share)
+            yield np.repeat(rows[span], share), j

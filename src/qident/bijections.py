@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import OPEN, SHIFTED, iter_solution_triples, sigma
+from .counting import OPEN, SHIFTED, sigma, solution_triple_arrays
 from .quadforms import QuadForm, enumerate_reduced, hurwitz_H, is_reduced
 from .report import Check, VerificationReport
 
@@ -60,8 +60,9 @@ def solution_triples(n: int) -> list[Triple]:
     shape = OPEN if n % 4 == 2 else SHIFTED
     if n % 4 == 0:
         raise CaseMismatch("n = 0 mod 4 has no triple correspondence")
-    return [Triple(r, s, t, n, shape)
-            for r, s, t in iter_solution_triples(n, shape)]
+    r, s, t = solution_triple_arrays(n, shape)
+    return [Triple(*rst, n, shape)
+            for rst in zip(r.tolist(), s.tolist(), t.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,11 @@ def _half_inverse(cat, a, b, c):
 def map_triple(tr: Triple) -> QuadForm:
     """The case's reduced form of discriminant -4n (or -n for odd r in the
     n = 3 mod 4 cases)."""
-    cat = classify_triple(tr)
+    return _map_classified(tr, classify_triple(tr))
+
+
+def _map_classified(tr: Triple, cat: int) -> QuadForm:
+    """``map_triple`` for a triple already classified as ``cat``."""
     case = case_of(tr.n, tr.r)
     r, s, t = tr.r, tr.s, tr.t
     if case == "1":
@@ -320,8 +325,8 @@ def _verify_disc_4n_part(n, triples, case, checks):
     images = {}
     bad_reduced = bad_disc = bad_cat = bad_inverse = None
     for tr in triples:
-        f = map_triple(tr)
         tcat = classify_triple(tr)
+        f = _map_classified(tr, tcat)
         if not is_reduced(f):
             bad_reduced = (tr, f)
         if f.discriminant != -4 * n:
@@ -347,7 +352,8 @@ def _verify_disc_4n_part(n, triples, case, checks):
     cat_of = {f: classify_form(f, case, n) for f in forms}
     onto = all(len(images.get(f, [])) == 1
                for f in forms if cat_of[f] <= 6)
-    into = all(cat_of[f] <= 6 for f in images)
+    # an image missing from the enumeration fails like one outside cats 1-6
+    into = all(cat_of.get(f, 7) <= 6 for f in images)
     checks.append(Check.ok("preimage_exactly_one") if onto and into else
                   Check.fail("preimage_exactly_one", n,
                              "bijection onto cats 1-6",
@@ -410,11 +416,12 @@ def verify_case(n: int, h4n: Fraction | None = None,
         even = [tr for tr in triples if tr.r % 2 == 0]
         odd = [tr for tr in triples if tr.r % 2 == 1]
         forms, cat_of = _verify_disc_4n_part(n, even, "3a", checks)
-        _check_doubled_forms(n, forms, cat_of, checks)
+        forms_n = enumerate_reduced(-n)
+        _check_doubled_forms(n, forms, cat_of, forms_n, checks)
         b0 = sum(1 for f in forms if cat_of[f] == 8)
         checks.append(Check.ok("b0_count") if b0 == Fraction(sig0, 2) else
                       Check.fail("b0_count", n, Fraction(sig0, 2), b0))
-        _check_half_preimages(n, odd, checks)
+        _check_half_preimages(n, odd, forms_n, checks)
         count_ok = len(triples) == 6 * hn - Fraction(sig0, 2)
         checks.append(Check.ok("count_identity") if count_ok else
                       Check.fail("count_identity", n,
@@ -424,15 +431,17 @@ def verify_case(n: int, h4n: Fraction | None = None,
         even = [tr for tr in triples if tr.r % 2 == 0]
         odd = [tr for tr in triples if tr.r % 2 == 1]
         forms, cat_of = _verify_disc_4n_part(n, even, "4a", checks)
-        _check_doubled_forms(n, forms, cat_of, checks)
+        forms_n = enumerate_reduced(-n)
+        _check_doubled_forms(n, forms, cat_of, forms_n, checks)
         b0 = sum(1 for f in forms if cat_of[f] == 8)
         checks.append(Check.ok("b0_count") if b0 == Fraction(sig0, 2) else
                       Check.fail("b0_count", n, Fraction(sig0, 2), b0))
-        _check_half_preimages(n, odd, checks)
+        odd_images = _check_half_preimages(n, odd, forms_n, checks)
 
+        cat4 = [case4_triple_category(tr) for tr in triples]
         sizes = {1: 0, 2: 0, 3: 0, 4: 0}
-        for tr in triples:
-            sizes[case4_triple_category(tr)] += 1
+        for c in cat4:
+            sizes[c] += 1
         size_ok = (sizes[2] == sizes[3] == sizes[4] == hn
                    and sizes[1] == hn - Fraction(sig0, 2))
         checks.append(Check.ok("case4_category_sizes") if size_ok else
@@ -441,9 +450,9 @@ def verify_case(n: int, h4n: Fraction | None = None,
                                  str([sizes[i] for i in (1, 2, 3, 4)])))
         # each odd-r image must collect one preimage per category 2, 3, 4
         per_form = {}
-        for tr in odd:
-            per_form.setdefault(map_triple(tr), set()).add(
-                case4_triple_category(tr))
+        odd_cat4 = (c for tr, c in zip(triples, cat4) if tr.r % 2 == 1)
+        for f, c in zip(odd_images, odd_cat4):
+            per_form.setdefault(f, set()).add(c)
         cats_ok = all(v == {2, 3, 4} for v in per_form.values())
         checks.append(Check.ok("case4_one_preimage_per_category")
                       if cats_ok else
@@ -459,29 +468,28 @@ def verify_case(n: int, h4n: Fraction | None = None,
     return VerificationReport("bijection_case", {"n": n}, checks)
 
 
-def _check_doubled_forms(n, forms, cat_of, checks):
+def _check_doubled_forms(n, forms, cat_of, expected, checks):
     """Category 7 of the 3a list is exactly twice the reduced forms of
-    discriminant -n."""
+    discriminant -n, ``expected``."""
     doubled = sorted(QuadForm(f.a // 2, f.b // 2, f.c // 2)
                      for f in forms if cat_of[f] == 7)
     halved_ok = all(is_reduced(g) and g.discriminant == -n for g in doubled)
-    expected = enumerate_reduced(-n)
     ok = halved_ok and doubled == expected
     checks.append(Check.ok("doubled_forms_count") if ok else
                   Check.fail("doubled_forms_count", n, len(expected),
                              len(doubled)))
 
 
-def _check_half_preimages(n, odd_triples, checks):
-    """Odd-r triples map onto reduced forms of discriminant -n with
-    multiplicity three, except the all-equal form (z,z,z) which gets one;
-    positive-b images come from categories 1-3, negative from 4-6."""
-    forms = enumerate_reduced(-n)
+def _check_half_preimages(n, odd_triples, forms, checks):
+    """Odd-r triples map onto ``forms``, the reduced forms of discriminant
+    -n, with multiplicity three, except the all-equal form (z,z,z) which
+    gets one; positive-b images come from categories 1-3, negative from
+    4-6.  Returns the image of each triple."""
+    cats = [classify_triple(tr) for tr in odd_triples]
+    images = [_map_classified(tr, cat) for tr, cat in zip(odd_triples, cats)]
     image_count = {f: 0 for f in forms}
     bad = None
-    for tr in odd_triples:
-        cat = classify_triple(tr)
-        f = map_triple(tr)
+    for tr, cat, f in zip(odd_triples, cats, images):
         if not is_reduced(f) or f.discriminant != -n:
             bad = (tr, f, "not a reduced -n form")
             break
@@ -492,6 +500,9 @@ def _check_half_preimages(n, odd_triples, checks):
             if invert_map("3b", cat, f) != (tr.r, tr.s, tr.t):
                 bad = (tr, f, "inverse roundtrip")
                 break
+        if f not in image_count:
+            bad = (tr, f, "missing from the -n enumeration")
+            break
         image_count[f] += 1
     if bad is None:
         for f, k in image_count.items():
@@ -502,3 +513,4 @@ def _check_half_preimages(n, odd_triples, checks):
     checks.append(Check.ok("odd_r_preimages") if bad is None else
                   Check.fail("odd_r_preimages", n, "multiplicity 3 (1 at zzz)",
                              str(bad)))
+    return images

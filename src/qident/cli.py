@@ -71,6 +71,8 @@ def cmd_table(args) -> int:
     if args.max < 0:
         return _usage_error("--max must be >= 0")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+    if not columns:
+        return _usage_error("--columns names no column")
     for col in columns:
         if col not in TABLE_COLUMNS:
             return _usage_error(f"unknown column {col!r}; "
@@ -103,7 +105,10 @@ def cmd_bijection(args) -> int:
     if n < 1 or n % 4 == 0:
         return _usage_error(f"n = {n} is outside the supported residue "
                             "classes (need positive n with n != 0 mod 4)")
-    triples = bijections.solution_triples(n)
+    try:
+        triples = bijections.solution_triples(n)
+    except OverflowError as exc:
+        return _usage_error(str(exc))
     report = bijections.verify_case(n)
     entries = []
     for tr in triples:

@@ -1,15 +1,21 @@
 """Arithmetic-function and lattice-point counters.
 
-The per-n functions here are deliberately simple loops: they are the
-trusted oracles everything else is checked against.  The sweep-scale
-tables delegate to the batch kernels in ``_kernels``; tests pin every
-kernel against the per-n oracles.
+The per-n counters here are deliberately simple loops: they are the
+trusted oracles everything else is checked against.  One per-n function is
+not a loop: ``solution_triple_arrays`` enumerates the solution triples of
+one n on numpy, in blocks of ``_kernels.BLOCK`` (s, t) pairs, for the
+bijections and the closed forms; ``iter_solution_triples`` stays its loop
+oracle, behind ``triple_sum`` and the tests.  The sweep-scale tables
+delegate to the batch kernels in ``_kernels``; tests pin every kernel
+against the per-n oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from . import _kernels
 from .quadforms import hurwitz_table
@@ -20,6 +26,10 @@ from .theta import Jm
 
 class WrongParity(ValueError):
     """The closed-form coefficient formulas are split by parity of n."""
+
+
+class TripleParityViolation(ValueError):
+    """A solution triple has the parity of r its residue class excludes."""
 
 
 OPEN, SHIFTED = "open", "shifted"
@@ -185,21 +195,74 @@ def iter_solution_triples(n: int, shape: str):
         raise ValueError(f"unknown shape {shape!r}")
 
 
+# 4*s*t and (2s-1)*(2t-1) reach n + 1, as do 4*s and 2*(s+t)
+TRIPLE_N_LIMIT = 2 ** 62
+
+
+def solution_triple_arrays(n: int, shape: str):
+    """``(r, s, t)`` int64 arrays of the shape's solution triples, in the
+    order ``iter_solution_triples`` yields them: by s, then by t.
+
+    The (s, t) pairs are walked s-major, ``s <= (n-2)//6`` and
+    ``t <= (n-2s)//(4s+2)`` for the open shape, ``s <= (n+1)//4`` and
+    ``t <= (n+1)//(4s)`` for the shifted one, in ``_kernels.ragged_blocks``
+    of at most ``_kernels.BLOCK`` pairs; a pair is a triple when its
+    denominator divides its numerator.  Every intermediate is at most
+    ``n + 1``; n >= ``TRIPLE_N_LIMIT`` raises ``OverflowError``.
+    """
+    if shape not in (OPEN, SHIFTED):
+        raise ValueError(f"unknown shape {shape!r}")
+    if n >= TRIPLE_N_LIMIT:
+        raise OverflowError(f"solution triples for n = {n} may exceed int64")
+    if shape == OPEN:
+        smax = (n - 2) // 6
+
+        def row_len(s):
+            return (n - 2 * s) // (4 * s + 2)
+    else:
+        smax = (n + 1) // 4
+
+        def row_len(s):
+            return (n + 1) // (4 * s)
+
+    parts = []
+    for s, j in _kernels.ragged_blocks(1, smax, row_len):
+        t = j + 1
+        if shape == OPEN:
+            num = n - 4 * s * t
+            den = 2 * (s + t)
+        else:
+            num = n - (2 * s - 1) * (2 * t - 1)
+            den = 2 * (s + t - 1)
+        hit = num % den == 0
+        parts.append((num[hit] // den[hit], s[hit], t[hit]))
+    if not parts:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _signed_triple_sum(n: int, shape: str) -> int:
+    """Sum of (-1)**(r+s+t) over the shape's solution triples."""
+    r, s, t = solution_triple_arrays(n, shape)
+    return len(r) - 2 * int(np.count_nonzero((r + s + t) & 1))
+
+
 def triple_sum(n: int, shape: str, signed: bool = False) -> int:
     """Count (or sign-count) the solution triples of the shape equation.
 
     For the residue classes where the count feeds an identity, the parity
-    of r is forced and asserted: open shape with n = 2 mod 4 has odd r,
+    of r is forced, and a triple that breaks it raises
+    ``TripleParityViolation``: open shape with n = 2 mod 4 has odd r,
     shifted shape with n = 1 mod 4 has even r.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
     for r, s, t in iter_solution_triples(n, shape):
-        if shape == OPEN and n % 4 == 2:
-            assert r % 2 == 1, (n, r, s, t)
-        if shape == SHIFTED and n % 4 == 1:
-            assert r % 2 == 0, (n, r, s, t)
+        if ((shape == OPEN and n % 4 == 2 and r % 2 == 0)
+                or (shape == SHIFTED and n % 4 == 1 and r % 2 == 1)):
+            raise TripleParityViolation(f"n = {n}, {shape} triple "
+                                        f"{(r, s, t)}")
         total += (1 if (r + s + t) % 2 == 0 else -1) if signed else 1
     return total
 
@@ -227,25 +290,24 @@ def sum_side_series(order: int) -> QSeries:
     return QSeries(coeffs, order)
 
 
+def _signed_divisor_pairs(m: int) -> int:
+    """Sum of (-1)**(r+s) over the ordered pairs r*s = m."""
+    total = 0
+    for d in range(1, math.isqrt(m) + 1):
+        if m % d == 0:
+            e = m // d
+            total += (1 if (d + e) % 2 == 0 else -1) * (1 if d == e else 2)
+    return total
+
+
 def signed_formula_even(n: int) -> int:
     """Closed form for the signed count at even n."""
     if n < 1 or n % 2:
         raise WrongParity("needs positive even n")
-    total = 0
-    half = n // 2
-    for r in range(1, half + 1):
-        if half % r == 0:
-            s = half // r
-            total += -4 if (r + s) % 2 == 0 else 4
+    total = -4 * _signed_divisor_pairs(n // 2)
     if n % 4 == 0:
-        quarter = n // 4
-        for s in range(1, quarter + 1):
-            if quarter % s == 0:
-                t = quarter // s
-                total += -2 if (s + t) % 2 == 0 else 2
-    for r, s, t in iter_solution_triples(n, OPEN):
-        total += -4 if (r + s + t) % 2 == 0 else 4
-    return total
+        total -= 2 * _signed_divisor_pairs(n // 4)
+    return total - 4 * _signed_triple_sum(n, OPEN)
 
 
 def signed_formula_odd(n: int) -> int:
@@ -259,9 +321,7 @@ def signed_formula_odd(n: int) -> int:
                 s = (a + 1) // 2
                 t = (n // a + 1) // 2
                 total += -2 if (s + t) % 2 == 0 else 2
-    for r, s, t in iter_solution_triples(n, SHIFTED):
-        total += -4 if (r + s + t) % 2 == 0 else 4
-    return total
+    return total - 4 * _signed_triple_sum(n, SHIFTED)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .report import VerificationReport, sweep_check
 
 
@@ -68,25 +69,40 @@ def _check_discriminant(D: int) -> None:
         raise BadDiscriminantResidue(f"{D} is not a negative discriminant")
 
 
+# b*b - D reaches 4|D|/3
+REDUCED_D_LIMIT = 2 ** 62
+
+
 def enumerate_reduced(D: int) -> list[QuadForm]:
     """All reduced positive definite forms of discriminant D, in
-    lexicographic (a, b, c) order, each exactly once."""
+    lexicographic (a, b, c) order, each exactly once.
+
+    The grid of (a, b) with ``b = D mod 2`` and ``|b| <= a <= isqrt(-D/3)``
+    is walked in a-row blocks of at most ``_kernels.BLOCK`` cells; a cell
+    is a form when ``4a`` divides ``b*b - D``.  Every intermediate is at
+    most ``4|D|/3``; ``-D >= REDUCED_D_LIMIT`` raises ``OverflowError``.
+    """
     _check_discriminant(D)
+    if -D >= REDUCED_D_LIMIT:
+        raise OverflowError(f"reduced forms of discriminant {D} may exceed "
+                            "int64")
+
+    def row_len(a):
+        # b runs over -a + (a + D) % 2, ..., a in steps of 2
+        return a + 1 - (a + D) % 2
+
     out = []
-    amax = math.isqrt(-D // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2:
-                continue
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            out.append(QuadForm(a, b, c))
+    for a, j in _kernels.ragged_blocks(1, math.isqrt(-D // 3), row_len):
+        b = 2 * j - a + (a + D) % 2
+        num = b * b - D
+        hit = num % (4 * a) == 0
+        a, b, num = a[hit], b[hit], num[hit]
+        c = num // (4 * a)
+        # |b| <= a holds; reduced also needs a <= c, and b >= 0 when
+        # |b| == a or a == c
+        keep = (c >= a) & ((b >= 0) | ((-b != a) & (a != c)))
+        out += map(QuadForm, a[keep].tolist(), b[keep].tolist(),
+                   c[keep].tolist())
     return out
 
 

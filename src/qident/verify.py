@@ -23,9 +23,11 @@ SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
                "bijections", "background")
 
 # The smallest (order, max) a suite accepts; below them it raises.  dkm
-# compares series from q**1 on; background runs the theta and Appell suites
-# (order >= 8) and the classical square-count checks (max >= 8).
-_MINIMUMS = {"dkm": (2, 0), "background": (8, 8)}
+# compares series from q**1 on; bijections needs n = 7, the first n of its
+# last case (n = 7 mod 8), to run every check; background runs the theta
+# and Appell suites (order >= 8) and the classical square-count checks
+# (max >= 8).
+_MINIMUMS = {"dkm": (2, 0), "bijections": (1, 7), "background": (8, 8)}
 
 
 def suite_minimums(name: str) -> tuple[int, int]:
@@ -275,6 +277,8 @@ def suite_triple_counts(order: int, maxn: int,
 def suite_bijections(order: int, maxn: int,
                      tables: Tables | None = None) -> VerificationReport:
     """Every per-n construction check, aggregated with first-failure n."""
+    if maxn < 7:
+        raise ValueError("maxn must be >= 7")
     H = (tables or Tables(maxn)).H
     collected: dict[str, Check] = {}
     order_seen: list[str] = []

@@ -140,3 +140,63 @@ def test_square_n_case2_weight():
     report = verify_case(9)
     assert report.passed
     assert len(solution_triples(9)) == 1
+
+
+def test_dropped_triple_fails_bijections_and_corollary(monkeypatch):
+    import qident.bijections as B
+    from qident.verify import run_suites
+
+    real = C.solution_triple_arrays
+
+    def one_short(n, shape):
+        arrays = real(n, shape)
+        return tuple(a[1:] for a in arrays) if n == 21 else arrays
+
+    monkeypatch.setattr(C, "solution_triple_arrays", one_short)
+    monkeypatch.setattr(B, "solution_triple_arrays", one_short)
+    (bij,) = run_suites("bijections", 32, 60)
+    assert bij.failures and {c.locus for c in bij.failures} == {21}
+    (cor,) = run_suites("corollary", 32, 60)
+    assert [(c.name, c.locus) for c in cor.failures] == [
+        ("closed_form_odd_n", 21)]
+
+
+@pytest.mark.parametrize("dropped, check", [
+    (QuadForm(1, 0, 21), "b0_count"),
+    (QuadForm(3, 0, 7), "b0_count"),
+    (QuadForm(2, 2, 11), "preimage_exactly_one"),
+    (QuadForm(5, 4, 5), "preimage_exactly_one"),
+])
+def test_missing_reduced_form_fails_a_check(monkeypatch, dropped, check):
+    # an image outside the enumeration is a failed check, not a KeyError
+    import qident.bijections as B
+    from qident.verify import run_suites
+
+    real = B.enumerate_reduced
+
+    def without(D):
+        return [f for f in real(D) if D != -84 or f != dropped]
+
+    monkeypatch.setattr(B, "enumerate_reduced", without)
+    assert check in {c.name for c in verify_case(21).failures}
+    (report,) = run_suites("bijections", 32, 60)
+    assert check in {c.name for c in report.failures}
+    assert {c.locus for c in report.failures} == {21}
+
+
+def test_missing_minus_n_form_fails_a_check(monkeypatch):
+    # -n is enumerated once for n = 3 mod 4 and read by both of its checks
+    import qident.bijections as B
+
+    real = B.enumerate_reduced
+    calls = []
+
+    def without(D):
+        calls.append(D)
+        return [f for f in real(D) if D != -11]
+
+    monkeypatch.setattr(B, "enumerate_reduced", without)
+    report = verify_case(11)
+    assert sorted(calls) == [-44, -11]
+    assert {c.name for c in report.failures} == {"doubled_forms_count",
+                                                 "odd_r_preimages"}

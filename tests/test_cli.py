@@ -53,6 +53,10 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ("verify", "--max", "5"),
     ("verify", "--max", "-3"),
     ("table", "--max", "-1"),
+    ("verify", "--suite", "bijections", "--max", "6"),
+    ("verify", "--suite", "bijections", "--max", "0"),
+    ("table", "--columns", ","),
+    ("table", "--columns", " "),
 ])
 def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -129,6 +133,14 @@ def test_bijection_triple_preimages(capsys):
     images = [tuple(t["form"]) for t in payload["triples"] if t["case"] == "3b"]
     assert images.count((1, 1, 3)) == 3
     assert payload["summary"]["checks"]
+
+
+def test_bijection_past_the_int64_bound_is_usage_error(capsys):
+    from qident.counting import TRIPLE_N_LIMIT
+
+    code, out, err = run_cli(capsys, "bijection", str(TRIPLE_N_LIMIT + 1))
+    assert code == 2
+    assert out == "" and "int64" in err
 
 
 def test_bijection_rejects_0_mod_4(capsys):

@@ -67,6 +67,83 @@ def test_triple_sum_parity_assertions():
             C.triple_sum(n, C.SHIFTED)
 
 
+def test_triple_sum_parity_violation_raises(monkeypatch):
+    # the parity check is an explicit raise, so it also holds under -O
+    real = C.iter_solution_triples
+
+    def with_even_r(n, shape):
+        yield from real(n, shape)
+        yield 2, 1, 1
+
+    monkeypatch.setattr(C, "iter_solution_triples", with_even_r)
+    with pytest.raises(C.TripleParityViolation, match="n = 14"):
+        C.triple_sum(14, C.OPEN)
+
+
+def _triple_pairs(n, shape):
+    """The (s, t) pairs the shape's enumeration walks at n."""
+    if shape == C.OPEN:
+        return sum((n - 2 * s) // (4 * s + 2)
+                   for s in range(1, (n - 2) // 6 + 1))
+    return sum((n + 1) // (4 * s) for s in range(1, (n + 1) // 4 + 1))
+
+
+def _as_tuples(arrays):
+    assert [a.dtype for a in arrays] == [np.int64] * 3
+    return list(zip(*(a.tolist() for a in arrays)))
+
+
+def test_solution_triple_arrays_match_loop():
+    for shape in (C.OPEN, C.SHIFTED):
+        for n in range(1501):
+            assert (_as_tuples(C.solution_triple_arrays(n, shape))
+                    == list(C.iter_solution_triples(n, shape))), (n, shape)
+
+
+def test_solution_triple_arrays_across_blocks():
+    n = 30_001
+    assert _triple_pairs(n, C.SHIFTED) > _kernels.BLOCK
+    for shape in (C.OPEN, C.SHIFTED):
+        assert (_as_tuples(C.solution_triple_arrays(n, shape))
+                == list(C.iter_solution_triples(n, shape))), shape
+
+
+def test_ragged_blocks_split_rows_and_row_chunks(monkeypatch):
+    lens = [0, 3, 1, 0, 0, 7, 2, 40, 0, 5]
+    cells = [(i, j) for i, k in enumerate(lens, 1) for j in range(k)]
+    for block in (1, 2, 3, 16, 17, 40, 64, 1000):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        sizes, got = [], []
+        for i, j in _kernels.ragged_blocks(
+                1, len(lens), lambda rows: np.array(lens)[rows - 1]):
+            sizes.append(len(i))
+            got += zip(i.tolist(), j.tolist())
+        assert got == cells, block
+        assert all(0 < k <= block for k in sizes), block
+
+
+def test_solution_triple_arrays_guards():
+    with pytest.raises(ValueError, match="unknown shape"):
+        C.solution_triple_arrays(10, "bogus")
+    # refused before any allocation, just past the bound
+    for shape in (C.OPEN, C.SHIFTED):
+        with pytest.raises(OverflowError):
+            C.solution_triple_arrays(C.TRIPLE_N_LIMIT, shape)
+
+
+def test_solution_triple_arrays_memory_is_bounded():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        r, _, _ = C.solution_triple_arrays(400_002, C.OPEN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(r) == C.triple_sum(400_002, C.OPEN)
+    assert peak < 8 * 2 ** 20
+
+
 def test_sum_side_low_coefficients():
     s = C.sum_side_series(8)
     assert int(s.coeff(0).re) == 1

@@ -1,5 +1,6 @@
 """Reduced forms, class numbers, and Hurwitz values against brute force."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -125,3 +126,40 @@ def test_hurwitz_table_guards():
     # refused before any allocation: 12*A*(A+1) >= 2**63 for A = isqrt(X//3)
     with pytest.raises(OverflowError):
         hurwitz_table(2 ** 62)
+
+
+def test_enumerate_across_blocks_matches_the_table():
+    from qident import _kernels
+
+    D = -400_004
+    amax = math.isqrt(-D // 3)
+    # cells of the (a, b) grid, b = D mod 2 and |b| <= a <= amax
+    cells = sum(a + 1 - (a + D) % 2 for a in range(1, amax + 1))
+    assert cells > _kernels.BLOCK
+    forms = enumerate_reduced(D)
+    assert forms == sorted(set(forms)) and forms[-1].a <= amax
+    assert all(is_reduced(f) and f.discriminant == D for f in forms)
+    weighted = sum(6 if f.b == 0 and f.a == f.c else
+                   4 if f.a == f.b == f.c else 12 for f in forms)
+    assert weighted == hurwitz_table(-D)[-D]
+
+
+def test_enumerate_overflow_guard():
+    from qident.quadforms import REDUCED_D_LIMIT
+
+    # refused before any allocation, just past the bound
+    with pytest.raises(OverflowError):
+        enumerate_reduced(-REDUCED_D_LIMIT)
+
+
+def test_enumerate_memory_is_bounded():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        forms = enumerate_reduced(-1_600_008)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forms and all(f.discriminant == -1_600_008 for f in forms)
+    assert peak < 8 * 2 ** 20

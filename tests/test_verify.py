@@ -16,6 +16,16 @@ def test_each_suite_passes_small(name):
     assert report.passed, report.failures
 
 
+def test_bijections_runs_every_check_from_max_7():
+    # n = 7 is the first n = 7 mod 8, the last case to appear
+    (small,) = run_suites("bijections", 1, 7)
+    (large,) = run_suites("bijections", 48, 120)
+    assert [c.name for c in small.checks] == [c.name for c in large.checks]
+    assert len(small.checks) == 14
+    with pytest.raises(ValueError):
+        run_suites("bijections", 48, 6)
+
+
 def test_all_runs_every_suite_in_stable_order():
     reports = run_suites("all", 32, 60)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
