@@ -24,7 +24,8 @@ table that fits in memory (8 GB each).  ``sigma_table(maxn, k)`` is at most
 Memory is linear in ``maxn``.
 
 ``ragged_blocks`` is the block iterator of the per-n lane
-(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced``):
+(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced``,
+``counting.parity_bijection_images``) and of the bijection window lane:
 it walks a ragged grid row-major in blocks of at most ``BLOCK`` cells, so
 a per-n call's memory does not grow with n.
 """

@@ -1,0 +1,394 @@
+"""The window lane of the bijection checks: every check of
+``bijections.verify_case`` for all n of a window of consecutive n at once.
+
+The lane enumerates its own solution triples and reduced forms, as
+arithmetic progressions in n, and reads neither the kernel tables nor the
+per-n enumerations, so it stays a route apart from both;
+``verify.suite_bijections`` pins it to ``verify_case`` on a prefix of n.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import _kernels
+from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, CaseMismatch,
+                         NotASolution, UnclassifiableForm, _half_inverse,
+                         _open_inverse, _shifted_inverse)
+from .counting import sigma
+
+# every intermediate of the lane is at most 80*maxn**2 (see verify_windows)
+WINDOW_N_LIMIT = 2 ** 28
+
+# With u = 2s - chi and v = 2t - chi, the category-k map sends (r, s, t) to
+# (X + K, +-2K, Y + K), where (K, X, Y) is the permutation _PERM[k] of
+# (r, u, v) and the sign of b is _SIGN[k]; the odd-r maps of the
+# n = 3 mod 4 cases are these images halved.  Row 0, the all-equal triple,
+# uses category 1, whose halved image is (r, r, r).
+_PERM = np.array([(0, 1, 2), (0, 1, 2), (2, 0, 1), (1, 2, 0), (1, 0, 2),
+                  (2, 1, 0), (0, 2, 1)])
+_SIGN = np.array([1, 1, 1, 1, -1, -1, -1])
+# the form category that triple category 0..6 must meet, by n mod 4; the
+# all-equal triple has none
+_EXPECTED = np.array(
+    [[0] * 7] + [[0] + [FORM_CATEGORY_OF_TRIPLE[case][k] for k in range(1, 7)]
+                 for case in ("2", "1", "3a")])
+
+
+def _grid(first, last, row_len):
+    """Every ``(i, j)`` cell of ``_kernels.ragged_blocks``, as two arrays."""
+    blocks = list(_kernels.ragged_blocks(first, last, row_len))
+    if not blocks:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return tuple(np.concatenate(col) for col in zip(*blocks))
+
+
+# A family of progressions is ``(p, q, terms)``: one pair (p[i], q[i]) per
+# progression, and ``terms(p, q)`` its ``(first, step)``, n = first +
+# step*k for k = 0, 1, ...
+
+
+def _open_terms(s, t):
+    # n = 2r(s + t) + 4st, r = k + 1
+    return 4 * s * t + 2 * (s + t), 2 * (s + t)
+
+
+def _shifted_terms(s, t):
+    # n = 2r(s + t - 1) + (2s - 1)(2t - 1), r = k + 1
+    return 4 * s * t - 1, 2 * (s + t - 1)
+
+
+def _triple_families(maxn):
+    """The open (even n) and shifted (odd n) families of pairs (s, t)
+    whose triples reach n <= maxn, s-major with t ascending, so that
+    within one n the triples come in ``iter_solution_triples`` order."""
+    open_s, open_t = _grid(1, (maxn - 2) // 6,
+                           lambda s: (maxn - 2 * s) // (4 * s + 2))
+    shifted_s, shifted_t = _grid(1, (maxn + 1) // 4,
+                                 lambda s: (maxn + 1) // (4 * s))
+    return ((open_s, open_t + 1, _open_terms),
+            (shifted_s, shifted_t + 1, _shifted_terms))
+
+
+def _form_family(maxn, m):
+    """The family of pairs (a, b) that start a reduced form (a, b, c) of
+    discriminant -m*n, n <= maxn: c = c0 + k, with c0 = a, or a + 1 for
+    b < 0.  m = 4 (b even) or m = 1 (b odd, n = 3 mod 4).  a-major with b
+    ascending, so that within one n the forms come in
+    ``enumerate_reduced`` order."""
+    # b = m mod 2 runs over (-a, a]: a values
+    a, j = _grid(1, math.isqrt(m * maxn // 3), lambda a: a)
+    b = 2 * j - a + 1 + (a + 1 + m) % 2
+
+    def terms(a, b):
+        return (4 * a * (a + (b < 0)) - b * b) // m, 4 * a // m
+
+    return a, b, terms
+
+
+def _cells(family, lo, hi):
+    """``(i, k)`` of every term first + step*k of the family in [lo, hi],
+    and its n."""
+    p, q, terms = family
+    first, step = terms(p, q)
+    k0 = np.maximum((lo - first + step - 1) // step, 0)
+    k1 = np.maximum((hi - first) // step + 1, k0)
+    i, j = _grid(0, len(first) - 1, lambda i: k1[i] - k0[i])
+    k = k0[i] + j
+    return i, k, first[i] + step[i] * k
+
+
+def _windows(maxn, families):
+    """``(lo, hi)`` of consecutive windows over 1..maxn, each holding at
+    most ``_kernels.BLOCK // 4`` progression terms, or a single n.
+
+    On ``verify --suite all --order 300 --max 3000`` a window's arrays
+    then peak at 0.8 MB (tracemalloc); a full block raised the run's peak
+    RSS by 1.8 MB over a quarter block, and smaller windows neither
+    lowered it nor kept the lane as fast."""
+    terms = np.zeros(maxn + 1, dtype=np.int64)
+    for p, q, family_terms in families:
+        for first, step in zip(*family_terms(p, q)):
+            terms[first::step] += 1
+    upto = np.cumsum(terms)
+    lo = 1
+    while lo <= maxn:
+        budget = int(upto[lo - 1]) + _kernels.BLOCK // 4
+        hi = max(lo, int(np.searchsorted(upto, budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi + 1
+
+
+def _window_triples(lo, hi, families):
+    """``(n, r, s, t)`` of the solution triples for lo <= n <= hi, n not
+    0 mod 4: by n, then in ``iter_solution_triples`` order."""
+    parts = []
+    for family in families:
+        i, k, n = _cells(family, lo, hi)
+        keep = n % 4 != 0
+        i = i[keep]
+        parts.append((n[keep], k[keep] + 1, family[0][i], family[1][i]))
+    n, r, s, t = (np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(n, kind="stable")
+    return n[order], r[order], s[order], t[order]
+
+
+def _window_forms(lo, hi, family):
+    """``(n, a, b, c)`` of the family's reduced forms for lo <= n <= hi, n
+    not 0 mod 4: by n, then in ``enumerate_reduced`` order."""
+    i, k, n = _cells(family, lo, hi)
+    keep = n % 4 != 0
+    order = np.argsort(n[keep], kind="stable")
+    i, k, n = i[keep][order], k[keep][order], n[keep][order]
+    a, b = family[0][i], family[1][i]
+    return n, a, b, a + (b < 0) + k
+
+
+def _triple_categories(r, u, v):
+    """``classify_triple`` over arrays, u = 2s - chi and v = 2t - chi."""
+    hits = [(r <= u) & (u <= v), (v <= r) & (r <= u), (u <= v) & (v <= r),
+            (u < r) & (r < v), (v < u) & (u < r), (r < v) & (v < u)]
+    equal = (r == u) & (u == v)
+    if (~equal & (sum(h.astype(np.int64) for h in hits) != 1)).any():
+        raise NotASolution("a triple matched no category or several")
+    return np.where(equal, ALL_EQUAL, np.select(hits, list(range(1, 7))))
+
+
+def _images(cat, r, u, v):
+    """The category's image of each triple, on discriminant -4n."""
+    k, x, y = (np.choose(_PERM[cat, i], (r, u, v)) for i in range(3))
+    return x + k, 2 * _SIGN[cat] * k, y + k
+
+
+def _form_categories(res, a, b, c):
+    """``classify_form`` over arrays, 0 where no category fits: ``res`` =
+    n mod 4 picks case '2' (1), '1' (2) or '3a' (3), whose list '4a'
+    shares."""
+    out = np.zeros(len(a), dtype=np.int64)
+    for case in (1, 2, 3):
+        m = res == case
+        a_, b_, c_ = a[m], b[m], c[m]
+        pos = b_ > 0
+        b4, b2 = b_ % 4 == 0, b_ % 4 == 2
+        ao, co = a_ % 2 == 1, c_ % 2 == 1
+
+        def signed(p, q):
+            return np.where(pos, p, q)
+
+        if case == 2:
+            conds = [b_ == 0, b4 & ~co, b4 & co, b2 & ao & co]
+            cats = [7, signed(2, 4), signed(3, 5), signed(1, 6)]
+        elif case == 1:
+            conds = [b_ == 0, b4 & ao & co, b2 & ao & ~co, b2 & ~ao & co]
+            cats = [7, signed(1, 4), signed(2, 5), signed(3, 6)]
+        else:
+            conds = [b_ == 0, b4 & ao & co, b2 & ~ao & ~co,
+                     b2 & ao & (c_ % 4 == 0), b2 & (a_ % 4 == 0) & co]
+            cats = [8, signed(1, 6), 7, signed(2, 4), signed(3, 5)]
+        out[m] = np.select(conds, cats)
+    return out
+
+
+def _reduced(a, b, c):
+    return ((-a <= b) & (b <= a) & (a <= c)
+            & ((b >= 0) | ((-b != a) & (a != c))))
+
+
+def _find(keys, wanted):
+    """Index into the sorted ``keys`` of each wanted key, and whether it
+    is there."""
+    if not len(keys):
+        return (np.zeros(len(wanted), dtype=np.int64),
+                np.zeros(len(wanted), dtype=bool))
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return pos, keys[pos] == wanted
+
+
+def _lists_differ(n1, key1, n2, key2, lo, width):
+    """Per n of the window: do two key lists, each sorted by n, differ?"""
+    c1 = np.bincount(n1 - lo, minlength=width)
+    c2 = np.bincount(n2 - lo, minlength=width)
+    differ = c1 != c2
+    g = n1 - lo
+    same = ~differ[g]
+    j = (np.cumsum(c2) - c2)[g] + np.arange(len(g)) - (np.cumsum(c1) - c1)[g]
+    differ[g[same][key2[j[same]] != key1[same]]] = True
+    return differ
+
+
+def _incomplete_images(n, a, b, c, cat4):
+    """The n of each image (a, b, c) whose preimages do not cover the
+    case-4 categories 2, 3 and 4."""
+    order = np.lexsort((c, b, a, n))
+    n, a, b, c, cat4 = n[order], a[order], b[order], c[order], cat4[order]
+    new = np.ones(len(n), dtype=bool)
+    new[1:] = ((n[1:] != n[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+               | (c[1:] != c[:-1]))
+    image = np.cumsum(new) - 1
+    complete = np.ones(int(image[-1]) + 1 if len(image) else 0, dtype=bool)
+    for k in (2, 3, 4):
+        complete &= np.bincount(image[cat4 == k], minlength=len(complete)) > 0
+    return n[~complete[image]]
+
+
+def _window_failures(lo, hi, families, h12):
+    """Which checks of ``verify_case`` fail at each n of [lo, hi]: a bool
+    array per check name, indexed by n - lo (never true at a check's
+    n outside its residue class).  Arrays are dropped once read for the
+    last time, which bounds a window's memory."""
+    width = hi - lo + 1
+    ns = np.arange(lo, hi + 1)
+    res4, res8 = ns % 4, ns % 8
+
+    def count(n):
+        return np.bincount(n - lo, minlength=width)
+
+    def seen(n):
+        return count(n) > 0
+
+    sig = np.array([sigma(0, m) if m % 4 else 0 for m in ns.tolist()])
+    sig_half = np.array([sigma(0, m // 2) if m % 4 == 2 else 0
+                         for m in ns.tolist()])
+    roots = np.arange(math.isqrt(lo - 1) + 1, math.isqrt(hi) + 1)
+    square = np.zeros(width, dtype=np.int64)
+    square[roots * roots - lo] = 1
+    h4n, hn = h12[4 * ns], h12[ns]
+    amax = math.isqrt(4 * hi // 3)
+
+    def key(n, a, b):
+        # (n, a, b) -> int, increasing; one-to-one on |b| <= a <= amax
+        return (n * (amax + 1) + a) * (2 * amax + 1) + b + amax
+
+    failed = {}
+    n, r, s, t = _window_triples(lo, hi, families[:2])
+    chi = n % 2
+    u, v = 2 * s - chi, 2 * t - chi
+    if ((np.minimum(np.minimum(r, s), t) < 1)
+            | ((u + r) * (v + r) != n + r * r)).any():
+        raise NotASolution("a triple fails its shape equation")
+    cat = _triple_categories(r, u, v)
+    res, odd = n % 4, r % 2 == 1
+    # the odd-r triples of n = 3 mod 4 map onto -n; the rest onto -4n
+    half = (res == 3) & odd
+    failed["open_r_odd"] = seen(n[(res == 2) & ~odd])
+    failed["shifted_r_even"] = seen(n[(res == 1) & odd])
+
+    # n = 7 mod 8: the four-way split of the triples
+    seven = n % 8 == 7
+    u4, v4 = (u + r) % 4 == 0, (v + r) % 4 == 0
+    cat4 = np.select([~odd, u4 & v4, ~u4 & v4, u4 & ~v4], [1, 2, 3, 4])
+    if (seven & (cat4 == 0)).any():
+        raise NotASolution("an odd-r triple has neither factor divisible "
+                           "by 4")
+    sizes = [12 * count(n[seven & (cat4 == k)]) for k in (1, 2, 3, 4)]
+    failed["case4_category_sizes"] = (res8 == 7) & (
+        (sizes[0] != hn - 6 * sig) | (sizes[1] != hn) | (sizes[2] != hn)
+        | (sizes[3] != hn))
+    n_count = count(n)
+    odd_sign = count(n[seven & ((r + s + t) % 2 == 1)])
+    failed["case4_signed_sum"] = (res8 == 7) & (
+        2 * (n_count - 2 * odd_sign) != sig)
+    failed["count_identity"] = np.select(
+        [res4 == 2, res4 == 1, res8 == 3],
+        [12 * n_count != h4n - 12 * sig_half, 12 * n_count != h4n - 6 * sig,
+         12 * n_count != 6 * hn - 6 * sig], False)
+
+    a, b, c = _images(cat, r, u, v)
+    del chi, u, v, u4, v4
+    if (~half & (b * b - 4 * a * c != -4 * n)).any():
+        # classify_form raises on a wrong discriminant
+        raise CaseMismatch("an image has the wrong discriminant")
+    failed["image_discriminant"] = np.zeros(width, dtype=bool)
+    a, b, c = (np.where(half, x // 2, x) for x in (a, b, c))
+    reduced = _reduced(a, b, c)
+    failed["image_reduced"] = seen(n[~half & ~reduced])
+    form_cat = _form_categories(res, a, b, c)
+    if (~half & (form_cat == 0)).any():
+        raise UnclassifiableForm("an image fits no category of its case")
+    failed["category_match"] = seen(n[~half & (form_cat
+                                               != _EXPECTED[res, cat])])
+    del form_cat
+    back = np.ones(len(n), dtype=bool)
+    for inverse, part in ((_open_inverse, res == 2),
+                          (_shifted_inverse, (res != 2) & ~half),
+                          (_half_inverse, half)):
+        for k in range(1, 7):
+            m = part & (cat == k)
+            rst = inverse(k, a[m], b[m], c[m])
+            back[m] = (rst[0] == r[m]) & (rst[1] == s[m]) & (rst[2] == t[m])
+    failed["map_inverse_roundtrip"] = seen(n[~half & ~back])
+    del r, s, t
+    named = cat != ALL_EQUAL
+    ok = (half & reduced & (b * b - 4 * a * c == -n)
+          & (~named | (back & ((b > 0) == (cat <= 3)))))
+    del cat, named, back
+    # each odd-r image collects one preimage per category 2, 3, 4
+    g = half & seven
+    failed["case4_one_preimage_per_category"] = seen(
+        _incomplete_images(n[g], a[g], b[g], c[g], cat4[g]))
+    # read only where reduced (-4n) or ok (-n), so that |b| <= a <= amax
+    image_key = np.where(reduced, key(n, a, b), -1)
+    del a, b, c, cat4, g, seven
+
+    # categories 1-6 of the discriminant -4n list
+    qn, qa, qb, qc = _window_forms(lo, hi, families[2])
+    qcat = _form_categories(qn % 4, qa, qb, qc)
+    if (qcat == 0).any():
+        raise UnclassifiableForm("a form fits no category of its case")
+    qkey = key(qn, qa, qb)
+    dbl = (qn % 4 == 3) & (qcat == 7)
+    dn, dkey = qn[dbl], key(qn[dbl], qa[dbl] // 2, qb[dbl] // 2)
+    del qa, qb, qc, dbl
+    pos, found = _find(qkey, np.where(half, -1, image_key))
+    outside = ~half & ~found
+    outside[found] = qcat[pos[found]] > 6
+    hits = np.bincount(pos[found], minlength=len(qkey))
+    failed["preimage_exactly_one"] = (seen(n[outside])
+                                      | seen(qn[(qcat <= 6) & (hits != 1)]))
+    b0 = count(qn[qcat == np.where(qn % 4 == 3, 8, 7)])
+    failed["b0_count"] = np.select(
+        [res4 == 2, res4 == 1, res4 == 3],
+        [b0 != sig_half, 2 * b0 != sig + square, 2 * b0 != sig], False)
+    del qn, qcat, qkey, pos, found, outside, hits
+
+    # n = 3 mod 4: the doubled forms and the odd-r maps onto -n
+    pn, pa, pb, pc = _window_forms(lo, hi, families[3])
+    pkey = key(pn, pa, pb)
+    failed["doubled_forms_count"] = (res4 == 3) & _lists_differ(
+        dn, dkey, pn, pkey, lo, width)
+    pos, found = _find(pkey, np.where(ok, image_key, -1))
+    hits = np.bincount(pos[found], minlength=len(pkey))
+    zzz = (pa == pb) & (pb == pc)
+    failed["odd_r_preimages"] = (seen(n[half & ~found])
+                                 | seen(pn[hits != np.where(zzz, 1, 3)]))
+    return failed
+
+
+def verify_windows(maxn: int, h12):
+    """Every check of ``verify_case`` for every n <= maxn, over windows of
+    consecutive n: an iterator of ``(lo, failed)`` per window, where ``failed``
+    maps each check name to a bool array, true at ``lo + i`` when the
+    check fails there.  ``h12`` is ``12*H(N)`` for N <= 4*maxn, as from
+    ``quadforms.hurwitz_table``.
+
+    Triples and reduced forms are enumerated as arithmetic progressions in
+    n, one per (s, t), resp. (a, b), pair; they are classified, mapped,
+    inverted and counted with array masks, and images are matched to
+    forms by packed int64 ``(n, a, b)`` keys through ``searchsorted``.
+    The pair tables grow as maxn log maxn; a window's arrays are bounded
+    by ``_kernels.BLOCK``.  Where the per-n route raises
+    (``NotASolution``, ``UnclassifiableForm``, ``CaseMismatch``), so does
+    the lane.
+
+    Overflow bound: r, s, t <= maxn, so u, v <= 2*maxn, image entries are
+    at most 4*maxn, and every product, discriminant and key is at most
+    80*maxn**2; maxn >= ``WINDOW_N_LIMIT`` raises ``OverflowError``.
+    """
+    if maxn >= WINDOW_N_LIMIT:
+        raise OverflowError(f"window lane for n <= {maxn} may exceed int64")
+    families = (*_triple_families(maxn), _form_family(maxn, 4),
+                _form_family(maxn, 1))
+    return ((lo, _window_failures(lo, hi, families, h12))
+            for lo, hi in _windows(maxn, families))

@@ -9,6 +9,11 @@ maps onto reduced forms of discriminant -4n (or -n for odd r when
 n = 3 mod 4), and ``verify_case`` machine-checks reducedness, discriminants,
 category bookkeeping, injectivity, preimage multiplicities and the
 resulting count identities.
+
+Everything here works one n at a time and is the oracle behind
+``qident bijection``; ``bijection_windows`` runs the same checks over
+windows of consecutive n for the ``bijections`` suite, which pins it to
+``verify_case`` on a prefix of n.
 """
 
 from __future__ import annotations
@@ -323,18 +328,20 @@ def _verify_disc_4n_part(n, triples, case, checks):
     expected_cat = FORM_CATEGORY_OF_TRIPLE[case]
 
     images = {}
+    # each keeps the first offending triple, as every sweep does
     bad_reduced = bad_disc = bad_cat = bad_inverse = None
     for tr in triples:
         tcat = classify_triple(tr)
         f = _map_classified(tr, tcat)
-        if not is_reduced(f):
+        if bad_reduced is None and not is_reduced(f):
             bad_reduced = (tr, f)
-        if f.discriminant != -4 * n:
+        if bad_disc is None and f.discriminant != -4 * n:
             bad_disc = (tr, f)
         fcat = classify_form(f, case, n)
-        if fcat != expected_cat[tcat]:
+        if bad_cat is None and fcat != expected_cat[tcat]:
             bad_cat = (tr, f, tcat, fcat)
-        if invert_map(case, tcat, f) != (tr.r, tr.s, tr.t):
+        if (bad_inverse is None
+                and invert_map(case, tcat, f) != (tr.r, tr.s, tr.t)):
             bad_inverse = (tr, f)
         images.setdefault(f, []).append(tr)
 

@@ -1,6 +1,7 @@
 """Command-line front end: run suites, emit value tables, dump constructions.
 
-Exit codes: 0 all checks pass, 1 any verification failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 any verification failure, 2 usage error,
+3 internal error (an exception escaped the command; stderr names it).
 Rationals always render as "p/q"; JSON reports follow the documented schema
 {"suite", "parameters": {"order", "max"}, "checks": [...]}.
 """
@@ -15,7 +16,17 @@ from . import bijections, counting
 from .quadforms import hurwitz_H
 from .verify import SUITE_NAMES, run_suites, suite_minimums
 
-TABLE_COLUMNS = ("n", "a", "b", "r3", "H", "H4", "sigma0")
+# each column's value at n, computed only when the column is asked for
+_COLUMN_VALUES = {
+    "n": lambda n: n,
+    "a": lambda n: counting.signed_rep_count(n),
+    "b": lambda n: counting.rep_count(n),
+    "r3": lambda n: counting.rep_squares(3, n),
+    "H": lambda n: hurwitz_H(n),
+    "H4": lambda n: hurwitz_H(4 * n),
+    "sigma0": lambda n: counting.sigma(0, n) if n > 0 else None,
+}
+TABLE_COLUMNS = tuple(_COLUMN_VALUES)
 
 
 def _usage_error(message: str) -> int:
@@ -55,16 +66,8 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _table_row(n: int) -> dict:
-    row = {}
-    row["n"] = n
-    row["a"] = counting.signed_rep_count(n)
-    row["b"] = counting.rep_count(n)
-    row["r3"] = counting.rep_squares(3, n)
-    row["H"] = hurwitz_H(n)
-    row["H4"] = hurwitz_H(4 * n)
-    row["sigma0"] = counting.sigma(0, n) if n > 0 else None
-    return row
+def _table_row(n: int, columns) -> dict:
+    return {c: _COLUMN_VALUES[c](n) for c in columns}
 
 
 def cmd_table(args) -> int:
@@ -77,7 +80,7 @@ def cmd_table(args) -> int:
         if col not in TABLE_COLUMNS:
             return _usage_error(f"unknown column {col!r}; "
                                 f"choose from {', '.join(TABLE_COLUMNS)}")
-    rows = [_table_row(n) for n in range(args.max + 1)]
+    rows = [_table_row(n, columns) for n in range(args.max + 1)]
     if args.format == "json":
         payload = [{c: (None if r[c] is None else
                         (r[c] if isinstance(r[c], int) else str(r[c])))
@@ -186,7 +189,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        # an escaped exception is a fault of the program, not a failed check
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -351,41 +351,67 @@ def triple_sum_tables(maxn: int, shape: str):
 # ---------------------------------------------------------------------------
 
 
+# (2*isqrt(n) + 1)**3, the range of the image keys, stays below 2**63
+PARITY_N_LIMIT = 2 ** 40
+
+
 def parity_bijection_images(n: int) -> int | None:
     """The explicit arm of the three-squares parity bijection at n.
 
     Maps every solution of x^2+u^2+v^2 = n with u = v mod 2 to
     (x, (u+v)/2, (u-v)/2) and back.  Returns the number of distinct images,
     each a solution of x^2+2y^2+2z^2 = n, or None if a map or the inverse
-    fails or two solutions share an image."""
+    fails or two solutions share an image.
+
+    The pairs x, u >= 0 with x^2 + u^2 <= n are walked as one ragged grid
+    in ``_kernels.ragged_blocks``, and each solution found takes every sign
+    of its nonzero entries; square roots come from an exact table of
+    ``isqrt`` up to n (8(n + 1) bytes), built from the squares, so no float
+    is involved.  The images are counted as distinct packed int64 keys;
+    n >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    xm = math.isqrt(n)
-    parity_solutions = set()
-    for x in range(-xm, xm + 1):
-        rx = n - x * x
-        um = math.isqrt(rx) if rx >= 0 else -1
-        for u in range(-um, um + 1):
-            rem = rx - u * u
-            if rem < 0:
-                continue
-            v = math.isqrt(rem)
-            if v * v != rem:
-                continue
-            for vv in {v, -v}:
-                if (u - vv) % 2 == 0:
-                    parity_solutions.add((x, u, vv))
-    images = set()
-    for x, u, v in parity_solutions:
-        y, z = (u + v) // 2, (u - v) // 2
-        if x * x + 2 * y * y + 2 * z * z != n:
-            return None
-        if (x, y + z, y - z) != (x, u, v):
-            return None
-        images.add((x, y, z))
-    if len(images) != len(parity_solutions):
+    if n >= PARITY_N_LIMIT:
+        raise OverflowError(f"parity images for n = {n} may exceed int64")
+    m = math.isqrt(n)
+    squares = np.arange(m + 1, dtype=np.int64) ** 2
+    # root[a] = isqrt(a) for 0 <= a <= n: one step up at each square
+    root = np.zeros(n + 1, dtype=np.int64)
+    root[squares[1:]] = 1
+    root = np.cumsum(root)
+
+    def row_len(x):
+        # u runs over 0 .. isqrt(n - x^2)
+        return root[n - x * x] + 1
+
+    parts = []
+    for x, u in _kernels.ragged_blocks(0, m, row_len):
+        rem = n - x * x - u * u
+        v = root[rem]
+        hit = (squares[v] == rem) & ((u - v) % 2 == 0)
+        parts.append((x[hit], u[hit], v[hit]))
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    # the walk found x, u, v >= 0; every nonzero one also takes its sign
+    # (u = v mod 2 does not depend on the signs)
+    for axis in range(3):
+        nonzero = cols[axis] != 0
+        cols = [np.concatenate((col, -col[nonzero] if k == axis
+                                else col[nonzero]))
+                for k, col in enumerate(cols)]
+    x, u, v = cols
+    y, z = (u + v) // 2, (u - v) // 2
+    if (x * x + 2 * y * y + 2 * z * z != n).any():
         return None
-    return len(images)
+    if ((y + z != u) | (y - z != v)).any():
+        return None
+    # every |x|, |y|, |z| <= m once the image solves x^2 + 2y^2 + 2z^2 = n
+    width = 2 * m + 1
+    key = ((x + m) * width + y + m) * width + z + m
+    key = key[np.argsort(key, kind="stable")]
+    if (key[1:] == key[:-1]).any():
+        return None  # two solutions share an image
+    return len(key)
 
 
 def three_squares_parity_check(n: int, counts=None) -> bool:

@@ -3,6 +3,12 @@
 Each suite returns a ``VerificationReport`` whose checks carry first-failure
 loci with exact expected/actual values.  Suite names are the stable CLI
 tokens; ``run_suites`` resolves them and hands every suite one ``Tables``.
+
+``bijections`` checks every n <= max on the window lane
+(``bijection_windows``) and, on the first ``PER_N_PREFIX`` n, also on the
+per-n ``bijections.verify_case``; a failure's values come from
+``verify_case``.  The three-squares parity check in ``propositions`` runs
+on every n of the same prefix and on every multiple of four.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from . import _kernels, bijections, counting
+from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
 from .quadforms import hurwitz_table, verify_hurwitz_doubling
 from .report import Check, VerificationReport, series_check, sweep_check
@@ -28,6 +34,11 @@ SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
 # and Appell suites (order >= 8) and the classical square-count checks
 # (max >= 8).
 _MINIMUMS = {"dkm": (2, 0), "bijections": (1, 7), "background": (8, 8)}
+
+# Every n up to this bound also runs a per-n oracle beside the batch route:
+# all of the three-squares parity check, and ``verify_case`` beside the
+# bijection window lane.
+PER_N_PREFIX = 200
 
 
 def suite_minimums(name: str) -> tuple[int, int]:
@@ -209,9 +220,10 @@ def suite_propositions(order: int, maxn: int,
 
 
 def _parity_check_range(maxn: int):
-    # every n on a modest prefix, then all multiples of four up to maxn
+    # every n on the prefix, then all multiples of four up to maxn
     seen = set()
-    for n in list(range(min(maxn, 200) + 1)) + list(range(0, maxn + 1, 4)):
+    for n in (list(range(min(maxn, PER_N_PREFIX) + 1))
+              + list(range(0, maxn + 1, 4))):
         if n not in seen:
             seen.add(n)
             yield n
@@ -276,24 +288,51 @@ def suite_triple_counts(order: int, maxn: int,
 
 def suite_bijections(order: int, maxn: int,
                      tables: Tables | None = None) -> VerificationReport:
-    """Every per-n construction check, aggregated with first-failure n."""
+    """Every per-n construction check, aggregated with first-failure n.
+
+    The window lane (``bijection_windows.verify_windows``) checks every
+    n <= maxn;
+    ``verify_case`` also checks every n <= ``PER_N_PREFIX``, which pins the
+    lane to the per-n route in every run and fixes the check names and
+    their order.  A check fails at the first n where either route fails
+    it, with the expected and actual values of ``verify_case`` at that n,
+    or, where only the lane fails, a failure naming the disagreement."""
     if maxn < 7:
         raise ValueError("maxn must be >= 7")
-    H = (tables or Tables(maxn)).H
-    collected: dict[str, Check] = {}
-    order_seen: list[str] = []
-    for n in range(1, maxn + 1):
-        if n % 4 == 0:
+    tables = tables or Tables(maxn)
+    H = tables.H
+
+    def per_n(n):
+        return bijections.verify_case(n, H(4 * n), H(n))
+
+    failing = {}  # the per-n reports on the prefix that fail a check
+    first: dict[str, int | None] = {}
+    for n in range(1, min(maxn, PER_N_PREFIX) + 1):
+        if n % 4:
+            report = per_n(n)
+            for check in report.checks:
+                first.setdefault(check.name, None)
+                if first[check.name] is None and not check.passed:
+                    first[check.name] = n
+            if not report.passed:
+                failing[n] = report
+    for lo, failed in bijection_windows.verify_windows(maxn, tables.h12):
+        for name, fails in failed.items():
+            if fails.any():
+                n = lo + int(fails.argmax())
+                if first[name] is None or n < first[name]:
+                    first[name] = n
+
+    checks = []
+    for name, n in first.items():
+        if n is None:
+            checks.append(Check.ok(name))
             continue
-        for check in bijections.verify_case(n, H(4 * n), H(n)).checks:
-            name = check.name
-            if name not in collected:
-                order_seen.append(name)
-                collected[name] = Check.ok(name)
-            if collected[name].passed and not check.passed:
-                collected[name] = Check.fail(name, n, check.expected,
-                                             check.actual)
-    checks = [collected[name] for name in order_seen]
+        report = failing.get(n) or per_n(n)
+        (check,) = (c for c in report.checks if c.name == name)
+        checks.append(Check.fail(name, n, "verify_case and the window lane "
+                                 "agree", "only the window lane fails")
+                      if check.passed else check)
     return VerificationReport("bijections", {"order": order, "max": maxn},
                               checks)
 

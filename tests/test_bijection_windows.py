@@ -1,0 +1,223 @@
+"""The window lane of the bijection checks, pinned to the per-n route."""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import qident.bijection_windows as W
+import qident.bijections as B
+import qident.verify as V
+from qident import _kernels
+from qident import counting as C
+from qident.quadforms import enumerate_reduced, hurwitz_H, hurwitz_table
+from qident.verify import run_suites
+
+
+def lane_failures(maxn):
+    """{n: set of check names the lane fails at n} over 1..maxn."""
+    out = {}
+    for lo, failed in W.verify_windows(maxn, hurwitz_table(4 * maxn)):
+        for name, fails in failed.items():
+            for i in np.flatnonzero(fails):
+                out.setdefault(lo + int(i), set()).add(name)
+    return out
+
+
+def lane_arrays(maxn):
+    families = (*W._triple_families(maxn), W._form_family(maxn, 4),
+                W._form_family(maxn, 1))
+    return (W._window_triples(1, maxn, families[:2]),
+            W._window_forms(1, maxn, families[2]),
+            W._window_forms(1, maxn, families[3]))
+
+
+def test_lane_enumerates_the_per_n_triples_and_forms():
+    (n, r, s, t), quarter, minus_n = lane_arrays(1500)
+    for m in range(1, 1501):
+        if m % 4 == 0:
+            assert not (n == m).any()
+            continue
+        shape = C.OPEN if m % 4 == 2 else C.SHIFTED
+        sel = n == m
+        for got, want in zip((r, s, t), C.solution_triple_arrays(m, shape)):
+            assert got[sel].tolist() == want.tolist(), m
+        for (fn, a, b, c), D in ((quarter, -4 * m), (minus_n, -m)):
+            sel = fn == m
+            got = list(zip(a[sel].tolist(), b[sel].tolist(), c[sel].tolist()))
+            want = ([(f.a, f.b, f.c) for f in enumerate_reduced(D)]
+                    if D % 4 == 0 or m % 4 == 3 else [])
+            assert got == want, (m, D)
+
+
+def test_lane_classifies_and_maps_like_the_oracles():
+    (n, r, s, t), (qn, qa, qb, qc), _ = lane_arrays(1500)
+    chi = n % 2
+    u, v = 2 * s - chi, 2 * t - chi
+    cat = W._triple_categories(r, u, v)
+    a, b, c = W._images(cat, r, u, v)
+    for i in range(len(n)):
+        tr = B.Triple(int(r[i]), int(s[i]), int(t[i]), int(n[i]),
+                      C.OPEN if n[i] % 4 == 2 else C.SHIFTED)
+        assert B.classify_triple(tr) == cat[i]
+        f = B.map_triple(tr)
+        halved = 2 if B.case_of(tr.n, tr.r) in ("3b", "4b") else 1
+        assert (halved * f.a, halved * f.b, halved * f.c) == (a[i], b[i], c[i])
+    fcat = W._form_categories(qn % 4, qa, qb, qc)
+    for i in range(len(qn)):
+        m = int(qn[i])
+        case = {1: "2", 2: "1", 3: "3a"}[m % 4]
+        f = B.QuadForm(int(qa[i]), int(qb[i]), int(qc[i]))
+        assert B.classify_form(f, case, m) == fcat[i]
+
+
+def test_lane_outcome_equals_verify_case_to_1500():
+    lane = lane_failures(1500)
+    for n in range(1, 1501):
+        if n % 4:
+            per_n = {c.name for c in B.verify_case(n).failures}
+            assert lane.get(n, set()) == per_n, n
+
+
+def test_lane_across_many_windows(monkeypatch):
+    whole = lane_arrays(1500)
+    monkeypatch.setattr(_kernels, "BLOCK", 4096)
+    families = (*W._triple_families(1500), W._form_family(1500, 4),
+                W._form_family(1500, 1))
+    windows = list(W._windows(1500, families))
+    assert len(windows) > 20
+    parts = [(W._window_triples(lo, hi, families[:2]),
+              W._window_forms(lo, hi, families[2]),
+              W._window_forms(lo, hi, families[3])) for lo, hi in windows]
+    for k, arrays in enumerate(whole):
+        for col, want in enumerate(arrays):
+            got = np.concatenate([p[k][col] for p in parts])
+            assert got.tolist() == want.tolist()
+    assert lane_failures(1500) == {}
+
+
+def _drop_first(arrays, at, disc=None):
+    """The n-sorted rows ``(n, ...)`` without the first at n = ``at``
+    (among the forms of discriminant ``disc``, when given)."""
+    n = arrays[0]
+    hit = n == at
+    if disc is not None:
+        _, a, b, c = arrays
+        hit &= b * b - 4 * a * c == disc
+    if not hit.any():
+        return arrays
+    keep = np.ones(len(n), dtype=bool)
+    keep[np.flatnonzero(hit)[0]] = False
+    return tuple(x[keep] for x in arrays)
+
+
+@pytest.mark.parametrize("n, what", [
+    (301, "triple"),     # 5 mod 8
+    (302, "quarter"),    # -4n, 2 mod 4
+    (307, "minus_n"),    # 3 mod 8
+    (311, "minus_n"),    # 7 mod 8
+    (301, "hurwitz"),
+])
+def test_corruption_past_the_prefix_fails_like_verify_case(monkeypatch, n,
+                                                            what):
+    # each corruption once in the lane (n > PER_N_PREFIX, so the suite has
+    # only the lane there) and once in the per-n route; the failed check
+    # names at n must agree
+    assert n > V.PER_N_PREFIX
+    h4n, hn = hurwitz_H(4 * n), hurwitz_H(n)
+    with monkeypatch.context() as mp:
+        if what == "triple":
+            real = W._window_triples
+            mp.setattr(W, "_window_triples",
+                       lambda *args: _drop_first(real(*args), n))
+        elif what == "hurwitz":
+            real = V.hurwitz_table
+
+            def bumped(X):
+                table = real(X)
+                table[4 * n] += 1
+                return table
+
+            mp.setattr(V, "hurwitz_table", bumped)
+            h4n += Fraction(1, 12)
+        else:
+            disc = -4 * n if what == "quarter" else -n
+            real = W._window_forms
+            mp.setattr(W, "_window_forms",
+                       lambda *args: _drop_first(real(*args), n, disc))
+        (report,) = run_suites("bijections", 32, 320)
+    assert report.failures
+    assert {c.locus for c in report.failures} == {n}
+    lane = {c.name for c in report.failures}
+
+    with monkeypatch.context() as mp:
+        if what == "triple":
+            real = B.solution_triple_arrays
+            mp.setattr(B, "solution_triple_arrays",
+                       lambda m, shape: tuple(
+                           x[1:] if m == n else x for x in real(m, shape)))
+        elif what != "hurwitz":
+            D = -4 * n if what == "quarter" else -n
+            real = B.enumerate_reduced
+            mp.setattr(B, "enumerate_reduced",
+                       lambda D_: real(D_)[1:] if D_ == D else real(D_))
+        per_n = {c.name for c in B.verify_case(n, h4n, hn).failures}
+    assert lane == per_n
+
+
+def test_lane_only_failure_fails_the_suite(monkeypatch):
+    # the lane loses a triple at n = 21, inside the prefix, where
+    # verify_case still passes: the disagreement is a failure
+    real = W._window_triples
+    monkeypatch.setattr(W, "_window_triples",
+                        lambda *args: _drop_first(real(*args), 21))
+    (report,) = run_suites("bijections", 32, 60)
+    assert {c.locus for c in report.failures} == {21}
+    assert all(c.actual == "only the window lane fails"
+               for c in report.failures)
+
+
+@pytest.mark.parametrize("target, error", [
+    ("triples", B.NotASolution),
+    ("images", B.CaseMismatch),
+    ("forms", B.UnclassifiableForm),
+])
+def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
+    if target == "triples":
+        real = W._window_triples
+
+        def broken(*args):
+            n, r, s, t = real(*args)
+            return n, r + 1, s, t
+        monkeypatch.setattr(W, "_window_triples", broken)
+    elif target == "images":
+        real = W._images
+        monkeypatch.setattr(W, "_images", lambda *args: tuple(
+            x + 2 for x in real(*args)))
+    else:
+        real = W._window_forms
+
+        def broken(*args):
+            n, a, b, c = real(*args)
+            return n, a, b + 1, c
+        monkeypatch.setattr(W, "_window_forms", broken)
+    with pytest.raises(error):
+        lane_failures(60)
+
+
+def test_lane_overflow_guard():
+    with pytest.raises(OverflowError):
+        W.verify_windows(W.WINDOW_N_LIMIT, np.zeros(1, dtype=np.int64))
+
+
+def test_lane_memory_is_bounded():
+    h12 = hurwitz_table(12000)
+    tracemalloc.start()
+    try:
+        for _ in W.verify_windows(3000, h12):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

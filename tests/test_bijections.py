@@ -142,6 +142,26 @@ def test_square_n_case2_weight():
     assert len(solution_triples(9)) == 1
 
 
+def test_disc_4n_part_reports_the_first_offending_triple(monkeypatch):
+    # the first two triples of n = 14 map to (3, 2, 5) and (3, -2, 5);
+    # swapped to (5, -2, 3) and (5, 2, 3) they keep the discriminant and a
+    # category, but fail reducedness, category and roundtrip
+    import qident.bijections as B
+
+    first, second = solution_triples(14)[:2]
+    real = B._map_classified
+
+    def swapped(tr, cat):
+        f = real(tr, cat)
+        return QuadForm(f.c, -f.b, f.a) if tr in (first, second) else f
+
+    monkeypatch.setattr(B, "_map_classified", swapped)
+    failures = {c.name: c for c in verify_case(14).failures}
+    for name in ("image_reduced", "category_match", "map_inverse_roundtrip"):
+        assert repr(first) in failures[name].actual, name
+        assert repr(second) not in failures[name].actual, name
+
+
 def test_dropped_triple_fails_bijections_and_corollary(monkeypatch):
     import qident.bijections as B
     from qident.verify import run_suites

@@ -82,6 +82,38 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from qident import verify
+
+    def broken(order, maxn, tables=None):
+        raise RuntimeError("table missing")
+
+    monkeypatch.setitem(verify._SUITES, "theorem61", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem61",
+                             "--order", "32", "--max", "60")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: RuntimeError: table missing\n"
+
+
+def test_table_computes_only_the_requested_columns(capsys, monkeypatch):
+    from qident import counting
+
+    _, full, _ = run_cli(capsys, "table", "--max", "40", "--format", "csv")
+
+    def not_requested(*args):
+        raise AssertionError("a column that was not asked for")
+
+    for name in ("rep_squares", "rep_count", "signed_rep_count"):
+        monkeypatch.setattr(counting, name, not_requested)
+    code, out, _ = run_cli(capsys, "table", "--max", "40", "--columns",
+                           "n,H", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(full)))
+    n, h = rows[0].index("n"), rows[0].index("H")
+    assert list(csv.reader(io.StringIO(out))) == [[r[n], r[h]] for r in rows]
+
+
 def test_table_text_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--max", "7")
     assert code == 0

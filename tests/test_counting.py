@@ -1,6 +1,7 @@
 """Counting oracles, kernels, and the sum-side series."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,57 @@ def test_local_global_form():
 def test_parity_bijection_spot():
     for n in (0, 4, 9, 12, 16, 25, 36, 100):
         assert C.three_squares_parity_check(n)
+
+
+def _parity_images_loop(n):
+    """The loop oracle of ``parity_bijection_images``: sets of solutions
+    and of images, one tuple at a time."""
+    xm = math.isqrt(n)
+    parity_solutions = set()
+    for x in range(-xm, xm + 1):
+        rx = n - x * x
+        um = math.isqrt(rx)
+        for u in range(-um, um + 1):
+            rem = rx - u * u
+            v = math.isqrt(rem)
+            if v * v != rem:
+                continue
+            for vv in {v, -v}:
+                if (u - vv) % 2 == 0:
+                    parity_solutions.add((x, u, vv))
+    images = set()
+    for x, u, v in parity_solutions:
+        y, z = (u + v) // 2, (u - v) // 2
+        if x * x + 2 * y * y + 2 * z * z != n:
+            return None
+        if (x, y + z, y - z) != (x, u, v):
+            return None
+        images.add((x, y, z))
+    if len(images) != len(parity_solutions):
+        return None
+    return len(images)
+
+
+def test_parity_bijection_images_match_the_loop():
+    for n in range(1001):
+        assert C.parity_bijection_images(n) == _parity_images_loop(n), n
+
+
+def test_parity_bijection_images_guards_and_memory():
+    import tracemalloc
+
+    with pytest.raises(ValueError):
+        C.parity_bijection_images(-1)
+    with pytest.raises(OverflowError):
+        C.parity_bijection_images(C.PARITY_N_LIMIT)
+    tracemalloc.start()
+    try:
+        images = C.parity_bijection_images(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert images == C.rep_count(3000)
+    assert peak < 2 ** 20
 
 
 def test_parity_bijection_table_arm_matches_oracle():
