@@ -1,4 +1,5 @@
-"""Batch enumeration kernels for the counting sweeps.
+"""Batch enumeration kernels for the counting sweeps, and the progression
+enumerator of solution triples and reduced forms.
 
 Every table is exact int64 numpy with ``maxn + 1`` entries, one per n.
 
@@ -12,25 +13,32 @@ Every table is exact int64 numpy with ``maxn + 1`` entries, one per n.
   distinct, so a slice add is exact.
 * Divisor tables are strided sieves.
 
-Overflow bound: every entry is a signed or unsigned count of lattice
-points or progression terms up to ``maxn``.  A lattice entry counts points
-of at most four square variables, each in ``[-isqrt(maxn), isqrt(maxn)]``,
-so it is at most ``(2*isqrt(maxn) + 1)**4``.  A progression entry is a
-constant of at most 4 plus at most five unit terms per pair ``(r, s)`` with
-``1 <= r, s <= maxn`` (n fixes the third variable), so it is at most
-``9*(maxn + 1)**2``.  Both are below 2**63 for ``maxn <= 10**9``, past any
-table that fits in memory (8 GB each).  ``sigma_table(maxn, k)`` is at most
-``maxn**(k + 1)``; it raises ``OverflowError`` when that reaches 2**63.
-Memory is linear in ``maxn``.
+Overflow bound: a lattice entry counts points of at most four variables,
+each a square or a triangular number up to maxn, so each variable takes at
+most ``2*isqrt(2*maxn) + 1`` values and the last at most two once the
+others are fixed: the entry, and every partial product of
+``_times_sparse``, is at most ``2*(2*isqrt(2*maxn) + 1)**3``.  A
+progression entry is a constant of at most 4 plus at most five unit terms
+per pair ``(r, s)`` with ``1 <= r, s <= maxn`` (n fixes the third
+variable), so it is at most ``9*(maxn + 1)**2``.  A divisor count is at
+most maxn and a divisor sum at most ``maxn**2``.  All are below 2**63 for
+``maxn <= MAXN_LIMIT``; every kernel but ``sigma_table`` raises
+``OverflowError`` above it, before it allocates.  ``sigma_table(maxn, k)``
+is at most ``maxn**(k + 1)``; it raises ``OverflowError`` when that
+reaches 2**63.  Memory is linear in ``maxn``.
 
-``ragged_blocks`` is the block iterator of the per-n lane
-(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced``,
-``counting.parity_bijection_images``) and of the bijection window lane:
-it walks a ragged grid row-major in blocks of at most ``BLOCK`` cells, so
-a per-n call's memory does not grow with n.
+``progression_terms`` is the one walk over the pairs whose arithmetic
+progressions in n hold the solution triples and the reduced forms
+(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced`` and
+the bijection window lane); ``ragged_blocks`` is the block iterator it and
+``counting.parity_bijection_images`` walk: a ragged grid row-major in
+blocks of at most ``BLOCK`` cells, so a call's memory does not grow with
+its pair grid.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +47,14 @@ USE_NUMBA = False
 
 # cells per block of ``ragged_blocks``
 BLOCK = 1 << 16
+
+# the largest maxn of a kernel table (see the overflow bound above)
+MAXN_LIMIT = 10 ** 9
+
+
+def _check_maxn(maxn):
+    if maxn > MAXN_LIMIT:
+        raise OverflowError(f"kernel tables for n <= {maxn} may exceed int64")
 
 
 def _times_sparse(a, terms):
@@ -80,6 +96,7 @@ def _alternating(out, first, step, sign):
 
 def signed_rep_tables(maxn):
     """(signed, unsigned) counts of x^2 + 2y^2 + 2z^2 = n for n <= maxn."""
+    _check_maxn(maxn)
     tables = []
     for signed in (True, False):
         x = _theta_terms(maxn, 1, signed)
@@ -93,6 +110,7 @@ def square_rep_tables(s, maxn):
     """Ordered representations of n as a sum of s squares, 1 <= s <= 4."""
     if not 1 <= s <= 4:
         raise ValueError("s must be between 1 and 4")
+    _check_maxn(maxn)
     theta = _theta_terms(maxn)
     out = _unit(maxn)
     for _ in range(s):
@@ -102,6 +120,7 @@ def square_rep_tables(s, maxn):
 
 def triangular3_table(maxn):
     """Ordered triples of triangular numbers k(k+1)/2, k >= 0, summing to n."""
+    _check_maxn(maxn)
     tri = []
     k = 0
     while k * (k + 1) // 2 <= maxn:
@@ -123,6 +142,7 @@ def triangular3_table(maxn):
 
 def triple_tables(maxn, shifted):
     """(total, signed, r_even) counts of the shape's triples for n <= maxn."""
+    _check_maxn(maxn)
     total = np.zeros(maxn + 1, dtype=np.int64)
     signed = np.zeros(maxn + 1, dtype=np.int64)
     r_even = np.zeros(maxn + 1, dtype=np.int64)
@@ -156,6 +176,7 @@ def triple_tables(maxn, shifted):
 
 def pair_tables(maxn):
     """Signed sums of (-1)^(r+s) over 2rs = n, 4rs = n, (2r-1)(2s-1) = n."""
+    _check_maxn(maxn)
     even2 = np.zeros(maxn + 1, dtype=np.int64)
     even4 = np.zeros(maxn + 1, dtype=np.int64)
     odd = np.zeros(maxn + 1, dtype=np.int64)
@@ -178,6 +199,7 @@ def pair_tables(maxn):
 def hlm_tables(maxn):
     """Signed sums of (-1)^(r+s) over rs = n and (-1)^(r+s+t) over
     rs + rt + st = n, all variables >= 1."""
+    _check_maxn(maxn)
     pair = np.zeros(maxn + 1, dtype=np.int64)
     triple = np.zeros(maxn + 1, dtype=np.int64)
     for r in range(1, maxn + 1):
@@ -201,6 +223,7 @@ def hlm_tables(maxn):
 
 def triangular_sum_side(order):
     """Sum side of the sum-of-three-triangular-numbers identity, q^0..q^(order-1)."""
+    _check_maxn(order - 1)
     out = np.zeros(order, dtype=np.int64)
     out[0] = 1
     out[1:] += 3
@@ -241,6 +264,7 @@ def sigma_table(maxn: int, k: int = 0) -> np.ndarray:
 
 
 def d_mod4_tables(maxn: int):
+    _check_maxn(maxn)
     d1 = np.zeros(maxn + 1, dtype=np.int64)
     d3 = np.zeros(maxn + 1, dtype=np.int64)
     for d in range(1, maxn + 1, 2):
@@ -253,6 +277,7 @@ def d_mod4_tables(maxn: int):
 
 def sigma_no_mult4_table(maxn: int) -> np.ndarray:
     """sum of divisors d of n with 4 not dividing d."""
+    _check_maxn(maxn)
     out = np.zeros(maxn + 1, dtype=np.int64)
     for d in range(1, maxn + 1):
         if d % 4:
@@ -261,7 +286,7 @@ def sigma_no_mult4_table(maxn: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ragged grids for the per-n lane
+# ragged grids
 # ---------------------------------------------------------------------------
 
 
@@ -276,16 +301,122 @@ def ragged_blocks(first, last, row_len):
     rows_step = max(1, block // 16)
     for lo in range(first, last + 1, rows_step):
         rows = np.arange(lo, min(lo + rows_step, last + 1), dtype=np.int64)
-        ends = np.cumsum(row_len(rows))
+        ends = row_len(rows).cumsum()
         begins = np.concatenate(((0,), ends[:-1]))
         total = int(ends[-1])
         for start in range(0, total, block):
             stop = min(start + block, total)
             # the rows that hold cells start .. stop - 1, and their share
-            i0, i1 = np.searchsorted(ends, (start, stop - 1), side="right")
+            i0, i1 = ends.searchsorted((start, stop - 1), side="right")
             span = slice(i0, i1 + 1)
             share = (np.minimum(ends[span], stop)
                      - np.maximum(begins[span], start))
             j = np.arange(start, stop, dtype=np.int64)
-            j -= np.repeat(begins[span], share)
-            yield np.repeat(rows[span], share), j
+            j -= begins[span].repeat(share)
+            yield rows[span].repeat(share), j
+
+
+# ---------------------------------------------------------------------------
+# progressions in n: each pair (p, q) of a family carries n = first + step*k,
+# k >= 0.  Solution triples (r, s, t) = (k + 1, p, q) of the shape "open",
+# n = 2r(s + t) + 4st, or "shifted", n = 2r(s + t - 1) + (2s - 1)(2t - 1);
+# reduced forms (a, b, c) = (p, q, c0 + k) of discriminant -m*n, m = 4 or 1,
+# with b = m mod 2 in (-a, a] and c0 = a, or a + 1 for b < 0, so that every
+# term is reduced (Cohen, A Course in Computational ANT, 5.3).
+# ---------------------------------------------------------------------------
+
+# m*hi below this (m = 1 for triples) keeps every intermediate in int64;
+# the largest is 4a(a + 1) <= 4*m*hi/3 + 4*isqrt(m*hi/3)
+PROGRESSION_LIMIT = 2 ** 62
+
+
+def _pair_blocks(family, hi):
+    """``(p, q, first, step)`` of the family's pairs, in pair order ((s, t)
+    s-major, (a, b) lexicographic) and in ``ragged_blocks``: the triple
+    rows hold exactly the pairs with first <= hi, the form rows every b of
+    each a <= isqrt(m*hi/3), some starting above hi."""
+    if family in ("open", "shifted"):
+        shifted = family == "shifted"
+
+        def row_len(s):
+            if shifted:
+                return (hi + 1) // (4 * s)
+            return (hi - 2 * s) // (4 * s + 2)
+
+        last = (hi + 1) // 4 if shifted else (hi - 2) // 6
+        for s, t in ragged_blocks(1, last, row_len):
+            t += 1  # cell j is t = j + 1
+            if shifted:
+                yield s, t, 4 * s * t - 1, 2 * (s + t - 1)
+            else:
+                yield s, t, 4 * s * t + 2 * (s + t), 2 * (s + t)
+        return
+    m, odd = family, family % 2
+    for a, h in ragged_blocks(1, math.isqrt(m * hi // 3), lambda a: a):
+        h -= (a + odd - 1) // 2  # b = 2h + odd, in place
+        first = a + (h < 0)  # c0, then first = (4a*c0 - b^2)/m
+        first *= a
+        if odd:
+            b = 2 * h + 1
+            first *= 4
+            first -= b * b
+            yield a, b, first, 4 * a
+        else:
+            first -= h * h
+            h *= 2
+            yield a, h, first, a
+
+
+def _check_family(family, hi):
+    if family not in ("open", "shifted", 4, 1):
+        raise ValueError(f"unknown progression family {family!r}")
+    if (family if family in (4, 1) else 1) * hi >= PROGRESSION_LIMIT:
+        raise OverflowError(f"progression terms of {family!r} for n <= {hi} "
+                            "may exceed int64")
+
+
+def progression_terms(family, lo, hi):
+    """``(n, p, q, k)`` int64 arrays of the terms with lo <= n <= hi of the
+    family ("open" or "shifted" triples, or m = 4 or 1 forms), sorted
+    stably by n, so that within one n they come in the order of
+    ``counting.iter_solution_triples`` and ``quadforms.enumerate_reduced``.
+    Pairs and a window's terms are walked in ``ragged_blocks``; one n
+    (lo == hi) keeps the pairs whose progression hits it.  ``m*hi >=
+    PROGRESSION_LIMIT`` raises ``OverflowError``."""
+    _check_family(family, hi)
+    parts = []
+    for p, q, first, step in _pair_blocks(family, hi):
+        if lo == hi:
+            d = np.subtract(hi, first, out=first)
+            hit = d % step == 0
+            if family in (4, 1):  # form rows may start above hi
+                hit &= d >= 0
+            i = hit.nonzero()[0]
+            k = d[i]
+            k //= step[i]
+            parts.append((np.full(len(i), hi, dtype=np.int64), p[i], q[i], k))
+            continue
+        k0 = np.maximum(-((first - lo) // step), 0)
+        count = np.maximum((hi - first) // step + 1 - k0, 0)
+        for i, j in ragged_blocks(0, len(count) - 1, count.__getitem__):
+            j += k0[i]
+            parts.append((first[i] + step[i] * j, p[i], q[i], j))
+    if not parts:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    cols = (parts[0] if len(parts) == 1
+            else [np.concatenate(col) for col in zip(*parts)])
+    if lo < hi:
+        order = np.argsort(cols[0], kind="stable")
+        cols = [col[order] for col in cols]
+    return tuple(cols)
+
+
+def progression_counts(family, hi):
+    """The number of the family's terms at each n <= hi, one strided slice
+    per pair."""
+    _check_family(family, hi)
+    out = np.zeros(hi + 1, dtype=np.int64)
+    for _, _, first, step in _pair_blocks(family, hi):
+        for start, stride in zip(first.tolist(), step.tolist()):
+            out[start::stride] += 1
+    return out

@@ -1,10 +1,12 @@
 """The window lane of the bijection checks: every check of
 ``bijections.verify_case`` for all n of a window of consecutive n at once.
 
-The lane enumerates its own solution triples and reduced forms, as
-arithmetic progressions in n, and reads neither the kernel tables nor the
-per-n enumerations, so it stays a route apart from both;
-``verify.suite_bijections`` pins it to ``verify_case`` on a prefix of n.
+Its triples and forms come from ``_kernels.progression_terms``, as do the
+per-n ones, and it reads no kernel table.  ``verify.suite_bijections`` runs
+``verify_case`` beside it on a prefix of n, which compares the check logic
+of the two routes; the enumeration is pinned by the tests to its loop
+oracles, and in every run by ``count_identity`` (triples against
+``hurwitz_table``) and the preimage checks (triples against forms).
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import math
 import numpy as np
 
 from . import _kernels
-from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, CaseMismatch,
-                         NotASolution, UnclassifiableForm, _half_inverse,
-                         _open_inverse, _shifted_inverse)
-from .counting import sigma
+from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, NotASolution,
+                         UnclassifiableForm, _half_inverse, _open_inverse,
+                         _shifted_inverse)
+from .counting import OPEN, SHIFTED, sigma
 
 # every intermediate of the lane is at most 80*maxn**2 (see verify_windows)
 WINDOW_N_LIMIT = 2 ** 28
@@ -37,70 +39,7 @@ _EXPECTED = np.array(
                  for case in ("2", "1", "3a")])
 
 
-def _grid(first, last, row_len):
-    """Every ``(i, j)`` cell of ``_kernels.ragged_blocks``, as two arrays."""
-    blocks = list(_kernels.ragged_blocks(first, last, row_len))
-    if not blocks:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return tuple(np.concatenate(col) for col in zip(*blocks))
-
-
-# A family of progressions is ``(p, q, terms)``: one pair (p[i], q[i]) per
-# progression, and ``terms(p, q)`` its ``(first, step)``, n = first +
-# step*k for k = 0, 1, ...
-
-
-def _open_terms(s, t):
-    # n = 2r(s + t) + 4st, r = k + 1
-    return 4 * s * t + 2 * (s + t), 2 * (s + t)
-
-
-def _shifted_terms(s, t):
-    # n = 2r(s + t - 1) + (2s - 1)(2t - 1), r = k + 1
-    return 4 * s * t - 1, 2 * (s + t - 1)
-
-
-def _triple_families(maxn):
-    """The open (even n) and shifted (odd n) families of pairs (s, t)
-    whose triples reach n <= maxn, s-major with t ascending, so that
-    within one n the triples come in ``iter_solution_triples`` order."""
-    open_s, open_t = _grid(1, (maxn - 2) // 6,
-                           lambda s: (maxn - 2 * s) // (4 * s + 2))
-    shifted_s, shifted_t = _grid(1, (maxn + 1) // 4,
-                                 lambda s: (maxn + 1) // (4 * s))
-    return ((open_s, open_t + 1, _open_terms),
-            (shifted_s, shifted_t + 1, _shifted_terms))
-
-
-def _form_family(maxn, m):
-    """The family of pairs (a, b) that start a reduced form (a, b, c) of
-    discriminant -m*n, n <= maxn: c = c0 + k, with c0 = a, or a + 1 for
-    b < 0.  m = 4 (b even) or m = 1 (b odd, n = 3 mod 4).  a-major with b
-    ascending, so that within one n the forms come in
-    ``enumerate_reduced`` order."""
-    # b = m mod 2 runs over (-a, a]: a values
-    a, j = _grid(1, math.isqrt(m * maxn // 3), lambda a: a)
-    b = 2 * j - a + 1 + (a + 1 + m) % 2
-
-    def terms(a, b):
-        return (4 * a * (a + (b < 0)) - b * b) // m, 4 * a // m
-
-    return a, b, terms
-
-
-def _cells(family, lo, hi):
-    """``(i, k)`` of every term first + step*k of the family in [lo, hi],
-    and its n."""
-    p, q, terms = family
-    first, step = terms(p, q)
-    k0 = np.maximum((lo - first + step - 1) // step, 0)
-    k1 = np.maximum((hi - first) // step + 1, k0)
-    i, j = _grid(0, len(first) - 1, lambda i: k1[i] - k0[i])
-    k = k0[i] + j
-    return i, k, first[i] + step[i] * k
-
-
-def _windows(maxn, families):
+def _windows(maxn):
     """``(lo, hi)`` of consecutive windows over 1..maxn, each holding at
     most ``_kernels.BLOCK // 4`` progression terms, or a single n.
 
@@ -108,11 +47,8 @@ def _windows(maxn, families):
     then peak at 0.8 MB (tracemalloc); a full block raised the run's peak
     RSS by 1.8 MB over a quarter block, and smaller windows neither
     lowered it nor kept the lane as fast."""
-    terms = np.zeros(maxn + 1, dtype=np.int64)
-    for p, q, family_terms in families:
-        for first, step in zip(*family_terms(p, q)):
-            terms[first::step] += 1
-    upto = np.cumsum(terms)
+    upto = np.cumsum(sum(_kernels.progression_counts(family, maxn)
+                         for family in (OPEN, SHIFTED, 4, 1)))
     lo = 1
     while lo <= maxn:
         budget = int(upto[lo - 1]) + _kernels.BLOCK // 4
@@ -121,28 +57,25 @@ def _windows(maxn, families):
         lo = hi + 1
 
 
-def _window_triples(lo, hi, families):
+def _window_triples(lo, hi):
     """``(n, r, s, t)`` of the solution triples for lo <= n <= hi, n not
     0 mod 4: by n, then in ``iter_solution_triples`` order."""
-    parts = []
-    for family in families:
-        i, k, n = _cells(family, lo, hi)
-        keep = n % 4 != 0
-        i = i[keep]
-        parts.append((n[keep], k[keep] + 1, family[0][i], family[1][i]))
-    n, r, s, t = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(n, kind="stable")
-    return n[order], r[order], s[order], t[order]
+    n, s, t, k = (np.concatenate(col) for col in zip(
+        *(_kernels.progression_terms(shape, lo, hi)
+          for shape in (OPEN, SHIFTED))))
+    # open n are even and shifted n odd, so a stable merge keeps the order
+    keep = np.flatnonzero(n % 4 != 0)
+    keep = keep[np.argsort(n[keep], kind="stable")]
+    return n[keep], k[keep] + 1, s[keep], t[keep]
 
 
-def _window_forms(lo, hi, family):
-    """``(n, a, b, c)`` of the family's reduced forms for lo <= n <= hi, n
-    not 0 mod 4: by n, then in ``enumerate_reduced`` order."""
-    i, k, n = _cells(family, lo, hi)
+def _window_forms(lo, hi, m):
+    """``(n, a, b, c)`` of the reduced forms of discriminant -m*n for
+    lo <= n <= hi, n not 0 mod 4: by n, then in ``enumerate_reduced``
+    order."""
+    n, a, b, k = _kernels.progression_terms(m, lo, hi)
     keep = n % 4 != 0
-    order = np.argsort(n[keep], kind="stable")
-    i, k, n = i[keep][order], k[keep][order], n[keep][order]
-    a, b = family[0][i], family[1][i]
+    n, a, b, k = n[keep], a[keep], b[keep], k[keep]
     return n, a, b, a + (b < 0) + k
 
 
@@ -233,7 +166,7 @@ def _incomplete_images(n, a, b, c, cat4):
     return n[~complete[image]]
 
 
-def _window_failures(lo, hi, families, h12):
+def _window_failures(lo, hi, h12):
     """Which checks of ``verify_case`` fail at each n of [lo, hi]: a bool
     array per check name, indexed by n - lo (never true at a check's
     n outside its residue class).  Arrays are dropped once read for the
@@ -262,7 +195,7 @@ def _window_failures(lo, hi, families, h12):
         return (n * (amax + 1) + a) * (2 * amax + 1) + b + amax
 
     failed = {}
-    n, r, s, t = _window_triples(lo, hi, families[:2])
+    n, r, s, t = _window_triples(lo, hi)
     chi = n % 2
     u, v = 2 * s - chi, 2 * t - chi
     if ((np.minimum(np.minimum(r, s), t) < 1)
@@ -297,19 +230,20 @@ def _window_failures(lo, hi, families, h12):
 
     a, b, c = _images(cat, r, u, v)
     del chi, u, v, u4, v4
-    if (~half & (b * b - 4 * a * c != -4 * n)).any():
-        # classify_form raises on a wrong discriminant
-        raise CaseMismatch("an image has the wrong discriminant")
-    failed["image_discriminant"] = np.zeros(width, dtype=bool)
+    # as in verify_case, an image off -4n fails its check and is neither
+    # classified nor matched to a form
+    wrong = ~half & (b * b - 4 * a * c != -4 * n)
+    failed["image_discriminant"] = seen(n[wrong])
     a, b, c = (np.where(half, x // 2, x) for x in (a, b, c))
     reduced = _reduced(a, b, c)
     failed["image_reduced"] = seen(n[~half & ~reduced])
+    classified = ~half & ~wrong
     form_cat = _form_categories(res, a, b, c)
-    if (~half & (form_cat == 0)).any():
+    if (classified & (form_cat == 0)).any():
         raise UnclassifiableForm("an image fits no category of its case")
-    failed["category_match"] = seen(n[~half & (form_cat
-                                               != _EXPECTED[res, cat])])
-    del form_cat
+    failed["category_match"] = seen(n[classified & (form_cat
+                                                    != _EXPECTED[res, cat])])
+    del form_cat, classified
     back = np.ones(len(n), dtype=bool)
     for inverse, part in ((_open_inverse, res == 2),
                           (_shifted_inverse, (res != 2) & ~half),
@@ -333,7 +267,7 @@ def _window_failures(lo, hi, families, h12):
     del a, b, c, cat4, g, seven
 
     # categories 1-6 of the discriminant -4n list
-    qn, qa, qb, qc = _window_forms(lo, hi, families[2])
+    qn, qa, qb, qc = _window_forms(lo, hi, 4)
     qcat = _form_categories(qn % 4, qa, qb, qc)
     if (qcat == 0).any():
         raise UnclassifiableForm("a form fits no category of its case")
@@ -341,7 +275,7 @@ def _window_failures(lo, hi, families, h12):
     dbl = (qn % 4 == 3) & (qcat == 7)
     dn, dkey = qn[dbl], key(qn[dbl], qa[dbl] // 2, qb[dbl] // 2)
     del qa, qb, qc, dbl
-    pos, found = _find(qkey, np.where(half, -1, image_key))
+    pos, found = _find(qkey, np.where(half | wrong, -1, image_key))
     outside = ~half & ~found
     outside[found] = qcat[pos[found]] > 6
     hits = np.bincount(pos[found], minlength=len(qkey))
@@ -354,7 +288,7 @@ def _window_failures(lo, hi, families, h12):
     del qn, qcat, qkey, pos, found, outside, hits
 
     # n = 3 mod 4: the doubled forms and the odd-r maps onto -n
-    pn, pa, pb, pc = _window_forms(lo, hi, families[3])
+    pn, pa, pb, pc = _window_forms(lo, hi, 1)
     pkey = key(pn, pa, pb)
     failed["doubled_forms_count"] = (res4 == 3) & _lists_differ(
         dn, dkey, pn, pkey, lo, width)
@@ -373,14 +307,13 @@ def verify_windows(maxn: int, h12):
     check fails there.  ``h12`` is ``12*H(N)`` for N <= 4*maxn, as from
     ``quadforms.hurwitz_table``.
 
-    Triples and reduced forms are enumerated as arithmetic progressions in
-    n, one per (s, t), resp. (a, b), pair; they are classified, mapped,
-    inverted and counted with array masks, and images are matched to
-    forms by packed int64 ``(n, a, b)`` keys through ``searchsorted``.
-    The pair tables grow as maxn log maxn; a window's arrays are bounded
-    by ``_kernels.BLOCK``.  Where the per-n route raises
-    (``NotASolution``, ``UnclassifiableForm``, ``CaseMismatch``), so does
-    the lane.
+    Each window's triples and reduced forms come from
+    ``_kernels.progression_terms``; they are classified, mapped, inverted
+    and counted with array masks, and images are matched to forms by
+    packed int64 ``(n, a, b)`` keys through ``searchsorted``.  A window's
+    arrays, and the pair blocks walked for it, are bounded by
+    ``_kernels.BLOCK``.  Where the per-n route raises (``NotASolution``,
+    ``UnclassifiableForm``), so does the lane.
 
     Overflow bound: r, s, t <= maxn, so u, v <= 2*maxn, image entries are
     at most 4*maxn, and every product, discriminant and key is at most
@@ -388,7 +321,4 @@ def verify_windows(maxn: int, h12):
     """
     if maxn >= WINDOW_N_LIMIT:
         raise OverflowError(f"window lane for n <= {maxn} may exceed int64")
-    families = (*_triple_families(maxn), _form_family(maxn, 4),
-                _form_family(maxn, 1))
-    return ((lo, _window_failures(lo, hi, families, h12))
-            for lo, hi in _windows(maxn, families))
+    return ((lo, _window_failures(lo, hi, h12)) for lo, hi in _windows(maxn))

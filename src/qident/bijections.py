@@ -12,8 +12,9 @@ resulting count identities.
 
 Everything here works one n at a time and is the oracle behind
 ``qident bijection``; ``bijection_windows`` runs the same checks over
-windows of consecutive n for the ``bijections`` suite, which pins it to
-``verify_case`` on a prefix of n.
+windows of consecutive n for the ``bijections`` suite, which compares the
+check logic of the two on a prefix of n; both enumerate through
+``_kernels.progression_terms``.
 """
 
 from __future__ import annotations
@@ -335,11 +336,14 @@ def _verify_disc_4n_part(n, triples, case, checks):
         f = _map_classified(tr, tcat)
         if bad_reduced is None and not is_reduced(f):
             bad_reduced = (tr, f)
-        if bad_disc is None and f.discriminant != -4 * n:
-            bad_disc = (tr, f)
-        fcat = classify_form(f, case, n)
-        if bad_cat is None and fcat != expected_cat[tcat]:
-            bad_cat = (tr, f, tcat, fcat)
+        if f.discriminant != -4 * n:
+            # not classified; it still counts as an image below
+            if bad_disc is None:
+                bad_disc = (tr, f)
+        else:
+            fcat = classify_form(f, case, n)
+            if bad_cat is None and fcat != expected_cat[tcat]:
+                bad_cat = (tr, f, tcat, fcat)
         if (bad_inverse is None
                 and invert_map(case, tcat, f) != (tr.r, tr.s, tr.t)):
             bad_inverse = (tr, f)

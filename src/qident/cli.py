@@ -14,7 +14,7 @@ import sys
 
 from . import bijections, counting
 from .quadforms import hurwitz_H
-from .verify import SUITE_NAMES, run_suites, suite_minimums
+from .verify import SUITE_NAMES, run_suites, suite_maximums, suite_minimums
 
 # each column's value at n, computed only when the column is asked for
 _COLUMN_VALUES = {
@@ -54,6 +54,9 @@ def cmd_verify(args) -> int:
         return _usage_error(f"suite {args.suite} needs --order >= {min_order}")
     if args.max < min_max:
         return _usage_error(f"suite {args.suite} needs --max >= {min_max}")
+    max_max = suite_maximums(args.suite)
+    if max_max is not None and args.max > max_max:
+        return _usage_error(f"suite {args.suite} needs --max <= {max_max}")
     reports = run_suites(args.suite, args.order, args.max)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]

@@ -2,12 +2,12 @@
 
 The per-n counters here are deliberately simple loops: they are the
 trusted oracles everything else is checked against.  One per-n function is
-not a loop: ``solution_triple_arrays`` enumerates the solution triples of
-one n on numpy, in blocks of ``_kernels.BLOCK`` (s, t) pairs, for the
-bijections and the closed forms; ``iter_solution_triples`` stays its loop
-oracle, behind ``triple_sum`` and the tests.  The sweep-scale tables
-delegate to the batch kernels in ``_kernels``; tests pin every kernel
-against the per-n oracles.
+not a loop: ``solution_triple_arrays`` reads the solution triples of one n
+from ``_kernels.progression_terms``, for the bijections and the closed
+forms; ``iter_solution_triples`` stays its loop oracle, behind
+``triple_sum`` and the tests.  The sweep-scale tables delegate to the
+batch kernels in ``_kernels``; tests pin every kernel against the per-n
+oracles.
 """
 
 from __future__ import annotations
@@ -195,50 +195,22 @@ def iter_solution_triples(n: int, shape: str):
         raise ValueError(f"unknown shape {shape!r}")
 
 
-# 4*s*t and (2s-1)*(2t-1) reach n + 1, as do 4*s and 2*(s+t)
-TRIPLE_N_LIMIT = 2 ** 62
+# the shared enumerator's int64 bound, with m = 1
+TRIPLE_N_LIMIT = _kernels.PROGRESSION_LIMIT
 
 
 def solution_triple_arrays(n: int, shape: str):
     """``(r, s, t)`` int64 arrays of the shape's solution triples, in the
     order ``iter_solution_triples`` yields them: by s, then by t.
 
-    The (s, t) pairs are walked s-major, ``s <= (n-2)//6`` and
-    ``t <= (n-2s)//(4s+2)`` for the open shape, ``s <= (n+1)//4`` and
-    ``t <= (n+1)//(4s)`` for the shifted one, in ``_kernels.ragged_blocks``
-    of at most ``_kernels.BLOCK`` pairs; a pair is a triple when its
-    denominator divides its numerator.  Every intermediate is at most
-    ``n + 1``; n >= ``TRIPLE_N_LIMIT`` raises ``OverflowError``.
+    They are the terms at n of ``_kernels.progression_terms``; n >=
+    ``TRIPLE_N_LIMIT`` raises ``OverflowError``.
     """
     if shape not in (OPEN, SHIFTED):
         raise ValueError(f"unknown shape {shape!r}")
-    if n >= TRIPLE_N_LIMIT:
-        raise OverflowError(f"solution triples for n = {n} may exceed int64")
-    if shape == OPEN:
-        smax = (n - 2) // 6
-
-        def row_len(s):
-            return (n - 2 * s) // (4 * s + 2)
-    else:
-        smax = (n + 1) // 4
-
-        def row_len(s):
-            return (n + 1) // (4 * s)
-
-    parts = []
-    for s, j in _kernels.ragged_blocks(1, smax, row_len):
-        t = j + 1
-        if shape == OPEN:
-            num = n - 4 * s * t
-            den = 2 * (s + t)
-        else:
-            num = n - (2 * s - 1) * (2 * t - 1)
-            den = 2 * (s + t - 1)
-        hit = num % den == 0
-        parts.append((num[hit] // den[hit], s[hit], t[hit]))
-    if not parts:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    return tuple(np.concatenate(col) for col in zip(*parts))
+    _, s, t, k = _kernels.progression_terms(shape, n, n)
+    k += 1
+    return k, s, t
 
 
 def _signed_triple_sum(n: int, shape: str) -> int:

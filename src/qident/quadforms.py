@@ -1,8 +1,10 @@
 """Binary quadratic forms: reduction, enumeration, class numbers, Hurwitz H.
 
-All class-number values are exact rationals.  Weighted forms are detected
-literally among reduced representatives: a reduced multiple of x²+y² is
-exactly (a,0,a) and of x²+xy+y² exactly (a,a,a).
+``enumerate_reduced`` reads ``_kernels.progression_terms``, with
+``enumerate_reduced_bruteforce`` as its loop oracle.  All class-number
+values are exact rationals.  Weighted forms are detected literally among
+reduced representatives: a reduced multiple of x²+y² is exactly (a,0,a)
+and of x²+xy+y² exactly (a,a,a).
 """
 
 from __future__ import annotations
@@ -69,41 +71,23 @@ def _check_discriminant(D: int) -> None:
         raise BadDiscriminantResidue(f"{D} is not a negative discriminant")
 
 
-# b*b - D reaches 4|D|/3
-REDUCED_D_LIMIT = 2 ** 62
+# the shared enumerator's int64 bound: -D = m*n
+REDUCED_D_LIMIT = _kernels.PROGRESSION_LIMIT
 
 
 def enumerate_reduced(D: int) -> list[QuadForm]:
     """All reduced positive definite forms of discriminant D, in
     lexicographic (a, b, c) order, each exactly once.
 
-    The grid of (a, b) with ``b = D mod 2`` and ``|b| <= a <= isqrt(-D/3)``
-    is walked in a-row blocks of at most ``_kernels.BLOCK`` cells; a cell
-    is a form when ``4a`` divides ``b*b - D``.  Every intermediate is at
-    most ``4|D|/3``; ``-D >= REDUCED_D_LIMIT`` raises ``OverflowError``.
+    They are the terms at n of ``_kernels.progression_terms`` with
+    ``D = -m*n`` (m = 4 for even D, 1 for odd); ``-D >= REDUCED_D_LIMIT``
+    raises ``OverflowError``.
     """
     _check_discriminant(D)
-    if -D >= REDUCED_D_LIMIT:
-        raise OverflowError(f"reduced forms of discriminant {D} may exceed "
-                            "int64")
-
-    def row_len(a):
-        # b runs over -a + (a + D) % 2, ..., a in steps of 2
-        return a + 1 - (a + D) % 2
-
-    out = []
-    for a, j in _kernels.ragged_blocks(1, math.isqrt(-D // 3), row_len):
-        b = 2 * j - a + (a + D) % 2
-        num = b * b - D
-        hit = num % (4 * a) == 0
-        a, b, num = a[hit], b[hit], num[hit]
-        c = num // (4 * a)
-        # |b| <= a holds; reduced also needs a <= c, and b >= 0 when
-        # |b| == a or a == c
-        keep = (c >= a) & ((b >= 0) | ((-b != a) & (a != c)))
-        out += map(QuadForm, a[keep].tolist(), b[keep].tolist(),
-                   c[keep].tolist())
-    return out
+    m = 4 if D % 4 == 0 else 1
+    _, a, b, k = _kernels.progression_terms(m, -D // m, -D // m)
+    k += a + (b < 0)
+    return list(map(QuadForm, a.tolist(), b.tolist(), k.tolist()))
 
 
 def enumerate_reduced_bruteforce(D: int) -> list[QuadForm]:
@@ -150,6 +134,10 @@ def hurwitz_H(N: int) -> Fraction:
     return total
 
 
+# the size bound of ``hurwitz_table``
+HURWITZ_X_LIMIT = 2 ** 60
+
+
 def hurwitz_table(X: int) -> np.ndarray:
     """``12*H(N)`` for 0 <= N <= X, an exact int64 table.
 
@@ -161,13 +149,15 @@ def hurwitz_table(X: int) -> np.ndarray:
     N = 1, 2 mod 4 is never hit, and 12*H(0) = -1.
 
     Overflow bound: each pair adds at most 12 to an entry, so every entry is
-    below ``12*A*(A + 1)`` with ``A = isqrt(X // 3)``, about ``4X``.
+    below ``12*A*(A + 1)`` with ``A = isqrt(X // 3)``, at most
+    ``4X + 12*isqrt(X)``, which is below 2**63 for X < ``HURWITZ_X_LIMIT``;
+    a larger X raises ``OverflowError``.
     """
     if X < 0:
         raise ValueError("X must be non-negative")
-    amax = math.isqrt(X // 3)
-    if 12 * amax * (amax + 1) >= 2 ** 63:
+    if X >= HURWITZ_X_LIMIT:
         raise OverflowError(f"12*H(N) for N <= {X} may exceed int64")
+    amax = math.isqrt(X // 3)
     out = np.zeros(X + 1, dtype=np.int64)
     out[0] = -1
     for a in range(1, amax + 1):

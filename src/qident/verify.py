@@ -18,7 +18,8 @@ from functools import cached_property
 
 from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
-from .quadforms import hurwitz_table, verify_hurwitz_doubling
+from .quadforms import (HURWITZ_X_LIMIT, hurwitz_table,
+                        verify_hurwitz_doubling)
 from .report import Check, VerificationReport, series_check, sweep_check
 from .series import QSeries
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
@@ -46,6 +47,26 @@ def suite_minimums(name: str) -> tuple[int, int]:
     names = SUITE_NAMES if name == "all" else (name,)
     floors = [_MINIMUMS.get(n, (1, 0)) for n in names]
     return max(o for o, _ in floors), max(m for _, m in floors)
+
+
+def suite_maximums(name: str) -> int | None:
+    """The largest ``max`` that suite ``name``, or "all", accepts, None for
+    no bound: the least int64 bound of the tables and lanes it builds at
+    ``max`` (memory is not bounded here)."""
+    kernels = _kernels.MAXN_LIMIT  # sigma_table's own bound is wider at k = 0
+    h12 = (HURWITZ_X_LIMIT - 1) // 4  # hurwitz_table(4*max)
+    forms = (_kernels.PROGRESSION_LIMIT - 1) // 4  # reduced forms of -4n
+    bounds = {
+        "corollary": (kernels, counting.TRIPLE_N_LIMIT - 1),
+        "theorem17": (kernels, h12),
+        "propositions": (kernels, counting.PARITY_N_LIMIT - 1),
+        "theorem61": (kernels, h12),
+        "bijections": (h12, forms, bijection_windows.WINDOW_N_LIMIT - 1),
+        "background": (kernels, h12, forms),
+    }
+    names = SUITE_NAMES if name == "all" else (name,)
+    found = [b for n in names for b in bounds.get(n, ())]
+    return min(found) if found else None
 
 
 class Tables:
@@ -291,12 +312,12 @@ def suite_bijections(order: int, maxn: int,
     """Every per-n construction check, aggregated with first-failure n.
 
     The window lane (``bijection_windows.verify_windows``) checks every
-    n <= maxn;
-    ``verify_case`` also checks every n <= ``PER_N_PREFIX``, which pins the
-    lane to the per-n route in every run and fixes the check names and
-    their order.  A check fails at the first n where either route fails
-    it, with the expected and actual values of ``verify_case`` at that n,
-    or, where only the lane fails, a failure naming the disagreement."""
+    n <= maxn; ``verify_case`` also checks every n <= ``PER_N_PREFIX``,
+    which pins the lane's check logic to the per-n route in every run (the
+    two share one enumeration) and fixes the check names and their order.
+    A check fails at the first n where either route fails it, with the
+    expected and actual values of ``verify_case`` at that n, or, where
+    only the lane fails, a failure naming the disagreement."""
     if maxn < 7:
         raise ValueError("maxn must be >= 7")
     tables = tables or Tables(maxn)

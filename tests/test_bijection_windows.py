@@ -11,6 +11,7 @@ import qident.bijections as B
 import qident.verify as V
 from qident import _kernels
 from qident import counting as C
+from qident.cli import main
 from qident.quadforms import enumerate_reduced, hurwitz_H, hurwitz_table
 from qident.verify import run_suites
 
@@ -26,11 +27,8 @@ def lane_failures(maxn):
 
 
 def lane_arrays(maxn):
-    families = (*W._triple_families(maxn), W._form_family(maxn, 4),
-                W._form_family(maxn, 1))
-    return (W._window_triples(1, maxn, families[:2]),
-            W._window_forms(1, maxn, families[2]),
-            W._window_forms(1, maxn, families[3]))
+    return (W._window_triples(1, maxn), W._window_forms(1, maxn, 4),
+            W._window_forms(1, maxn, 1))
 
 
 def test_lane_enumerates_the_per_n_triples_and_forms():
@@ -83,13 +81,10 @@ def test_lane_outcome_equals_verify_case_to_1500():
 def test_lane_across_many_windows(monkeypatch):
     whole = lane_arrays(1500)
     monkeypatch.setattr(_kernels, "BLOCK", 4096)
-    families = (*W._triple_families(1500), W._form_family(1500, 4),
-                W._form_family(1500, 1))
-    windows = list(W._windows(1500, families))
+    windows = list(W._windows(1500))
     assert len(windows) > 20
-    parts = [(W._window_triples(lo, hi, families[:2]),
-              W._window_forms(lo, hi, families[2]),
-              W._window_forms(lo, hi, families[3])) for lo, hi in windows]
+    parts = [(W._window_triples(lo, hi), W._window_forms(lo, hi, 4),
+              W._window_forms(lo, hi, 1)) for lo, hi in windows]
     for k, arrays in enumerate(whole):
         for col, want in enumerate(arrays):
             got = np.concatenate([p[k][col] for p in parts])
@@ -180,7 +175,6 @@ def test_lane_only_failure_fails_the_suite(monkeypatch):
 
 @pytest.mark.parametrize("target, error", [
     ("triples", B.NotASolution),
-    ("images", B.CaseMismatch),
     ("forms", B.UnclassifiableForm),
 ])
 def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
@@ -191,10 +185,6 @@ def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
             n, r, s, t = real(*args)
             return n, r + 1, s, t
         monkeypatch.setattr(W, "_window_triples", broken)
-    elif target == "images":
-        real = W._images
-        monkeypatch.setattr(W, "_images", lambda *args: tuple(
-            x + 2 for x in real(*args)))
     else:
         real = W._window_forms
 
@@ -204,6 +194,43 @@ def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
         monkeypatch.setattr(W, "_window_forms", broken)
     with pytest.raises(error):
         lane_failures(60)
+
+
+@pytest.mark.parametrize("n", [21, 301])
+def test_image_off_its_discriminant_fails_a_check(monkeypatch, capsys, n):
+    # the image of n's first triple gets c + 1: still positive definite,
+    # but off -4n; inside and past the prefix, both routes fail the same
+    # checks at n, image_discriminant among them, and the CLI exits 1
+    shape = C.OPEN if n % 4 == 2 else C.SHIFTED
+    r, s, t = (int(x[0]) for x in C.solution_triple_arrays(n, shape))
+    ruv = (r, 2 * s - n % 2, 2 * t - n % 2)  # one triple, so one n
+    real_images, real_map = W._images, B._map_classified
+
+    def images(cat, r_, u, v):
+        a, b, c = real_images(cat, r_, u, v)
+        return a, b, c + ((r_ == ruv[0]) & (u == ruv[1]) & (v == ruv[2]))
+
+    def mapped(tr, cat):
+        f = real_map(tr, cat)
+        if (tr.n, tr.r, tr.s, tr.t) == (n, r, s, t):
+            return B.QuadForm(f.a, f.b, f.c + 1)
+        return f
+
+    with monkeypatch.context() as mp:
+        mp.setattr(W, "_images", images)
+        lane = lane_failures(n + 3)
+    with monkeypatch.context() as mp:
+        mp.setattr(B, "_map_classified", mapped)
+        per_n = {c.name for c in B.verify_case(n).failures}
+    assert "image_discriminant" in per_n
+    assert lane == {n: per_n}
+
+    monkeypatch.setattr(W, "_images", images)
+    monkeypatch.setattr(B, "_map_classified", mapped)
+    assert main(["verify", "--suite", "bijections", "--max",
+                 str(n + 3)]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] image_discriminant at {n}:" in out
 
 
 def test_lane_overflow_guard():

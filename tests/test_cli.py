@@ -65,6 +65,24 @@ def test_out_of_range_sizes_are_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "theorem61", "--max", "300000000000000000"),
+    ("verify", "--suite", "bijections", "--max", "268435456"),
+])
+def test_sizes_past_the_int64_guards_are_usage_errors(capsys, monkeypatch,
+                                                      argv):
+    from qident import verify
+
+    def no_tables(maxn):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(verify, "Tables", no_tables)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--max <=" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from qident import _kernels
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident import _kernels
 from qident import counting as C
+from qident.quadforms import QuadForm, enumerate_reduced_bruteforce, is_reduced
 from qident.series import series_eq
 from qident.theta import product_side_series
 
@@ -121,6 +122,53 @@ def test_ragged_blocks_split_rows_and_row_chunks(monkeypatch):
             got += zip(i.tolist(), j.tolist())
         assert got == cells, block
         assert all(0 < k <= block for k in sizes), block
+
+
+def _plain_forms(m, n):
+    """(a, b, c) of the reduced forms of discriminant -m*n with b = m
+    mod 2, by a plain loop over a and b."""
+    out = []
+    a = 1
+    while 3 * a * a <= m * n:
+        for b in range(-a, a + 1):
+            if (b - m) % 2 == 0 and (b * b + m * n) % (4 * a) == 0:
+                f = QuadForm(a, b, (b * b + m * n) // (4 * a))
+                if is_reduced(f):
+                    out.append((f.a, f.b, f.c))
+        a += 1
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=6, deadline=None)
+@given(lo=st.integers(min_value=0, max_value=2000),
+       width=st.integers(min_value=0, max_value=24))
+@example(lo=0, width=0)
+@example(lo=1, width=24)
+@example(lo=1999, width=0)
+def test_progression_terms_vs_loops(block, lo, width):
+    # small blocks split rows, and blocks of form rows that start above hi
+    hi = min(lo + width, 2000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK", block)
+        got = {family: _kernels.progression_terms(family, lo, hi)
+               for family in (C.OPEN, C.SHIFTED, 4, 1)}
+    for family, (n, p, q, k) in got.items():
+        assert [x.dtype for x in (n, p, q, k)] == [np.int64] * 4
+        assert ((lo <= n) & (n <= hi)).all() and (np.diff(n) >= 0).all()
+        for m in range(lo, hi + 1):
+            sel = n == m
+            rows = zip(p[sel].tolist(), q[sel].tolist(), k[sel].tolist())
+            if family in (C.OPEN, C.SHIFTED):
+                assert ([(k + 1, s, t) for s, t, k in rows]
+                        == list(C.iter_solution_triples(m, family))), m
+                continue
+            forms = [(a, b, a + (b < 0) + k) for a, b, k in rows]
+            assert forms == _plain_forms(family, m), (family, m)
+            D = -family * m
+            if 0 < -D <= 400 and D % 4 in (0, 1) and (family == 4 or m % 4):
+                assert forms == [(f.a, f.b, f.c)
+                                 for f in enumerate_reduced_bruteforce(D)]
 
 
 def test_solution_triple_arrays_guards():
@@ -450,6 +498,27 @@ class TestKernelLanes:
         # refused before any allocation
         with pytest.raises(OverflowError):
             _kernels.sigma_table(3_037_000_500, 1)
+
+    def test_kernels_refuse_maxn_past_the_limit(self):
+        top = _kernels.MAXN_LIMIT
+        # the module docstring's entry bounds hold at the limit
+        assert 2 * (2 * math.isqrt(2 * top) + 1) ** 3 < 2 ** 63
+        assert 9 * (top + 1) ** 2 < 2 ** 63 and top ** 2 < 2 ** 63
+        # and one past it every kernel but sigma_table refuses, before any
+        # allocation
+        for name, args in [
+                ("signed_rep_tables", (top + 1,)),
+                *(("square_rep_tables", (s, top + 1)) for s in (1, 2, 3, 4)),
+                ("triangular3_table", (top + 1,)),
+                ("triple_tables", (top + 1, False)),
+                ("triple_tables", (top + 1, True)),
+                ("pair_tables", (top + 1,)),
+                ("hlm_tables", (top + 1,)),
+                ("triangular_sum_side", (top + 2,)),
+                ("d_mod4_tables", (top + 1,)),
+                ("sigma_no_mult4_table", (top + 1,))]:
+            with pytest.raises(OverflowError):
+                getattr(_kernels, name)(*args)
 
     def test_square_tables_reject_s_outside_1_to_4(self):
         for s in (0, 5):

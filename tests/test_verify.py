@@ -6,7 +6,7 @@ import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
-from qident.verify import SUITE_NAMES, run_suites
+from qident.verify import SUITE_NAMES, run_suites, suite_maximums
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -187,3 +187,17 @@ def test_check_constructors():
     assert ok.passed and ok.locus is None
     bad = Check.fail("x", 5, 1, 2)
     assert not bad.passed and bad.expected == "1" and bad.actual == "2"
+
+
+def test_suite_maximums_come_from_the_int64_guards():
+    from qident import _kernels
+    from qident.bijection_windows import WINDOW_N_LIMIT
+
+    assert suite_maximums("dkm") is None
+    # the window lane binds bijections, and so "all"; the kernel tables
+    # bind every other suite
+    assert suite_maximums("bijections") == WINDOW_N_LIMIT - 1
+    assert suite_maximums("all") == WINDOW_N_LIMIT - 1
+    for name in ("corollary", "theorem17", "propositions", "theorem61",
+                 "background"):
+        assert suite_maximums(name) == _kernels.MAXN_LIMIT, name
