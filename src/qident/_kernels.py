@@ -8,9 +8,11 @@ Every table is exact int64 numpy with ``maxn + 1`` entries, one per n.
   built by ``_times_sparse``.  That is the lattice sum factored by
   variable, not an identity, so these tables stay an independent route
   from the series they are checked against.
-* Progression counts (triple sums, signed pair sums) add each arithmetic
-  progression as one strided slice; the indices within one slice are
-  distinct, so a slice add is exact.
+* Signed sums (pair, three-squares and triangular sums) add each
+  arithmetic progression as one strided slice; the indices within one
+  slice are distinct, so a slice add is exact.
+* Triple sums and progression counts add the terms of ``_term_blocks``
+  with ``np.add.at``, which is exact on int64 under repeated indices.
 * Divisor tables are strided sieves.
 
 Overflow bound: a lattice entry counts points of at most four variables,
@@ -18,19 +20,22 @@ each a square or a triangular number up to maxn, so each variable takes at
 most ``2*isqrt(2*maxn) + 1`` values and the last at most two once the
 others are fixed: the entry, and every partial product of
 ``_times_sparse``, is at most ``2*(2*isqrt(2*maxn) + 1)**3``.  A
-progression entry is a constant of at most 4 plus at most five unit terms
+signed-sum entry is a constant of at most 4 plus at most five unit terms
 per pair ``(r, s)`` with ``1 <= r, s <= maxn`` (n fixes the third
-variable), so it is at most ``9*(maxn + 1)**2``.  A divisor count is at
+variable), so it is at most ``9*(maxn + 1)**2``.  A triple-table entry
+counts at most one term per pair ``(s, t)`` with ``1 <= s, t <= maxn``
+(n fixes r), so it is at most ``maxn**2``.  A divisor count is at
 most maxn and a divisor sum at most ``maxn**2``.  All are below 2**63 for
 ``maxn <= MAXN_LIMIT``; every kernel but ``sigma_table`` raises
 ``OverflowError`` above it, before it allocates.  ``sigma_table(maxn, k)``
 is at most ``maxn**(k + 1)``; it raises ``OverflowError`` when that
 reaches 2**63.  Memory is linear in ``maxn``.
 
-``progression_terms`` is the one walk over the pairs whose arithmetic
-progressions in n hold the solution triples and the reduced forms
-(``counting.solution_triple_arrays``, ``quadforms.enumerate_reduced`` and
-the bijection window lane); ``ragged_blocks`` is the block iterator it and
+``_pair_blocks`` is the one walk over the pairs whose progressions in n
+hold the solution triples and the reduced forms, and ``_term_blocks`` the
+one expansion of their terms over a range of n; ``progression_terms``,
+``progression_counts`` and ``triple_tables`` read only these.
+``ragged_blocks`` is the block iterator they and
 ``counting.parity_bijection_images`` walk: a ragged grid row-major in
 blocks of at most ``BLOCK`` cells, so a call's memory does not grow with
 its pair grid.
@@ -128,45 +133,6 @@ def triangular3_table(maxn):
         k += 1
     return _times_sparse(_times_sparse(_times_sparse(
         _unit(maxn), tri), tri), tri)
-
-
-# ---------------------------------------------------------------------------
-# triple sums over (2s - chi + r)(2t - chi + r) = n + r^2
-#
-# open shape   (chi = 0):  n = 2r(s+t) + 4st
-# shifted shape (chi = 1): n = 2r(s+t-1) + (2s-1)(2t-1)
-#
-# for fixed (r, s) the n form the progression start + step*t, t >= 1
-# ---------------------------------------------------------------------------
-
-
-def triple_tables(maxn, shifted):
-    """(total, signed, r_even) counts of the shape's triples for n <= maxn."""
-    _check_maxn(maxn)
-    total = np.zeros(maxn + 1, dtype=np.int64)
-    signed = np.zeros(maxn + 1, dtype=np.int64)
-    r_even = np.zeros(maxn + 1, dtype=np.int64)
-    r = 1
-    while (2 * r + 1 if shifted else 4 * r + 4) <= maxn:
-        s = 1
-        while True:
-            if shifted:
-                step = 4 * s - 2 + 2 * r
-                start = 2 * r * s - 2 * r - 2 * s + 1
-            else:
-                step = 2 * r + 4 * s
-                start = 2 * r * s
-            first = start + step  # t = 1
-            if first > maxn:
-                break
-            total[first::step] += 1
-            # (-1)^(r+s+t), and t = 1 is odd
-            _alternating(signed, first, step, -1 if (r + s) % 2 == 0 else 1)
-            if r % 2 == 0:
-                r_even[first::step] += 1
-            s += 1
-        r += 1
-    return total, signed, r_even
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +256,14 @@ def sigma_no_mult4_table(maxn: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ragged_blocks(first, last, row_len):
+def ragged_blocks(first, last, row_len, block=None):
     """Yield ``(i, j)`` int64 arrays over the cells ``0 <= j < row_len(i)``
-    of the rows ``first <= i <= last``, row-major, at most ``BLOCK`` cells
-    at a time.  ``row_len`` maps an int64 array of rows to their lengths.
-    Rows are taken ``BLOCK // 16`` at a time, so their bookkeeping stays
-    small beside a block; a row longer than ``BLOCK`` is split across
-    blocks."""
-    block = BLOCK
+    of the rows ``first <= i <= last``, row-major, at most ``block`` cells
+    (``BLOCK`` unless given) at a time.  ``row_len`` maps an int64 array of
+    rows to their lengths.  Rows are taken ``block // 16`` at a time, so
+    their bookkeeping stays small beside a block; a row longer than
+    ``block`` is split across blocks."""
+    block = BLOCK if block is None else block
     rows_step = max(1, block // 16)
     for lo in range(first, last + 1, rows_step):
         rows = np.arange(lo, min(lo + rows_step, last + 1), dtype=np.int64)
@@ -375,18 +341,38 @@ def _check_family(family, hi):
                             "may exceed int64")
 
 
+def _term_blocks(family, lo, hi):
+    """Yield ``(n, p, q, k)`` int64 blocks of the family's terms with
+    lo <= n <= hi, in pair order, ``BLOCK // 4`` terms at a time.
+
+    That is also the lane's window budget: freed numpy buffers stay in the
+    heap, and on ``verify --suite all --order 300 --max 3000`` full blocks
+    here raised the peak RSS from 34.2 MB to 37.0 MB, quarter blocks to
+    34.4 MB."""
+    block = max(1, BLOCK // 4)
+    for p, q, first, step in _pair_blocks(family, hi):
+        k0 = np.maximum(-((first - lo) // step), 0)
+        count = np.maximum((hi - first) // step + 1 - k0, 0)
+        for i, k in ragged_blocks(0, len(count) - 1, count.__getitem__,
+                                  block):
+            k += k0[i]
+            yield first[i] + step[i] * k, p[i], q[i], k
+
+
 def progression_terms(family, lo, hi):
     """``(n, p, q, k)`` int64 arrays of the terms with lo <= n <= hi of the
     family ("open" or "shifted" triples, or m = 4 or 1 forms), sorted
     stably by n, so that within one n they come in the order of
     ``counting.iter_solution_triples`` and ``quadforms.enumerate_reduced``.
-    Pairs and a window's terms are walked in ``ragged_blocks``; one n
-    (lo == hi) keeps the pairs whose progression hits it.  ``m*hi >=
-    PROGRESSION_LIMIT`` raises ``OverflowError``."""
+    A window's terms come from ``_term_blocks``; one n (lo == hi) keeps the
+    pairs whose progression hits it.  ``m*hi >= PROGRESSION_LIMIT`` raises
+    ``OverflowError``."""
     _check_family(family, hi)
-    parts = []
-    for p, q, first, step in _pair_blocks(family, hi):
-        if lo == hi:
+    if lo != hi:
+        parts = list(_term_blocks(family, lo, hi))
+    else:
+        parts = []
+        for p, q, first, step in _pair_blocks(family, hi):
             d = np.subtract(hi, first, out=first)
             hit = d % step == 0
             if family in (4, 1):  # form rows may start above hi
@@ -395,12 +381,6 @@ def progression_terms(family, lo, hi):
             k = d[i]
             k //= step[i]
             parts.append((np.full(len(i), hi, dtype=np.int64), p[i], q[i], k))
-            continue
-        k0 = np.maximum(-((first - lo) // step), 0)
-        count = np.maximum((hi - first) // step + 1 - k0, 0)
-        for i, j in ragged_blocks(0, len(count) - 1, count.__getitem__):
-            j += k0[i]
-            parts.append((first[i] + step[i] * j, p[i], q[i], j))
     if not parts:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
     cols = (parts[0] if len(parts) == 1
@@ -412,11 +392,26 @@ def progression_terms(family, lo, hi):
 
 
 def progression_counts(family, hi):
-    """The number of the family's terms at each n <= hi, one strided slice
-    per pair."""
+    """The number of the family's terms at each n <= hi."""
     _check_family(family, hi)
     out = np.zeros(hi + 1, dtype=np.int64)
-    for _, _, first, step in _pair_blocks(family, hi):
-        for start, stride in zip(first.tolist(), step.tolist()):
-            out[start::stride] += 1
+    for n, _, _, _ in _term_blocks(family, 0, hi):
+        np.add.at(out, n, 1)
     return out
+
+
+def triple_tables(maxn, shifted):
+    """(total, signed, r_even) counts of the shape's solution triples
+    (r, s, t) = (k + 1, s, t) for n <= maxn: the sums of 1, (-1)^(r+s+t)
+    and [r even] over the terms of ``_term_blocks``."""
+    _check_maxn(maxn)
+    # column 2*[r even] + [r + s + t odd] of each n, flattened
+    table = np.zeros((maxn + 1, 4), dtype=np.int64)
+    flat = table.reshape(-1)
+    for n, s, t, k in _term_blocks("shifted" if shifted else "open", 0, maxn):
+        # r = k + 1 is even for odd k
+        np.add.at(flat, 4 * n + 2 * (k % 2) + (k + 1 + s + t) % 2, 1)
+    total = table.sum(axis=1)
+    signed = table[:, 0] + table[:, 2] - table[:, 1] - table[:, 3]
+    r_even = table[:, 2] + table[:, 3]
+    return total, signed, r_even

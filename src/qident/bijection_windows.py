@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from . import _kernels
-from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, NotASolution,
-                         UnclassifiableForm, _half_inverse, _open_inverse,
-                         _shifted_inverse)
+from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, CaseMismatch,
+                         NotASolution, UnclassifiableForm, _half_inverse,
+                         _open_inverse, _shifted_inverse)
 from .counting import OPEN, SHIFTED, sigma
 
 # every intermediate of the lane is at most 80*maxn**2 (see verify_windows)
@@ -41,12 +41,12 @@ _EXPECTED = np.array(
 
 def _windows(maxn):
     """``(lo, hi)`` of consecutive windows over 1..maxn, each holding at
-    most ``_kernels.BLOCK // 4`` progression terms, or a single n.
+    most ``_kernels.BLOCK // 4`` progression terms (the budget of
+    ``_kernels._term_blocks``, for the reason given there), or a single n.
 
-    On ``verify --suite all --order 300 --max 3000`` a window's arrays
-    then peak at 0.8 MB (tracemalloc); a full block raised the run's peak
-    RSS by 1.8 MB over a quarter block, and smaller windows neither
-    lowered it nor kept the lane as fast."""
+    At ``--max 3000`` a window's arrays then peak at 0.8 MB (tracemalloc);
+    a full block raised the run's peak RSS by 1.8 MB, and smaller windows
+    neither lowered it nor kept the lane as fast."""
     upto = np.cumsum(sum(_kernels.progression_counts(family, maxn)
                          for family in (OPEN, SHIFTED, 4, 1)))
     lo = 1
@@ -268,6 +268,8 @@ def _window_failures(lo, hi, h12):
 
     # categories 1-6 of the discriminant -4n list
     qn, qa, qb, qc = _window_forms(lo, hi, 4)
+    if (qb * qb - 4 * qa * qc != -4 * qn).any():
+        raise CaseMismatch("a form is off its discriminant -4n")
     qcat = _form_categories(qn % 4, qa, qb, qc)
     if (qcat == 0).any():
         raise UnclassifiableForm("a form fits no category of its case")
@@ -313,7 +315,7 @@ def verify_windows(maxn: int, h12):
     packed int64 ``(n, a, b)`` keys through ``searchsorted``.  A window's
     arrays, and the pair blocks walked for it, are bounded by
     ``_kernels.BLOCK``.  Where the per-n route raises (``NotASolution``,
-    ``UnclassifiableForm``), so does the lane.
+    ``CaseMismatch``, ``UnclassifiableForm``), so does the lane.
 
     Overflow bound: r, s, t <= maxn, so u, v <= 2*maxn, image entries are
     at most 4*maxn, and every product, discriminant and key is at most

@@ -141,34 +141,28 @@ HURWITZ_X_LIMIT = 2 ** 60
 def hurwitz_table(X: int) -> np.ndarray:
     """``12*H(N)`` for 0 <= N <= X, an exact int64 table.
 
-    One pass over the pairs (a, b) with |b| <= a and 3a² <= X: the reduced
-    forms (a, b, c) with c >= c0 have discriminants -(4ac - b²), a
-    progression of step 4a, added as one strided slice of weight 12.  c0 is
-    a, or a + 1 for b < 0 (a reduced form with a == c has b >= 0), and b = -a
-    is never reduced.  The (a,0,a) and (a,a,a) starts get weight 6 and 4.
+    Twelve times the number of reduced forms of discriminant -N, from
+    ``_kernels.progression_counts``: the m = 4 forms at n = N/4 for
+    N = 0 mod 4, and the m = 1 forms, whose b is odd, at N = 3 mod 4.  The
+    (a,0,a) and (a,a,a) forms, at N = 4a² and 3a², then weigh 6 and 4.
     N = 1, 2 mod 4 is never hit, and 12*H(0) = -1.
 
-    Overflow bound: each pair adds at most 12 to an entry, so every entry is
-    below ``12*A*(A + 1)`` with ``A = isqrt(X // 3)``, at most
-    ``4X + 12*isqrt(X)``, which is below 2**63 for X < ``HURWITZ_X_LIMIT``;
-    a larger X raises ``OverflowError``.
+    Overflow bound: each pair (a, b) with |b| <= a and 3a² <= X has at most
+    one form at each N, so every entry is below ``12*A*(A + 1)`` with
+    ``A = isqrt(X // 3)``, at most ``4X + 12*isqrt(X)``, which is below
+    2**63 for X < ``HURWITZ_X_LIMIT``; a larger X raises ``OverflowError``.
     """
     if X < 0:
         raise ValueError("X must be non-negative")
     if X >= HURWITZ_X_LIMIT:
         raise OverflowError(f"12*H(N) for N <= {X} may exceed int64")
-    amax = math.isqrt(X // 3)
-    out = np.zeros(X + 1, dtype=np.int64)
+    out = _kernels.progression_counts(1, X)
+    out[::4] += _kernels.progression_counts(4, X // 4)
+    out *= 12
+    a = np.arange(1, math.isqrt(X // 3) + 1, dtype=np.int64)
+    out[4 * a[:math.isqrt(X // 4)] ** 2] -= 6   # (a, 0, a)
+    out[3 * a * a] -= 8                          # (a, a, a)
     out[0] = -1
-    for a in range(1, amax + 1):
-        step = 4 * a
-        for b in range(1 - a, a + 1):
-            start = step * (a if b >= 0 else a + 1) - b * b
-            if start <= X:
-                out[start::step] += 12
-        if 4 * a * a <= X:
-            out[4 * a * a] -= 6   # (a, 0, a)
-        out[3 * a * a] -= 8       # (a, a, a)
     return out
 
 

@@ -175,9 +175,11 @@ def test_lane_only_failure_fails_the_suite(monkeypatch):
 
 @pytest.mark.parametrize("target, error", [
     ("triples", B.NotASolution),
-    ("forms", B.UnclassifiableForm),
+    ("forms", B.CaseMismatch),
 ])
 def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
+    # the same corruption in each route: r + 1 on every triple, or b + 1,
+    # which moves the discriminant, on every reduced form
     if target == "triples":
         real = W._window_triples
 
@@ -185,6 +187,9 @@ def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
             n, r, s, t = real(*args)
             return n, r + 1, s, t
         monkeypatch.setattr(W, "_window_triples", broken)
+        real_n = B.solution_triple_arrays
+        monkeypatch.setattr(B, "solution_triple_arrays", lambda *args: (
+            lambda r, s, t: (r + 1, s, t))(*real_n(*args)))
     else:
         real = W._window_forms
 
@@ -192,8 +197,13 @@ def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
             n, a, b, c = real(*args)
             return n, a, b + 1, c
         monkeypatch.setattr(W, "_window_forms", broken)
+        real_n = B.enumerate_reduced
+        monkeypatch.setattr(B, "enumerate_reduced", lambda D: [
+            B.QuadForm(f.a, f.b + 1, f.c) for f in real_n(D)])
     with pytest.raises(error):
         lane_failures(60)
+    with pytest.raises(error):
+        B.verify_case(21)
 
 
 @pytest.mark.parametrize("n", [21, 301])

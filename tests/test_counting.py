@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident import _kernels
 from qident import counting as C
-from qident.quadforms import QuadForm, enumerate_reduced_bruteforce, is_reduced
+from qident.quadforms import (QuadForm, enumerate_reduced_bruteforce,
+                              hurwitz_table, is_reduced)
 from qident.series import series_eq
 from qident.theta import product_side_series
 
@@ -169,6 +170,70 @@ def test_progression_terms_vs_loops(block, lo, width):
             if 0 < -D <= 400 and D % 4 in (0, 1) and (family == 4 or m % 4):
                 assert forms == [(f.a, f.b, f.c)
                                  for f in enumerate_reduced_bruteforce(D)]
+
+
+@functools.lru_cache(maxsize=None)
+def _term_table_loops(maxn):
+    """Loop values for n <= maxn: per shape the (total, signed, r_even)
+    triple counts, per form family m the form count, and 12*H(N)."""
+    out = {}
+    for shape in (C.OPEN, C.SHIFTED):
+        trs = [[]] + [list(C.iter_solution_triples(n, shape))
+                      for n in range(1, maxn + 1)]
+        out[shape] = (
+            [len(t) for t in trs],
+            [sum(_sign(r + s + u) for r, s, u in t) for t in trs],
+            [sum(1 for r, _, _ in t if r % 2 == 0) for t in trs])
+    forms = {m: [_plain_forms(m, n) for n in range(maxn + 1)] for m in (4, 1)}
+    for m in (4, 1):
+        out[m] = [len(f) for f in forms[m]]
+    out["h12"] = [-1] + [
+        sum(6 if b == 0 and a == c else 4 if a == b == c else 12
+            for a, b, c in (forms[4][N // 4] if N % 4 == 0 else
+                            forms[1][N] if N % 4 == 3 else []))
+        for N in range(1, maxn + 1)]
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_term_block_tables_vs_loops(monkeypatch, block):
+    # small blocks split the pair rows and every term expansion
+    monkeypatch.setattr(_kernels, "BLOCK", block)
+    want = _term_table_loops(300)
+    for maxn in (0, 1, 7, 50, 300):
+        for shape in (C.OPEN, C.SHIFTED):
+            got = _kernels.triple_tables(maxn, shape == C.SHIFTED)
+            assert [t.tolist() for t in got] == [
+                t[:maxn + 1] for t in want[shape]], (shape, maxn)
+        for family in (C.OPEN, C.SHIFTED, 4, 1):
+            counts = (want[family][0] if family in (C.OPEN, C.SHIFTED)
+                      else want[family])
+            assert (_kernels.progression_counts(family, maxn).tolist()
+                    == counts[:maxn + 1]), (family, maxn)
+        assert hurwitz_table(maxn).tolist() == want["h12"][:maxn + 1], maxn
+
+
+def test_triple_tables_at_scale_are_exact_and_small():
+    # 7.6 M shifted terms: held at once in four int64 columns they would
+    # take about 240 MB
+    import tracemalloc
+
+    maxn = 60_000
+    for shape in (C.OPEN, C.SHIFTED):
+        tracemalloc.start()
+        try:
+            total, signed, r_even = _kernels.triple_tables(
+                maxn, shape == C.SHIFTED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, shape
+        assert [t.dtype for t in (total, signed, r_even)] == [np.int64] * 3
+        for n in range(maxn - 3, maxn + 1):
+            r, _, _ = C.solution_triple_arrays(n, shape)
+            assert int(total[n]) == C.triple_sum(n, shape), (shape, n)
+            assert int(signed[n]) == C.triple_sum(n, shape, signed=True)
+            assert int(r_even[n]) == int(np.count_nonzero(r % 2 == 0))
 
 
 def test_solution_triple_arrays_guards():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qident.quadforms import (BadDiscriminantResidue, NotPositiveDefinite,
-                              QuadForm, class_number_h, enumerate_reduced,
+from qident.quadforms import (HURWITZ_X_LIMIT, BadDiscriminantResidue,
+                              NotPositiveDefinite, QuadForm, class_number_h,
+                              enumerate_reduced,
                               enumerate_reduced_bruteforce, hurwitz_H,
                               hurwitz_table, is_reduced,
                               verify_hurwitz_doubling)
@@ -113,6 +114,26 @@ def test_hurwitz_table_matches_oracle():
         hurwitz_H(N) for N in range(39000, 40001)]
 
 
+def test_hurwitz_table_matches_a_plain_form_loop():
+    # hurwitz_H shares the table's (a, b) walk; this loop over (a, b, c)
+    # does not
+    X = 4000
+    want = [0] * (X + 1)
+    want[0] = -1
+    a = 1
+    while 3 * a * a <= X:
+        for b in range(-a, a + 1):
+            c = a
+            while 4 * a * c - b * b <= X:
+                f = QuadForm(a, b, c)
+                if is_reduced(f):
+                    want[-f.discriminant] += (6 if b == 0 and c == a else
+                                              4 if b == a == c else 12)
+                c += 1
+        a += 1
+    assert hurwitz_table(X).tolist() == want
+
+
 def test_hurwitz_table_every_small_size():
     # the weighted starts (a,0,a) and (a,a,a) sit at the top of some tables
     for X in range(40):
@@ -123,9 +144,13 @@ def test_hurwitz_table_every_small_size():
 def test_hurwitz_table_guards():
     with pytest.raises(ValueError):
         hurwitz_table(-1)
-    # refused before any allocation: 12*A*(A+1) >= 2**63 for A = isqrt(X//3)
-    with pytest.raises(OverflowError):
-        hurwitz_table(2 ** 62)
+    # below the limit every entry is at most 4X + 12*isqrt(X) < 2**63; from
+    # it on the table is refused before any allocation
+    top = HURWITZ_X_LIMIT - 1
+    assert 4 * top + 12 * math.isqrt(top) < 2 ** 63
+    for X in (HURWITZ_X_LIMIT, 2 ** 62):
+        with pytest.raises(OverflowError):
+            hurwitz_table(X)
 
 
 def test_enumerate_across_blocks_matches_the_table():
