@@ -1,7 +1,10 @@
 """Arithmetic-function and lattice-point counters.
 
 The per-n counters here are deliberately simple loops: they are the
-trusted oracles everything else is checked against.  One per-n function is
+trusted oracles everything else is checked against.  The lattice counters
+walk only the orthant of non-negative coordinates and weigh each solution
+by its 2**k sign flips, k the number of nonzero coordinates; the tests pin
+them to a brute force over every sign vector.  One per-n function is
 not a loop: ``solution_triple_arrays`` reads the solution triples of one n
 from ``_kernels.progression_terms``, for the bijections and the closed
 forms; ``iter_solution_triples`` stays its loop oracle, behind
@@ -58,6 +61,8 @@ def d_mod4(k: int, n: int) -> int:
     """Number of divisors of n congruent to k mod 4 (k in {1, 3})."""
     if k not in (1, 3):
         raise ValueError("k must be 1 or 3")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     count = 0
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
@@ -79,21 +84,33 @@ def rep_squares(s: int, n: int) -> int:
         raise ValueError("s must be between 1 and 4")
     if n < 0:
         return 0
-    if s == 1:
-        r = math.isqrt(n)
-        return (2 if r else 1) if r * r == n else 0
     m = math.isqrt(n)
-    return sum(rep_squares(s - 1, n - x * x) for x in range(-m, m + 1))
+    if s == 1:
+        return (2 if m else 1) if m * m == n else 0
+    total = 0
+    for x in range(m + 1):
+        rem = n - x * x
+        if s == 2:
+            y = math.isqrt(rem)
+            c = (2 if y else 1) if y * y == rem else 0
+        else:
+            c = rep_squares(s - 1, rem)
+        total += 2 * c if x else c
+    return total
 
 
-def _two_z_square(rem: int) -> int:
-    """Number of z with 2*z**2 == rem."""
-    if rem < 0 or rem % 2:
-        return 0
-    z = math.isqrt(rem // 2)
-    if 2 * z * z != rem:
-        return 0
-    return 2 if z else 1
+def _orthant_solutions(n: int):
+    """Yield the solutions of x^2+2y^2+2z^2 = n with x, y, z >= 0."""
+    for x in range(math.isqrt(n) + 1):
+        rx = n - x * x
+        if rx % 2:
+            continue
+        rx //= 2
+        for y in range(math.isqrt(rx) + 1):
+            rem = rx - y * y
+            z = math.isqrt(rem)
+            if z * z == rem:
+                yield x, y, z
 
 
 def signed_rep_count(n: int) -> int:
@@ -101,22 +118,11 @@ def signed_rep_count(n: int) -> int:
     if n < 0:
         return 0
     total = 0
-    xm = math.isqrt(n)
-    for x in range(-xm, xm + 1):
-        rx = n - x * x
-        ym = math.isqrt(rx // 2)
-        for y in range(-ym, ym + 1):
-            rem = rx - 2 * y * y
-            if rem < 0 or rem % 2:
-                continue
-            z = math.isqrt(rem // 2)
-            if 2 * z * z != rem:
-                continue
-            if z == 0:
-                total += 1 if (x + y) % 2 == 0 else -1
-            else:
-                # z and -z carry the same sign
-                total += (2 if (x + y + z) % 2 == 0 else -2)
+    for x, y, z in _orthant_solutions(n):
+        # flipping signs keeps the parity of x + y + z, so each of the
+        # 2**(nonzero coordinates) sign vectors carries the same sign
+        w = 1 << ((x > 0) + (y > 0) + (z > 0))
+        total += -w if (x + y + z) % 2 else w
     return total
 
 
@@ -124,14 +130,8 @@ def rep_count(n: int) -> int:
     """Number of integer solutions of x^2 + 2y^2 + 2z^2 = n."""
     if n < 0:
         return 0
-    total = 0
-    xm = math.isqrt(n)
-    for x in range(-xm, xm + 1):
-        rx = n - x * x
-        ym = math.isqrt(rx // 2)
-        for y in range(-ym, ym + 1):
-            total += _two_z_square(rx - 2 * y * y)
-    return total
+    return sum(1 << ((x > 0) + (y > 0) + (z > 0))
+               for x, y, z in _orthant_solutions(n))
 
 
 def r3_triangular(n: int) -> int:

@@ -115,7 +115,8 @@ def hurwitz_H(N: int) -> Fraction:
 
     H(N) = 0 for N = 1, 2 mod 4; H(0) = -1/12; otherwise the reduced forms
     of discriminant -N counted with weight 1/2 for (a,0,a) forms and 1/3
-    for (a,a,a) forms.
+    for (a,a,a) forms: the integer weights 6, 4 and 12 are summed and
+    divided by 12 once.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -123,15 +124,15 @@ def hurwitz_H(N: int) -> Fraction:
         return Fraction(-1, 12)
     if N % 4 in (1, 2):
         return Fraction(0)
-    total = Fraction(0)
+    total = 0
     for f in enumerate_reduced(-N):
         if f.b == 0 and f.a == f.c:
-            total += Fraction(1, 2)
+            total += 6
         elif f.a == f.b == f.c:
-            total += Fraction(1, 3)
+            total += 4
         else:
-            total += 1
-    return total
+            total += 12
+    return Fraction(total, 12)
 
 
 # the size bound of ``hurwitz_table``

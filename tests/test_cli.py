@@ -132,6 +132,36 @@ def test_table_computes_only_the_requested_columns(capsys, monkeypatch):
     assert list(csv.reader(io.StringIO(out))) == [[r[n], r[h]] for r in rows]
 
 
+def test_table_columns_match_the_batch_tables(capsys):
+    from fractions import Fraction
+
+    from qident import _kernels
+    from qident.quadforms import hurwitz_table
+
+    maxn = 400
+    code, out, _ = run_cli(capsys, "table", "--max", str(maxn), "--format",
+                           "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["n"]) for r in rows] == list(range(maxn + 1))
+
+    def column(name, parse=int):
+        return [parse(r[name]) for r in rows]
+
+    signed, unsigned = _kernels.signed_rep_tables(maxn)
+    h12 = hurwitz_table(4 * maxn)
+    assert column("a") == signed.tolist()
+    assert column("b") == unsigned.tolist()
+    assert column("r3") == _kernels.square_rep_tables(3, maxn).tolist()
+    assert column("H", Fraction) == [Fraction(int(h12[n]), 12)
+                                     for n in range(maxn + 1)]
+    assert column("H4", Fraction) == [Fraction(int(h12[4 * n]), 12)
+                                      for n in range(maxn + 1)]
+    assert rows[0]["sigma0"] == ""
+    assert ([int(r["sigma0"]) for r in rows[1:]]
+            == _kernels.sigma_table(maxn, 0)[1:].tolist())
+
+
 def test_table_text_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--max", "7")
     assert code == 0

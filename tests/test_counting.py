@@ -1,6 +1,7 @@
 """Counting oracles, kernels, and the sum-side series."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,48 @@ def test_rep_squares_spot():
     assert C.rep_squares(4, 1) == 8
     with pytest.raises(ValueError):
         C.rep_squares(5, 3)
+
+
+def test_d_mod4_needs_positive_n():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            C.d_mod4(1, n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            C.d_mod4(3, n)
+
+
+def _every_vector_counts(coeffs, maxn, signed=False):
+    """Count (or sign-count by (-1)**sum(v)) every integer vector v in
+    [-m, m]**len(coeffs), m = isqrt(maxn), with sum(c*v*v) = n <= maxn."""
+    m = math.isqrt(maxn)
+    counts = [0] * (maxn + 1)
+    for v in itertools.product(range(-m, m + 1), repeat=len(coeffs)):
+        n = sum(c * x * x for c, x in zip(coeffs, v))
+        if n <= maxn:
+            counts[n] += (-1) ** sum(v) if signed else 1
+    return counts
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_rep_squares_match_every_sign_vector(s):
+    assert ([C.rep_squares(s, n) for n in range(101)]
+            == _every_vector_counts((1,) * s, 100))
+
+
+def test_rep_counts_match_every_sign_vector():
+    assert ([C.rep_count(n) for n in range(151)]
+            == _every_vector_counts((1, 2, 2), 150))
+    assert ([C.signed_rep_count(n) for n in range(151)]
+            == _every_vector_counts((1, 2, 2), 150, signed=True))
+
+
+def test_oracle_guards():
+    for n in (-1, -4):
+        assert C.rep_count(n) == 0 and C.signed_rep_count(n) == 0
+        assert all(C.rep_squares(s, n) == 0 for s in range(1, 5))
+    for s in (-1, 0, 5):
+        with pytest.raises(ValueError, match="s must be between 1 and 4"):
+            C.rep_squares(s, 3)
 
 
 def test_triangular_counts():
