@@ -14,7 +14,8 @@ import sys
 
 from . import bijections, counting
 from .quadforms import hurwitz_H
-from .verify import SUITE_NAMES, run_suites, suite_maximums, suite_minimums
+from .verify import (SUITE_NAMES, run_suites, suite_maximums, suite_minimums,
+                     suite_order_maximum)
 
 # each column's value at n, computed only when the column is asked for
 _COLUMN_VALUES = {
@@ -54,6 +55,9 @@ def cmd_verify(args) -> int:
         return _usage_error(f"suite {args.suite} needs --order >= {min_order}")
     if args.max < min_max:
         return _usage_error(f"suite {args.suite} needs --max >= {min_max}")
+    max_order = suite_order_maximum(args.suite)
+    if max_order is not None and args.order > max_order:
+        return _usage_error(f"suite {args.suite} needs --order <= {max_order}")
     max_max = suite_maximums(args.suite)
     if max_max is not None and args.max > max_max:
         return _usage_error(f"suite {args.suite} needs --max <= {max_max}")

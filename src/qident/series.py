@@ -6,8 +6,12 @@ arrays (real and imaginary numerators) over one shared positive
 denominator, so ring operations stay in arbitrary-precision integer
 arithmetic; ``coeff`` materialises exact ``GaussianRational`` values on
 demand.  Convolution dispatches between a sparse loop, a schoolbook
-double loop, and Kronecker-substitution packing into a single big-integer
-multiply.
+double loop, and packing both operands into fixed-width columns for one
+multiply: Kronecker substitution into a big-integer multiply below
+``DECIMAL_MIN_DIGITS`` packed digits, and decimal digit columns multiplied
+by libmpdec (the C library behind ``decimal``, which uses a
+number-theoretic transform for large operands) at or above it.  The
+decimal path works in a private context that traps every lost digit.
 
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
@@ -19,9 +23,12 @@ tests.  Every path is exact: no floats anywhere.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +251,62 @@ def _conv_kronecker(u, v, n):
     return out
 
 
+# Every trap a lost digit can raise is set, so the decimal path is exact or
+# raises; it is the only user of this context and never reads the thread's.
+_DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           Emin=decimal.MIN_EMIN,
+                           traps=[decimal.Inexact, decimal.Rounded,
+                                  decimal.Overflow, decimal.InvalidOperation])
+
+# Packed digits (columns times column width) from which a product goes to
+# ``_conv_decimal`` rather than ``_conv_kronecker``: the crossover of the
+# two paths, measured on random signed operands (see README).
+DECIMAL_MIN_DIGITS = 30_000
+
+
+def _column_width(mu, mv, n):
+    """Decimal digits of ``(2*mu)*(2*mv)*n``, which bounds every column of
+    the product of two offset operands of at most n columns each.  Counted
+    by libmpdec, so a bound past the int-to-str digit limit is no error."""
+    return _DECIMAL.create_decimal(4 * mu * mv * n).adjusted() + 1
+
+
+def _conv_decimal(u, v, n):
+    # The same packing as _conv_kronecker, in decimal digits: libmpdec
+    # multiplies large operands by a number-theoretic transform.  Both
+    # operands are padded to n columns and every coefficient is offset by
+    # its operand's largest magnitude, so every column is non-negative and,
+    # by the width bound, none carries into the next.
+    u = u[:n] + [0] * (n - len(u))
+    v = v[:n] + [0] * (n - len(v))
+    mu = max(map(abs, u))
+    mv = max(map(abs, v))
+    width = _column_width(mu, mv, n)
+
+    def pack(vals, m):
+        # column i holds vals[i] + m; the highest column comes first
+        return _DECIMAL.create_decimal(
+            "".join([str(x + m).zfill(width) for x in reversed(vals)]))
+
+    digits = _DECIMAL.to_sci_string(_DECIMAL.multiply(pack(u, mu),
+                                                      pack(v, mv)))
+    # Read the low n columns from the end.  Leading zeros are not printed,
+    # so the highest column present may be short and the ones above it are
+    # zero; a slice must never start below 0.
+    top = len(digits)
+    head = top % width
+    stop = max(top - n * width, head)
+    cols = [int(digits[j - width:j]) for j in range(top, stop, -width)]
+    if head and len(cols) < n:
+        cols.append(int(digits[:head]))
+    cols.extend([0] * (n - len(cols)))
+    # Column i is c_i plus the offsets' share, mv*sum(u_j) + mu*sum(v_j)
+    # + mu*mv over j <= i.
+    shares = itertools.accumulate(mv * x + mu * y + mu * mv
+                                  for x, y in zip(u, v))
+    return list(map(operator.sub, cols, shares))
+
+
 def _conv(u, v, n):
     """Exact truncated convolution of two int lists, length ``n``."""
     u = u[:n]
@@ -256,6 +319,12 @@ def _conv(u, v, n):
         return _conv_sparse(nzu, nzv, n)
     if min(len(u), len(v)) <= 64:
         return _conv_school(u, v, n)
+    width = _column_width(max(map(abs, u)), max(map(abs, v)), n)
+    # a column must also convert between str and int under the interpreter's
+    # digit limit (Python 3.10.7 on; 0 is no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if n * width >= DECIMAL_MIN_DIGITS and (not limit or width <= limit):
+        return _conv_decimal(u, v, n)
     return _conv_kronecker(u, v, n)
 
 

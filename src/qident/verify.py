@@ -69,6 +69,18 @@ def suite_maximums(name: str) -> int | None:
     return min(found) if found else None
 
 
+def suite_order_maximum(name: str) -> int | None:
+    """The largest ``order`` that suite ``name``, or "all", accepts, None for
+    no bound.  dkm's sum side builds kernel tables for n <= order - 1, so it
+    takes their int64 bound; background's theta and Appell series follow
+    ``order`` too and take the same one.  The other suites ignore ``order``
+    (memory is not bounded here)."""
+    names = SUITE_NAMES if name == "all" else (name,)
+    if any(n in ("dkm", "background") for n in names):
+        return _kernels.MAXN_LIMIT + 1
+    return None
+
+
 class Tables:
     """The tables the suites of one run share, each built on first use.
 

@@ -83,6 +83,22 @@ def test_sizes_past_the_int64_guards_are_usage_errors(capsys, monkeypatch,
     assert err.startswith("error: ") and "--max <=" in err
 
 
+@pytest.mark.parametrize("suite", ["dkm", "background"])
+def test_order_past_the_kernel_bound_is_a_usage_error(capsys, monkeypatch,
+                                                      suite):
+    from qident import cli
+
+    def no_run(name, order, maxn):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--order", "4611686018427387904")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--order <=" in err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from qident import _kernels
 

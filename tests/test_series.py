@@ -1,13 +1,18 @@
 """Exact series arithmetic against independent references."""
 
+import decimal
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qident import series
 from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
+                           _column_width, _conv, _conv_decimal, _conv_school,
                            _factors_loop, _lane_moduli, _lane_prime,
                            _partition_bound_bits, pochhammer_inf, series_eq)
 
@@ -296,3 +301,121 @@ def test_kronecker_path_matches_reference():
     for n in spot:
         acc = sum(a.coeff(i).re * b.coeff(n - i).re for i in range(n + 1))
         assert prod.coeff(n) == GaussianRational(acc)
+
+
+def test_decimal_path_matches_reference(monkeypatch):
+    # above the crossover, so _conv sends every product to _conv_decimal
+    rng = random.Random(13)
+    order = 1000
+    top = 1 << 64
+    a = QSeries([rng.randrange(-top, top) for _ in range(order)], order)
+    b = QSeries([GaussianRational(rng.randrange(-top, top),
+                                  rng.randrange(-top, top))
+                 for _ in range(order)], order)
+    calls = []
+    real = series._conv_decimal
+
+    def spy(u, v, n):
+        calls.append(n)
+        return real(u, v, n)
+
+    monkeypatch.setattr(series, "_conv_decimal", spy)
+    prod = a * b
+    assert calls == [order, order]
+    assert prod._den == 1
+    assert prod._re == _conv_school(a._re, b._re, order)
+    assert prod._im == _conv_school(a._re, b._im, order)
+
+
+@st.composite
+def conv_cases(draw):
+    """(u, v, n) for _conv_decimal: signed coefficients with zeros, every
+    coefficient at the offset bound, or operands that end in their most
+    negative coefficient, so the top columns of the offset product are zero
+    and its decimal string is shorter than n columns."""
+    top = (1 << draw(st.sampled_from([1, 4, 30, 64, 130]))) - 1
+    kind = draw(st.sampled_from(["signed", "bound", "sunk"]))
+    if kind == "bound":
+        coeff = st.sampled_from([-top, top])
+    else:
+        coeff = st.one_of(st.just(0), st.integers(-top, top))
+    u = draw(st.lists(coeff, min_size=1, max_size=12))
+    v = draw(st.lists(coeff, min_size=1, max_size=12))
+    if kind != "sunk":
+        return u, v, draw(st.integers(1, 2 * max(len(u), len(v)) + 2))
+    n = draw(st.integers(1, min(len(u), len(v))))
+    for vals in (u, v):
+        k = draw(st.integers(0, n - 1))
+        vals[k:n] = [-top] * (n - k)
+    return u, v, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(conv_cases())
+@example(([1, -1, -1, -1], [1, -1, -1, -1], 4))
+@example(([0, 0], [5, -3], 3))
+@example(([7], [-7], 1))
+def test_conv_decimal_matches_school(case):
+    u, v, n = case
+    assert _conv_decimal(u, v, n) == _conv_school(u, v, n)
+
+
+def _dense_operands(n, bits, seed):
+    rng = random.Random(seed)
+    top = 1 << bits
+    return ([rng.randrange(-top, top) for _ in range(n)],
+            [rng.randrange(-top, top) for _ in range(n)])
+
+
+def test_decimal_path_leaves_the_thread_context_alone():
+    u, v = _dense_operands(200, 60, 17)
+    with decimal.localcontext() as ctx:
+        # a thread context that would round or raise on any real use
+        ctx.prec = 1
+        ctx.Emax = 1
+        ctx.Emin = -1
+        for signal in ctx.traps:
+            ctx.traps[signal] = True
+        ctx.clear_flags()
+        before = repr(ctx)
+        out = _conv_decimal(u, v, 200)
+        assert decimal.getcontext() is ctx
+        assert repr(ctx) == before
+    assert out == _conv_school(u, v, 200)
+
+
+def test_decimal_path_raises_rather_than_rounds(monkeypatch):
+    u, v = _dense_operands(200, 60, 19)
+    width = _column_width(max(map(abs, u)), max(map(abs, v)), 200)
+    # the packed operands fit, their product does not
+    monkeypatch.setattr(series._DECIMAL, "prec", 200 * width)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        _conv_decimal(u, v, 200)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit")
+def test_columns_past_the_digit_limit_take_the_kronecker_path(monkeypatch):
+    n = 100
+    u, v = _dense_operands(n, 1100, 23)
+    ref = _conv_school(u, v, n)
+    calls = []
+    real = series._conv_kronecker
+
+    def spy(u, v, n):
+        calls.append(n)
+        return real(u, v, n)
+
+    monkeypatch.setattr(series, "_conv_kronecker", spy)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        width = _column_width(max(map(abs, u)), max(map(abs, v)), n)
+        with pytest.raises(ValueError):
+            _conv_decimal(u, v, n)
+        out = _conv(u, v, n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert width > 640 and n * width >= series.DECIMAL_MIN_DIGITS
+    assert calls == [n]
+    assert out == ref

@@ -6,7 +6,8 @@ import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
-from qident.verify import SUITE_NAMES, run_suites, suite_maximums
+from qident.verify import (SUITE_NAMES, run_suites, suite_maximums,
+                           suite_order_maximum)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -201,3 +202,15 @@ def test_suite_maximums_come_from_the_int64_guards():
     for name in ("corollary", "theorem17", "propositions", "theorem61",
                  "background"):
         assert suite_maximums(name) == _kernels.MAXN_LIMIT, name
+
+
+def test_suite_order_maximum_comes_from_the_kernel_bound():
+    from qident import _kernels
+
+    # dkm builds kernel tables for n <= order - 1; background's series
+    # follow order too; the other suites ignore it
+    for name in ("dkm", "background", "all"):
+        assert suite_order_maximum(name) == _kernels.MAXN_LIMIT + 1, name
+    for name in ("corollary", "theorem17", "propositions", "theorem61",
+                 "bijections"):
+        assert suite_order_maximum(name) is None, name
