@@ -303,6 +303,19 @@ def test_kronecker_path_matches_reference():
         assert prod.coeff(n) == GaussianRational(acc)
 
 
+def _spy(monkeypatch, name):
+    """The list of n that each later call of ``series.<name>`` appends to."""
+    calls = []
+    real = getattr(series, name)
+
+    def spy(u, v, n):
+        calls.append(n)
+        return real(u, v, n)
+
+    monkeypatch.setattr(series, name, spy)
+    return calls
+
+
 def test_decimal_path_matches_reference(monkeypatch):
     # above the crossover, so _conv sends every product to _conv_decimal
     rng = random.Random(13)
@@ -312,14 +325,7 @@ def test_decimal_path_matches_reference(monkeypatch):
     b = QSeries([GaussianRational(rng.randrange(-top, top),
                                   rng.randrange(-top, top))
                  for _ in range(order)], order)
-    calls = []
-    real = series._conv_decimal
-
-    def spy(u, v, n):
-        calls.append(n)
-        return real(u, v, n)
-
-    monkeypatch.setattr(series, "_conv_decimal", spy)
+    calls = _spy(monkeypatch, "_conv_decimal")
     prod = a * b
     assert calls == [order, order]
     assert prod._den == 1
@@ -399,14 +405,7 @@ def test_columns_past_the_digit_limit_take_the_kronecker_path(monkeypatch):
     n = 100
     u, v = _dense_operands(n, 1100, 23)
     ref = _conv_school(u, v, n)
-    calls = []
-    real = series._conv_kronecker
-
-    def spy(u, v, n):
-        calls.append(n)
-        return real(u, v, n)
-
-    monkeypatch.setattr(series, "_conv_kronecker", spy)
+    calls = _spy(monkeypatch, "_conv_kronecker")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
