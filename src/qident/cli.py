@@ -1,6 +1,7 @@
 """Command-line front end: run suites, emit value tables, dump constructions.
 
-Exit codes: 0 all checks pass, 1 any verification failure, 2 usage error,
+Exit codes: 0 all checks pass, 1 any verification failure, 2 usage error
+(a size past an int64 guard or the series memory budget included),
 3 internal error (an exception escaped the command; stderr names it).
 Rationals always render as "p/q"; JSON reports follow the documented schema
 {"suite", "parameters": {"order", "max"}, "checks": [...]}.
@@ -12,8 +13,9 @@ import argparse
 import json
 import sys
 
-from . import bijections, counting
+from . import bijections, counting, verify
 from .quadforms import hurwitz_H
+from .series import series_bytes
 from .verify import (SUITE_NAMES, run_suites, suite_maximums, suite_minimums,
                      suite_order_maximum)
 
@@ -58,6 +60,12 @@ def cmd_verify(args) -> int:
     max_order = suite_order_maximum(args.suite)
     if max_order is not None and args.order > max_order:
         return _usage_error(f"suite {args.suite} needs --order <= {max_order}")
+    need = 0 if max_order is None else series_bytes(args.order)
+    if need > verify.SERIES_BYTES_BUDGET:
+        return _usage_error(
+            f"suite {args.suite} at --order {args.order} would hold about "
+            f"{need >> 20} MiB of series, past the "
+            f"{verify.SERIES_BYTES_BUDGET >> 20} MiB budget")
     max_max = suite_maximums(args.suite)
     if max_max is not None and args.max > max_max:
         return _usage_error(f"suite {args.suite} needs --max <= {max_max}")

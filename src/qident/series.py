@@ -16,7 +16,12 @@ decimal path works in a private context that traps every lost digit.
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
 residues modulo the largest primes below ``2**62``, enough of them to cover
-an a-priori partition bound on the coefficients, and rebuilt exactly by CRT.
+an a-priori bound on the coefficients (the number of partitions into
+distinct parts), and rebuilt exactly by CRT.  Each lane product is built
+once per process: a bounded store keeps the longest product per reduced key
+``(unit, e/g, m/g)``, g = gcd(e, m), and serves ``(zeta*q**e; q**m)`` below
+``q**N`` from its prefix below ``q**ceil(N/g)`` with q -> q**g, a change of
+variable rather than an identity.  Every call still returns a fresh series.
 Any other scalar takes the big-integer loop, which also pins the lane in the
 tests.  Every path is exact: no floats anywhere.
 """
@@ -652,8 +657,9 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
     Factors whose exponent reaches the order contribute nothing below
     ``q**order`` and are skipped.  ``offset == 0`` with ``zeta == 1`` makes
     the first factor vanish, so the zero series is returned.  A fourth root
-    of unity ``zeta`` runs on the multi-modular lane; any other exact scalar
-    runs on the big-integer loop.
+    of unity ``zeta`` runs on the multi-modular lane through the product
+    store; any other exact scalar runs on the big-integer loop.  The result
+    is always a fresh series that shares no list with the store.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -678,7 +684,7 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
     if unit is None:
         out = _factors_loop(z, e, modulus, order)
     else:
-        out = _factors_lane(unit, e, modulus, order)
+        out = _stored_factors(unit, e, modulus, order)
     if scalar is not None:
         out = out * scalar
     return out
@@ -756,10 +762,17 @@ def _lane_prime(i: int) -> int:
 
 
 def _partition_bound_bits(n: int) -> int:
-    """A ``bits`` with ``p(n) < 2**bits``, in integers only, from
-    ``p(n) < exp(pi*sqrt(2n/3))`` (Apostol, Thm 14.5): the exponent in base
-    2 is ``pi*sqrt(2/3)/ln 2 < 3.71`` times ``sqrt(n) < isqrt(n) + 1``."""
-    return 371 * (math.isqrt(n) + 1) // 100 + 1
+    """A ``bits`` with ``q(n) < 2**bits``, where q(n) counts the partitions
+    of n into distinct parts, in integers only.
+
+    For 0 < x < 1, ``q(n) x**n <= prod (1 + x**k) = prod 1/(1 - x**(2k-1))``,
+    whose log is ``sum_j x**j / (j (1 - x**(2j)))``.  With x = e**-t the
+    j-th term is ``1/(2j sinh(jt)) <= 1/(2 j**2 t)``, so the log is at most
+    ``pi**2/(12t)`` and ``log q(n) <= n t + pi**2/(12t)``.  Taking
+    ``t = pi/sqrt(12n)`` gives ``q(n) <= exp(pi*sqrt(n/3))``: the exponent
+    in base 2 is ``pi/(sqrt(3) ln 2) < 2.62`` times ``sqrt(n) < isqrt(n) + 1``.
+    """
+    return 262 * (math.isqrt(n) + 1) // 100 + 1
 
 
 def _lane_moduli(bits: int) -> list[int]:
@@ -773,17 +786,13 @@ def _lane_moduli(bits: int) -> list[int]:
     return moduli
 
 
-def _add_mod(a, b, p, out):
-    # uint64 residues below p < 2**62: a + b cannot wrap, and s - p wraps
-    # past s exactly when s < p, so the minimum is the reduced sum
-    s = a + b
-    np.minimum(s, s - p, out=out)
-
-
-def _sub_mod(a, b, p, out):
-    # a - b wraps past p exactly when a < b, and adding p unwraps it
-    s = a - b
-    np.minimum(s, s + p, out=out)
+def _reduce(s, p, op, out):
+    # Residues are below p < 2**62.  A sum s = a + b cannot wrap, and s - p
+    # wraps past s exactly when s < p; a difference s = a - b wraps past p
+    # exactly when a < b, and s + p unwraps it.  Either way, with op the
+    # inverse of the step, the minimum is the reduced value.
+    op(s, p, out=out)
+    np.minimum(s, out, out=out)
 
 
 def _crt(rows, moduli: list[int]) -> list[int]:
@@ -802,34 +811,113 @@ def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
     """``prod (1 - i**unit * q**k)`` over ``k = e, e + modulus, ...`` below
     order, computed modulo several primes and rebuilt by CRT.
 
-    Each coefficient of the product is a signed count of subsets of
-    distinct exponents with a given sum, so its real and imaginary parts
-    are at most the number of partitions into distinct parts, itself at
-    most ``p(n)``.  Reduction mod p is a ring homomorphism, so only the
-    final coefficients need to fit that bound.
+    Each coefficient of the product is a signed count of sets of distinct
+    exponents with a given sum, so its real and imaginary parts are at
+    most q(n), the number of partitions of n into distinct parts, which
+    ``_partition_bound_bits`` bounds.  Reduction mod p is a ring
+    homomorphism, so only the final coefficients need to fit that bound.
+    Every factor is one slice update of all rows, written in place through
+    preallocated scratch rows, so no update allocates.
     """
     moduli = _lane_moduli(_partition_bound_bits(order - 1))
     p = np.array(moduli, dtype=np.uint64)[:, None]
     re = np.zeros((len(moduli), order), dtype=np.uint64)
     re[:, 0] = 1
-    im = np.zeros_like(re) if unit % 2 else None
+    odd = unit % 2
+    im = np.zeros_like(re) if odd else None
+    scratch = np.empty((1 + odd, len(moduli), order), dtype=np.uint64)
+    # c <- c - zeta * q**e * c: re steps by +im or -im for i and -i, by +re
+    # or -re for -1 and 1, and im of the odd units by the other sign.  The
+    # high slice overlaps the low one, so the unreduced sums go to scratch
+    # before either array is written.
+    step, undo = ((np.add, np.subtract) if unit in (1, 2)
+                  else (np.subtract, np.add))
     while e < order:
-        # c <- c - zeta * q**e * c, reading only coefficients from before
-        # this factor: each step forms its sum in a fresh array, and the
-        # odd units copy the low part of re, which the im step still needs
+        n = order - e
         hi = slice(e, None)
-        lo = slice(None, order - e)
-        if unit == 0:
-            _sub_mod(re[:, hi], re[:, lo], p, re[:, hi])
-        elif unit == 2:
-            _add_mod(re[:, hi], re[:, lo], p, re[:, hi])
-        else:
-            step_re, step_im = ((_add_mod, _sub_mod) if unit == 1
-                                else (_sub_mod, _add_mod))
-            old_re = re[:, lo].copy()
-            step_re(re[:, hi], im[:, lo], p, re[:, hi])
-            step_im(im[:, hi], old_re, p, im[:, hi])
+        lo = slice(None, n)
+        s = scratch[0, :, :n]
+        step(re[:, hi], (im if odd else re)[:, lo], out=s)
+        if odd:
+            t = scratch[1, :, :n]
+            undo(im[:, hi], re[:, lo], out=t)
+            _reduce(t, p, step, im[:, hi])
+        _reduce(s, p, undo, re[:, hi])
         e += modulus
     return QSeries._raw(_crt(re.tolist(), moduli),
                         None if im is None else _crt(im.tolist(), moduli),
                         1, order)
+
+
+# ---------------------------------------------------------------------------
+# product store
+# ---------------------------------------------------------------------------
+
+# The most reduced keys the store keeps; past it the least recently used
+# product is dropped.
+PRODUCT_STORE_LIMIT = 32
+
+# (unit, e, modulus) with gcd(e, modulus) == 1 -> the longest lane product
+# built for it.  Its lists never leave the store: every hit is copied.
+_products: dict[tuple[int, int, int], QSeries] = {}
+
+
+def clear_product_store() -> None:
+    """Drop every stored lane product."""
+    _products.clear()
+
+
+def _spread(vals: list[int], g: int, order: int) -> list[int]:
+    """A fresh list of the first ``order`` coefficients of ``f(q**g)``,
+    where ``vals`` holds at least ``ceil(order/g)`` coefficients of f."""
+    if g == 1:
+        return vals[:order]
+    out = [0] * order
+    out[::g] = vals[:len(range(0, order, g))]
+    return out
+
+
+def _stored_factors(unit: int, e: int, modulus: int, order: int) -> QSeries:
+    """``_factors_lane(unit, e, modulus, order)`` served from the store.
+
+    With g = gcd(e, modulus), the product over ``k = e, e + modulus, ...``
+    is the one over ``k = e/g, e/g + modulus/g, ...`` with q -> q**g, and
+    below ``q**order`` it needs that product below ``q**ceil(order/g)``
+    only, the prefix of any longer one.  A miss, or a stored product too
+    short, builds the reduced product at the length asked for.
+    """
+    g = math.gcd(e, modulus)
+    key = (unit, e // g, modulus // g)
+    need = -(-order // g)
+    have = _products.pop(key, None)
+    if have is None or have.order < need:
+        have = _factors_lane(*key, need)
+    _products[key] = have
+    while len(_products) > PRODUCT_STORE_LIMIT:
+        del _products[next(iter(_products))]
+    im = None if have._im is None else _spread(have._im, g, order)
+    return QSeries._raw(_spread(have._re, g, order), im, 1, order)
+
+
+def series_bytes(order: int) -> int:
+    """An upper estimate, computed without allocating, of the bytes the
+    series layer holds for products below ``q**order``.
+
+    It counts the lane's uint64 rows (real, imaginary and two scratch
+    arrays, one row per prime at the bound, every prime being above
+    ``2**61``), their residues as Python ints before CRT, and the
+    coefficient lists, every coefficient an int of the bound's size: two
+    for each of ``PRODUCT_STORE_LIMIT`` stored products and 16 more, with
+    room to spare, for the operands, products and inverses of the two
+    product routes.
+    """
+    def int_bytes(bits):  # the size of an int of that many bits
+        digits = -(-bits // sys.int_info.bits_per_digit)
+        return int.__basicsize__ + int.__itemsize__ * max(digits, 1)
+
+    bits = _partition_bound_bits(max(order - 1, 0))
+    rows = (bits + 2) // 61 + 1
+    lane = rows * order * (4 * 8 + 8 + int_bytes(62))
+    lists = 2 * PRODUCT_STORE_LIMIT + 16
+    return lane + lists * order * (8 + int_bytes(bits))
+

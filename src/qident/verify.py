@@ -81,6 +81,12 @@ def suite_order_maximum(name: str) -> int | None:
     return None
 
 
+# The most bytes the series at ``--order`` may be estimated to hold
+# (``series.series_bytes``) before the CLI refuses the order: 1 GiB, about
+# 57 times the estimate at order 4000.
+SERIES_BYTES_BUDGET = 1 << 30
+
+
 class Tables:
     """The tables the suites of one run share, each built on first use.
 

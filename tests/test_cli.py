@@ -99,6 +99,45 @@ def test_order_past_the_kernel_bound_is_a_usage_error(capsys, monkeypatch,
     assert err.startswith("error: ") and "--order <=" in err
 
 
+@pytest.mark.parametrize("suite", ["dkm", "background", "all"])
+def test_order_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
+                                                       suite):
+    from qident import cli, verify
+    from qident.series import series_bytes
+
+    ran = []
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda name, order, maxn: ran.append(order) or [])
+    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(4000))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--order", "4001", "--max", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert run_cli(capsys, "verify", "--suite", suite, "--order", "4000",
+                   "--max", "10")[0] == 0
+    assert ran == [4000]
+
+
+def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
+                                                             monkeypatch):
+    from qident import cli, verify
+
+    monkeypatch.setattr(cli, "run_suites", lambda name, order, maxn: [])
+    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", 0)
+    assert run_cli(capsys, "verify", "--suite", "corollary",
+                   "--order", "1000000001", "--max", "10")[0] == 0
+
+
+def test_series_budget_admits_the_benchmark_orders_widely():
+    from qident import verify
+    from qident.series import series_bytes
+
+    budget = verify.SERIES_BYTES_BUDGET
+    assert series_bytes(300) < series_bytes(4000) < budget // 50
+    assert series_bytes(1_000_000_001) > budget
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from qident import _kernels
 

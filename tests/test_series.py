@@ -13,8 +13,9 @@ from qident import series
 from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
                            _column_width, _conv, _conv_decimal, _conv_school,
-                           _factors_loop, _lane_moduli, _lane_prime,
-                           _partition_bound_bits, pochhammer_inf, series_eq)
+                           _factors_lane, _factors_loop, _lane_moduli,
+                           _lane_prime, _partition_bound_bits,
+                           clear_product_store, pochhammer_inf, series_eq)
 
 
 def naive_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -179,6 +180,17 @@ def loop_pochhammer(zeta, offset, modulus, order):
     return _factors_loop(zeta, modulus, modulus, order) * (1 - zeta)
 
 
+UNITS = (ONE, I_UNIT, MINUS_ONE, MINUS_I)  # i**u at index u
+
+
+def lane_pochhammer(zeta, offset, modulus, order):
+    """``pochhammer_inf`` through the lane alone, past the product store."""
+    unit = UNITS.index(zeta)
+    if offset:
+        return _factors_lane(unit, offset, modulus, order)
+    return _factors_lane(unit, modulus, modulus, order) * (1 - zeta)
+
+
 def is_strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
                                        31, 37, 41, 43, 47, 53)):
     """Miller-Rabin to the first sixteen prime bases."""
@@ -194,30 +206,21 @@ def is_strong_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     return True
 
 
-def partition_numbers(n_max):
-    """p(0..n_max) by Euler's pentagonal recurrence."""
-    p = [1] + [0] * n_max
-    for n in range(1, n_max + 1):
-        k, total = 1, 0
-        while True:
-            g1, g2 = k * (3 * k - 1) // 2, k * (3 * k + 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return p
+def distinct_partition_numbers(n_max):
+    """q(0..n_max), the partitions into distinct parts, by the recurrence
+    q_k(n) = q_(k-1)(n) + q_(k-1)(n - k) over the largest allowed part k."""
+    q = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        q[k:] = [a + b for a, b in zip(q[k:], q)]
+    return q
 
 
 class TestMultiModularLane:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from((ONE, I_UNIT, MINUS_ONE, MINUS_I)),
+    @given(st.sampled_from(UNITS),
            st.integers(0, 5), st.integers(1, 5), st.integers(1, 400))
     def test_lane_matches_general_loop(self, zeta, offset, modulus, order):
-        assert (pochhammer_inf(zeta, offset, modulus, order)
+        assert (lane_pochhammer(zeta, offset, modulus, order)
                 == loop_pochhammer(zeta, offset, modulus, order))
 
     def test_coefficients_beyond_int64(self):
@@ -239,9 +242,12 @@ class TestMultiModularLane:
         assert moduli[0] == _lane_prime(0) == 2 ** 62 - 57
 
     def test_partition_bound(self):
-        p = partition_numbers(2000)
-        assert all(p[n].bit_length() <= _partition_bound_bits(n)
-                   for n in range(2001))
+        q = distinct_partition_numbers(3000)
+        assert q[:12] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12]
+        spare = [_partition_bound_bits(n) - q[n].bit_length()
+                 for n in range(3001)]
+        # q(0) = 1 against 3 bits; every n >= 1 keeps 4 bits in hand
+        assert spare[0] == 2 and min(spare[1:]) >= 4
 
     @pytest.mark.parametrize("zeta", [2, Fraction(1, 2), GaussianRational(1, 1)])
     @pytest.mark.parametrize("offset,modulus", [(0, 1), (1, 1), (3, 2)])
@@ -249,6 +255,73 @@ class TestMultiModularLane:
         order = 24
         assert (pochhammer_inf(zeta, offset, modulus, order)
                 == naive_pochhammer(zeta, offset, modulus, order))
+
+
+@pytest.fixture
+def empty_store():
+    clear_product_store()
+    yield series._products
+    clear_product_store()
+
+
+class TestProductStore:
+    @pytest.mark.parametrize("unit", range(4))
+    def test_reused_keys_match_lane_and_loop(self, empty_store, unit):
+        # every key with g = gcd(e, m) > 1 is served by substitution from
+        # (e/g, m/g), built first at 600 and then read by prefix below it
+        zeta = UNITS[unit]
+        for modulus in range(2, 9):
+            for e in range(1, modulus + 1):
+                g = math.gcd(e, modulus)
+                if g == 1:
+                    continue
+                empty_store.clear()
+                for order in (600, 599, 61, 2, 1):
+                    stored = pochhammer_inf(zeta, e, modulus, order)
+                    assert stored == _factors_lane(unit, e, modulus, order)
+                    assert stored == _factors_loop(zeta, e, modulus, order)
+                key = (unit, e // g, modulus // g)
+                assert list(empty_store) == [key]
+                assert empty_store[key].order == -(-600 // g)
+
+    def test_longer_request_rebuilds_the_key(self, empty_store,
+                                             monkeypatch):
+        builds = []
+        real = series._factors_lane
+        monkeypatch.setattr(series, "_factors_lane",
+                            lambda *key: builds.append(key) or real(*key))
+        for offset, order in ((1, 50), (2, 100), (2, 101), (1, 40), (3, 150)):
+            assert (pochhammer_inf(-1, offset, offset, order)
+                    == _factors_loop(MINUS_ONE, offset, offset, order))
+        # (-q^2; q^2) below q^100 is (-q; q) below q^50 with q -> q^2, a hit;
+        # below q^101 it needs (-q; q) below q^51, a rebuild; the last two
+        # are prefixes of that
+        assert builds == [(2, 1, 1, 50), (2, 1, 1, 51)]
+
+    @pytest.mark.parametrize("offset,modulus", [(1, 2), (2, 4)])
+    def test_calls_return_fresh_series(self, empty_store, offset, modulus):
+        first = pochhammer_inf(I_UNIT, offset, modulus, 80)
+        second = pochhammer_inf(I_UNIT, offset, modulus, 80)
+        assert first == second and first is not second
+        assert first._re is not second._re and first._im is not second._im
+        first._re[2] += 7
+        first._im[2] += 7
+        second._re[:] = [0] * 80
+        assert (pochhammer_inf(I_UNIT, offset, modulus, 80)
+                == _factors_loop(I_UNIT, offset, modulus, 80))
+
+    def test_store_keeps_its_limit_and_clears(self, empty_store,
+                                              monkeypatch):
+        monkeypatch.setattr(series, "PRODUCT_STORE_LIMIT", 3)
+        for modulus in range(1, 7):
+            pochhammer_inf(-1, 1, modulus, 30)
+            assert len(empty_store) == min(modulus, 3)
+        # the least recently used keys went first
+        assert list(empty_store) == [(2, 1, 4), (2, 1, 5), (2, 1, 6)]
+        pochhammer_inf(-1, 2, 8, 30)  # a hit on (2, 1, 4) moves it last
+        assert list(empty_store) == [(2, 1, 5), (2, 1, 6), (2, 1, 4)]
+        clear_product_store()
+        assert not empty_store
 
 
 class TestRingAxioms:
