@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 from .report import VerificationReport, series_check
 from .series import GaussianRational, QSeries, ONE, MINUS_ONE, I_UNIT, MINUS_I
-from .theta import (Monomial, NegativeQPower, ThetaSpec, mono, theta_j,
-                    unit_power)
+from .theta import (Monomial, NegativeQPower, ThetaSpec, _unit_index, mono,
+                    theta_j, unit_power)
+
+# (re, im) of i**k for k = 0..3
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class PoleAtMonomialOne(ArithmeticError):
@@ -52,25 +55,20 @@ def _expanded_term(unit, base, zeta, e, order):
         raise NegativeQPower(f"Appell term starts at q^{lead}")
     if e == 0:
         return QSeries.monomial(unit * (ONE - zeta).inverse(), base, order)
+    # unit and zeta are fourth roots of unity (Monomial validates them), so
+    # the coefficient of the k-th term is i**(u + k*z), an index mod 4
+    u = _unit_index(unit)
+    z = _unit_index(zeta)
+    if e < 0:
+        # the k-th term of -w**-1/(1 - w**-1), w = zeta*q**e, is
+        # -unit * zeta**-(k+1) * q**(base - (k+1)*e), and -1 = i**2
+        u, z, e = u + 2 - z, -z, -e
+        base += e
     re = [0] * order
     im = [0] * order
-    if e > 0:
-        coeff = unit
-        exp = base
-        while exp < order:
-            re[exp] += int(coeff.re)
-            im[exp] += int(coeff.im)
-            coeff = coeff * zeta
-            exp += e
-    else:
-        zinv = zeta.inverse()
-        coeff = -unit * zinv
-        exp = base - e
-        while exp < order:
-            re[exp] += int(coeff.re)
-            im[exp] += int(coeff.im)
-            coeff = coeff * zinv
-            exp -= e
+    for exp in range(base, order, e):
+        re[exp], im[exp] = _I_POWERS[u % 4]
+        u += z
     return QSeries._raw(re, im, 1, order)
 
 

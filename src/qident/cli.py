@@ -13,11 +13,10 @@ import argparse
 import json
 import sys
 
-from . import bijections, counting, verify
+from . import bijections, counting
 from .quadforms import hurwitz_H
-from .series import series_bytes
-from .verify import (SUITE_NAMES, run_suites, suite_maximums, suite_minimums,
-                     suite_order_maximum)
+from .verify import (SUITE_NAMES, run_suites, series_budget_error,
+                     suite_maximums, suite_minimums, suite_order_maximum)
 
 # each column's value at n, computed only when the column is asked for
 _COLUMN_VALUES = {
@@ -60,15 +59,12 @@ def cmd_verify(args) -> int:
     max_order = suite_order_maximum(args.suite)
     if max_order is not None and args.order > max_order:
         return _usage_error(f"suite {args.suite} needs --order <= {max_order}")
-    need = 0 if max_order is None else series_bytes(args.order)
-    if need > verify.SERIES_BYTES_BUDGET:
-        return _usage_error(
-            f"suite {args.suite} at --order {args.order} would hold about "
-            f"{need >> 20} MiB of series, past the "
-            f"{verify.SERIES_BYTES_BUDGET >> 20} MiB budget")
     max_max = suite_maximums(args.suite)
     if max_max is not None and args.max > max_max:
         return _usage_error(f"suite {args.suite} needs --max <= {max_max}")
+    too_big = series_budget_error(args.suite, args.order, args.max)
+    if too_big is not None:
+        return _usage_error(too_big)
     reports = run_suites(args.suite, args.order, args.max)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]

@@ -5,13 +5,18 @@ A ``QSeries`` is a dense, eagerly evaluated power series known modulo
 arrays (real and imaginary numerators) over one shared positive
 denominator, so ring operations stay in arbitrary-precision integer
 arithmetic; ``coeff`` materialises exact ``GaussianRational`` values on
-demand.  Convolution dispatches between a sparse loop, a schoolbook
-double loop, and packing both operands into fixed-width columns for one
-multiply: Kronecker substitution into a big-integer multiply below
-``DECIMAL_MIN_DIGITS`` packed digits, and decimal digit columns multiplied
-by libmpdec (the C library behind ``decimal``, which uses a
-number-theoretic transform for large operands) at or above it.  The
-decimal path works in a private context that traps every lost digit.
+demand.  Convolution first takes g, the gcd of the nonzero exponents of
+both operands: for g > 1 both are series in q**g, and it multiplies every
+g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
+change of variable q -> q**g).  It then dispatches, on the compressed
+length, between a sparse loop, a schoolbook double loop, and packing both
+operands into fixed-width columns for one multiply: Kronecker substitution
+into a big-integer multiply below ``DECIMAL_MIN_DIGITS`` packed digits, and
+decimal digit columns multiplied by libmpdec (the C library behind
+``decimal``, which uses a number-theoretic transform for large operands)
+at or above it.  The decimal path works in a private context that traps
+every lost digit.  ``QSeries.invert`` takes each Newton correction at half
+length.
 
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
@@ -312,14 +317,33 @@ def _conv_decimal(u, v, n):
     return list(map(operator.sub, cols, shares))
 
 
+def _spread(vals: list[int], g: int, order: int) -> list[int]:
+    """A fresh list of the first ``order`` coefficients of ``f(q**g)``,
+    where ``vals`` holds at least ``ceil(order/g)`` coefficients of f."""
+    if g == 1:
+        return vals[:order]
+    out = [0] * order
+    out[::g] = vals[:len(range(0, order, g))]
+    return out
+
+
 def _conv(u, v, n):
-    """Exact truncated convolution of two int lists, length ``n``."""
+    """Exact truncated convolution of two int lists, length ``n``.
+
+    With g the gcd of the nonzero exponents of both operands, g > 1 means
+    both are series in q**g: their product below q**n is the product of
+    ``u[::g]`` and ``v[::g]`` below ``q**ceil(n/g)`` with q -> q**g, so the
+    paths below, and their thresholds, see the compressed length.
+    """
     u = u[:n]
     v = v[:n]
     nzu = [(j, x) for j, x in enumerate(u) if x]
     nzv = [(j, x) for j, x in enumerate(v) if x]
     if not nzu or not nzv:
         return [0] * n
+    g = math.gcd(*[j for j, _ in nzu], *[j for j, _ in nzv])
+    if g > 1:  # the compressed exponents have gcd 1: one level deep
+        return _spread(_conv(u[::g], v[::g], -(-n // g)), g, n)
     if len(nzu) * len(nzv) <= max(1024, 4 * n):
         return _conv_sparse(nzu, nzv, n)
     if min(len(u), len(v)) <= 64:
@@ -586,18 +610,27 @@ class QSeries:
         return out
 
     def invert(self) -> "QSeries":
-        """Two-sided inverse modulo ``q**order`` via Newton iteration."""
+        """Two-sided inverse modulo ``q**order`` via Newton iteration.
+
+        Each step doubles the precision h of x to k = min(2h, order).  The
+        product ``self*x`` is 1 + q**h * e modulo q**k, and the correction
+        ``x*e`` is needed below q**(k - h) only, so the step's second
+        product runs at length k - h rather than k.  The inverse modulo
+        q**k is unique, so this is the same series as ``x*(2 - self*x)``.
+        """
         c0 = self.coeff(0)
         if not c0:
             raise NonUnitConstantTerm("constant term is zero")
         n = self.order
         x = QSeries.constant(c0.inverse(), 1)
-        k = 1
-        while k < n:
-            k = min(2 * k, n)
-            a = self.truncate(k)
-            x = x._pad(k)
-            x = x * (QSeries.constant(2, k) - a * x)
+        h = 1
+        while h < n:
+            k = min(2 * h, n)
+            # x inverts self modulo q**h, so self*x = 1 + q**h * e modulo
+            # q**k, and x - q**h * x*e inverts it modulo q**k
+            e = (self.truncate(k) * x._pad(k) - 1).shift(-h)
+            x = x._pad(k) - (x.truncate(k - h) * e).shift(h)
+            h = k
         return x
 
     def truncate(self, order: int) -> "QSeries":
@@ -865,16 +898,6 @@ _products: dict[tuple[int, int, int], QSeries] = {}
 def clear_product_store() -> None:
     """Drop every stored lane product."""
     _products.clear()
-
-
-def _spread(vals: list[int], g: int, order: int) -> list[int]:
-    """A fresh list of the first ``order`` coefficients of ``f(q**g)``,
-    where ``vals`` holds at least ``ceil(order/g)`` coefficients of f."""
-    if g == 1:
-        return vals[:order]
-    out = [0] * order
-    out[::g] = vals[:len(range(0, order, g))]
-    return out
 
 
 def _stored_factors(unit: int, e: int, modulus: int, order: int) -> QSeries:

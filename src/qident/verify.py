@@ -21,7 +21,7 @@ from .appell import verify_appell_suite
 from .quadforms import (HURWITZ_X_LIMIT, hurwitz_table,
                         verify_hurwitz_doubling)
 from .report import Check, VerificationReport, series_check, sweep_check
-from .series import QSeries
+from .series import QSeries, series_bytes
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
                     rep_count_product_series, verify_theta_suite)
@@ -81,10 +81,35 @@ def suite_order_maximum(name: str) -> int | None:
     return None
 
 
-# The most bytes the series at ``--order`` may be estimated to hold
-# (``series.series_bytes``) before the CLI refuses the order: 1 GiB, about
-# 57 times the estimate at order 4000.
+# The suites that build series below q**(max + 1): theorem17 and
+# propositions read ``Tables.product`` (propositions also its ``Jbar``
+# products), background the eta quotient of ``classical_checks``.
+MAX_SERIES_SUITES = ("theorem17", "propositions", "background")
+
+# The most bytes the series at ``--order``, or below q**(max + 1), may be
+# estimated to hold (``series.series_bytes``) before the CLI refuses the
+# size: 1 GiB, about 57 times the estimate at order 4000.
 SERIES_BYTES_BUDGET = 1 << 30
+
+
+def series_budget_error(name: str, order: int, maxn: int) -> str | None:
+    """Why suite ``name``, or "all", at ``(order, maxn)`` would pass
+    ``SERIES_BYTES_BUDGET``, or None if its series fit.  ``order`` counts
+    for the suites ``suite_order_maximum`` bounds and ``maxn + 1`` for
+    ``MAX_SERIES_SUITES``; the estimate allocates nothing."""
+    names = SUITE_NAMES if name == "all" else (name,)
+    sizes = []
+    if suite_order_maximum(name) is not None:
+        sizes.append(("--order", order, order))
+    if any(n in MAX_SERIES_SUITES for n in names):
+        sizes.append(("--max", maxn, maxn + 1))
+    for flag, value, length in sizes:
+        need = series_bytes(length)
+        if need > SERIES_BYTES_BUDGET:
+            return (f"suite {name} at {flag} {value} would hold about "
+                    f"{need >> 20} MiB of series, past the "
+                    f"{SERIES_BYTES_BUDGET >> 20} MiB budget")
+    return None
 
 
 class Tables:

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from qident.appell import (AppellSpec, NonUnitThetaDenominator,
-                           PoleAtMonomialOne, appell_m, changing_z_difference,
-                           verify_appell_suite)
+                           PoleAtMonomialOne, _expanded_term, appell_m,
+                           changing_z_difference, verify_appell_suite)
 from qident.series import GaussianRational, QSeries, series_eq
-from qident.theta import I_UNIT, MINUS_I, mono
+from qident.theta import I_UNIT, MINUS_I, MINUS_ONE, ONE, mono
+
+UNITS = (ONE, I_UNIT, MINUS_ONE, MINUS_I)
 
 
 def test_m_q_minus1_is_one_half():
@@ -78,3 +80,33 @@ def test_corrupted_rhs_reports_locus():
     bad = rhs + QSeries.monomial(GaussianRational(0, 1), 7, 40)
     check = series_check("changing_z_corrupted", lhs, bad, 40)
     assert not check.passed and check.locus == 7
+
+
+def power_loop_term(unit, base, zeta, e, order):
+    """``unit * q**base / (1 - zeta*q**e)`` by GaussianRational powers:
+    sum of unit * zeta**k * q**(base + k*e) for e > 0, and of
+    -unit * zeta**-(k+1) * q**(base - (k+1)*e) for e < 0."""
+    out = [GaussianRational(0)] * order
+    k = 0
+    while True:
+        if e > 0:
+            exp, coeff = base + k * e, unit * zeta ** k
+        else:
+            exp, coeff = base - (k + 1) * e, -unit * zeta ** -(k + 1)
+        if exp >= order:
+            return QSeries(out, order)
+        out[exp] = coeff
+        k += 1
+
+
+@pytest.mark.parametrize("e", [-3, -1, 1, 2])
+@pytest.mark.parametrize("zeta", UNITS)
+@pytest.mark.parametrize("unit", UNITS)
+def test_expanded_term_matches_a_power_loop(unit, zeta, e):
+    for base, order in ((0, 23), (2, 23), (5, 6), (1, 1)):
+        got = _expanded_term(unit, base, zeta, e, order)
+        lead = base if e > 0 else base - e
+        if lead >= order:
+            assert got is None
+        else:
+            assert got == power_loop_term(unit, base, zeta, e, order)

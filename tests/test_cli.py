@@ -129,6 +129,42 @@ def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
                    "--order", "1000000001", "--max", "10")[0] == 0
 
 
+@pytest.mark.parametrize("suite", ["theorem17", "propositions",
+                                   "background", "all"])
+def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
+                                                     suite):
+    from qident import cli, verify
+    from qident.series import series_bytes
+
+    ran = []
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda name, order, maxn: ran.append(maxn) or [])
+    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(3001))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--order", "200", "--max", "3001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--max 3001" in err
+    assert "budget" in err
+    assert run_cli(capsys, "verify", "--suite", suite, "--order", "200",
+                   "--max", "3000")[0] == 0
+    assert ran == [3000]
+
+
+def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
+    from qident import cli
+
+    def no_run(name, order, maxn):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem17",
+                             "--max", "200000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "3219 MiB" in err
+
+
 def test_series_budget_admits_the_benchmark_orders_widely():
     from qident import verify
     from qident.series import series_bytes

@@ -128,6 +128,68 @@ class TestInvert:
             QSeries([0, 1], 4).invert()
 
 
+def newton_reference(a: QSeries) -> QSeries:
+    """The inverse by the full-length Newton step ``x <- x*(2 - a*x)``."""
+    x = QSeries.constant(a.coeff(0).inverse(), 1)
+    k = 1
+    while k < a.order:
+        k = min(2 * k, a.order)
+        x = x._pad(k)
+        x = x * (QSeries.constant(2, k) - a.truncate(k) * x)
+    return x
+
+
+def strided(coeffs, g, order):
+    """The series sum coeffs[j] * q**(g*j) below q**order."""
+    out = [0] * order
+    for j, c in enumerate(coeffs[:len(range(0, order, g))]):
+        out[g * j] = c
+    return QSeries(out, order)
+
+
+class TestNewtonHalfLength:
+    @staticmethod
+    def _cases(order):
+        rng = random.Random(order)
+        top = 1 << 200
+        gauss = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                                  rng.randint(-4, 4)) for _ in range(order)]
+        gauss[0] = GaussianRational(Fraction(2, 3), -1)
+        wide = [rng.randrange(-top, top) for _ in range(order)]
+        wide[0] = -1
+        steps = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                 for _ in range(order)]
+        steps[0] = 3
+        return {"gaussian": QSeries(gauss, order),
+                "200-bit unit": QSeries(wide, order),
+                "q^2": strided(steps, 2, order),
+                "q^3": strided(steps, 3, order)}
+
+    @pytest.mark.parametrize("order", range(1, 71))
+    def test_round_trip_at_every_order(self, order):
+        one = QSeries.one(order)
+        for name, a in self._cases(order).items():
+            inv = a.invert()
+            assert a * inv == one, name
+            assert inv * a == one, name
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 17, 33, 64, 70])
+    def test_same_series_as_the_full_length_step(self, order):
+        for name, a in self._cases(order).items():
+            assert a.invert() == newton_reference(a), name
+
+    def test_inverse_of_a_q2_series_stays_in_q2(self):
+        a = strided([1, -1], 2, 41)  # 1 - q^2
+        assert a.invert() == strided([1] * 21, 2, 41)
+
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_zero_constant_term_still_rejected(self, order):
+        with pytest.raises(NonUnitConstantTerm):
+            QSeries.zeros(order).invert()
+        with pytest.raises(NonUnitConstantTerm):
+            strided([0, 5, 1], 2, order).invert()
+
+
 class TestPochhammer:
     def test_euler_pentagonal(self):
         p = pochhammer_inf(1, 1, 1, 13)
@@ -491,3 +553,84 @@ def test_columns_past_the_digit_limit_take_the_kronecker_path(monkeypatch):
     assert width > 640 and n * width >= series.DECIMAL_MIN_DIGITS
     assert calls == [n]
     assert out == ref
+
+
+def _strided_ints(rng, g, n, bits, dense_from=0):
+    """An int list of length n, nonzero only at multiples of g (and at every
+    index from ``dense_from`` on, if that is positive)."""
+    top = 1 << bits
+    out = [0] * n
+    for j in range(n):
+        if j % g == 0 or 0 < dense_from <= j:
+            out[j] = rng.randrange(-top, top) or 1
+    return out
+
+
+class TestStride:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("terms", [5, 50, 300])
+    def test_series_in_q_g_match_school(self, g, terms):
+        rng = random.Random(g * 1000 + terms)
+        for n in (g * terms, g * terms - 1, g * terms - g + 1):
+            u = _strided_ints(rng, g, n, 40)
+            v = _strided_ints(rng, g, n - rng.randrange(g), 70)
+            assert _conv(u, v, n) == _conv_school(u, v, n), n
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_one_operand_dense_one_in_q_g(self, g):
+        rng = random.Random(g)
+        n = 61 * g + 1
+        u = _strided_ints(rng, g, n, 30)
+        v = _strided_ints(rng, 1, n, 30)
+        assert _conv(u, v, n) == _conv_school(u, v, n)
+        assert _conv(v, u, n) == _conv_school(v, u, n)
+        # a dense tail past a q^g head is not in q^g either
+        w = _strided_ints(rng, g, n, 30, dense_from=n - 1)
+        assert _conv(u, w, n) == _conv_school(u, w, n)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_constant_times_q_g(self, g):
+        rng = random.Random(5 * g)
+        n = 400 * g - 1
+        u = _strided_ints(rng, g, n, 50)
+        assert _conv([-7], u, n) == [-7 * x for x in u]
+        assert _conv(u, [3, 0, 0], n) == [3 * x for x in u]
+
+    def test_two_constants_are_not_compressed(self, monkeypatch):
+        # the gcd of the exponents {0} is 0: there is no q**g to compress
+        spread = _spy(monkeypatch, "_spread")
+        for n in range(1, 6):
+            assert _conv([6], [-7, 0], n) == [-42] + [0] * (n - 1)
+        assert spread == []
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_complex_and_rational_series(self, g):
+        rng = random.Random(17 * g)
+        n = 23 * g - 1
+        a = strided([GaussianRational(Fraction(rng.randint(-9, 9),
+                                               rng.randint(1, 4)),
+                                      rng.randint(-5, 5)) for _ in range(n)],
+                    g, n)
+        b = strided([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(n)], g, n)
+        c = QSeries([GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                     for _ in range(n)], n)
+        for x, y in ((a, b), (a, a), (b, b), (a, c), (c, b)):
+            assert x * y == naive_mul(x, y)
+
+    def test_q2_product_above_the_crossover_runs_compressed(self,
+                                                            monkeypatch):
+        rng = random.Random(29)
+        n = 1999
+        a = QSeries(_strided_ints(rng, 2, n, 64), n)
+        b_re = _strided_ints(rng, 2, n, 64)
+        b_im = _strided_ints(rng, 2, n, 64)
+        b = QSeries([GaussianRational(x, y) for x, y in zip(b_re, b_im)], n)
+        m = -(-n // 2)
+        width = _column_width(max(map(abs, a._re)), max(map(abs, b_re)), m)
+        assert m * width >= series.DECIMAL_MIN_DIGITS
+        calls = _spy(monkeypatch, "_conv_decimal")
+        prod = a * b
+        assert calls == [m, m]
+        assert prod._re == _conv_school(a._re, b_re, n)
+        assert prod._im == _conv_school(a._re, b_im, n)

@@ -6,8 +6,8 @@ import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
-from qident.verify import (SUITE_NAMES, run_suites, suite_maximums,
-                           suite_order_maximum)
+from qident.verify import (SUITE_NAMES, run_suites, series_budget_error,
+                           suite_maximums, suite_order_maximum)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -214,3 +214,27 @@ def test_suite_order_maximum_comes_from_the_kernel_bound():
     for name in ("corollary", "theorem17", "propositions", "theorem61",
                  "bijections"):
         assert suite_order_maximum(name) is None, name
+
+
+def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
+        monkeypatch):
+    from qident import verify
+    from qident.series import series_bytes
+
+    # the budget admits series below q^3001 and nothing longer
+    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(3001))
+    for name in ("theorem17", "propositions", "background", "all"):
+        assert series_budget_error(name, 200, 3000) is None, name
+        err = series_budget_error(name, 200, 3001)
+        assert err.startswith(f"suite {name} at --max 3001 ") and "budget" in err
+    for name in ("dkm", "corollary", "theorem61", "bijections"):
+        assert series_budget_error(name, 200, 10 ** 6) is None, name
+    # --order still counts for the suites that read it
+    assert "--order 3002" in series_budget_error("dkm", 3002, 10)
+    assert "--order 3002" in series_budget_error("all", 3002, 10)
+    assert series_budget_error("theorem17", 3002, 10) is None
+
+
+def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max():
+    assert series_budget_error("all", 300, 3000) is None
+    assert "--max 200000" in series_budget_error("theorem17", 200, 200_000)
