@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .report import VerificationReport, series_check
-from .series import GaussianRational, QSeries, ONE, MINUS_ONE, I_UNIT, MINUS_I
+from .series import (GaussianRational, QSeries, ONE, MINUS_ONE, I_UNIT,
+                     MINUS_I, _I_POWERS)
 from .theta import (Monomial, NegativeQPower, ThetaSpec, _unit_index, mono,
                     theta_j, unit_power)
-
-# (re, im) of i**k for k = 0..3
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class PoleAtMonomialOne(ArithmeticError):

@@ -8,15 +8,15 @@ arithmetic; ``coeff`` materialises exact ``GaussianRational`` values on
 demand.  Convolution first takes g, the gcd of the nonzero exponents of
 both operands: for g > 1 both are series in q**g, and it multiplies every
 g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
-change of variable q -> q**g).  It then dispatches, on the compressed
-length, between a sparse loop, a schoolbook double loop, and packing both
-operands into fixed-width columns for one multiply: Kronecker substitution
-into a big-integer multiply below ``DECIMAL_MIN_DIGITS`` packed digits, and
-decimal digit columns multiplied by libmpdec (the C library behind
-``decimal``, which uses a number-theoretic transform for large operands)
-at or above it.  The decimal path works in a private context that traps
-every lost digit.  ``QSeries.invert`` takes each Newton correction at half
-length.
+change of variable q -> q**g).  On the compressed length it then takes a
+sparse loop or one packed product (Kronecker substitution): both operands
+are offset to non-negative columns of one width, multiplied once, and the
+offsets are taken back out by a prefix sum.  Below ``DECIMAL_MIN_DIGITS``
+packed digits the columns are bytes in one Python int multiply; at or above
+it they are decimal digits multiplied by libmpdec (the C library behind
+``decimal``, which uses a number-theoretic transform for large operands),
+in a private context that traps every lost digit.  ``QSeries.invert`` takes
+each Newton correction at half length.
 
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
@@ -215,6 +215,7 @@ def _conv_sparse(nzu, nzv, n):
 
 
 def _conv_school(u, v, n):
+    # the double loop the tests pin every other path to
     out = [0] * n
     for j in range(min(len(u), n)):
         x = u[j]
@@ -227,74 +228,37 @@ def _conv_school(u, v, n):
     return out
 
 
-def _conv_kronecker(u, v, n):
-    # Pack both polynomials into single integers with fixed-width signed
-    # columns, multiply once, then unpack.  Column width is sized from an
-    # a-priori bound on the convolution coefficients, so the result is exact.
-    mu = max(abs(x) for x in u)
-    mv = max(abs(x) for x in v)
-    bound = mu * mv * min(len(u), len(v)) + 1
-    width = (bound.bit_length() + 9) // 8 + 1  # bytes; leaves sign headroom
-
-    def pack(vals):
-        pos = b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in vals)
-        neg = b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in vals)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    prod = pack(u) * pack(v)
-    cols = len(u) + len(v) - 1
-    data = prod.to_bytes(cols * width + width, "little", signed=True)
-
-    out = []
-    half = 1 << (8 * width - 1)
-    full = 1 << (8 * width)
-    carry = 0
-    for i in range(min(cols, n)):
-        chunk = int.from_bytes(data[i * width:(i + 1) * width], "little") + carry
-        if chunk >= half:
-            out.append(chunk - full)
-            carry = 1
-        else:
-            out.append(chunk)
-            carry = 0
-    out.extend([0] * (n - len(out)))
-    return out
-
-
-# Every trap a lost digit can raise is set, so the decimal path is exact or
+# Every trap a lost digit can raise is set, so the decimal radix is exact or
 # raises; it is the only user of this context and never reads the thread's.
 _DECIMAL = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                            Emin=decimal.MIN_EMIN,
                            traps=[decimal.Inexact, decimal.Rounded,
                                   decimal.Overflow, decimal.InvalidOperation])
 
-# Packed digits (columns times column width) from which a product goes to
-# ``_conv_decimal`` rather than ``_conv_kronecker``: the crossover of the
-# two paths, measured on random signed operands (see README).
+# Packed digits (columns times column width) from which a packed product
+# takes decimal columns rather than byte columns: the crossover of the two
+# radices, measured on random signed operands (see README).
 DECIMAL_MIN_DIGITS = 30_000
 
 
-def _column_width(mu, mv, n):
-    """Decimal digits of ``(2*mu)*(2*mv)*n``, which bounds every column of
-    the product of two offset operands of at most n columns each.  Counted
-    by libmpdec, so a bound past the int-to-str digit limit is no error."""
-    return _DECIMAL.create_decimal(4 * mu * mv * n).adjusted() + 1
-
-
-def _conv_decimal(u, v, n):
-    # The same packing as _conv_kronecker, in decimal digits: libmpdec
-    # multiplies large operands by a number-theoretic transform.  Both
-    # operands are padded to n columns and every coefficient is offset by
-    # its operand's largest magnitude, so every column is non-negative and,
-    # by the width bound, none carries into the next.
-    u = u[:n] + [0] * (n - len(u))
-    v = v[:n] + [0] * (n - len(v))
-    mu = max(map(abs, u))
-    mv = max(map(abs, v))
-    width = _column_width(mu, mv, n)
-
+def _byte_columns(u, v, n, mu, mv, size):
+    """The low n columns of the product of u + mu and v + mv packed into
+    ``size``-byte columns, multiplied as one Python int."""
     def pack(vals, m):
-        # column i holds vals[i] + m; the highest column comes first
+        return int.from_bytes(
+            b"".join([(x + m).to_bytes(size, "little") for x in vals]),
+            "little")
+
+    data = (pack(u, mu) * pack(v, mv)).to_bytes(2 * n * size, "little")
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, n * size, size)]
+
+
+def _decimal_columns(u, v, n, mu, mv, width):
+    """The low n columns of the product of u + mu and v + mv packed into
+    ``width``-digit columns, multiplied by libmpdec."""
+    def pack(vals, m):
+        # the highest column comes first
         return _DECIMAL.create_decimal(
             "".join([str(x + m).zfill(width) for x in reversed(vals)]))
 
@@ -310,6 +274,32 @@ def _conv_decimal(u, v, n):
     if head and len(cols) < n:
         cols.append(int(digits[:head]))
     cols.extend([0] * (n - len(cols)))
+    return cols
+
+
+def _conv_packed(u, v, n):
+    """Kronecker substitution: both operands packed into fixed-width columns
+    for one big-number multiply.  Both are padded to n columns and every
+    coefficient is offset by its operand's largest magnitude, so every
+    column is non-negative and at most ``4*mu*mv*n``; a column that holds
+    that bound carries into no other.  Decimal columns from
+    ``DECIMAL_MIN_DIGITS`` packed digits on, while a column also converts
+    between str and int under the interpreter's digit limit (Python 3.10.7
+    on; 0 is no limit), and byte columns otherwise."""
+    u = u[:n] + [0] * (n - len(u))
+    v = v[:n] + [0] * (n - len(v))
+    # offsets of at least 1, so a column that holds the bound also holds
+    # every packed coefficient, at most 2*mu or 2*mv
+    mu = max(map(abs, u)) or 1
+    mv = max(map(abs, v)) or 1
+    bound = 4 * mu * mv * n
+    # counted by libmpdec, so a bound past the digit limit is no error
+    width = _DECIMAL.create_decimal(bound).adjusted() + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if n * width >= DECIMAL_MIN_DIGITS and (not limit or width <= limit):
+        cols = _decimal_columns(u, v, n, mu, mv, width)
+    else:
+        cols = _byte_columns(u, v, n, mu, mv, bound.bit_length() // 8 + 1)
     # Column i is c_i plus the offsets' share, mv*sum(u_j) + mu*sum(v_j)
     # + mu*mv over j <= i.
     shares = itertools.accumulate(mv * x + mu * y + mu * mv
@@ -333,7 +323,9 @@ def _conv(u, v, n):
     With g the gcd of the nonzero exponents of both operands, g > 1 means
     both are series in q**g: their product below q**n is the product of
     ``u[::g]`` and ``v[::g]`` below ``q**ceil(n/g)`` with q -> q**g, so the
-    paths below, and their thresholds, see the compressed length.
+    two paths below, and the radix threshold, see the compressed length: a
+    sparse loop when few products of nonzero terms fall below q**n, and
+    ``_conv_packed`` otherwise.
     """
     u = u[:n]
     v = v[:n]
@@ -346,25 +338,7 @@ def _conv(u, v, n):
         return _spread(_conv(u[::g], v[::g], -(-n // g)), g, n)
     if len(nzu) * len(nzv) <= max(1024, 4 * n):
         return _conv_sparse(nzu, nzv, n)
-    if min(len(u), len(v)) <= 64:
-        return _conv_school(u, v, n)
-    width = _column_width(max(map(abs, u)), max(map(abs, v)), n)
-    # a column must also convert between str and int under the interpreter's
-    # digit limit (Python 3.10.7 on; 0 is no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if n * width >= DECIMAL_MIN_DIGITS and (not limit or width <= limit):
-        return _conv_decimal(u, v, n)
-    return _conv_kronecker(u, v, n)
-
-
-def _add_lists(u, v):
-    n = max(len(u), len(v))
-    out = [0] * n
-    for j, x in enumerate(u):
-        out[j] = x
-    for j, x in enumerate(v):
-        out[j] += x
-    return out
+    return _conv_packed(u, v, n)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +423,11 @@ class QSeries:
 
     @classmethod
     def zeros(cls, order):
-        return cls._raw([0] * order, None, 1, order)
+        return cls.monomial(0, 0, order)
 
     @classmethod
     def one(cls, order):
-        re = [0] * order
-        re[0] = 1
-        return cls._raw(re, None, 1, order)
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def constant(cls, value, order):
@@ -464,6 +436,8 @@ class QSeries:
     @classmethod
     def monomial(cls, value, exponent, order):
         """The series ``value * q**exponent`` to the given order."""
+        if order < 1:
+            raise ValueError("order must be positive")
         if exponent < 0:
             raise ValueError("monomial exponent must be non-negative")
         v = _as_gaussian(value)
@@ -592,7 +566,8 @@ class QSeries:
         else:
             ii = _conv(ai, bi, order)
             re = [x - y for x, y in zip(rr, ii)]
-            im = _add_lists(_conv(ar, bi, order), _conv(ai, br, order))
+            im = [x + y for x, y in zip(_conv(ar, bi, order),
+                                        _conv(ai, br, order))]
         return QSeries._raw(re, im, self._den * other._den, order)
 
     __rmul__ = __mul__
@@ -754,8 +729,10 @@ def _factors_loop(z: GaussianRational, e: int, modulus: int,
 # multi-modular lane for unit zeta
 # ---------------------------------------------------------------------------
 
-# (re, im) of i**u -> u, for the fourth roots of unity the lane accepts
-_UNIT_INDEX = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+# (re, im) of i**k for k = 0..3, and the inverse map: the fourth roots of
+# unity the lane accepts
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_UNIT_INDEX = {w: k for k, w in enumerate(_I_POWERS)}
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from .report import Check, VerificationReport, series_check
 from .series import (GaussianRational, QSeries, pochhammer_inf, series_eq,
-                     ONE, I_UNIT, MINUS_ONE, MINUS_I, _as_gaussian)
+                     ONE, I_UNIT, MINUS_ONE, MINUS_I, _UNIT_INDEX,
+                     _as_gaussian)
 
 
 class NegativeQPower(ArithmeticError):
@@ -36,10 +37,10 @@ _UNITS = (ONE, I_UNIT, MINUS_ONE, MINUS_I)  # i**k for k = 0..3
 
 
 def _unit_index(u: GaussianRational) -> int:
-    for k, w in enumerate(_UNITS):
-        if u == w:
-            return k
-    raise ValueError(f"{u} is not a fourth root of unity")
+    k = _UNIT_INDEX.get((u.re, u.im))
+    if k is None:
+        raise ValueError(f"{u} is not a fourth root of unity")
+    return k
 
 
 def unit_power(u: GaussianRational, k: int) -> GaussianRational:

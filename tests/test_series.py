@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qident import series
 from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
-                           _column_width, _conv, _conv_decimal, _conv_school,
+                           _conv, _conv_packed, _conv_school, _decimal_columns,
                            _factors_lane, _factors_loop, _lane_moduli,
                            _lane_prime, _partition_bound_bits,
                            clear_product_store, pochhammer_inf, series_eq)
@@ -84,6 +84,16 @@ class TestQSeriesBasics:
         b = QSeries([1], 7)
         assert (a + b).order == 3
         assert (a * b).order == 3
+
+    @pytest.mark.parametrize("order", [0, -2])
+    @pytest.mark.parametrize("build", [
+        QSeries.zeros, QSeries.one,
+        lambda order: QSeries.constant(3, order),
+        lambda order: QSeries.monomial(3, 0, order),
+    ], ids=["zeros", "one", "constant", "monomial"])
+    def test_named_constructors_reject_orders_below_one(self, build, order):
+        with pytest.raises(ValueError, match="order must be positive"):
+            build(order)
 
     def test_coeff_bounds(self):
         a = QSeries([1, -2], 2)
@@ -439,20 +449,21 @@ def test_kronecker_path_matches_reference():
 
 
 def _spy(monkeypatch, name):
-    """The list of n that each later call of ``series.<name>`` appends to."""
+    """The list of n that each later call of ``series.<name>`` appends to,
+    n its third argument."""
     calls = []
     real = getattr(series, name)
 
-    def spy(u, v, n):
+    def spy(u, v, n, *rest):
         calls.append(n)
-        return real(u, v, n)
+        return real(u, v, n, *rest)
 
     monkeypatch.setattr(series, name, spy)
     return calls
 
 
 def test_decimal_path_matches_reference(monkeypatch):
-    # above the crossover, so _conv sends every product to _conv_decimal
+    # above the crossover, so every product takes the decimal radix
     rng = random.Random(13)
     order = 1000
     top = 1 << 64
@@ -460,7 +471,7 @@ def test_decimal_path_matches_reference(monkeypatch):
     b = QSeries([GaussianRational(rng.randrange(-top, top),
                                   rng.randrange(-top, top))
                  for _ in range(order)], order)
-    calls = _spy(monkeypatch, "_conv_decimal")
+    calls = _spy(monkeypatch, "_decimal_columns")
     prod = a * b
     assert calls == [order, order]
     assert prod._den == 1
@@ -470,7 +481,7 @@ def test_decimal_path_matches_reference(monkeypatch):
 
 @st.composite
 def conv_cases(draw):
-    """(u, v, n) for _conv_decimal: signed coefficients with zeros, every
+    """(u, v, n) for _conv_packed: signed coefficients with zeros, every
     coefficient at the offset bound, or operands that end in their most
     negative coefficient, so the top columns of the offset product are zero
     and its decimal string is shorter than n columns."""
@@ -496,9 +507,14 @@ def conv_cases(draw):
 @example(([1, -1, -1, -1], [1, -1, -1, -1], 4))
 @example(([0, 0], [5, -3], 3))
 @example(([7], [-7], 1))
-def test_conv_decimal_matches_school(case):
+def test_conv_packed_matches_school(case):
     u, v, n = case
-    assert _conv_decimal(u, v, n) == _conv_school(u, v, n)
+    ref = _conv_school(u, v, n)
+    # every case at or past the decimal threshold, then none
+    for digits in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "DECIMAL_MIN_DIGITS", digits)
+            assert _conv_packed(u, v, n) == ref, digits
 
 
 def _dense_operands(n, bits, seed):
@@ -508,8 +524,26 @@ def _dense_operands(n, bits, seed):
             [rng.randrange(-top, top) for _ in range(n)])
 
 
-def test_decimal_path_leaves_the_thread_context_alone():
+def _decimal_width(u, v, n):
+    """Decimal digits of the packed product's column bound."""
+    return len(str(4 * max(map(abs, u)) * max(map(abs, v)) * n))
+
+
+def test_dense_products_up_to_64_terms_are_packed(monkeypatch):
+    calls = _spy(monkeypatch, "_conv_packed")
+    for n in range(33, 65):
+        for bits in (4, 60, 200):
+            u, v = _dense_operands(n, bits, n * bits)
+            u = [x or 1 for x in u]
+            v = [x or 1 for x in v]
+            assert _conv(u, v, n) == _conv_school(u, v, n), (n, bits)
+    assert calls == [n for n in range(33, 65) for _ in range(3)]
+
+
+def test_decimal_path_leaves_the_thread_context_alone(monkeypatch):
     u, v = _dense_operands(200, 60, 17)
+    monkeypatch.setattr(series, "DECIMAL_MIN_DIGITS", 0)
+    calls = _spy(monkeypatch, "_decimal_columns")
     with decimal.localcontext() as ctx:
         # a thread context that would round or raise on any real use
         ctx.prec = 1
@@ -519,19 +553,23 @@ def test_decimal_path_leaves_the_thread_context_alone():
             ctx.traps[signal] = True
         ctx.clear_flags()
         before = repr(ctx)
-        out = _conv_decimal(u, v, 200)
+        out = _conv_packed(u, v, 200)
         assert decimal.getcontext() is ctx
         assert repr(ctx) == before
+    assert calls == [200]
     assert out == _conv_school(u, v, 200)
 
 
 def test_decimal_path_raises_rather_than_rounds(monkeypatch):
     u, v = _dense_operands(200, 60, 19)
-    width = _column_width(max(map(abs, u)), max(map(abs, v)), 200)
+    width = _decimal_width(u, v, 200)
+    monkeypatch.setattr(series, "DECIMAL_MIN_DIGITS", 0)
+    calls = _spy(monkeypatch, "_decimal_columns")
     # the packed operands fit, their product does not
     monkeypatch.setattr(series._DECIMAL, "prec", 200 * width)
     with pytest.raises((decimal.Inexact, decimal.Rounded)):
-        _conv_decimal(u, v, 200)
+        _conv_packed(u, v, 200)
+    assert calls == [200]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -540,13 +578,15 @@ def test_columns_past_the_digit_limit_take_the_kronecker_path(monkeypatch):
     n = 100
     u, v = _dense_operands(n, 1100, 23)
     ref = _conv_school(u, v, n)
-    calls = _spy(monkeypatch, "_conv_kronecker")
+    mu = max(map(abs, u))
+    mv = max(map(abs, v))
+    width = _decimal_width(u, v, n)
+    calls = _spy(monkeypatch, "_byte_columns")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        width = _column_width(max(map(abs, u)), max(map(abs, v)), n)
         with pytest.raises(ValueError):
-            _conv_decimal(u, v, n)
+            _decimal_columns(u, v, n, mu, mv, width)
         out = _conv(u, v, n)
     finally:
         sys.set_int_max_str_digits(old)
@@ -627,9 +667,9 @@ class TestStride:
         b_im = _strided_ints(rng, 2, n, 64)
         b = QSeries([GaussianRational(x, y) for x, y in zip(b_re, b_im)], n)
         m = -(-n // 2)
-        width = _column_width(max(map(abs, a._re)), max(map(abs, b_re)), m)
+        width = _decimal_width(a._re[::2], b_re[::2], m)
         assert m * width >= series.DECIMAL_MIN_DIGITS
-        calls = _spy(monkeypatch, "_conv_decimal")
+        calls = _spy(monkeypatch, "_decimal_columns")
         prod = a * b
         assert calls == [m, m]
         assert prod._re == _conv_school(a._re, b_re, n)
