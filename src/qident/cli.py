@@ -1,7 +1,8 @@
 """Command-line front end: run suites, emit value tables, dump constructions.
 
 Exit codes: 0 all checks pass, 1 any verification failure, 2 usage error
-(a size past an int64 guard or the series memory budget included),
+(any size ``verify.size_error`` refuses: past a minimum, an int64 guard
+or the memory budget of the series or tables),
 3 internal error (an exception escaped the command; stderr names it).
 Rationals always render as "p/q"; JSON reports follow the documented schema
 {"suite", "parameters": {"order", "max"}, "checks": [...]}.
@@ -15,8 +16,7 @@ import sys
 
 from . import bijections, counting
 from .quadforms import hurwitz_H
-from .verify import (SUITE_NAMES, run_suites, series_budget_error,
-                     suite_maximums, suite_minimums, suite_order_maximum)
+from .verify import SUITE_NAMES, run_suites, size_error
 
 # each column's value at n, computed only when the column is asked for
 _COLUMN_VALUES = {
@@ -51,20 +51,9 @@ def _print_report_text(report, out):
 
 
 def cmd_verify(args) -> int:
-    min_order, min_max = suite_minimums(args.suite)
-    if args.order < min_order:
-        return _usage_error(f"suite {args.suite} needs --order >= {min_order}")
-    if args.max < min_max:
-        return _usage_error(f"suite {args.suite} needs --max >= {min_max}")
-    max_order = suite_order_maximum(args.suite)
-    if max_order is not None and args.order > max_order:
-        return _usage_error(f"suite {args.suite} needs --order <= {max_order}")
-    max_max = suite_maximums(args.suite)
-    if max_max is not None and args.max > max_max:
-        return _usage_error(f"suite {args.suite} needs --max <= {max_max}")
-    too_big = series_budget_error(args.suite, args.order, args.max)
-    if too_big is not None:
-        return _usage_error(too_big)
+    error = size_error(args.suite, args.order, args.max)
+    if error is not None:
+        return _usage_error(error)
     reports = run_suites(args.suite, args.order, args.max)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]

@@ -8,9 +8,9 @@ them to a brute force over every sign vector.  One per-n function is
 not a loop: ``solution_triple_arrays`` reads the solution triples of one n
 from ``_kernels.progression_terms``, for the bijections and the closed
 forms; ``iter_solution_triples`` stays its loop oracle, behind
-``triple_sum`` and the tests.  The sweep-scale tables delegate to the
-batch kernels in ``_kernels``; tests pin every kernel against the per-n
-oracles.
+``triple_sum`` and the tests.  The sweep-scale tables are the batch
+kernels in ``_kernels``, which callers read directly; tests pin every
+kernel against the per-n oracles.
 """
 
 from __future__ import annotations
@@ -297,28 +297,6 @@ def signed_formula_odd(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batch tables (kernel-backed)
-# ---------------------------------------------------------------------------
-
-
-def signed_rep_tables(maxn: int):
-    """(signed, unsigned) counts of x^2+2y^2+2z^2 = n for all n <= maxn."""
-    return _kernels.signed_rep_tables(maxn)
-
-
-def rep_squares_table(s: int, maxn: int):
-    """rep_squares(s, n) for all n <= maxn, 1 <= s <= 4."""
-    return _kernels.square_rep_tables(s, maxn)
-
-
-def triple_sum_tables(maxn: int, shape: str):
-    """(total, signed, r_even) tables for the shape equation, n <= maxn."""
-    if shape not in (OPEN, SHIFTED):
-        raise ValueError(f"unknown shape {shape!r}")
-    return _kernels.triple_tables(maxn, shape == SHIFTED)
-
-
-# ---------------------------------------------------------------------------
 # classical identities
 # ---------------------------------------------------------------------------
 
@@ -392,8 +370,9 @@ def three_squares_parity_check(n: int, counts=None) -> bool:
     additionally r3(n) = r3(n/4) = signed_rep_count(n).
 
     ``counts`` is None, and the counts come from the per-n oracles, or a
-    triple (signed, unsigned, r3) of tables indexed by n, as from
-    ``signed_rep_tables`` and ``rep_squares_table(3, ...)``, read instead.
+    triple (signed, unsigned, r3) of tables indexed by n, as from the
+    kernels ``signed_rep_tables`` and ``square_rep_tables(3, ...)``, read
+    instead.
     """
     images = parity_bijection_images(n)
     if counts is None:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .report import Check, VerificationReport, series_check
 from .series import (GaussianRational, QSeries, pochhammer_inf, series_eq,
-                     ONE, I_UNIT, MINUS_ONE, MINUS_I, _UNIT_INDEX,
-                     _as_gaussian)
+                     ONE, I_UNIT, MINUS_ONE, MINUS_I, _I_POWERS,
+                     _UNIT_INDEX, _as_gaussian)
 
 
 class NegativeQPower(ArithmeticError):
@@ -33,7 +33,7 @@ class InternalCrossCheckFailure(AssertionError):
         self.locus, self.expected, self.actual = locus, expected, actual
 
 
-_UNITS = (ONE, I_UNIT, MINUS_ONE, MINUS_I)  # i**k for k = 0..3
+_UNITS = tuple(GaussianRational(*w) for w in _I_POWERS)  # i**k, k = 0..3
 
 
 def _unit_index(u: GaussianRational) -> int:
@@ -174,9 +174,9 @@ def _raw_theta_sum(zeta: GaussianRational, a: int, m: int,
             return False
         if e < 0:
             raise NegativeQPower(f"bilateral sum term at q^{e}")
-        u = _UNITS[(2 * k + kz * k) % 4]  # (-1)**k * zeta**k
-        re[e] += int(u.re)
-        im[e] += int(u.im)
+        ur, ui = _I_POWERS[(2 * k + kz * k) % 4]  # (-1)**k * zeta**k
+        re[e] += ur
+        im[e] += ui
         return True
 
     # The exponent is a convex parabola in k; scan outward from the vertex.

@@ -2,7 +2,8 @@
 
 Each suite returns a ``VerificationReport`` whose checks carry first-failure
 loci with exact expected/actual values.  Suite names are the stable CLI
-tokens; ``run_suites`` resolves them and hands every suite one ``Tables``.
+tokens; ``run_suites`` resolves them and hands every suite one ``Tables``,
+and ``size_error`` holds every rule on the sizes a suite accepts.
 
 ``bijections`` checks every n <= max on the window lane
 (``bijection_windows``) and, on the first ``PER_N_PREFIX`` n, also on the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
@@ -26,89 +28,102 @@ from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
                     rep_count_product_series, verify_theta_suite)
 
-SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
-               "bijections", "background")
-
-# The smallest (order, max) a suite accepts; below them it raises.  dkm
-# compares series from q**1 on; bijections needs n = 7, the first n of its
-# last case (n = 7 mod 8), to run every check; background runs the theta
-# and Appell suites (order >= 8) and the classical square-count checks
-# (max >= 8).
-_MINIMUMS = {"dkm": (2, 0), "bijections": (1, 7), "background": (8, 8)}
-
 # Every n up to this bound also runs a per-n oracle beside the batch route:
 # all of the three-squares parity check, and ``verify_case`` beside the
 # bijection window lane.
 PER_N_PREFIX = 200
 
-
-def suite_minimums(name: str) -> tuple[int, int]:
-    """The smallest ``(order, max)`` that suite ``name``, or "all", accepts."""
-    names = SUITE_NAMES if name == "all" else (name,)
-    floors = [_MINIMUMS.get(n, (1, 0)) for n in names]
-    return max(o for o, _ in floors), max(m for _, m in floors)
+# The int64 bounds on ``--max`` (see the modules that raise past them).
+_KERNELS = _kernels.MAXN_LIMIT  # sigma_table's own bound is wider at k = 0
+_H12 = (HURWITZ_X_LIMIT - 1) // 4  # hurwitz_table(4*max)
+_FORMS = (_kernels.PROGRESSION_LIMIT - 1) // 4  # reduced forms of -4n
 
 
-def suite_maximums(name: str) -> int | None:
-    """The largest ``max`` that suite ``name``, or "all", accepts, None for
-    no bound: the least int64 bound of the tables and lanes it builds at
-    ``max`` (memory is not bounded here)."""
-    kernels = _kernels.MAXN_LIMIT  # sigma_table's own bound is wider at k = 0
-    h12 = (HURWITZ_X_LIMIT - 1) // 4  # hurwitz_table(4*max)
-    forms = (_kernels.PROGRESSION_LIMIT - 1) // 4  # reduced forms of -4n
-    bounds = {
-        "corollary": (kernels, counting.TRIPLE_N_LIMIT - 1),
-        "theorem17": (kernels, h12),
-        "propositions": (kernels, counting.PARITY_N_LIMIT - 1),
-        "theorem61": (kernels, h12),
-        "bijections": (h12, forms, bijection_windows.WINDOW_N_LIMIT - 1),
-        "background": (kernels, h12, forms),
-    }
-    names = SUITE_NAMES if name == "all" else (name,)
-    found = [b for n in names for b in bounds.get(n, ())]
-    return min(found) if found else None
+class _Size(NamedTuple):
+    min_order: int
+    min_max: int
+    max_bounds: tuple[int, ...]  # the int64 bounds on --max
+    follows_order: bool  # its series and kernel tables follow --order
+    max_series: bool  # it builds series below q**(max + 1)
+    table_bytes: int  # bytes per n of max its int64 tables may hold
 
 
-def suite_order_maximum(name: str) -> int | None:
-    """The largest ``order`` that suite ``name``, or "all", accepts, None for
-    no bound.  dkm's sum side builds kernel tables for n <= order - 1, so it
-    takes their int64 bound; background's theta and Appell series follow
-    ``order`` too and take the same one.  The other suites ignore ``order``
-    (memory is not bounded here)."""
-    names = SUITE_NAMES if name == "all" else (name,)
-    if any(n in ("dkm", "background") for n in names):
-        return _kernels.MAXN_LIMIT + 1
-    return None
-
-
-# The suites that build series below q**(max + 1): theorem17 and
+# Every size rule of every suite; ``size_error`` applies them.
+#
+# Minimums: dkm compares series from q**1 on; bijections needs n = 7, the
+# first n of its last case (n = 7 mod 8), to run every check; background
+# runs the theta and Appell suites (order >= 8) and the classical
+# square-count checks (max >= 8).
+#
+# Series: dkm's sum side builds kernel tables for n <= order - 1 and
+# background's theta and Appell series follow order too.  theorem17 and
 # propositions read ``Tables.product`` (propositions also its ``Jbar``
 # products), background the eta quotient of ``classical_checks``.
-MAX_SERIES_SUITES = ("theorem17", "propositions", "background")
+#
+# Table bytes add up the build peak of each table a suite builds at max, per
+# n, from tracemalloc at max = 10**5: signed/unsigned 33, r3 25, each triple
+# table 92, sigma0 9, h12 79 (4*max + 1 entries); background's
+# ``classical_checks`` adds r2 and r4 25 each, its own r3 25, d_mod4 17,
+# sigma_no_mult4 9, triangular3 25, triangular_sum_side 9 and hlm 17.  A
+# sum of peaks bounds the peak of the tables held together; each build's
+# fixed block scratch (``_kernels.BLOCK`` cells) is within its figure from
+# max = 10**5 on.
+_SIZES = {
+    "dkm": _Size(2, 0, (), True, False, 0),
+    "corollary": _Size(1, 0, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
+                       False, False, 33),
+    "theorem17": _Size(1, 0, (_KERNELS, _H12), False, True, 25 + 79),
+    "propositions": _Size(1, 0, (_KERNELS, counting.PARITY_N_LIMIT - 1),
+                          False, True, 33 + 25 + 2 * 92 + 9),
+    "theorem61": _Size(1, 0, (_KERNELS, _H12), False, False,
+                       2 * 92 + 9 + 79),
+    "bijections": _Size(1, 7, (_H12, _FORMS,
+                               bijection_windows.WINDOW_N_LIMIT - 1),
+                        False, False, 79),
+    "background": _Size(8, 8, (_KERNELS, _H12, _FORMS), True, True,
+                        79 + 33 + 25 + 3 * 25 + 17 + 9 + 25 + 9 + 17),
+}
 
 # The most bytes the series at ``--order``, or below q**(max + 1), may be
-# estimated to hold (``series.series_bytes``) before the CLI refuses the
-# size: 1 GiB, about 57 times the estimate at order 4000.
-SERIES_BYTES_BUDGET = 1 << 30
+# estimated to hold (``series.series_bytes``), and, apart from them, the
+# most the int64 tables at ``--max`` may hold, before the CLI refuses the
+# size: 1 GiB, about 57 times the series estimate at order 4000.
+BYTES_BUDGET = 1 << 30
 
 
-def series_budget_error(name: str, order: int, maxn: int) -> str | None:
-    """Why suite ``name``, or "all", at ``(order, maxn)`` would pass
-    ``SERIES_BYTES_BUDGET``, or None if its series fit.  ``order`` counts
-    for the suites ``suite_order_maximum`` bounds and ``maxn + 1`` for
-    ``MAX_SERIES_SUITES``; the estimate allocates nothing."""
+def size_error(name: str, order: int, maxn: int) -> str | None:
+    """Why suite ``name``, or "all", refuses ``(order, maxn)``, or None if
+    it accepts them.  The checks run in a fixed order: the minimums, the
+    int64 bounds on --order and --max, then the series and the table bytes
+    against ``BYTES_BUDGET``.  Nothing is allocated; "all" takes the
+    tightest bound of every suite and adds up their table bytes (a shared
+    table counts once per suite that reads it)."""
     names = SUITE_NAMES if name == "all" else (name,)
-    sizes = []
-    if suite_order_maximum(name) is not None:
-        sizes.append(("--order", order, order))
-    if any(n in MAX_SERIES_SUITES for n in names):
-        sizes.append(("--max", maxn, maxn + 1))
-    for flag, value, length in sizes:
-        need = series_bytes(length)
-        if need > SERIES_BYTES_BUDGET:
+    rows = [_SIZES[n] for n in names]
+    min_order = max(r.min_order for r in rows)
+    min_max = max(r.min_max for r in rows)
+    follows_order = any(r.follows_order for r in rows)
+    max_max = min((b for r in rows for b in r.max_bounds), default=None)
+    if order < min_order:
+        return f"suite {name} needs --order >= {min_order}"
+    if maxn < min_max:
+        return f"suite {name} needs --max >= {min_max}"
+    if follows_order and order > _KERNELS + 1:
+        return f"suite {name} needs --order <= {_KERNELS + 1}"
+    if max_max is not None and maxn > max_max:
+        return f"suite {name} needs --max <= {max_max}"
+    needs = []
+    if follows_order:
+        needs.append(("--order", order, series_bytes(order), "series"))
+    if any(r.max_series for r in rows):
+        needs.append(("--max", maxn, series_bytes(maxn + 1), "series"))
+    needs.append(("--max", maxn,
+                  sum(r.table_bytes for r in rows) * (maxn + 1), "tables"))
+    for flag, value, need, what in needs:
+        if need > BYTES_BUDGET:
             return (f"suite {name} at {flag} {value} would hold about "
-                    f"{need >> 20} MiB of series, past the "
-                    f"{SERIES_BYTES_BUDGET >> 20} MiB budget")
+                    f"{need >> 20} MiB of {what}, past the "
+                    f"{BYTES_BUDGET >> 20} MiB budget")
     return None
 
 
@@ -119,8 +134,9 @@ class Tables:
     series follow ``order``, builds its own.
 
     Members read the builders through their module bindings at first use
-    (``hurwitz_table`` and ``product_side_series`` here, ``_kernels`` and
-    ``counting`` attributes), so a patched builder is seen.
+    (``hurwitz_table`` and ``product_side_series`` here, the rest
+    ``_kernels`` attributes), so a patched builder is seen.  Their memory
+    at ``maxn`` is bounded before a run by ``size_error``.
     """
 
     def __init__(self, maxn: int):
@@ -129,19 +145,19 @@ class Tables:
     @cached_property
     def signed_unsigned(self):
         """(signed, unsigned) counts of x^2+2y^2+2z^2 = n, n <= maxn."""
-        return counting.signed_rep_tables(self.maxn)
+        return _kernels.signed_rep_tables(self.maxn)
 
     @cached_property
     def r3(self):
-        return counting.rep_squares_table(3, self.maxn)
+        return _kernels.square_rep_tables(3, self.maxn)
 
     @cached_property
     def open_triples(self):
-        return counting.triple_sum_tables(self.maxn, counting.OPEN)
+        return _kernels.triple_tables(self.maxn, False)
 
     @cached_property
     def shifted_triples(self):
-        return counting.triple_sum_tables(self.maxn, counting.SHIFTED)
+        return _kernels.triple_tables(self.maxn, True)
 
     @cached_property
     def sigma0(self):
@@ -167,7 +183,7 @@ class Tables:
 
 
 def suite_main_identity(order: int, maxn: int,
-                        tables: Tables | None = None) -> VerificationReport:
+                        tables: Tables) -> VerificationReport:
     """Sum side equals product side, coefficient for coefficient.  Both
     product routes are built here at ``order``; ``tables`` is not read."""
     if order < 2:
@@ -186,9 +202,9 @@ def suite_main_identity(order: int, maxn: int,
 
 
 def suite_corollary(order: int, maxn: int,
-                    tables: Tables | None = None) -> VerificationReport:
+                    tables: Tables) -> VerificationReport:
     """Per-parity closed forms against the direct signed enumeration."""
-    signed, _ = (tables or Tables(maxn)).signed_unsigned
+    signed, _ = tables.signed_unsigned
 
     def pairs(parity):
         for n in range(1, maxn + 1):
@@ -203,9 +219,8 @@ def suite_corollary(order: int, maxn: int,
 
 
 def suite_residue_classes(order: int, maxn: int,
-                          tables: Tables | None = None) -> VerificationReport:
+                          tables: Tables) -> VerificationReport:
     """The signed count through Hurwitz class numbers, by residue mod 8."""
-    tables = tables or Tables(maxn)
     params = {"order": order, "max": maxn}
     a = tables.product
     if isinstance(a, Check):
@@ -237,9 +252,8 @@ def suite_residue_classes(order: int, maxn: int,
 
 
 def suite_propositions(order: int, maxn: int,
-                       tables: Tables | None = None) -> VerificationReport:
+                       tables: Tables) -> VerificationReport:
     """The per-residue coefficient evaluations and the n = 0 mod 4 analysis."""
-    tables = tables or Tables(maxn)
     params = {"order": order, "max": maxn}
     a = tables.product
     if isinstance(a, Check):
@@ -322,9 +336,8 @@ def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
 
 
 def suite_triple_counts(order: int, maxn: int,
-                        tables: Tables | None = None) -> VerificationReport:
+                        tables: Tables) -> VerificationReport:
     """Triple counts against Hurwitz class numbers and divisor counts."""
-    tables = tables or Tables(maxn)
     open_total, _, _ = tables.open_triples
     sh_total, sh_signed, _ = tables.shifted_triples
     sig0, H = tables.sigma0, tables.H
@@ -351,7 +364,7 @@ def suite_triple_counts(order: int, maxn: int,
 
 
 def suite_bijections(order: int, maxn: int,
-                     tables: Tables | None = None) -> VerificationReport:
+                     tables: Tables) -> VerificationReport:
     """Every per-n construction check, aggregated with first-failure n.
 
     The window lane (``bijection_windows.verify_windows``) checks every
@@ -363,7 +376,6 @@ def suite_bijections(order: int, maxn: int,
     only the lane fails, a failure naming the disagreement."""
     if maxn < 7:
         raise ValueError("maxn must be >= 7")
-    tables = tables or Tables(maxn)
     H = tables.H
 
     def per_n(n):
@@ -402,11 +414,10 @@ def suite_bijections(order: int, maxn: int,
 
 
 def suite_background(order: int, maxn: int,
-                     tables: Tables | None = None) -> VerificationReport:
+                     tables: Tables) -> VerificationReport:
     """Theta suite, Appell suite, classical checks, Hurwitz doubling, the
     unsigned generating function, and the local-global sweep.  Hurwitz
     doubling stays on the per-N ``hurwitz_H``."""
-    tables = tables or Tables(maxn)
     checks = []
     checks.extend(verify_theta_suite(order).checks)
     checks.extend(verify_appell_suite(order).checks)
@@ -447,6 +458,7 @@ _SUITES = {
     "bijections": suite_bijections,
     "background": suite_background,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(name: str, order: int, maxn: int) -> list[VerificationReport]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qident import bijections, counting
+from qident import _kernels, bijections, counting
 from qident.quadforms import (enumerate_reduced, enumerate_reduced_bruteforce,
                               hurwitz_H)
 from qident.series import series_eq
@@ -39,12 +39,12 @@ def product_series_big():
 
 @pytest.fixture(scope="module")
 def signed_tables_big():
-    return counting.signed_rep_tables(BIG_SWEEP)
+    return _kernels.signed_rep_tables(BIG_SWEEP)
 
 
 @pytest.fixture(scope="module")
 def r3_table_big():
-    return counting.rep_squares_table(3, SWEEP)
+    return _kernels.square_rep_tables(3, SWEEP)
 
 
 def test_criterion_1_main_identity_at_300():

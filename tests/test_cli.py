@@ -108,7 +108,7 @@ def test_order_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
     ran = []
     monkeypatch.setattr(cli, "run_suites",
                         lambda name, order, maxn: ran.append(order) or [])
-    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(4000))
+    monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(4000))
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--order", "4001", "--max", "10")
     assert code == 2
@@ -124,7 +124,8 @@ def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
     from qident import cli, verify
 
     monkeypatch.setattr(cli, "run_suites", lambda name, order, maxn: [])
-    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", 0)
+    # room for corollary's tables at --max 10, none for series at --order
+    monkeypatch.setattr(verify, "BYTES_BUDGET", 1 << 20)
     assert run_cli(capsys, "verify", "--suite", "corollary",
                    "--order", "1000000001", "--max", "10")[0] == 0
 
@@ -139,7 +140,7 @@ def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
     ran = []
     monkeypatch.setattr(cli, "run_suites",
                         lambda name, order, maxn: ran.append(maxn) or [])
-    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(3001))
+    monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--order", "200", "--max", "3001")
     assert code == 2
@@ -169,9 +170,24 @@ def test_series_budget_admits_the_benchmark_orders_widely():
     from qident import verify
     from qident.series import series_bytes
 
-    budget = verify.SERIES_BYTES_BUDGET
+    budget = verify.BYTES_BUDGET
     assert series_bytes(300) < series_bytes(4000) < budget // 50
     assert series_bytes(1_000_000_001) > budget
+
+
+def test_a_max_past_the_real_table_budget_is_refused(capsys, monkeypatch):
+    from qident import verify
+
+    def no_tables(maxn):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(verify, "Tables", no_tables)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem61",
+                             "--max", "1000000000")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: suite theorem61 at --max 1000000000 would hold "
+                   "about 259399 MiB of tables, past the 1024 MiB budget\n")
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -397,16 +397,16 @@ def test_parity_bijection_images_guards_and_memory():
 
 
 def test_parity_bijection_table_arm_matches_oracle():
-    signed, unsigned = C.signed_rep_tables(300)
-    r3 = C.rep_squares_table(3, 300)
+    signed, unsigned = _kernels.signed_rep_tables(300)
+    r3 = _kernels.square_rep_tables(3, 300)
     for n in range(301):
         assert C.parity_bijection_images(n) == C.rep_count(n), n
         assert C.three_squares_parity_check(n, (signed, unsigned, r3)), n
 
 
 def test_parity_bijection_table_arm_reads_the_tables():
-    signed, unsigned = C.signed_rep_tables(40)
-    r3 = C.rep_squares_table(3, 40)
+    signed, unsigned = _kernels.signed_rep_tables(40)
+    r3 = _kernels.square_rep_tables(3, 40)
     for table, n in ((unsigned, 13), (signed, 36), (r3, 9), (r3, 36)):
         table[n] += 1
         bumped = [m for m in range(41)
@@ -548,14 +548,14 @@ class TestKernelLanes:
     """Every kernel must agree with its per-n oracle."""
 
     def test_signed_rep_tables_vs_oracle(self):
-        sg, un = C.signed_rep_tables(150)
+        sg, un = _kernels.signed_rep_tables(150)
         for n in range(151):
             assert int(sg[n]) == C.signed_rep_count(n)
             assert int(un[n]) == C.rep_count(n)
 
     def test_square_tables_vs_oracle(self):
         for s in (1, 2, 3, 4):
-            table = C.rep_squares_table(s, 60)
+            table = _kernels.square_rep_tables(s, 60)
             for n in range(61):
                 assert int(table[n]) == C.rep_squares(s, n)
 
@@ -566,7 +566,8 @@ class TestKernelLanes:
 
     def test_triple_tables_vs_oracle(self):
         for shape in (C.OPEN, C.SHIFTED):
-            total, signed, r_even = C.triple_sum_tables(120, shape)
+            total, signed, r_even = _kernels.triple_tables(120,
+                                                           shape == C.SHIFTED)
             for n in range(1, 121):
                 trs = list(C.iter_solution_triples(n, shape))
                 assert int(total[n]) == len(trs)
@@ -631,11 +632,7 @@ class TestKernelLanes:
     def test_square_tables_reject_s_outside_1_to_4(self):
         for s in (0, 5):
             with pytest.raises(ValueError):
-                C.rep_squares_table(s, 10)
-
-    def test_triple_tables_reject_unknown_shape(self):
-        with pytest.raises(ValueError, match="unknown shape"):
-            C.triple_sum_tables(10, "bogus")
+                _kernels.square_rep_tables(s, 10)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=ORACLE_MAX))

@@ -6,8 +6,8 @@ import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
-from qident.verify import (SUITE_NAMES, run_suites, series_budget_error,
-                           suite_maximums, suite_order_maximum)
+from qident import verify
+from qident.verify import SUITE_NAMES, run_suites, size_error
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -190,51 +190,102 @@ def test_check_constructors():
     assert not bad.passed and bad.expected == "1" and bad.actual == "2"
 
 
-def test_suite_maximums_come_from_the_int64_guards():
+ALL_NAMES = SUITE_NAMES + ("all",)
+MAX_SERIES = ("theorem17", "propositions", "background", "all")
+FOLLOWS_ORDER = ("dkm", "background", "all")
+
+
+def test_one_size_row_per_suite():
+    assert list(verify._SIZES) == list(verify._SUITES) == list(SUITE_NAMES)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_size_error_max_bound_comes_from_the_int64_guards(monkeypatch, name):
     from qident import _kernels
     from qident.bijection_windows import WINDOW_N_LIMIT
 
-    assert suite_maximums("dkm") is None
+    monkeypatch.setattr(verify, "BYTES_BUDGET", 1 << 200)
     # the window lane binds bijections, and so "all"; the kernel tables
-    # bind every other suite
-    assert suite_maximums("bijections") == WINDOW_N_LIMIT - 1
-    assert suite_maximums("all") == WINDOW_N_LIMIT - 1
-    for name in ("corollary", "theorem17", "propositions", "theorem61",
-                 "background"):
-        assert suite_maximums(name) == _kernels.MAXN_LIMIT, name
+    # bind every other suite but dkm, which has no bound
+    bound = {"dkm": None, "bijections": WINDOW_N_LIMIT - 1,
+             "all": WINDOW_N_LIMIT - 1}.get(name, _kernels.MAXN_LIMIT)
+    if bound is None:
+        assert size_error(name, 200, 10 ** 30) is None
+        return
+    assert size_error(name, 200, bound) is None
+    assert size_error(name, 200, bound + 1) == (
+        f"suite {name} needs --max <= {bound}")
 
 
-def test_suite_order_maximum_comes_from_the_kernel_bound():
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_size_error_order_bound_comes_from_the_kernel_bound(monkeypatch,
+                                                            name):
     from qident import _kernels
 
+    monkeypatch.setattr(verify, "BYTES_BUDGET", 1 << 200)
     # dkm builds kernel tables for n <= order - 1; background's series
     # follow order too; the other suites ignore it
-    for name in ("dkm", "background", "all"):
-        assert suite_order_maximum(name) == _kernels.MAXN_LIMIT + 1, name
-    for name in ("corollary", "theorem17", "propositions", "theorem61",
-                 "bijections"):
-        assert suite_order_maximum(name) is None, name
+    top = _kernels.MAXN_LIMIT + 1
+    assert size_error(name, top, 10) is None
+    if name in FOLLOWS_ORDER:
+        assert size_error(name, top + 1, 10) == (
+            f"suite {name} needs --order <= {top}")
+    else:
+        assert size_error(name, top + 1, 10) is None
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
-        monkeypatch):
-    from qident import verify
+        monkeypatch, name):
     from qident.series import series_bytes
 
     # the budget admits series below q^3001 and nothing longer
-    monkeypatch.setattr(verify, "SERIES_BYTES_BUDGET", series_bytes(3001))
-    for name in ("theorem17", "propositions", "background", "all"):
-        assert series_budget_error(name, 200, 3000) is None, name
-        err = series_budget_error(name, 200, 3001)
-        assert err.startswith(f"suite {name} at --max 3001 ") and "budget" in err
-    for name in ("dkm", "corollary", "theorem61", "bijections"):
-        assert series_budget_error(name, 200, 10 ** 6) is None, name
-    # --order still counts for the suites that read it
-    assert "--order 3002" in series_budget_error("dkm", 3002, 10)
-    assert "--order 3002" in series_budget_error("all", 3002, 10)
-    assert series_budget_error("theorem17", 3002, 10) is None
+    monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
+    if name in MAX_SERIES:
+        assert size_error(name, 200, 3000) is None
+        err = size_error(name, 200, 3001)
+        assert err.startswith(f"suite {name} at --max 3001 ")
+        assert "of series" in err and "budget" in err
+    else:
+        # only the tables may bind --max here
+        assert "series" not in (size_error(name, 200, 10 ** 6) or "")
+    # --order counts for the suites that read it
+    err = size_error(name, 3002, 10)
+    if name in FOLLOWS_ORDER:
+        assert "--order 3002" in err and "of series" in err
+    else:
+        assert err is None
 
 
-def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max():
-    assert series_budget_error("all", 300, 3000) is None
-    assert "--max 200000" in series_budget_error("theorem17", 200, 200_000)
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max(name):
+    assert size_error(name, 300, 3000) is None
+    err = size_error(name, 200, 200_000)
+    if name in MAX_SERIES:
+        assert "--max 200000" in err and "of series" in err
+    else:
+        assert err is None
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_table_budget_bounds_max(monkeypatch, name):
+    from qident.series import series_bytes
+
+    per_n = sum(verify._SIZES[n].table_bytes
+                for n in (SUITE_NAMES if name == "all" else (name,)))
+    if name == "dkm":
+        assert per_n == 0
+        return
+    # a budget of exactly the tables at --max 10**6, and series that fit
+    monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
+    monkeypatch.setattr(verify, "BYTES_BUDGET", per_n * (10 ** 6 + 1))
+    assert size_error(name, 200, 10 ** 6) is None
+    assert size_error(name, 200, 10 ** 6 + 1) == (
+        f"suite {name} at --max 1000001 would hold about "
+        f"{per_n * (10 ** 6 + 2) >> 20} MiB of tables, past the "
+        f"{per_n * (10 ** 6 + 1) >> 20} MiB budget")
+    # the series are checked first
+    monkeypatch.setattr(verify, "series_bytes", series_bytes)
+    if name in MAX_SERIES:
+        assert "of series" in size_error(name, 200, 10 ** 6 + 1)
+
