@@ -2,15 +2,17 @@
 
 The per-n counters here are deliberately simple loops: they are the
 trusted oracles everything else is checked against.  The lattice counters
-walk only the orthant of non-negative coordinates and weigh each solution
-by its 2**k sign flips, k the number of nonzero coordinates; the tests pin
-them to a brute force over every sign vector.  One per-n function is
-not a loop: ``solution_triple_arrays`` reads the solution triples of one n
-from ``_kernels.progression_terms``, for the bijections and the closed
-forms; ``iter_solution_triples`` stays its loop oracle, behind
-``triple_sum`` and the tests.  The sweep-scale tables are the batch
-kernels in ``_kernels``, which callers read directly; tests pin every
-kernel against the per-n oracles.
+walk one symmetry chamber of the coordinates and weigh each solution by
+the points it stands for: its 2**k sign flips, k the number of nonzero
+coordinates, times its distinct images under the coordinate swaps that
+fix the equation (the permutations of x, y, z for r3, y <-> z for
+x^2+2y^2+2z^2).  The tests pin them to a brute force over every sign
+vector.  One per-n function is not a loop: ``solution_triple_arrays``
+reads the solution triples of one n from ``_kernels.progression_terms``,
+for the bijections and the closed forms; ``iter_solution_triples`` stays
+its loop oracle, behind ``triple_sum`` and the tests.  The sweep-scale
+tables are the batch kernels in ``_kernels``, which callers read
+directly; tests pin every kernel against the per-n oracles.
 """
 
 from __future__ import annotations
@@ -79,7 +81,13 @@ def d_mod4(k: int, n: int) -> int:
 
 
 def rep_squares(s: int, n: int) -> int:
-    """Ordered representations of n as a sum of s squares, s <= 4."""
+    """Ordered representations of n as a sum of s squares, s <= 4.
+
+    s = 3 walks the chamber 0 <= x <= y <= z once; a solution there stands
+    for its distinct permutations (6, 3 or 1) times its 2**k sign vectors,
+    k the number of nonzero coordinates.  s = 2 and s = 4 walk x >= 0,
+    weight 2 for x > 0, s = 4 over ``rep_squares(3, n - x*x)``.
+    """
     if not 1 <= s <= 4:
         raise ValueError("s must be between 1 and 4")
     if n < 0:
@@ -88,29 +96,51 @@ def rep_squares(s: int, n: int) -> int:
     if s == 1:
         return (2 if m else 1) if m * m == n else 0
     total = 0
+    if s == 3:
+        # x <= y <= z: 3x^2 <= n, and 2y^2 <= n - x^2 leaves z >= y
+        for x in range(math.isqrt(n // 3) + 1):
+            rx = n - x * x
+            for y in range(x, math.isqrt(rx // 2) + 1):
+                rem = rx - y * y
+                z = math.isqrt(rem)
+                if z * z == rem:
+                    w = 1 << ((x > 0) + (y > 0) + (z > 0))
+                    if x < y < z:
+                        w *= 6
+                    elif x < z:
+                        w *= 3
+                    total += w
+        return total
     for x in range(m + 1):
         rem = n - x * x
         if s == 2:
             y = math.isqrt(rem)
             c = (2 if y else 1) if y * y == rem else 0
         else:
-            c = rep_squares(s - 1, rem)
+            c = rep_squares(3, rem)
         total += 2 * c if x else c
     return total
 
 
 def _orthant_solutions(n: int):
-    """Yield the solutions of x^2+2y^2+2z^2 = n with x, y, z >= 0."""
-    for x in range(math.isqrt(n) + 1):
-        rx = n - x * x
-        if rx % 2:
-            continue
-        rx //= 2
-        for y in range(math.isqrt(rx) + 1):
+    """Yield ``(x + y + z, w)`` for each solution of x^2+2y^2+2z^2 = n with
+    x >= 0 and 0 <= y <= z; w is the number of integer solutions it stands
+    for, its 2**k sign vectors (k the number of nonzero coordinates),
+    doubled when y != z for the swap of y and z.
+
+    x runs over the parity of n, the only one that leaves n - x^2 even.
+    Neither a sign flip nor the swap changes the parity of x + y + z, so
+    all w solutions carry the sign of the one yielded.
+    """
+    for x in range(n % 2, math.isqrt(n) + 1, 2):
+        rx = (n - x * x) // 2
+        # 2y^2 <= rx leaves z >= y
+        for y in range(math.isqrt(rx // 2) + 1):
             rem = rx - y * y
             z = math.isqrt(rem)
             if z * z == rem:
-                yield x, y, z
+                w = 1 << ((x > 0) + (y > 0) + (z > 0))
+                yield x + y + z, (2 * w if y < z else w)
 
 
 def signed_rep_count(n: int) -> int:
@@ -118,11 +148,8 @@ def signed_rep_count(n: int) -> int:
     if n < 0:
         return 0
     total = 0
-    for x, y, z in _orthant_solutions(n):
-        # flipping signs keeps the parity of x + y + z, so each of the
-        # 2**(nonzero coordinates) sign vectors carries the same sign
-        w = 1 << ((x > 0) + (y > 0) + (z > 0))
-        total += -w if (x + y + z) % 2 else w
+    for xyz, w in _orthant_solutions(n):
+        total += -w if xyz % 2 else w
     return total
 
 
@@ -130,8 +157,7 @@ def rep_count(n: int) -> int:
     """Number of integer solutions of x^2 + 2y^2 + 2z^2 = n."""
     if n < 0:
         return 0
-    return sum(1 << ((x > 0) + (y > 0) + (z > 0))
-               for x, y, z in _orthant_solutions(n))
+    return sum(w for _, w in _orthant_solutions(n))
 
 
 def r3_triangular(n: int) -> int:
@@ -386,19 +412,21 @@ def three_squares_parity_check(n: int, counts=None) -> bool:
     return n % 4 != 0 or int(r3[n]) == int(r3[n // 4]) == int(signed[n])
 
 
-def classical_checks(maxn: int, h12=None) -> VerificationReport:
+def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     """The classical square-counting identities, swept to maxn.
 
-    ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries; it
-    is built when not given."""
+    ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries and
+    ``r3`` a ``square_rep_tables(3, ...)`` table of at least ``maxn + 1``;
+    each is built when not given."""
     if maxn < 8:
         raise ValueError("maxn must be >= 8")
     if h12 is None:
         h12 = hurwitz_table(4 * maxn)
+    if r3 is None:
+        r3 = _kernels.square_rep_tables(3, maxn)
     checks = []
 
     r2 = _kernels.square_rep_tables(2, maxn)
-    r3 = _kernels.square_rep_tables(3, maxn)
     r4 = _kernels.square_rep_tables(4, maxn)
     d1, d3 = _kernels.d_mod4_tables(maxn)
     sig = _kernels.sigma_no_mult4_table(maxn)

@@ -10,8 +10,8 @@ and of x²+xy+y² exactly (a,a,a).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +27,13 @@ class BadDiscriminantResidue(ValueError):
     """Discriminants must be negative and congruent to 0 or 1 mod 4."""
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """The form a*x² + b*x*y + c*y²."""
+class QuadForm(NamedTuple):
+    """The form a*x² + b*x*y + c*y².
+
+    A named tuple: immutable, hashable and ordered by (a, b, c), so that
+    ``enumerate_reduced`` builds its lists at tuple speed.  Being a tuple,
+    it also compares equal to the plain tuple ``(a, b, c)``.
+    """
 
     a: int
     b: int
@@ -125,10 +129,10 @@ def hurwitz_H(N: int) -> Fraction:
     if N % 4 in (1, 2):
         return Fraction(0)
     total = 0
-    for f in enumerate_reduced(-N):
-        if f.b == 0 and f.a == f.c:
+    for a, b, c in enumerate_reduced(-N):
+        if b == 0 and a == c:
             total += 6
-        elif f.a == f.b == f.c:
+        elif a == b == c:
             total += 4
         else:
             total += 12

@@ -68,6 +68,63 @@ def test_rep_counts_match_every_sign_vector():
             == _every_vector_counts((1, 2, 2), 150, signed=True))
 
 
+def _squares_by_recursion(s, n):
+    """Sums of s <= 3 squares as a walk over x >= 0, weight 2 for x > 0,
+    of the (s - 1)-square count of n - x^2: a second route to the chamber
+    walk of ``rep_squares(3, n)``."""
+    m = math.isqrt(n)
+    if s == 1:
+        return (2 if m else 1) if m * m == n else 0
+    return sum((2 if x else 1) * _squares_by_recursion(s - 1, n - x * x)
+               for x in range(m + 1))
+
+
+def test_chamber_walks_match_the_kernels_to_3000():
+    r3 = _kernels.square_rep_tables(3, 3000).tolist()
+    signed, unsigned = (t.tolist() for t in _kernels.signed_rep_tables(3000))
+    assert [C.rep_squares(3, n) for n in range(3001)] == r3
+    assert [C.signed_rep_count(n) for n in range(3001)] == signed
+    assert [C.rep_count(n) for n in range(3001)] == unsigned
+    assert [_squares_by_recursion(3, n) for n in range(1001)] == r3[:1001]
+
+
+# (n, a solution of n in the walked chamber that takes the weight named)
+R3_WEIGHT_CASES = [
+    (14, (1, 2, 3)),    # x < y < z: 6 permutations
+    (6, (1, 1, 2)),     # x = y < z: 3
+    (9, (1, 2, 2)),     # x < y = z: 3
+    (13, (0, 2, 3)),    # a zero coordinate, 6 permutations of 4 signs
+    *((k * k, (0, 0, k)) for k in range(1, 13)),           # 3 of 2 signs
+    *((2 * k * k, (0, k, k)) for k in range(1, 13)),       # 3 of 4 signs
+    *((3 * k * k, (k, k, k)) for k in range(1, 13)),       # 1 of 8 signs
+]
+REP_WEIGHT_CASES = [
+    (11, (1, 1, 2)),    # y < z, no zero: 8 signs, doubled by the swap
+    (5, (1, 1, 1)),     # y = z: not doubled
+    (9, (1, 0, 2)),     # y = 0 < z
+    (20, (0, 1, 3)),    # x = 0
+    (36, (0, 3, 3)),    # x = 0 and y = z
+    *((k * k, (k, 0, 0)) for k in range(1, 13)),           # y = z = 0
+    *((2 * k * k, (0, 0, k)) for k in range(1, 13)),
+    *((3 * k * k, (k, 0, k)) for k in range(1, 13)),
+]
+
+
+def test_chamber_weights_match_every_sign_vector():
+    top = 3 * 12 ** 2
+    squares = _every_vector_counts((1, 1, 1), top)
+    unsigned = _every_vector_counts((1, 2, 2), top)
+    signed = _every_vector_counts((1, 2, 2), top, signed=True)
+    for n, (x, y, z) in R3_WEIGHT_CASES:
+        assert 0 <= x <= y <= z and x * x + y * y + z * z == n
+        assert (C.rep_squares(3, n) == squares[n]
+                == _squares_by_recursion(3, n)), n
+    for n, (x, y, z) in REP_WEIGHT_CASES:
+        assert x >= 0 and 0 <= y <= z and x * x + 2 * y * y + 2 * z * z == n
+        assert C.rep_count(n) == unsigned[n], n
+        assert C.signed_rep_count(n) == signed[n], n
+
+
 def test_oracle_guards():
     for n in (-1, -4):
         assert C.rep_count(n) == 0 and C.signed_rep_count(n) == 0

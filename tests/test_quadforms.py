@@ -188,3 +188,24 @@ def test_enumerate_memory_is_bounded():
         tracemalloc.stop()
     assert forms and all(f.discriminant == -1_600_008 for f in forms)
     assert peak < 8 * 2 ** 20
+
+
+def test_quad_form_is_an_immutable_ordered_tuple():
+    f = QuadForm(2, -1, 3)
+    for name in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, 5)
+    forms = [QuadForm(2, 1, 3), QuadForm(1, 0, 5), QuadForm(2, -1, 3),
+             QuadForm(1, 1, 6), QuadForm(2, -1, 4)]
+    assert sorted(forms) == sorted(forms, key=lambda g: (g.a, g.b, g.c))
+    assert sorted(forms)[0] == QuadForm(1, 0, 5) < QuadForm(1, 1, 6)
+    assert f == QuadForm(2, -1, 3) and f != QuadForm(2, 1, 3)
+    assert hash(f) == hash(QuadForm(2, -1, 3))
+    assert {f: 1, QuadForm(2, 1, 3): 2}[QuadForm(2, -1, 3)] == 1
+    assert len({f, QuadForm(2, -1, 3), QuadForm(2, 1, 3)}) == 2
+    assert repr(f) == "QuadForm(a=2, b=-1, c=3)"
+    assert str(f) == f"{f}" == "(2,-1,3)"
+    # the one difference a tuple makes: it equals its plain tuple
+    assert f == (2, -1, 3)
+    forms = enumerate_reduced(-4 * 105)
+    assert forms and all(type(g) is QuadForm for g in forms)
