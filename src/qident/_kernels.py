@@ -1,44 +1,45 @@
 """Batch enumeration kernels for the counting sweeps, and the progression
 enumerator of solution triples and reduced forms.
 
-Every table is exact int64 numpy with ``maxn + 1`` entries, one per n.
+Every table is exact int64 numpy with ``maxn + 1`` entries, one per n, and
+comes from one of two idioms:
 
 * Lattice counts (x^2 + 2y^2 + 2z^2, sums of squares, sums of triangular
   numbers) are truncated products of one-variable theta indicator tables,
   built by ``_times_sparse``.  That is the lattice sum factored by
   variable, not an identity, so these tables stay an independent route
   from the series they are checked against.
-* Signed sums (pair, three-squares and triangular sums) add each
-  arithmetic progression as one strided slice; the indices within one
-  slice are distinct, so a slice add is exact.
-* Triple sums and progression counts add the terms of ``_term_blocks``
-  with ``np.add.at``, which is exact on int64 under repeated indices.
-* Divisor tables are strided sieves.
+* Every other table adds the terms of one blocked walk with ``np.add.at``,
+  which is exact on int64 under repeated indices.  ``ragged_blocks`` walks
+  a ragged grid row-major in blocks, so a call's memory does not grow with
+  its grid; ``_pairs`` walks the pairs (p, q) = (stride*s - chi,
+  stride*t - chi), s, t >= 1, of a family (stride, chi); ``_pair_blocks``
+  gives each pair's progression in n, and ``_term_blocks`` expands its
+  terms over a range of n.  The divisor tables and the signed pair sums
+  add over the factorings n = pq.  A triple family carries the terms
+  n = pq + r(p + q), r >= 1: the solution triples of the shapes open
+  (2, 0) and shifted (2, 1), and the triples of rs + rt + st = n (1, 0)
+  of the three-squares formula.  The reduced forms and the octants of the
+  triangular sum side are progressions of their own.
+  ``progression_terms`` and ``progression_counts`` list and count the
+  triples and forms, and ``counting.parity_bijection_images`` walks
+  ``ragged_blocks`` too.
 
 Overflow bound: a lattice entry counts points of at most four variables,
 each a square or a triangular number up to maxn, so each variable takes at
 most ``2*isqrt(2*maxn) + 1`` values and the last at most two once the
 others are fixed: the entry, and every partial product of
-``_times_sparse``, is at most ``2*(2*isqrt(2*maxn) + 1)**3``.  A
-signed-sum entry is a constant of at most 4 plus at most five unit terms
-per pair ``(r, s)`` with ``1 <= r, s <= maxn`` (n fixes the third
-variable), so it is at most ``9*(maxn + 1)**2``.  A triple-table entry
-counts at most one term per pair ``(s, t)`` with ``1 <= s, t <= maxn``
-(n fixes r), so it is at most ``maxn**2``.  A divisor count is at
-most maxn and a divisor sum at most ``maxn**2``.  All are below 2**63 for
+``_times_sparse``, is at most ``2*(2*isqrt(2*maxn) + 1)**3``.  A walked
+entry is a constant of at most 4 plus at most five unit terms per pair
+``(s, t)`` with ``1 <= s, t <= maxn`` (n fixes the rest of the term), so
+it is at most ``9*(maxn + 1)**2``, or a divisor sum of at most maxn terms,
+at most ``maxn**2`` (``sigma_table(maxn, k)``: ``maxn**(k + 1)``).  Every
+other value of a walk (p, q, first, step, n, the flat index ``4n + 3``)
+is at most ``4*maxn + 3``.  All are below 2**63 for
 ``maxn <= MAXN_LIMIT``; every kernel but ``sigma_table`` raises
-``OverflowError`` above it, before it allocates.  ``sigma_table(maxn, k)``
-is at most ``maxn**(k + 1)``; it raises ``OverflowError`` when that
-reaches 2**63.  Memory is linear in ``maxn``.
-
-``_pair_blocks`` is the one walk over the pairs whose progressions in n
-hold the solution triples and the reduced forms, and ``_term_blocks`` the
-one expansion of their terms over a range of n; ``progression_terms``,
-``progression_counts`` and ``triple_tables`` read only these.
-``ragged_blocks`` is the block iterator they and
-``counting.parity_bijection_images`` walk: a ragged grid row-major in
-blocks of at most ``BLOCK`` cells, so a call's memory does not grow with
-its pair grid.
+``OverflowError`` above it, before it allocates, and ``sigma_table``
+raises it when ``maxn**(k + 1)`` reaches 2**63.  Memory is linear in
+``maxn``.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ def _theta_terms(maxn, mult=1, signed=False):
     return terms
 
 
-def _alternating(out, first, step, sign):
-    """out[first + k*step] += sign * (-1)^k for k >= 0, within out."""
-    out[first::2 * step] += sign
-    out[first + step::2 * step] -= sign
-
-
 # ---------------------------------------------------------------------------
 # lattice counts
 # ---------------------------------------------------------------------------
@@ -136,122 +131,6 @@ def triangular3_table(maxn):
 
 
 # ---------------------------------------------------------------------------
-# signed double sums: q^{2rs}, q^{4st}, q^{(2s-1)(2t-1)}
-# ---------------------------------------------------------------------------
-
-
-def pair_tables(maxn):
-    """Signed sums of (-1)^(r+s) over 2rs = n, 4rs = n, (2r-1)(2s-1) = n."""
-    _check_maxn(maxn)
-    even2 = np.zeros(maxn + 1, dtype=np.int64)
-    even4 = np.zeros(maxn + 1, dtype=np.int64)
-    odd = np.zeros(maxn + 1, dtype=np.int64)
-    for r in range(1, maxn // 2 + 1):
-        # s = 1, 2, ... gives n = 2r, 4r, ... with sign (-1)^(r+1) at s = 1
-        sign = 1 if r % 2 else -1
-        _alternating(even2, 2 * r, 2 * r, sign)
-        _alternating(even4, 4 * r, 4 * r, sign)
-    for r in range(1, (maxn + 1) // 2 + 1):
-        a = 2 * r - 1
-        _alternating(odd, a, 2 * a, 1 if r % 2 else -1)
-    return even2, even4, odd
-
-
-# ---------------------------------------------------------------------------
-# signed sums over rs = n and rs + rt + st = n (three-squares formula)
-# ---------------------------------------------------------------------------
-
-
-def hlm_tables(maxn):
-    """Signed sums of (-1)^(r+s) over rs = n and (-1)^(r+s+t) over
-    rs + rt + st = n, all variables >= 1."""
-    _check_maxn(maxn)
-    pair = np.zeros(maxn + 1, dtype=np.int64)
-    triple = np.zeros(maxn + 1, dtype=np.int64)
-    for r in range(1, maxn + 1):
-        _alternating(pair, r, r, 1 if r % 2 else -1)
-    r = 1
-    while 2 * r + 1 <= maxn:  # s = t = 1
-        s = 1
-        while r * s + r + s <= maxn:
-            _alternating(triple, r * s + r + s, r + s,
-                         -1 if (r + s) % 2 == 0 else 1)
-            s += 1
-        r += 1
-    return pair, triple
-
-
-# ---------------------------------------------------------------------------
-# triangular-number identity, sum side
-# 1 + 3*sum q^r + 3*sum q^{2rs+r+s} + bilateral triple sums
-# ---------------------------------------------------------------------------
-
-
-def triangular_sum_side(order):
-    """Sum side of the sum-of-three-triangular-numbers identity, q^0..q^(order-1)."""
-    _check_maxn(order - 1)
-    out = np.zeros(order, dtype=np.int64)
-    out[0] = 1
-    out[1:] += 3
-    r = 1
-    while 3 * r + 1 < order:
-        out[3 * r + 1::2 * r + 1] += 3  # 2rs + r + s for s >= 1
-        r += 1
-    # two octants of 2(rs+rt+st) + sign*(r+s+t); the all-negative octant
-    # maps to sign = -1 under (r,s,t) -> (-r,-s,-t)
-    for sign in (1, -1):
-        r = 1
-        while 2 * r + sign * (r + 1) + 2 * r + 2 + sign < order:
-            s = 1
-            while True:
-                step = 2 * r + 2 * s + sign
-                first = 2 * r * s + sign * (r + s) + step  # t = 1
-                if first >= order:
-                    break
-                out[first::step] += 1
-                s += 1
-            r += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# divisor tables (strided sieves)
-# ---------------------------------------------------------------------------
-
-
-def sigma_table(maxn: int, k: int = 0) -> np.ndarray:
-    """sum of d**k over the divisors d of n; at most maxn**(k + 1)."""
-    if maxn ** (k + 1) >= 2 ** 63:
-        raise OverflowError(f"sigma_{k}(n) for n <= {maxn} may exceed int64")
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    for d in range(1, maxn + 1):
-        out[d::d] += d ** k
-    return out
-
-
-def d_mod4_tables(maxn: int):
-    _check_maxn(maxn)
-    d1 = np.zeros(maxn + 1, dtype=np.int64)
-    d3 = np.zeros(maxn + 1, dtype=np.int64)
-    for d in range(1, maxn + 1, 2):
-        if d % 4 == 1:
-            d1[d::d] += 1
-        else:
-            d3[d::d] += 1
-    return d1, d3
-
-
-def sigma_no_mult4_table(maxn: int) -> np.ndarray:
-    """sum of divisors d of n with 4 not dividing d."""
-    _check_maxn(maxn)
-    out = np.zeros(maxn + 1, dtype=np.int64)
-    for d in range(1, maxn + 1):
-        if d % 4:
-            out[d::d] += d
-    return out
-
-
-# ---------------------------------------------------------------------------
 # ragged grids
 # ---------------------------------------------------------------------------
 
@@ -283,42 +162,63 @@ def ragged_blocks(first, last, row_len, block=None):
 
 
 # ---------------------------------------------------------------------------
-# progressions in n: each pair (p, q) of a family carries n = first + step*k,
-# k >= 0.  Solution triples (r, s, t) = (k + 1, p, q) of the shape "open",
-# n = 2r(s + t) + 4st, or "shifted", n = 2r(s + t - 1) + (2s - 1)(2t - 1);
-# reduced forms (a, b, c) = (p, q, c0 + k) of discriminant -m*n, m = 4 or 1,
-# with b = m mod 2 in (-a, a] and c0 = a, or a + 1 for b < 0, so that every
-# term is reduced (Cohen, A Course in Computational ANT, 5.3).
+# progressions in n: each pair (x, y) of a family carries n = first + step*k,
+# k >= 0.  A triple family (stride, chi) has the pairs (p, q) = (stride*s -
+# chi, stride*t - chi), s, t >= 1, and the terms n = pq + r(p + q), r = k + 1:
+# the solution triples (r, s, t) of the shape "open", n = 2r(s + t) + 4st, or
+# "shifted", n = 2r(s + t - 1) + (2s - 1)(2t - 1), and the triples of
+# rs + rt + st = n ("hlm").  Reduced forms (a, b, c) = (x, y, c0 + k) of
+# discriminant -m*n, m = 4 or 1, have b = m mod 2 in (-a, a] and c0 = a, or
+# a + 1 for b < 0, so that every term is reduced (Cohen, A Course in
+# Computational ANT, 5.3).
 # ---------------------------------------------------------------------------
 
 # m*hi below this (m = 1 for triples) keeps every intermediate in int64;
 # the largest is 4a(a + 1) <= 4*m*hi/3 + 4*isqrt(m*hi/3)
 PROGRESSION_LIMIT = 2 ** 62
 
+# (stride, chi) of each triple family
+_TRIPLES = {"open": (2, 0), "shifted": (2, 1), "hlm": (1, 0)}
 
-def _pair_blocks(family, hi):
-    """``(p, q, first, step)`` of the family's pairs, in pair order ((s, t)
-    s-major, (a, b) lexicographic) and in ``ragged_blocks``: the triple
-    rows hold exactly the pairs with first <= hi, the form rows every b of
-    each a <= isqrt(m*hi/3), some starting above hi."""
-    if family in ("open", "shifted"):
-        shifted = family == "shifted"
 
-        def row_len(s):
-            if shifted:
-                return (hi + 1) // (4 * s)
-            return (hi - 2 * s) // (4 * s + 2)
+def _pairs(stride, chi, hi, r, block=None):
+    """``(s, t, p, q)`` int64 blocks of the pairs (p, q) = (stride*s - chi,
+    stride*t - chi), s, t >= 1, with pq + r(p + q) <= hi, s-major in
+    ``ragged_blocks``: r = 0 walks the factorings pq = n <= hi, r = 1 the
+    first terms of a triple family."""
+    c = r - chi  # p + r = stride*s + c
 
-        last = (hi + 1) // 4 if shifted else (hi - 2) // 6
-        for s, t in ragged_blocks(1, last, row_len):
-            t += 1  # cell j is t = j + 1
-            if shifted:
-                yield s, t, 4 * s * t - 1, 2 * (s + t - 1)
-            else:
-                yield s, t, 4 * s * t + 2 * (s + t), 2 * (s + t)
+    def row_len(s):  # the t with (p + r)(q + r) <= hi + r*r
+        if c:
+            return ((hi + r * r) // (stride * s + c) - c) // stride
+        return (hi + r * r) // (stride * s) // stride
+
+    # the pairs are symmetric, so there are as many rows as t in row 1
+    for s, t in ragged_blocks(1, row_len(1), row_len, block):
+        t += 1  # cell j is t = j + 1
+        p = s * stride
+        q = t * stride
+        if chi:
+            p -= chi
+            q -= chi
+        yield s, t, p, q
+
+
+def _pair_blocks(family, hi, block=None):
+    """``(x, y, first, step)`` of the family's pairs, labelled (s, t) or
+    (a, b), in pair order ((s, t) s-major, (a, b) lexicographic) and in
+    ``ragged_blocks``: the triple rows hold exactly the pairs with
+    first <= hi, the form rows every b of each a <= isqrt(m*hi/3), some
+    starting above hi."""
+    if family in _TRIPLES:
+        for s, t, p, q in _pairs(*_TRIPLES[family], hi, 1, block):
+            step = p + q
+            p *= q  # first = pq + step, in place
+            p += step
+            yield s, t, p, step
         return
     m, odd = family, family % 2
-    for a, h in ragged_blocks(1, math.isqrt(m * hi // 3), lambda a: a):
+    for a, h in ragged_blocks(1, math.isqrt(m * hi // 3), lambda a: a, block):
         h -= (a + odd - 1) // 2  # b = 2h + odd, in place
         first = a + (h < 0)  # c0, then first = (4a*c0 - b^2)/m
         first *= a
@@ -341,22 +241,25 @@ def _check_family(family, hi):
                             "may exceed int64")
 
 
-def _term_blocks(family, lo, hi):
-    """Yield ``(n, p, q, k)`` int64 blocks of the family's terms with
-    lo <= n <= hi, in pair order, ``BLOCK // 4`` terms at a time.
+def _term_blocks(pairs, lo, hi, block=None):
+    """Yield ``(n, x, y, k)`` int64 blocks of the terms with lo <= n <= hi
+    of the ``(x, y, first, step)`` pair blocks ``pairs``, in pair order,
+    ``block`` terms at a time.
 
-    That is also the lane's window budget: freed numpy buffers stay in the
-    heap, and on ``verify --suite all --order 300 --max 3000`` full blocks
-    here raised the peak RSS from 34.2 MB to 37.0 MB, quarter blocks to
-    34.4 MB."""
-    block = max(1, BLOCK // 4)
-    for p, q, first, step in _pair_blocks(family, hi):
+    The default, ``BLOCK // 4``, is also the window budget of the bijection
+    lane: freed numpy buffers stay in the heap, and on ``verify --suite all
+    --order 300 --max 3000`` full blocks here raised the peak RSS from
+    34.2 MB to 37.0 MB, quarter blocks to 34.4 MB."""
+    block = max(1, BLOCK // 4) if block is None else block
+    for x, y, first, step in pairs:
         k0 = np.maximum(-((first - lo) // step), 0)
         count = np.maximum((hi - first) // step + 1 - k0, 0)
         for i, k in ragged_blocks(0, len(count) - 1, count.__getitem__,
                                   block):
             k += k0[i]
-            yield first[i] + step[i] * k, p[i], q[i], k
+            yield first[i] + step[i] * k, x[i], y[i], k
+        # let this pair block go before the next one is built
+        del x, y, first, step, k0, count
 
 
 def progression_terms(family, lo, hi):
@@ -369,7 +272,7 @@ def progression_terms(family, lo, hi):
     ``OverflowError``."""
     _check_family(family, hi)
     if lo != hi:
-        parts = list(_term_blocks(family, lo, hi))
+        parts = list(_term_blocks(_pair_blocks(family, hi), lo, hi))
     else:
         parts = []
         for p, q, first, step in _pair_blocks(family, hi):
@@ -380,7 +283,9 @@ def progression_terms(family, lo, hi):
             i = hit.nonzero()[0]
             k = d[i]
             k //= step[i]
-            parts.append((np.full(len(i), hi, dtype=np.int64), p[i], q[i], k))
+            n = np.empty(len(i), dtype=np.int64)  # np.full costs twice this
+            n.fill(hi)
+            parts.append((n, p[i], q[i], k))
     if not parts:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
     cols = (parts[0] if len(parts) == 1
@@ -395,9 +300,22 @@ def progression_counts(family, hi):
     """The number of the family's terms at each n <= hi."""
     _check_family(family, hi)
     out = np.zeros(hi + 1, dtype=np.int64)
-    for n, _, _, _ in _term_blocks(family, 0, hi):
+    for n, _, _, _ in _term_blocks(_pair_blocks(family, hi), 0, hi):
         np.add.at(out, n, 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# walked tables
+# ---------------------------------------------------------------------------
+
+
+def _table_blocks():
+    """(grid cells, terms) per block of the hlm, divisor, pair and triangular
+    table walks.  At maxn = 10**5 ``sigma_table`` peaked at 10.7 bytes per n
+    with grids of ``BLOCK // 16`` cells, 8.7 with these; terms of
+    ``BLOCK // 64`` made ``hlm_tables(60 000)`` about 2.5 times slower."""
+    return max(1, BLOCK // 64), max(1, BLOCK // 16)
 
 
 def triple_tables(maxn, shifted):
@@ -408,10 +326,101 @@ def triple_tables(maxn, shifted):
     # column 2*[r even] + [r + s + t odd] of each n, flattened
     table = np.zeros((maxn + 1, 4), dtype=np.int64)
     flat = table.reshape(-1)
-    for n, s, t, k in _term_blocks("shifted" if shifted else "open", 0, maxn):
+    pairs = _pair_blocks("shifted" if shifted else "open", maxn)
+    for n, s, t, k in _term_blocks(pairs, 0, maxn):
         # r = k + 1 is even for odd k
         np.add.at(flat, 4 * n + 2 * (k % 2) + (k + 1 + s + t) % 2, 1)
     total = table.sum(axis=1)
     signed = table[:, 0] + table[:, 2] - table[:, 1] - table[:, 3]
     r_even = table[:, 2] + table[:, 3]
     return total, signed, r_even
+
+
+def hlm_tables(maxn):
+    """Signed sums of (-1)^(r+s) over rs = n and (-1)^(r+s+t) over
+    rs + rt + st = n, all variables >= 1."""
+    _check_maxn(maxn)
+    cells, terms = _table_blocks()
+    triple = np.zeros(maxn + 1, dtype=np.int64)
+    for n, s, t, k in _term_blocks(_pair_blocks("hlm", maxn, cells), 0, maxn,
+                                   terms):
+        # r = k + 1, so r + s + t is odd exactly when k + s + t is even
+        np.add.at(triple, n, (k + s + t) % 2 * 2 - 1)
+    return _signed_pairs(maxn), triple
+
+
+def _divisor_sums(maxn, *weights, stride=1, chi=0):
+    """For each weight, the sum of ``weight(s, t)`` over the factorings
+    n = pq of the pairs (p, q) = (stride*s - chi, stride*t - chi), for each
+    n <= maxn, all from one walk; in the default family s is the divisor p."""
+    outs = tuple(np.zeros(maxn + 1, dtype=np.int64) for _ in weights)
+    for s, t, p, q in _pairs(stride, chi, maxn, 0, _table_blocks()[0]):
+        p *= q
+        for out, weight in zip(outs, weights):
+            np.add.at(out, p, weight(s, t))
+    return outs
+
+
+def _signed_pairs(maxn, stride=1, chi=0):
+    """The sum of (-1)^(s+t) over (stride*s - chi)(stride*t - chi) = n."""
+    return _divisor_sums(maxn, lambda s, t: 1 - (s + t) % 2 * 2,
+                         stride=stride, chi=chi)[0]
+
+
+def pair_tables(maxn):
+    """Signed sums of (-1)^(r+s) over 2rs = n, 4rs = n, (2r-1)(2s-1) = n."""
+    _check_maxn(maxn)
+    rs = _signed_pairs(maxn // 2)
+    even2 = np.zeros(maxn + 1, dtype=np.int64)
+    even4 = np.zeros(maxn + 1, dtype=np.int64)
+    even2[::2] = rs
+    even4[::4] = rs[:maxn // 4 + 1]
+    return even2, even4, _signed_pairs(maxn, 2, 1)
+
+
+def triangular_sum_side(order):
+    """Sum side of the sum-of-three-triangular-numbers identity,
+    q^0..q^(order-1): 1 + 3*sum q^r + 3*sum q^(2rs+r+s) + two octants of
+    q^(2(rs+rt+st) + sign*(r+s+t)); the all-negative octant maps to
+    sign = -1 under (r, s, t) -> (-r, -s, -t)."""
+    _check_maxn(order - 1)
+    cells, terms = _table_blocks()
+    out = np.zeros(order, dtype=np.int64)
+    out[0] = 1
+    out[1:] += 3
+    # 2rs + r + s = n is (2r + 1)(2s + 1) = 2n + 1
+    for _, _, p, q in _pairs(2, -1, 2 * order - 1, 0, cells):
+        np.add.at(out, p * q >> 1, 3)
+    for sign in (1, -1):
+        # with p = 2r + sign and q = 2s + sign the octant term is
+        # (pq - 1)/2 + t(p + q - sign), and its t = 1 term is below order
+        # exactly when pq + 2(p + q) <= 2*order - 1 + 2*sign
+        def pairs(sign=sign):
+            for r, s, p, q in _pairs(2, -sign, 2 * order - 1 + 2 * sign, 2,
+                                     cells):
+                step = p + q - sign
+                yield r, s, (p * q >> 1) + step, step
+
+        for n, _, _, _ in _term_blocks(pairs(), 0, order - 1, terms):
+            np.add.at(out, n, 1)
+    return out
+
+
+def sigma_table(maxn: int, k: int = 0) -> np.ndarray:
+    """sum of d**k over the divisors d of n; at most maxn**(k + 1)."""
+    if maxn ** (k + 1) >= 2 ** 63:
+        raise OverflowError(f"sigma_{k}(n) for n <= {maxn} may exceed int64")
+    return _divisor_sums(maxn, lambda d, _: d ** k)[0]
+
+
+def d_mod4_tables(maxn: int):
+    """The numbers of divisors of n that are 1 and 3 mod 4."""
+    _check_maxn(maxn)
+    return _divisor_sums(maxn, lambda d, _: (d % 4 == 1).astype(d.dtype),
+                         lambda d, _: (d % 4 == 3).astype(d.dtype))
+
+
+def sigma_no_mult4_table(maxn: int) -> np.ndarray:
+    """sum of divisors d of n with 4 not dividing d."""
+    _check_maxn(maxn)
+    return _divisor_sums(maxn, lambda d, _: d * (d % 4 != 0))[0]

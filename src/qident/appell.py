@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .report import VerificationReport, series_check
 from .series import (GaussianRational, QSeries, ONE, MINUS_ONE, I_UNIT,
-                     MINUS_I, _I_POWERS)
-from .theta import (Monomial, NegativeQPower, ThetaSpec, _unit_index, mono,
-                    theta_j, unit_power)
+                     MINUS_I, _I_POWERS, pochhammer_inf)
+from .theta import (Monomial, NegativeQPower, ThetaSpec, _is_zero_theta,
+                    _unit_index, mono, theta_j, unit_power)
 
 
 class PoleAtMonomialOne(ArithmeticError):
@@ -120,10 +120,6 @@ def appell_m(spec: AppellSpec, order: int) -> QSeries:
 def _theta_quotient(x: Monomial, z1: Monomial, z0: Monomial, m: int,
                     order: int) -> QSeries:
     """The correction term relating m(x,z1;q**m) and m(x,z0;q**m)."""
-    from .series import pochhammer_inf
-
-    from .theta import _is_zero_theta
-
     ratio = ThetaSpec(z1 * z0.inverse(), m)
     if _is_zero_theta(ratio):
         # z1 and z0 agree up to a full period: the whole correction vanishes.

@@ -177,10 +177,6 @@ class GaussianRational:
         return GaussianRational(self.re / n, -self.im / n)
 
     @property
-    def is_real(self) -> bool:
-        return not self.im
-
-    @property
     def is_integer(self) -> bool:
         return not self.im and self.re.denominator == 1
 

@@ -285,8 +285,7 @@ def _check_shift_law(zeta, a, m, n, order) -> Check:
     """Shift law at displacement ``n``: bilateral sum at the shifted argument
     against prefactor times the triple product at the base argument."""
     name = f"shift_law[zeta={zeta},a={a},m={m},n={n}]"
-    unit = unit_power(MINUS_ONE, n) * unit_power(zeta, -n)
-    net = -m * (n * (n - 1) // 2) - n * a
+    unit, net, _ = _normalize(jtheta(zeta, a + n * m, m))
     base = theta_j(jtheta(zeta, a, m), order)
     try:
         if net >= 0:

@@ -62,12 +62,12 @@ class _Size(NamedTuple):
 #
 # Table bytes add up the build peak of each table a suite builds at max, per
 # n, from tracemalloc at max = 10**5: signed/unsigned 33, r3 25, each triple
-# table 92, sigma0 9, h12 79 (4*max + 1 entries); background's
-# ``classical_checks`` reads the run's r3 and adds r2 and r4 25 each,
-# d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 9 and
-# hlm 17.  A sum of peaks bounds the peak of the tables held together; each
-# build's fixed block scratch (``_kernels.BLOCK`` cells) is within its
-# figure from max = 10**5 on.
+# table 92 (an older peak; 86 now), sigma0 9, h12 79 (4*max + 1 entries);
+# background's ``classical_checks`` reads the run's r3 and adds r2 and r4 25
+# each, d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 12
+# and hlm 17.  A sum of peaks bounds the peak of the tables held together;
+# each build's fixed block scratch (``_kernels.BLOCK`` cells or fewer) is
+# within its figure from max = 10**5 on.
 _SIZES = {
     "dkm": _Size(2, 0, (), True, False, 0),
     "corollary": _Size(1, 0, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
@@ -81,7 +81,7 @@ _SIZES = {
                                bijection_windows.WINDOW_N_LIMIT - 1),
                         False, False, 79),
     "background": _Size(8, 8, (_KERNELS, _H12, _FORMS), True, True,
-                        79 + 33 + 25 + 2 * 25 + 17 + 9 + 25 + 9 + 17),
+                        79 + 33 + 25 + 2 * 25 + 17 + 9 + 25 + 12 + 17),
 }
 
 # The most bytes the series at ``--order``, or below q**(max + 1), may be

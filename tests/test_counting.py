@@ -295,12 +295,23 @@ def _term_table_loops(maxn):
     return out
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
+# the kernels on the walk of ``_kernels._table_blocks``
+_WALKED_TABLES = ("pair_tables", "hlm_tables", "triangular_sum_side",
+                  "sigma_table", "d_mod4_tables", "sigma_no_mult4_table")
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 448])
 def test_term_block_tables_vs_loops(monkeypatch, block):
-    # small blocks split the pair rows and every term expansion
+    # small blocks split the pair rows and every term expansion; the table
+    # walks take blocks of 1 cell at the first three, of 7 at 448
     monkeypatch.setattr(_kernels, "BLOCK", block)
     want = _term_table_loops(300)
     for maxn in (0, 1, 7, 50, 300):
+        for name, args, tables in _kernel_cases(maxn):
+            if name in _WALKED_TABLES:
+                got = getattr(_kernels, name)(*args)
+                got = got if isinstance(got, tuple) else (got,)
+                assert [t.tolist() for t in got] == tables, (name, args)
         for shape in (C.OPEN, C.SHIFTED):
             got = _kernels.triple_tables(maxn, shape == C.SHIFTED)
             assert [t.tolist() for t in got] == [
@@ -334,6 +345,51 @@ def test_triple_tables_at_scale_are_exact_and_small():
             assert int(total[n]) == C.triple_sum(n, shape), (shape, n)
             assert int(signed[n]) == C.triple_sum(n, shape, signed=True)
             assert int(r_even[n]) == int(np.count_nonzero(r % 2 == 0))
+
+
+def test_walked_tables_at_scale_are_exact_and_small():
+    # hlm_tables walks about 30 M terms here, held at once they would take
+    # about 1 GB
+    import tracemalloc
+
+    maxn = 60_000
+
+    def traced(name, *args):
+        tracemalloc.start()
+        try:
+            got = getattr(_kernels, name)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = got if isinstance(got, tuple) else (got,)
+        assert all(t.dtype == np.int64 and len(t) == maxn + 1 for t in got)
+        # the tables, and at most half a MiB of intermediates beside them
+        assert peak < sum(t.nbytes for t in got) + 2 ** 19, (name, peak)
+        return got
+
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    sig0, = traced("sigma_table", maxn, 0)
+    d1, d3 = traced("d_mod4_tables", maxn)
+    no4, = traced("sigma_no_mult4_table", maxn)
+    even2, even4, odd = traced("pair_tables", maxn)
+    pair, triple = traced("hlm_tables", maxn)
+    tri_sum, = traced("triangular_sum_side", maxn + 1)
+    for n in range(maxn - 3, maxn + 1):
+        assert int(sig0[n]) == C.sigma(0, n), n
+        assert (int(d1[n]), int(d3[n])) == (C.d_mod4(1, n), C.d_mod4(3, n))
+        assert int(no4[n]) == sum(d for d in divisors(n) if d % 4), n
+        assert int(pair[n]) == C._signed_divisor_pairs(n), n
+        assert int(even2[n]) == (C._signed_divisor_pairs(n // 2)
+                                 if n % 2 == 0 else 0), n
+        assert int(even4[n]) == (C._signed_divisor_pairs(n // 4)
+                                 if n % 4 == 0 else 0), n
+        assert int(odd[n]) == sum(_sign((d + 1) // 2 + (n // d + 1) // 2)
+                                  for d in divisors(n) if n % 2), n
+        assert ((6 * int(pair[n]) + 4 * int(triple[n])) * _sign(n + 1)
+                == C.rep_squares(3, n)), n
+        assert int(tri_sum[n]) == C.r3_triangular(n), n
 
 
 def test_solution_triple_arrays_guards():
