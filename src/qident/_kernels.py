@@ -22,8 +22,9 @@ comes from one of two idioms:
   of the three-squares formula.  The reduced forms and the octants of the
   triangular sum side are progressions of their own.
   ``progression_terms`` and ``progression_counts`` list and count the
-  triples and forms, and ``counting.parity_bijection_images`` walks
-  ``ragged_blocks`` too.
+  triples and forms, and ``counting.parity_bijection_images`` and
+  ``counting.parity_bijection_walk`` walk ``ragged_blocks`` too.
+  ``budget_windows`` cuts a walk into windows of bounded size.
 
 Overflow bound: a lattice entry counts points of at most four variables,
 each a square or a triangular number up to maxn, so each variable takes at
@@ -159,6 +160,22 @@ def ragged_blocks(first, last, row_len, block=None):
             j = np.arange(start, stop, dtype=np.int64)
             j -= begins[span].repeat(share)
             yield rows[span].repeat(share), j
+
+
+def budget_windows(counts, first=0, budget=None):
+    """``(lo, hi)`` of consecutive windows over the indices
+    ``first .. len(counts) - 1``, each holding at most ``budget``
+    (``BLOCK // 4`` unless given) of the int64 ``counts``, or a single
+    index."""
+    budget = max(1, BLOCK // 4) if budget is None else budget
+    upto = np.cumsum(counts)
+    lo = first
+    while lo < len(upto):
+        base = int(upto[lo - 1]) if lo else 0
+        hi = max(lo, int(np.searchsorted(upto, base + budget,
+                                         side="right")) - 1)
+        yield lo, hi
+        lo = hi + 1
 
 
 # ---------------------------------------------------------------------------

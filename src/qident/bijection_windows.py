@@ -47,14 +47,9 @@ def _windows(maxn):
     At ``--max 3000`` a window's arrays then peak at 0.8 MB (tracemalloc);
     a full block raised the run's peak RSS by 1.8 MB, and smaller windows
     neither lowered it nor kept the lane as fast."""
-    upto = np.cumsum(sum(_kernels.progression_counts(family, maxn)
-                         for family in (OPEN, SHIFTED, 4, 1)))
-    lo = 1
-    while lo <= maxn:
-        budget = int(upto[lo - 1]) + _kernels.BLOCK // 4
-        hi = max(lo, int(np.searchsorted(upto, budget, side="right")) - 1)
-        yield lo, hi
-        lo = hi + 1
+    return _kernels.budget_windows(
+        sum(_kernels.progression_counts(family, maxn)
+            for family in (OPEN, SHIFTED, 4, 1)), 1)
 
 
 def _window_triples(lo, hi):

@@ -270,21 +270,42 @@ def triple_sum(n: int, shape: str, signed: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
+def sum_side_table(maxn: int, open_signed=None, shifted_signed=None):
+    """The sum side's coefficients of q^1 .. q^maxn as an int64 table, 0 at
+    n = 0: -4*even2 - 2*even4 - 2*odd - 4*open - 4*shifted, the signed pair
+    sums of ``_kernels.pair_tables`` and the signed triple sums of
+    ``_kernels.triple_tables``.  ``open_signed`` and ``shifted_signed`` are
+    those triple tables, of at least ``maxn + 1`` entries, each built when
+    not given.
+
+    Overflow bound: each pair table entry is a sum of at most n unit terms,
+    one per factoring, and each triple table entry of at most n*(1 + ln n),
+    one per pair (s, t) with st <= n, so every entry is at most
+    8n + 8n*(1 + ln n), below 2**63 for n <= ``_kernels.MAXN_LIMIT``.
+    """
+    even2, even4, odd = _kernels.pair_tables(maxn)
+    if open_signed is None:
+        open_signed = _kernels.triple_tables(maxn, False)[1]
+    if shifted_signed is None:
+        shifted_signed = _kernels.triple_tables(maxn, True)[1]
+    out = open_signed[:maxn + 1] + shifted_signed[:maxn + 1]
+    out += even2
+    out *= 2
+    out += even4
+    out += odd
+    out *= -2
+    return out
+
+
 def sum_side_series(order: int) -> QSeries:
     """1 - 4*sum q^{2rs}(-1)^{r+s} - 2*sum q^{4st}(-1)^{s+t}
        - 2*sum q^{(2s-1)(2t-1)}(-1)^{s+t} - 4*(open triples, signed)
-       - 4*(shifted triples, signed), all truncated below ``order``."""
+       - 4*(shifted triples, signed), all truncated below ``order``: the
+    coefficients of ``sum_side_table``."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    m = order - 1
-    even2, even4, odd = _kernels.pair_tables(m)
-    _, open_signed, _ = _kernels.triple_tables(m, False)
-    _, shifted_signed, _ = _kernels.triple_tables(m, True)
-    coeffs = [0] * order
+    coeffs = sum_side_table(order - 1).tolist()
     coeffs[0] = 1
-    for n in range(1, order):
-        coeffs[n] = (-4 * int(even2[n]) - 2 * int(even4[n]) - 2 * int(odd[n])
-                     - 4 * int(open_signed[n]) - 4 * int(shifted_signed[n]))
     return QSeries(coeffs, order)
 
 
@@ -331,6 +352,49 @@ def signed_formula_odd(n: int) -> int:
 PARITY_N_LIMIT = 2 ** 40
 
 
+def _isqrt_table(n):
+    """``isqrt(a)`` for 0 <= a <= n, exact and int64: one step up at each
+    square (8(n + 1) bytes, no float involved)."""
+    root = np.zeros(n + 1, dtype=np.int64)
+    root[np.arange(1, math.isqrt(n) + 1, dtype=np.int64) ** 2] = 1
+    return np.cumsum(root, out=root)
+
+
+def _parity_map(x, u, v):
+    """The explicit map of the parity bijection: the solution (x, u, v) of
+    x^2+u^2+v^2 = n, u = v mod 2, goes to (x, y, z) = (x, (u+v)/2, (u-v)/2),
+    a solution of x^2+2y^2+2z^2 = n; x is kept, and (y, z) returned."""
+    return (u + v) // 2, (u - v) // 2
+
+
+def _parity_images(n, x, u, v, m):
+    """Map the solutions (x, u, v) >= 0 of x^2+u^2+v^2 = n, u = v mod 2 (n
+    one int, or an array beside x), each with every sign of its nonzero
+    entries (u = v mod 2 does not depend on the signs), by ``_parity_map``:
+    ``(n, bad)`` per signed solution, its n and whether it fails: its image
+    is off x^2+2y^2+2z^2 = n, the inverse (y + z, y - z) does not give back
+    (u, v), or an earlier solution has the same image.  Images are compared
+    as packed int64 keys, one-to-one while every n <= m**2."""
+    cols = [x, u, v, np.broadcast_to(n, np.shape(x))]
+    for axis in range(3):
+        nonzero = cols[axis] != 0
+        cols = [np.concatenate((col, -col[nonzero] if k == axis
+                                else col[nonzero]))
+                for k, col in enumerate(cols)]
+    x, u, v, n = cols
+    y, z = _parity_map(x, u, v)
+    solves = x * x + 2 * y * y + 2 * z * z == n
+    bad = ~solves | (y + z != u) | (y - z != v)
+    # every |x|, |y|, |z| <= m on an image that solves x^2+2y^2+2z^2 = n
+    i = np.flatnonzero(solves)
+    width = 2 * m + 1
+    key = ((x[i] + m) * width + y[i] + m) * width + z[i] + m
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bad[i[order[1:][key[1:] == key[:-1]]]] = True
+    return n, bad
+
+
 def parity_bijection_images(n: int) -> int | None:
     """The explicit arm of the three-squares parity bijection at n.
 
@@ -340,11 +404,9 @@ def parity_bijection_images(n: int) -> int | None:
     fails or two solutions share an image.
 
     The pairs x, u >= 0 with x^2 + u^2 <= n are walked as one ragged grid
-    in ``_kernels.ragged_blocks``, and each solution found takes every sign
-    of its nonzero entries; square roots come from an exact table of
-    ``isqrt`` up to n (8(n + 1) bytes), built from the squares, so no float
-    is involved.  The images are counted as distinct packed int64 keys;
-    n >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
+    in ``_kernels.ragged_blocks``; v comes from an exact table of ``isqrt``
+    up to n, and ``_parity_images`` signs, maps and checks the solutions
+    found.  n >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -352,10 +414,7 @@ def parity_bijection_images(n: int) -> int | None:
         raise OverflowError(f"parity images for n = {n} may exceed int64")
     m = math.isqrt(n)
     squares = np.arange(m + 1, dtype=np.int64) ** 2
-    # root[a] = isqrt(a) for 0 <= a <= n: one step up at each square
-    root = np.zeros(n + 1, dtype=np.int64)
-    root[squares[1:]] = 1
-    root = np.cumsum(root)
+    root = _isqrt_table(n)
 
     def row_len(x):
         # u runs over 0 .. isqrt(n - x^2)
@@ -367,27 +426,69 @@ def parity_bijection_images(n: int) -> int | None:
         v = root[rem]
         hit = (squares[v] == rem) & ((u - v) % 2 == 0)
         parts.append((x[hit], u[hit], v[hit]))
-    cols = [np.concatenate(col) for col in zip(*parts)]
-    # the walk found x, u, v >= 0; every nonzero one also takes its sign
-    # (u = v mod 2 does not depend on the signs)
-    for axis in range(3):
-        nonzero = cols[axis] != 0
-        cols = [np.concatenate((col, -col[nonzero] if k == axis
-                                else col[nonzero]))
-                for k, col in enumerate(cols)]
-    x, u, v = cols
-    y, z = (u + v) // 2, (u - v) // 2
-    if (x * x + 2 * y * y + 2 * z * z != n).any():
-        return None
-    if ((y + z != u) | (y - z != v)).any():
-        return None
-    # every |x|, |y|, |z| <= m once the image solves x^2 + 2y^2 + 2z^2 = n
-    width = 2 * m + 1
-    key = ((x + m) * width + y + m) * width + z + m
-    key = key[np.argsort(key, kind="stable")]
-    if (key[1:] == key[:-1]).any():
-        return None  # two solutions share an image
-    return len(key)
+    _, bad = _parity_images(
+        n, *(np.concatenate(col) for col in zip(*parts)), m)
+    return None if bad.any() else len(bad)
+
+
+def parity_bijection_walk(maxn: int):
+    """The explicit arm of the parity bijection at every multiple of four up
+    to maxn, in one walk: ``(images, failed)``, indexed by n/4, the number
+    of images at n and whether a map, an inverse or the distinctness test
+    fails there; ``parity_bijection_images(n)`` is ``images[n/4]``, or None
+    where ``failed``.
+
+    A square is 0 or 1 mod 4, so n = 0 mod 4 leaves x, u and v all even,
+    and u = v mod 2: the walk takes the cells (x, u, v) = 2(i, j, k),
+    i, j, k >= 0, with x^2 + u^2 + v^2 <= maxn, each a solution at its n.
+    It goes in windows of at most ``_kernels.BLOCK // 64`` cells, so of at
+    most ``_kernels.BLOCK // 8`` signed solutions, and the solutions of a
+    window go to ``_parity_images`` together; at maxn = 3000 the walk peaks
+    at 0.7 MB (tracemalloc), within the 0.8 MB of a bijection lane window.
+
+    A window holds whole x rows (``_kernels.budget_windows``), and an image
+    keeps its x, so a window holds every solution that can share an image
+    with one of its own, and the distinctness test is exact.  Only a single
+    x row of more cells than that is split, by u, to bound the memory; two
+    of its solutions in different windows with one image still fail at
+    their n, as an image that passes the inverse gives back its own (u, v).
+    maxn >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
+    """
+    if maxn < 0:
+        raise ValueError("maxn must be >= 0")
+    if maxn >= PARITY_N_LIMIT:
+        raise OverflowError(f"parity images for n <= {maxn} may exceed "
+                            "int64")
+    budget = max(1, _kernels.BLOCK // 64)
+    top = maxn // 4  # i^2 + j^2 + k^2 <= top
+    root = _isqrt_table(top)
+
+    def j_len(i):
+        return root[top - i * i] + 1
+
+    def k_lens(i, j):
+        return root[top - i * i - j * j] + 1
+
+    cells = np.zeros(math.isqrt(top) + 1, dtype=np.int64)  # per x row
+    for i, j in _kernels.ragged_blocks(0, len(cells) - 1, j_len):
+        np.add.at(cells, i, k_lens(i, j))
+    images = np.zeros(top + 1, dtype=np.int64)
+    failed = np.zeros(top + 1, dtype=bool)
+    for lo, hi in _kernels.budget_windows(cells, budget=budget):
+        for i, j in _kernels.ragged_blocks(lo, hi, j_len):
+            lens = k_lens(i, j)
+            for first, last in _kernels.budget_windows(lens, budget=budget):
+                row, k = (np.concatenate(col) for col in zip(
+                    *_kernels.ragged_blocks(first, last, lens.__getitem__,
+                                            budget)))
+                i_, j_ = i[row], j[row]
+                n, bad = _parity_images(4 * (i_ * i_ + j_ * j_ + k * k),
+                                        2 * i_, 2 * j_, 2 * k,
+                                        math.isqrt(maxn))
+                n >>= 2
+                images += np.bincount(n, minlength=top + 1)
+                failed[n[bad]] = True
+    return images, failed
 
 
 def three_squares_parity_check(n: int, counts=None) -> bool:

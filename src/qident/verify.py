@@ -5,11 +5,21 @@ loci with exact expected/actual values.  Suite names are the stable CLI
 tokens; ``run_suites`` resolves them and hands every suite one ``Tables``,
 and ``size_error`` holds every rule on the sizes a suite accepts.
 
-``bijections`` checks every n <= max on the window lane
-(``bijection_windows``) and, on the first ``PER_N_PREFIX`` n, also on the
-per-n ``bijections.verify_case``; a failure's values come from
-``verify_case``.  The three-squares parity check in ``propositions`` runs
-on every n of the same prefix and on every multiple of four.
+Four sweeps run a batch route on every n <= max and a per-n oracle on the
+first ``PER_N_PREFIX`` n, which pins the batch reading in every run:
+
+* ``bijections``: the window lane (``bijection_windows``) beside
+  ``bijections.verify_case``;
+* ``corollary``: ``Tables.sum_side`` beside ``counting.signed_formula_*``;
+* the Hurwitz doubling checks of ``background``: ``Tables.h12`` beside
+  ``quadforms.hurwitz_H``;
+* the three-squares parity check of ``propositions``:
+  ``counting.parity_bijection_walk`` at every multiple of four beside
+  ``counting.three_squares_parity_check`` at every n.
+
+A check fails at the first n where either route fails, with the per-n
+oracle's values at that n; where only the batch route fails, the failure
+names that disagreement.
 """
 
 from __future__ import annotations
@@ -20,17 +30,16 @@ from typing import NamedTuple
 
 from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
-from .quadforms import (HURWITZ_X_LIMIT, hurwitz_table,
-                        verify_hurwitz_doubling)
+from .quadforms import HURWITZ_X_LIMIT, hurwitz_H, hurwitz_table
 from .report import Check, VerificationReport, series_check, sweep_check
 from .series import QSeries, series_bytes
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
                     rep_count_product_series, verify_theta_suite)
 
-# Every n up to this bound also runs a per-n oracle beside the batch route:
-# all of the three-squares parity check, and ``verify_case`` beside the
-# bijection window lane.
+# Every n up to this bound also runs the per-n oracle beside the batch route
+# of the bijection, corollary, Hurwitz doubling and three-squares parity
+# sweeps (see the module docstring).
 PER_N_PREFIX = 200
 
 # The int64 bounds on ``--max`` (see the modules that raise past them).
@@ -63,18 +72,26 @@ class _Size(NamedTuple):
 # Table bytes add up the build peak of each table a suite builds at max, per
 # n, from tracemalloc at max = 10**5: signed/unsigned 33, r3 25, each triple
 # table 92 (an older peak; 86 now), sigma0 9, h12 79 (4*max + 1 entries);
+# corollary's sum side 32, with the pair tables it reads (29 alone) and
+# drops (it holds 8); propositions' parity walk 14, its isqrt table, image
+# counts and window scratch (13) and the comparisons of its counts;
 # background's ``classical_checks`` reads the run's r3 and adds r2 and r4 25
 # each, d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 12
 # and hlm 17.  A sum of peaks bounds the peak of the tables held together;
 # each build's fixed block scratch (``_kernels.BLOCK`` cells or fewer) is
 # within its figure from max = 10**5 on.
+#
+# Bounds: ``counting.PARITY_N_LIMIT`` bounds the keys of both parity routes,
+# the batch walk and the per-n arm; the per-n oracles that report a failure
+# past the prefix keep the bounds of their own enumerations (``_FORMS`` for
+# ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the closed forms).
 _SIZES = {
     "dkm": _Size(2, 0, (), True, False, 0),
     "corollary": _Size(1, 0, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
-                       False, False, 33),
+                       False, False, 33 + 2 * 92 + 32),
     "theorem17": _Size(1, 0, (_KERNELS, _H12), False, True, 25 + 79),
     "propositions": _Size(1, 0, (_KERNELS, counting.PARITY_N_LIMIT - 1),
-                          False, True, 33 + 25 + 2 * 92 + 9),
+                          False, True, 33 + 25 + 2 * 92 + 9 + 14),
     "theorem61": _Size(1, 0, (_KERNELS, _H12), False, False,
                        2 * 92 + 9 + 79),
     "bijections": _Size(1, 7, (_H12, _FORMS,
@@ -160,6 +177,12 @@ class Tables:
         return _kernels.triple_tables(self.maxn, True)
 
     @cached_property
+    def sum_side(self):
+        """The sum side's coefficients of q^1 .. q^maxn, 0 at n = 0."""
+        return counting.sum_side_table(self.maxn, self.open_triples[1],
+                                       self.shifted_triples[1])
+
+    @cached_property
     def sigma0(self):
         return _kernels.sigma_table(self.maxn, 0)
 
@@ -180,6 +203,33 @@ class Tables:
         except InternalCrossCheckFailure as exc:
             return Check.fail("pochhammer_route_eq_theta_route", exc.locus,
                               exc.expected, exc.actual)
+
+
+def _pinned_check(name: str, ns: range, fails, per_n, oracle: str,
+                  prefix: range | None = None) -> Check:
+    """One check on the batch route, pinned to its per-n oracle.
+
+    ``fails`` is the batch comparison, true where it fails, at each n of
+    ``ns``; ``per_n(n)`` gives the oracle's ``(expected, actual)`` at n,
+    which runs on every n of ``prefix`` (``ns`` unless given) up to
+    ``PER_N_PREFIX``.  The check fails at the first n where either route
+    fails, with the oracle's values at that n, or, where only the batch
+    route fails, a failure naming that disagreement."""
+    first = ns[int(fails.argmax())] if fails.any() else None
+    prefix = ns if prefix is None else prefix
+    stop = PER_N_PREFIX + 1
+    if first is not None:
+        stop = min(stop, first)
+    check = sweep_check(name, (
+        (n, *per_n(n))
+        for n in range(prefix.start, min(prefix.stop, stop), prefix.step)))
+    if not check.passed or first is None:
+        return check
+    expected, actual = per_n(first)
+    if expected != actual:
+        return Check.fail(name, first, expected, actual)
+    return Check.fail(name, first, f"{oracle} and the batch tables agree",
+                      "only the batch tables fail")
 
 
 def suite_main_identity(order: int, maxn: int,
@@ -203,18 +253,20 @@ def suite_main_identity(order: int, maxn: int,
 
 def suite_corollary(order: int, maxn: int,
                     tables: Tables) -> VerificationReport:
-    """Per-parity closed forms against the direct signed enumeration."""
+    """Per-parity closed forms against the direct signed enumeration: the
+    batch sum side for every n <= maxn, the per-n ``signed_formula_*`` on
+    the prefix."""
     signed, _ = tables.signed_unsigned
-
-    def pairs(parity):
-        for n in range(1, maxn + 1):
-            if n % 2 == parity:
-                f = (counting.signed_formula_even(n) if parity == 0
-                     else counting.signed_formula_odd(n))
-                yield n, int(signed[n]), f
-
-    checks = [sweep_check("closed_form_even_n", pairs(0)),
-              sweep_check("closed_form_odd_n", pairs(1))]
+    sum_side = tables.sum_side
+    checks = []
+    for name, first, oracle in (
+            ("closed_form_even_n", 2, "signed_formula_even"),
+            ("closed_form_odd_n", 1, "signed_formula_odd")):
+        formula = getattr(counting, oracle)
+        checks.append(_pinned_check(
+            name, range(first, maxn + 1, 2),
+            signed[first::2] != sum_side[first::2],
+            lambda n, formula=formula: (int(signed[n]), formula(n)), oracle))
     return VerificationReport("corollary", {"order": order, "max": maxn}, checks)
 
 
@@ -288,23 +340,26 @@ def suite_propositions(order: int, maxn: int,
         sweep_check("a_4m_eq_r3_eq_r3_quarter",
                     ((n, (int(r3[n]), int(r3[n // 4])), (av(n), av(n)))
                      for n in range(4, maxn + 1, 4))),
-        sweep_check("three_squares_parity_bijection",
-                    ((n, True,
-                      counting.three_squares_parity_check(n, parity_counts))
-                     for n in _parity_check_range(maxn))),
+        _parity_check(maxn, parity_counts),
     ]
     checks.extend(_prop_residue_zero_series_checks(maxn + 1, a))
     return VerificationReport("propositions", params, checks)
 
 
-def _parity_check_range(maxn: int):
-    # every n on the prefix, then all multiples of four up to maxn
-    seen = set()
-    for n in (list(range(min(maxn, PER_N_PREFIX) + 1))
-              + list(range(0, maxn + 1, 4))):
-        if n not in seen:
-            seen.add(n)
-            yield n
+def _parity_check(maxn: int, counts) -> Check:
+    """The three-squares parity bijection: the batch walk at every multiple
+    of four up to maxn, its image counts against ``unsigned`` and
+    r3(n) = r3(n/4) = signed(n) there; ``three_squares_parity_check`` on
+    every n of the prefix."""
+    signed, unsigned, r3 = counts
+    images, failed = counting.parity_bijection_walk(maxn)
+    quarter = r3[:len(images)]
+    fails = (failed | (images != unsigned[::4]) | (r3[::4] != quarter)
+             | (signed[::4] != quarter))
+    return _pinned_check(
+        "three_squares_parity_bijection", range(0, maxn + 1, 4), fails,
+        lambda n: (True, counting.three_squares_parity_check(n, counts)),
+        "three_squares_parity_check", prefix=range(maxn + 1))
 
 
 def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
@@ -417,13 +472,22 @@ def suite_background(order: int, maxn: int,
                      tables: Tables) -> VerificationReport:
     """Theta suite, Appell suite, classical checks, Hurwitz doubling, the
     unsigned generating function, and the local-global sweep.  Hurwitz
-    doubling stays on the per-N ``hurwitz_H``."""
+    doubling, H(4n) = 4H(n) for n = 3 mod 8 and 2H(n) for n = 7 mod 8 (the
+    checks of ``quadforms.verify_hurwitz_doubling``), reads ``Tables.h12``
+    for every n <= maxn and the per-N ``hurwitz_H`` on the prefix."""
     checks = []
     checks.extend(verify_theta_suite(order).checks)
     checks.extend(verify_appell_suite(order).checks)
-    checks.extend(counting.classical_checks(maxn, tables.h12,
-                                            tables.r3).checks)
-    checks.extend(verify_hurwitz_doubling(maxn).checks)
+    h12 = tables.h12
+    checks.extend(counting.classical_checks(maxn, h12, tables.r3).checks)
+    for residue, mult in ((3, 4), (7, 2)):
+        fails = (mult * h12[residue:maxn + 1:8]
+                 != h12[4 * residue:4 * maxn + 1:32])
+        checks.append(_pinned_check(
+            f"hurwitz_doubling_{residue}_mod_8",
+            range(residue, maxn + 1, 8), fails,
+            lambda n, mult=mult: (mult * hurwitz_H(n), hurwitz_H(4 * n)),
+            "hurwitz_H"))
 
     signed, unsigned = tables.signed_unsigned
     checks.append(sweep_check(

@@ -427,6 +427,28 @@ def test_sum_side_matches_product_side():
                      order) is None
 
 
+def test_sum_side_table_is_the_sum_side_series_and_the_signed_count():
+    # one int64 expression: the dkm series below q^3001, and corollary's
+    # batch reading, which equals the lattice count at every n >= 1
+    maxn = 3000
+    table = C.sum_side_table(maxn)
+    assert table.dtype == np.int64 and len(table) == maxn + 1
+    assert table[0] == 0
+    series = C.sum_side_series(maxn + 1)
+    assert [int(series.coeff(n).re) for n in range(1, maxn + 1)] == (
+        table[1:].tolist())
+    signed, _ = _kernels.signed_rep_tables(maxn)
+    assert (table[1:] == signed[1:]).all()
+    given = C.sum_side_table(
+        maxn, _kernels.triple_tables(maxn + 5, False)[1],
+        _kernels.triple_tables(maxn + 5, True)[1])
+    assert (given == table).all()
+    for n in (1, 2, 3, 4, 2999, 3000):
+        formula = (C.signed_formula_even if n % 2 == 0
+                   else C.signed_formula_odd)
+        assert table[n] == formula(n)
+
+
 def test_formula_parity_guards():
     with pytest.raises(C.WrongParity):
         C.signed_formula_even(3)
@@ -528,6 +550,67 @@ def test_parity_bijection_table_arm_reads_the_tables():
         table[n] -= 1
         # r3(9) is read as r3(36/4)
         assert bumped == [36 if table is r3 and n == 9 else n]
+
+
+def test_parity_walk_matches_the_per_n_arm_to_2000():
+    images, failed = C.parity_bijection_walk(2000)
+    assert len(images) == len(failed) == 501 and not failed.any()
+    for n in range(0, 2001, 4):
+        assert images[n // 4] == C.parity_bijection_images(n), n
+
+
+@pytest.mark.parametrize("block", [64, 1024, 4096])
+def test_parity_walk_across_windows_and_split_rows(monkeypatch, block):
+    # BLOCK // 64 cells per window: 1 cell splits every x row into one
+    # window per cell, 16 and 64 split the long rows by u
+    images, failed = C.parity_bijection_walk(1200)
+    monkeypatch.setattr(_kernels, "BLOCK", block)
+    small, small_failed = C.parity_bijection_walk(1200)
+    assert (small == images).all() and not small_failed.any()
+
+
+@pytest.mark.parametrize("how", ["off", "collapse"])
+def test_parity_walk_flags_a_broken_map(monkeypatch, how):
+    # "off": images of n = 52 and n = 400 leave x^2+2y^2+2z^2 = n; "collapse":
+    # z -> |z| maps z and -z onto one image (and breaks the inverse) at
+    # every n with a solution z != 0
+    real = C._parity_map
+
+    def broken(x, u, v):
+        y, z = real(x, u, v)
+        if how == "off":
+            n = x * x + u * u + v * v
+            return y + ((n == 52) | (n == 400)), z
+        return y, abs(z)
+
+    monkeypatch.setattr(C, "_parity_map", broken)
+    _, failed = C.parity_bijection_walk(800)
+    flagged = [4 * int(k) for k in np.flatnonzero(failed)]
+    per_n = [n for n in range(0, 801, 4)
+             if C.parity_bijection_images(n) is None]
+    assert flagged == per_n
+    if how == "off":
+        assert flagged == [52, 400]
+    else:
+        assert flagged and flagged[0] == 4
+
+
+def test_parity_walk_guards_and_memory():
+    import tracemalloc
+
+    with pytest.raises(ValueError):
+        C.parity_bijection_walk(-1)
+    with pytest.raises(OverflowError):
+        C.parity_bijection_walk(C.PARITY_N_LIMIT)
+    assert [a.tolist() for a in C.parity_bijection_walk(0)] == [[1], [False]]
+    tracemalloc.start()
+    try:
+        C.parity_bijection_walk(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # within one window of the bijection lane (0.8 MB)
+    assert peak < 800 * 1024
 
 
 def test_classical_checks():

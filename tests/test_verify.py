@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
@@ -289,3 +290,166 @@ def test_table_budget_bounds_max(monkeypatch, name):
     if name in MAX_SERIES:
         assert "of series" in size_error(name, 200, 10 ** 6 + 1)
 
+
+@pytest.mark.parametrize("name, per_n, mib", [("corollary", 249, 2374),
+                                              ("all", 1236, 11787)])
+def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
+    # corollary's row holds the triple tables and the sum side's build; the
+    # propositions row adds the parity walk, and "all" adds every row
+    assert sum(verify._SIZES[n].table_bytes
+               for n in (SUITE_NAMES if name == "all" else (name,))) == per_n
+    assert size_error(name, 300, 3000) is None
+    monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
+    assert size_error(name, 300, verify.BYTES_BUDGET // per_n - 1) is None
+    assert size_error(name, 300, 10 ** 7) == (
+        f"suite {name} at --max 10000000 would hold about {mib} MiB of "
+        "tables, past the 1024 MiB budget")
+
+
+def _bumped(monkeypatch, holder, attr, bump):
+    """Patch ``holder.attr`` so that ``bump`` edits a copy of its result."""
+    real = getattr(holder, attr)
+
+    def patched(*args):
+        out = real(*args)
+        if isinstance(out, tuple):
+            out = tuple(a.copy() for a in out)
+        else:
+            out = out.copy()
+        bump(args, out)
+        return out
+
+    monkeypatch.setattr(holder, attr, patched)
+
+
+def _bump_triples(n, shifted):
+    def bump(args, out):
+        if args[1] == shifted and len(out[1]) > n:
+            out[1][n] += 1  # one signed triple more at n
+    return bump
+
+
+def _bump_h12(N):
+    def bump(args, out):
+        if len(out) > N:
+            out[N] += 1
+    return bump
+
+
+def _bump_unsigned(n):
+    def bump(args, out):
+        if len(out[1]) > n:
+            out[1][n] += 1
+    return bump
+
+
+# (suite, check, n, what the batch route reads, its corruption, whether the
+# per-n oracle sees it too); every n is past PER_N_PREFIX
+_PAST_THE_PREFIX = [
+    ("corollary", "closed_form_odd_n", 301, "_kernels", "triple_tables",
+     _bump_triples(301, True), False),
+    ("corollary", "closed_form_even_n", 302, "_kernels", "triple_tables",
+     _bump_triples(302, False), False),
+    ("background", "hurwitz_doubling_7_mod_8", 303, "verify",
+     "hurwitz_table", _bump_h12(4 * 303), False),
+    ("propositions", "three_squares_parity_bijection", 304, "_kernels",
+     "signed_rep_tables", _bump_unsigned(304), True),
+]
+
+
+@pytest.mark.parametrize("suite, check, n, module, attr, bump, per_n_sees",
+                         _PAST_THE_PREFIX)
+def test_batch_corruption_past_the_prefix_fails_at_that_n(
+        monkeypatch, capsys, suite, check, n, module, attr, bump, per_n_sees):
+    from qident import _kernels
+    from qident.cli import main
+
+    assert n > verify.PER_N_PREFIX
+    _bumped(monkeypatch, {"_kernels": _kernels, "verify": verify}[module],
+            attr, bump)
+    (report,) = run_suites(suite, 32, 320)
+    (failure,) = report.failures
+    assert (failure.name, failure.locus) == (check, n)
+    if per_n_sees:
+        # the per-n oracle reads the same table: its values are reported
+        assert (failure.expected, failure.actual) == ("True", "False")
+    else:
+        assert failure.actual == "only the batch tables fail"
+        assert failure.expected.endswith(" and the batch tables agree")
+    assert main(["verify", "--suite", suite, "--order", "32",
+                 "--max", "320"]) == 1
+    assert f"[FAIL] {check} at {n}:" in capsys.readouterr().out
+
+
+def test_per_n_closed_form_pins_the_prefix(monkeypatch):
+    from qident import _kernels, counting
+
+    real = counting.signed_formula_odd
+    monkeypatch.setattr(counting, "signed_formula_odd",
+                        lambda n: real(n) + (n == 21))
+    (report,) = run_suites("corollary", 32, 320)
+    signed, _ = _kernels.signed_rep_tables(21)
+    assert [(c.name, c.locus, c.expected, c.actual)
+            for c in report.failures] == [
+        ("closed_form_odd_n", 21, str(signed[21]), str(signed[21] + 1))]
+
+
+def test_per_n_hurwitz_pins_the_prefix(monkeypatch):
+    from fractions import Fraction
+
+    from qident.quadforms import hurwitz_H
+
+    monkeypatch.setattr(verify, "hurwitz_H",
+                        lambda N: hurwitz_H(N) + (N == 44))
+    (report,) = run_suites("background", 32, 320)
+    assert [(c.name, c.locus, c.expected, c.actual)
+            for c in report.failures] == [
+        ("hurwitz_doubling_3_mod_8", 11, str(4 * hurwitz_H(11)),
+         str(hurwitz_H(44) + 1))]
+    assert hurwitz_H(44) + 1 != Fraction(4) * hurwitz_H(11)
+
+
+@pytest.mark.parametrize("n", [13, 36])
+def test_per_n_parity_images_pin_the_prefix(monkeypatch, n):
+    # every n of the prefix runs the per-n arm, not only multiples of four
+    from qident import counting
+
+    real = counting.parity_bijection_images
+    monkeypatch.setattr(counting, "parity_bijection_images",
+                        lambda m: None if m == n else real(m))
+    (report,) = run_suites("propositions", 32, 320)
+    assert [(c.name, c.locus, c.expected, c.actual)
+            for c in report.failures] == [
+        ("three_squares_parity_bijection", n, "True", "False")]
+
+
+@pytest.mark.parametrize("batch, per_n, want", [
+    (None, None, None),
+    (151, None, (151, "oracle and the batch tables agree",
+                 "only the batch tables fail")),
+    (None, 101, (101, "0", "1")),
+    (151, 101, (101, "0", "1")),
+    (101, 151, (101, "oracle and the batch tables agree",
+                "only the batch tables fail")),
+    (101, 101, (101, "0", "1")),
+    (301, 301, (301, "0", "1")),   # past the prefix: one oracle call
+])
+def test_pinned_check_fails_at_the_first_failure_of_either_route(
+        batch, per_n, want):
+    ns = range(1, 400, 2)
+    fails = np.array([n == batch for n in ns])
+    calls = []
+
+    def oracle(n):
+        calls.append(n)
+        return 0, int(n == per_n)
+
+    check = verify._pinned_check("demo", ns, fails, oracle, "oracle")
+    if want is None:
+        assert check.passed
+    else:
+        assert (check.locus, check.expected, check.actual) == want
+    stop = min(want[0] if want else 401, verify.PER_N_PREFIX + 1)
+    # the oracle runs on the prefix up to the failure, then at it
+    assert calls[:len(range(1, stop, 2))] == list(range(1, stop, 2))
+    assert len(calls) <= len(range(1, stop, 2)) + 1
