@@ -2,7 +2,8 @@
 ``bijections.verify_case`` for all n of a window of consecutive n at once.
 
 Its triples and forms come from ``_kernels.progression_terms``, as do the
-per-n ones, and it reads no kernel table.  ``verify.suite_bijections`` runs
+per-n triples (the per-n forms come from ``enumerate_reduced``'s own
+loop), and it reads no kernel table.  ``verify.suite_bijections`` runs
 ``verify_case`` beside it on a prefix of n, which compares the check logic
 of the two routes; the enumeration is pinned by the tests to its loop
 oracles, and in every run by ``count_identity`` (triples against

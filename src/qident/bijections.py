@@ -13,8 +13,9 @@ resulting count identities.
 Everything here works one n at a time and is the oracle behind
 ``qident bijection``; ``bijection_windows`` runs the same checks over
 windows of consecutive n for the ``bijections`` suite, which compares the
-check logic of the two on a prefix of n; both enumerate through
-``_kernels.progression_terms``.
+check logic of the two on a prefix of n.  Both enumerate the triples
+through ``_kernels.progression_terms``; the forms come from
+``enumerate_reduced``'s own loop here and from that walk in the lane.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ directly; tests pin every kernel against the per-n oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -122,16 +123,20 @@ def rep_squares(s: int, n: int) -> int:
     return total
 
 
-def _orthant_solutions(n: int):
-    """Yield ``(x + y + z, w)`` for each solution of x^2+2y^2+2z^2 = n with
+@functools.lru_cache(maxsize=1)
+def _orthant_solutions(n: int) -> tuple:
+    """``(x + y + z, w)`` for each solution of x^2+2y^2+2z^2 = n with
     x >= 0 and 0 <= y <= z; w is the number of integer solutions it stands
     for, its 2**k sign vectors (k the number of nonzero coordinates),
     doubled when y != z for the swap of y and z.
 
     x runs over the parity of n, the only one that leaves n - x^2 even.
     Neither a sign flip nor the swap changes the parity of x + y + z, so
-    all w solutions carry the sign of the one yielded.
+    all w solutions carry the sign of the one listed.  The last n's tuple
+    is kept, so ``signed_rep_count`` and ``rep_count`` at one n (a row of
+    ``qident table``) walk it once.
     """
+    out = []
     for x in range(n % 2, math.isqrt(n) + 1, 2):
         rx = (n - x * x) // 2
         # 2y^2 <= rx leaves z >= y
@@ -140,7 +145,8 @@ def _orthant_solutions(n: int):
             z = math.isqrt(rem)
             if z * z == rem:
                 w = 1 << ((x > 0) + (y > 0) + (z > 0))
-                yield x + y + z, (2 * w if y < z else w)
+                out.append((x + y + z, 2 * w if y < z else w))
+    return tuple(out)
 
 
 def signed_rep_count(n: int) -> int:
@@ -306,7 +312,7 @@ def sum_side_series(order: int) -> QSeries:
         raise ValueError("order must be >= 1")
     coeffs = sum_side_table(order - 1).tolist()
     coeffs[0] = 1
-    return QSeries(coeffs, order)
+    return QSeries._raw(coeffs, None, 1, order)
 
 
 def _signed_divisor_pairs(m: int) -> int:
@@ -550,7 +556,7 @@ def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     gf = (Jm(2, order) ** 2 * Jm(1, order).invert()) ** 3
     checks.append(series_check(
         "triangular_triple_eta_quotient",
-        QSeries([int(tri[n]) for n in range(order)], order), gf, order))
+        QSeries._raw(tri[:order].tolist(), None, 1, order), gf, order))
     checks.append(sweep_check(
         "triangular_triple_positivity",
         ((n, True, int(tri[n]) > 0) for n in range(maxn + 1))))

@@ -1,10 +1,15 @@
 """Binary quadratic forms: reduction, enumeration, class numbers, Hurwitz H.
 
-``enumerate_reduced`` reads ``_kernels.progression_terms``, with
-``enumerate_reduced_bruteforce`` as its loop oracle.  All class-number
-values are exact rationals.  Weighted forms are detected literally among
-reduced representatives: a reduced multiple of x²+y² is exactly (a,0,a)
-and of x²+xy+y² exactly (a,a,a).
+Two independent routes give the class numbers.  The per-N route,
+``enumerate_reduced`` and ``hurwitz_H``, is the textbook loop over b and
+the divisors a of (b² + N)/4 (Cohen, Alg. 5.3.5), with
+``enumerate_reduced_bruteforce`` as its slow oracle; it reads no numpy
+kernel.  The batch route, ``hurwitz_table``, counts the forms of every
+N <= X at once on the progression walk of ``_kernels``, which the
+bijection window lane reads too.  All class-number values are exact
+rationals.  Weighted forms are detected literally among reduced
+representatives: a reduced multiple of x²+y² is exactly (a,0,a) and of
+x²+xy+y² exactly (a,a,a).
 """
 
 from __future__ import annotations
@@ -75,7 +80,8 @@ def _check_discriminant(D: int) -> None:
         raise BadDiscriminantResidue(f"{D} is not a negative discriminant")
 
 
-# the shared enumerator's int64 bound: -D = m*n
+# the bound of the progression walk, which the window lane reads the same
+# forms from; ``enumerate_reduced`` refuses the same discriminants
 REDUCED_D_LIMIT = _kernels.PROGRESSION_LIMIT
 
 
@@ -83,15 +89,28 @@ def enumerate_reduced(D: int) -> list[QuadForm]:
     """All reduced positive definite forms of discriminant D, in
     lexicographic (a, b, c) order, each exactly once.
 
-    They are the terms at n of ``_kernels.progression_terms`` with
-    ``D = -m*n`` (m = 4 for even D, 1 for odd); ``-D >= REDUCED_D_LIMIT``
-    raises ``OverflowError``.
+    With N = -D, each b = N mod 2 with 0 <= b <= isqrt(N/3) (b² <= ac
+    and 4ac = b² + N) and each divisor a of q = (b² + N)/4 with
+    max(b, 1) <= a <= isqrt(q) give the form (a, b, q/a), and also
+    (a, -b, q/a) when 0 < b < a < q/a; the list is sorted at the end.
+    ``-D >= REDUCED_D_LIMIT`` raises ``OverflowError``.
     """
     _check_discriminant(D)
-    m = 4 if D % 4 == 0 else 1
-    _, a, b, k = _kernels.progression_terms(m, -D // m, -D // m)
-    k += a + (b < 0)
-    return list(map(QuadForm, a.tolist(), b.tolist(), k.tolist()))
+    N = -D
+    if N >= REDUCED_D_LIMIT:
+        raise OverflowError(f"reduced forms of discriminant {D} exceed "
+                            "the progression walk's int64 bound")
+    out = []
+    for b in range(N % 2, math.isqrt(N // 3) + 1, 2):
+        q = (b * b + N) // 4
+        for a in range(max(b, 1), math.isqrt(q) + 1):
+            if q % a == 0:
+                c = q // a
+                out.append(QuadForm(a, b, c))
+                if 0 < b < a < c:
+                    out.append(QuadForm(a, -b, c))
+    out.sort()
+    return out
 
 
 def enumerate_reduced_bruteforce(D: int) -> list[QuadForm]:

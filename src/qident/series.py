@@ -460,6 +460,12 @@ class QSeries:
     def coeffs(self):
         return [self.coeff(n) for n in range(self.order)]
 
+    def integral_coefficients(self) -> list[bool]:
+        """For each n below the order, whether the coefficient of ``q**n``
+        is a plain integer, read from the numerators and the denominator."""
+        den, im = self._den, self._im or [0] * self.order
+        return [not y and x % den == 0 for x, y in zip(self._re, im)]
+
     def is_zero(self) -> bool:
         return not any(self._re) and (self._im is None or not any(self._im))
 

@@ -281,12 +281,12 @@ def rep_count_product_series(order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _check_shift_law(zeta, a, m, n, order) -> Check:
+def _check_shift_law(zeta, a, m, n, order, base) -> Check:
     """Shift law at displacement ``n``: bilateral sum at the shifted argument
-    against prefactor times the triple product at the base argument."""
+    against prefactor times the triple product ``base`` at the base
+    argument, ``theta_j(jtheta(zeta, a, m), order)``."""
     name = f"shift_law[zeta={zeta},a={a},m={m},n={n}]"
     unit, net, _ = _normalize(jtheta(zeta, a + n * m, m))
-    base = theta_j(jtheta(zeta, a, m), order)
     try:
         if net >= 0:
             lhs = _raw_theta_sum(zeta, a + n * m, m, 0, order)
@@ -365,8 +365,9 @@ def verify_theta_suite(order: int) -> VerificationReport:
             theta_j(jtheta(zeta, a, m), N), N))
 
     for zeta, a, m in [(ONE, 1, 2), (I_UNIT, 1, 2), (MINUS_ONE, 1, 3)]:
+        base = theta_j(jtheta(zeta, a, m), N)
         for n in range(-3, 4):
-            checks.append(_check_shift_law(zeta, a, m, n, N))
+            checks.append(_check_shift_law(zeta, a, m, n, N, base))
 
     for zeta, a, m in [(ONE, 1, 3), (I_UNIT, 1, 2), (MINUS_ONE, 0, 3),
                        (MINUS_ONE, 2, 5)]:

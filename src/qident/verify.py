@@ -247,7 +247,7 @@ def suite_main_identity(order: int, maxn: int,
     checks.append(series_check("sum_side_eq_product_side", lhs, poch, order))
     checks.append(sweep_check(
         "coefficients_are_plain_integers",
-        ((n, True, c.is_integer) for n, c in enumerate(poch.coeffs()))))
+        ((n, True, ok) for n, ok in enumerate(poch.integral_coefficients()))))
     return VerificationReport("dkm", {"order": order, "max": maxn}, checks)
 
 
@@ -425,7 +425,8 @@ def suite_bijections(order: int, maxn: int,
     The window lane (``bijection_windows.verify_windows``) checks every
     n <= maxn; ``verify_case`` also checks every n <= ``PER_N_PREFIX``,
     which pins the lane's check logic to the per-n route in every run (the
-    two share one enumeration) and fixes the check names and their order.
+    two share the enumeration of triples, not of forms) and fixes the
+    check names and their order.
     A check fails at the first n where either route fails it, with the
     expected and actual values of ``verify_case`` at that n, or, where
     only the lane fails, a failure naming the disagreement."""

@@ -269,6 +269,48 @@ def test_table_columns_match_the_batch_tables(capsys):
             == _kernels.sigma_table(maxn, 0)[1:].tolist())
 
 
+def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
+    from qident import counting, quadforms
+
+    calls = dict.fromkeys(("signed_rep_count", "rep_count",
+                           "enumerate_reduced"), 0)
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # through the module bindings, as the benchmark's tracer wraps them
+    count_calls(counting, "signed_rep_count")
+    count_calls(counting, "rep_count")
+    count_calls(quadforms, "enumerate_reduced")
+    counting._orthant_solutions.cache_clear()
+    maxn = 300
+    code, out, _ = run_cli(capsys, "table", "--max", str(maxn), "--format",
+                           "csv")
+    assert code == 0
+    walks = counting._orthant_solutions.cache_info()
+    assert (walks.misses, walks.hits) == (maxn + 1, maxn + 1)
+    assert calls["signed_rep_count"] == calls["rep_count"] == maxn + 1
+    # H(n) enumerates for n = 0, 3 mod 4 and H4 at every 4n > 0
+    assert calls["enumerate_reduced"] == maxn + sum(
+        n % 4 in (0, 3) for n in range(1, maxn + 1))
+
+    monkeypatch.undo()
+    want = [["n", "a", "b", "r3", "H", "H4", "sigma0"]]
+    for n in range(maxn + 1):
+        want.append([str(v) for v in (
+            n, counting.signed_rep_count(n), counting.rep_count(n),
+            counting.rep_squares(3, n), quadforms.hurwitz_H(n),
+            quadforms.hurwitz_H(4 * n))]
+            + [str(counting.sigma(0, n)) if n else ""])
+    assert list(csv.reader(io.StringIO(out))) == want
+
+
 def test_table_text_rows(capsys):
     code, out, _ = run_cli(capsys, "table", "--max", "7")
     assert code == 0

@@ -115,8 +115,7 @@ def test_hurwitz_table_matches_oracle():
 
 
 def test_hurwitz_table_matches_a_plain_form_loop():
-    # hurwitz_H shares the table's (a, b) walk; this loop over (a, b, c)
-    # does not
+    # a third route beside hurwitz_H's divisor loop: every (a, b, c)
     X = 4000
     want = [0] * (X + 1)
     want[0] = -1
@@ -158,7 +157,8 @@ def test_enumerate_across_blocks_matches_the_table():
 
     D = -400_004
     amax = math.isqrt(-D // 3)
-    # cells of the (a, b) grid, b = D mod 2 and |b| <= a <= amax
+    # cells of the table's (a, b) grid, b = D mod 2 and |b| <= a <= amax:
+    # its walk crosses a block boundary below -D
     cells = sum(a + 1 - (a + D) % 2 for a in range(1, amax + 1))
     assert cells > _kernels.BLOCK
     forms = enumerate_reduced(D)
@@ -209,3 +209,47 @@ def test_quad_form_is_an_immutable_ordered_tuple():
     assert f == (2, -1, 3)
     forms = enumerate_reduced(-4 * 105)
     assert forms and all(type(g) is QuadForm for g in forms)
+
+
+def _package_calls(fn, *args):
+    """The qident functions (file, first line, name) that ``fn(*args)``
+    runs, recorded with ``sys.setprofile``."""
+    import os
+    import sys
+
+    import qident
+
+    root = os.path.dirname(qident.__file__) + os.sep
+    seen = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(root):
+            seen.add((os.path.basename(code.co_filename),
+                      code.co_firstlineno, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+def test_per_n_class_numbers_share_no_code_with_the_table():
+    # the per-N route and the batch table are two independent routes to
+    # 12*H(N): no package function runs in both
+    per_n = _package_calls(lambda: [hurwitz_H(N) for N in range(61)])
+    table = _package_calls(hurwitz_table, 60)
+    # the recorder sees each route's enumeration
+    assert ("quadforms.py", enumerate_reduced.__code__.co_firstlineno,
+            "enumerate_reduced") in per_n
+    assert any(name == "_pair_blocks" for _, _, name in table)
+    assert not per_n & table, sorted(per_n & table)
+
+
+def test_per_n_class_numbers_equal_the_table_to_8000():
+    X = 8000
+    assert [12 * hurwitz_H(N) for N in range(X + 1)] == \
+        hurwitz_table(X).tolist()

@@ -109,6 +109,11 @@ class TestQSeriesBasics:
         assert series_eq(a, a, 4) is None
         assert series_eq(a, b, 4) == 2
 
+    @given(small_series)
+    def test_integral_coefficients_read_each_coefficient(self, a):
+        assert a.integral_coefficients() == [c.is_integer
+                                             for c in a.coeffs()]
+
     def test_shift(self):
         a = QSeries([1, 2], 4)
         up = a.shift(2)
