@@ -25,8 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .quadforms import hurwitz_table
-from .report import VerificationReport, series_check, sweep_check
-from .series import QSeries
+from .report import Check, VerificationReport, table_check
+from .series import QSeries, series_eq
 from .theta import Jm
 
 
@@ -519,69 +519,145 @@ def three_squares_parity_check(n: int, counts=None) -> bool:
     return n % 4 != 0 or int(r3[n]) == int(r3[n // 4]) == int(signed[n])
 
 
+def sweep_entry_bound(maxn: int) -> int:
+    """A bound on the modulus of every table entry an int64 sweep at
+    ``maxn`` reads, from the bounds the tables' builders state:
+
+    * 12*H(N) for N <= X = 4*maxn is at most 4X + 12*isqrt(X)
+      (``hurwitz_table``);
+    * a lattice count (r2, r3, r4, the signed and unsigned counts of
+      x^2+2y^2+2z^2, the triangular triples) is at most
+      2*(2*isqrt(2*maxn) + 1)**3 (``_kernels``);
+    * a divisor count or sum (sigma0, d_mod4, the signed rs = n table of
+      ``hlm_tables``, sigma of the divisors not divisible by four) is at
+      most sigma_1(n) = sum over d | n of n/d, and a triple count (the
+      open and shifted tables, signed or by the parity of r, and the
+      triples of rs + rt + st = n) has at most one triple per pair (s, t)
+      with st <= n; both are at most n*(1 + ln n), below
+      maxn*(1 + bit_length(maxn)).
+    """
+    x = 4 * maxn
+    return max(4 * x + 12 * math.isqrt(x),
+               2 * (2 * math.isqrt(2 * maxn) + 1) ** 3,
+               maxn * (1 + maxn.bit_length()))
+
+
+def check_sweep_int64(maxn: int) -> None:
+    """The overflow guard of the int64 sweeps at ``maxn``: those of
+    ``classical_checks`` and of the theorem17, propositions, theorem61 and
+    background suites of ``verify``.  Each side of a sweep's comparison
+    adds table entries with integer weights whose moduli sum to at most 24
+    (the heaviest is 24*h12[n], that is 24*H(n) in units of 12*H), so it
+    stays below 24 times ``sweep_entry_bound(maxn)``; a series coefficient
+    enters only as an integer of modulus below 2**63 // 12
+    (``QSeries.int64_coefficients``), and 12 times it fits.  Raises
+    ``OverflowError`` when 24 times the entry bound reaches 2**63, which
+    happens first at maxn = 41 623 914 865, above every ``--max`` bound of
+    those suites in ``verify._SIZES`` (the tests pin that).
+    """
+    if 24 * sweep_entry_bound(maxn) >= 1 << 63:
+        raise OverflowError(f"int64 sweeps at n <= {maxn} may exceed int64")
+
+
+def three_square_excluded_table(maxn: int):
+    """``is_three_square_excluded(n)`` for 0 <= n <= maxn as a bool table:
+    n = 4**a * (8b + 7) is n = 7 * 4**a mod 8 * 4**a."""
+    out = np.zeros(maxn + 1, dtype=bool)
+    step = 8
+    while 7 * step // 8 <= maxn:
+        out[7 * step // 8::step] = True
+        step *= 4
+    return out
+
+
 def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     """The classical square-counting identities, swept to maxn.
 
     ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries and
     ``r3`` a ``square_rep_tables(3, ...)`` table of at least ``maxn + 1``;
-    each is built when not given."""
+    each is built when not given.
+
+    Every sweep compares whole int64 tables and runs its per-n expression
+    only at the n where they fail (``report.table_check``); the bound of
+    its int64 arithmetic is ``check_sweep_int64``.  The triangular triples
+    meet the eta quotient ``((q^2;q^2)^2/(q;q))^3`` without a division:
+    with T the triangular series and E = (q;q)^3, ``T*E - (q^2;q^2)^6`` is
+    ``(T - (q^2;q^2)^6/E)*E``, and E has constant term 1, so it first
+    differs from 0 at the first n where T differs from the quotient, by
+    the same coefficient.  The quotient is built only on a failure, for the
+    values reported there.
+    """
     if maxn < 8:
         raise ValueError("maxn must be >= 8")
+    check_sweep_int64(maxn)
     if h12 is None:
         h12 = hurwitz_table(4 * maxn)
     if r3 is None:
         r3 = _kernels.square_rep_tables(3, maxn)
     checks = []
+    ns = np.arange(maxn + 1)
 
     r2 = _kernels.square_rep_tables(2, maxn)
     r4 = _kernels.square_rep_tables(4, maxn)
     d1, d3 = _kernels.d_mod4_tables(maxn)
     sig = _kernels.sigma_no_mult4_table(maxn)
 
-    checks.append(sweep_check(
-        "four_square_divisor_formula",
-        ((n, 8 * int(sig[n]), int(r4[n])) for n in range(1, maxn + 1))))
-    checks.append(sweep_check(
-        "two_square_divisor_formula",
-        ((n, 4 * (int(d1[n]) - int(d3[n])), int(r2[n]))
-         for n in range(1, maxn + 1))))
+    checks.append(table_check(
+        "four_square_divisor_formula", ns[1:], 8 * sig[1:] != r4[1:maxn + 1],
+        lambda n: (8 * int(sig[n]), int(r4[n]))))
+    checks.append(table_check(
+        "two_square_divisor_formula", ns[1:],
+        4 * (d1[1:] - d3[1:]) != r2[1:maxn + 1],
+        lambda n: (4 * (int(d1[n]) - int(d3[n])), int(r2[n]))))
 
     tri = _kernels.triangular3_table(maxn)
     tri_sum = _kernels.triangular_sum_side(maxn + 1)
-    checks.append(sweep_check(
-        "triangular_triple_sum_side",
-        ((n, int(tri[n]), int(tri_sum[n])) for n in range(maxn + 1))))
-    # eta-quotient route: ((q^2;q^2)^2 / (q;q))^3
-    order = maxn + 1
-    gf = (Jm(2, order) ** 2 * Jm(1, order).invert()) ** 3
-    checks.append(series_check(
-        "triangular_triple_eta_quotient",
-        QSeries._raw(tri[:order].tolist(), None, 1, order), gf, order))
-    checks.append(sweep_check(
-        "triangular_triple_positivity",
-        ((n, True, int(tri[n]) > 0) for n in range(maxn + 1))))
+    checks.append(table_check(
+        "triangular_triple_sum_side", ns, tri[:maxn + 1] != tri_sum[:maxn + 1],
+        lambda n: (int(tri[n]), int(tri_sum[n]))))
+    checks.append(_eta_quotient_check(tri, maxn + 1))
+    checks.append(table_check(
+        "triangular_triple_positivity", ns, tri[:maxn + 1] <= 0,
+        lambda n: (True, int(tri[n]) > 0)))
 
     pair, triple = _kernels.hlm_tables(maxn)
-    checks.append(sweep_check(
-        "three_square_signed_sum_formula",
-        ((n,
-          (6 * int(pair[n]) + 4 * int(triple[n])) * (1 if n % 2 else -1),
-          int(r3[n]))
-         for n in range(1, maxn + 1))))
+    sign = np.where(ns % 2 == 1, 1, -1)
+    checks.append(table_check(
+        "three_square_signed_sum_formula", ns[1:],
+        ((6 * pair[1:] + 4 * triple[1:]) * sign[1:] != r3[1:maxn + 1]),
+        lambda n: ((6 * int(pair[n]) + 4 * int(triple[n]))
+                   * (1 if n % 2 else -1), int(r3[n]))))
 
-    def r3_class_pairs():
-        for n in range(1, maxn + 1):
-            res = n % 8
-            if res in (1, 2, 5, 6):
-                yield n, Fraction(int(h12[4 * n])), Fraction(int(r3[n]))
-            elif res == 3:
-                yield n, Fraction(2 * int(h12[n])), Fraction(int(r3[n]))
-            elif res == 7:
-                yield n, Fraction(0), Fraction(int(r3[n]))
-            else:
-                yield n, Fraction(int(r3[n // 4])), Fraction(int(r3[n]))
+    # n = 1, 2 mod 4: r3(n) = 12H(4n); n = 3 mod 8: r3(n) = 24H(n); n = 7
+    # mod 8: r3(n) = 0; n = 0 mod 4: r3(n) = r3(n/4)
+    res = ns % 8
+    expect = np.select(
+        [np.isin(res, (1, 2, 5, 6)), res == 3, res == 7],
+        [h12[4 * ns], 2 * h12[ns], 0], r3[ns // 4])
 
-    checks.append(sweep_check("three_square_class_number_relations",
-                              r3_class_pairs()))
+    def r3_class_pair(n):
+        res = n % 8
+        if res in (1, 2, 5, 6):
+            return Fraction(int(h12[4 * n])), Fraction(int(r3[n]))
+        if res == 3:
+            return Fraction(2 * int(h12[n])), Fraction(int(r3[n]))
+        if res == 7:
+            return Fraction(0), Fraction(int(r3[n]))
+        return Fraction(int(r3[n // 4])), Fraction(int(r3[n]))
+
+    checks.append(table_check("three_square_class_number_relations", ns[1:],
+                              expect[1:] != r3[1:maxn + 1], r3_class_pair))
 
     return VerificationReport("classical", {"max": maxn}, checks)
+
+
+def _eta_quotient_check(tri, order: int) -> Check:
+    """The triangular triples below ``q**order`` against the eta quotient,
+    division-free (see ``classical_checks``)."""
+    name = "triangular_triple_eta_quotient"
+    lhs = QSeries._raw(tri[:order].tolist(), None, 1, order)
+    bad = series_eq(lhs * Jm(1, order) ** 3, Jm(2, order) ** 6, order)
+    if bad is None:
+        return Check.ok(name)
+    gf = (Jm(2, order) ** 2 * Jm(1, order).invert()) ** 3
+    return Check.fail(name, bad, gf.coeff(bad), lhs.coeff(bad))

@@ -81,3 +81,14 @@ def sweep_check(name: str, pairs) -> Check:
         if expected != actual:
             return Check.fail(name, locus, expected, actual)
     return Check.ok(name)
+
+
+def table_check(name: str, ns, fails, per_n) -> Check:
+    """``sweep_check(name, ((n, *per_n(n)) for n in ns))`` from a batch
+    comparison: ``fails`` is a numpy bool array beside ``ns``, true where
+    the batch comparison fails or cannot be made, and only those n, in
+    order, run ``per_n(n)``, the per-n ``(expected, actual)``.  Where
+    ``fails`` is false only at n whose per-n comparison passes, the check
+    is the per-n sweep's, failure values included."""
+    return sweep_check(name, ((int(ns[i]), *per_n(int(ns[i])))
+                              for i in fails.nonzero()[0].tolist()))

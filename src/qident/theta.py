@@ -3,7 +3,9 @@
 ``theta_j`` expands the triple product; ``theta_j_sum`` expands the bilateral
 signed sum.  Both normalise the argument exponent into ``[0, modulus)`` first,
 tracking the exact monomial prefactor, and both refuse to silently produce
-Laurent tails: a net negative power of q is a hard error.
+Laurent tails: a net negative power of q is a hard error.  The product route
+keeps each base product ``j(zeta*q**a0; q**m)`` it builds in a bounded store
+and serves shorter requests from its prefix (``_base_product``).
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .report import Check, VerificationReport, series_check
-from .series import (GaussianRational, QSeries, pochhammer_inf, series_eq,
-                     ONE, I_UNIT, MINUS_ONE, MINUS_I, _I_POWERS,
-                     _UNIT_INDEX, _as_gaussian)
+from .series import (GaussianRational, QSeries, pochhammer_inf,
+                     product_store, series_eq, stored_product, ONE, I_UNIT,
+                     MINUS_ONE, MINUS_I, _I_POWERS, _UNIT_INDEX, _as_gaussian)
 
 
 class NegativeQPower(ArithmeticError):
@@ -116,6 +118,31 @@ def _is_zero_theta(spec: ThetaSpec) -> bool:
     return spec.arg.unit == ONE and spec.arg.exponent % spec.modulus == 0
 
 
+# (unit index of zeta, a0, m) -> the longest base product j(zeta*q**a0; q**m)
+# built, 0 <= a0 < m (see ``theta_j_shifted``)
+_bases = product_store()
+
+
+def _base_product(zeta: GaussianRational, a0: int, m: int,
+                  n: int) -> QSeries:
+    """A fresh copy of ``j(zeta*q**a0; q**m)`` below ``q**n``, the product
+    ``(zeta q**a0)_inf (zeta**-1 q**(m - a0))_inf (q**m)_inf`` of three
+    lane products, taken in that order.
+
+    The store keeps the longest product built per key (zeta, a0, m), and a
+    request below a shorter order reads its prefix, which is the product
+    built at that order: a prefix, not an identity.  No key stands for
+    another argument, so ``j(x)`` and ``j(q**m/x)`` are two keys and every
+    theta law stays a comparison of two builds."""
+    def build(need):
+        return (pochhammer_inf(zeta, a0, m, need)
+                * pochhammer_inf(unit_power(zeta, -1), m - a0, m, need)
+                * pochhammer_inf(1, m, m, need))
+
+    return stored_product(_bases, (_unit_index(zeta), a0, m), n,
+                          build).truncate(n)
+
+
 def _apply_prefactor(base: QSeries, unit, net: int, order: int) -> QSeries:
     if net >= order:
         return QSeries.zeros(order)
@@ -128,7 +155,8 @@ def theta_j_shifted(spec: ThetaSpec, order: int,
 
     The prefactor may absorb the negative net power a normalisation can
     produce; if the combined power is still negative the result would be a
-    genuine Laurent series and NegativeQPower is raised.
+    genuine Laurent series and NegativeQPower is raised.  The base product
+    at the normalised argument comes from the store of ``_base_product``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -143,12 +171,7 @@ def theta_j_shifted(spec: ThetaSpec, order: int,
             f"lands at q^{net}")
     if net >= order:
         return QSeries.zeros(order)
-    m = spec.modulus
-    zeta = spec.arg.unit
-    n = order - net
-    base = (pochhammer_inf(zeta, a0, m, n)
-            * pochhammer_inf(unit_power(zeta, -1), m - a0, m, n)
-            * pochhammer_inf(1, m, m, n))
+    base = _base_product(spec.arg.unit, a0, spec.modulus, order - net)
     return _apply_prefactor(base, unit, net, order)
 
 

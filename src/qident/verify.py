@@ -20,6 +20,15 @@ first ``PER_N_PREFIX`` n, which pins the batch reading in every run:
 A check fails at the first n where either route fails, with the per-n
 oracle's values at that n; where only the batch route fails, the failure
 names that disagreement.
+
+Every other sweep over n <= max (those of theorem17, propositions,
+theorem61 and background, and of ``counting.classical_checks``) compares
+whole int64 tables, in units of 12*H where class numbers enter, and the
+product series is read into int64 once (``Tables.product_table``).  Only
+where a comparison fails, or a coefficient is not a real integer that
+int64 holds, does its per-n expression on Fractions run
+(``report.table_check``), so each check and its failure values are those of
+the per-n sweep.  ``counting.check_sweep_int64`` bounds that arithmetic.
 """
 
 from __future__ import annotations
@@ -28,10 +37,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
 from .quadforms import HURWITZ_X_LIMIT, hurwitz_H, hurwitz_table
-from .report import Check, VerificationReport, series_check, sweep_check
+from .report import (Check, VerificationReport, series_check, sweep_check,
+                     table_check)
 from .series import QSeries, series_bytes
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
@@ -67,7 +79,8 @@ class _Size(NamedTuple):
 # Series: dkm's sum side builds kernel tables for n <= order - 1 and
 # background's theta and Appell series follow order too.  theorem17 and
 # propositions read ``Tables.product`` (propositions also its ``Jbar``
-# products), background the eta quotient of ``classical_checks``.
+# products), background the eta-quotient check of ``classical_checks``
+# ((q;q)**3 and (q^2;q^2)**6, and the quotient itself on a failure).
 #
 # Table bytes add up the build peak of each table a suite builds at max, per
 # n, from tracemalloc at max = 10**5: signed/unsigned 33, r3 25, each triple
@@ -204,6 +217,15 @@ class Tables:
             return Check.fail("pochhammer_route_eq_theta_route", exc.locus,
                               exc.expected, exc.actual)
 
+    @cached_property
+    def product_table(self):
+        """``(a, exact)`` of ``product``, read once from its numerators and
+        denominator (``QSeries.int64_coefficients``): int64 a(n), n <= maxn,
+        where ``exact``, that is where a(n) is an integer of modulus below
+        2**63 // 12, so that 12*a(n), the largest multiple a sweep takes,
+        fits int64."""
+        return self.product.int64_coefficients((1 << 63) // 12)
+
 
 def _pinned_check(name: str, ns: range, fails, per_n, oracle: str,
                   prefix: range | None = None) -> Check:
@@ -272,77 +294,108 @@ def suite_corollary(order: int, maxn: int,
 
 def suite_residue_classes(order: int, maxn: int,
                           tables: Tables) -> VerificationReport:
-    """The signed count through Hurwitz class numbers, by residue mod 8."""
+    """The signed count through Hurwitz class numbers, by residue mod 8.
+
+    Each sweep compares int64 tables, in units of 12*H, and runs its per-n
+    expression on Fractions only where they fail (``report.table_check``):
+    at an n whose a(n) ``Tables.product_table`` cannot hold (not a real
+    integer, or too large), or where the tables disagree."""
     params = {"order": order, "max": maxn}
     a = tables.product
     if isinstance(a, Check):
         return VerificationReport("theorem17", params, [a])
-    r3, H = tables.r3, tables.H
+    counting.check_sweep_int64(maxn)
+    r3, H, h12 = tables.r3, tables.H, tables.h12
+    A, exact = tables.product_table
     av = a.coeff  # exact: a nonzero imaginary part fails the comparison
 
-    def split(residues):
-        return [n for n in range(1, maxn + 1) if n % 8 in residues]
+    def differs(ns, expected12):
+        # a(n) equals expected12/12 exactly where 12*a(n) == expected12
+        return ~exact[ns] | (12 * A[ns] != expected12)
 
+    ns = np.arange(1, maxn + 1)
+    odd = ns[np.isin(ns % 8, (1, 2, 5, 6))]
+    three = np.arange(3, maxn + 1, 8)
+    seven = np.arange(7, maxn + 1, 8)
+    four = np.arange(4, maxn + 1, 4)
     checks = [
-        sweep_check("a_eq_minus_4H4n_for_1_2_5_6_mod_8",
-                    ((n, -4 * H(4 * n), av(n))
-                     for n in split((1, 2, 5, 6)))),
-        sweep_check("a_eq_6H4n_for_3_mod_8",
-                    ((n, 6 * H(4 * n), av(n)) for n in split((3,)))),
-        sweep_check("a_eq_24Hn_for_3_mod_8",
-                    ((n, 24 * H(n), av(n)) for n in split((3,)))),
-        sweep_check("a_zero_for_7_mod_8",
-                    ((n, Fraction(0), av(n)) for n in split((7,)))),
-        sweep_check("a_eq_r3_for_0_mod_4",
-                    ((n, Fraction(int(r3[n])), av(n))
-                     for n in range(4, maxn + 1, 4))),
-        sweep_check("r3_quarter_for_0_mod_4",
-                    ((n, int(r3[n // 4]), int(r3[n]))
-                     for n in range(4, maxn + 1, 4))),
+        table_check("a_eq_minus_4H4n_for_1_2_5_6_mod_8", odd,
+                    differs(odd, -4 * h12[4 * odd]),
+                    lambda n: (-4 * H(4 * n), av(n))),
+        table_check("a_eq_6H4n_for_3_mod_8", three,
+                    differs(three, 6 * h12[4 * three]),
+                    lambda n: (6 * H(4 * n), av(n))),
+        table_check("a_eq_24Hn_for_3_mod_8", three,
+                    differs(three, 24 * h12[three]),
+                    lambda n: (24 * H(n), av(n))),
+        table_check("a_zero_for_7_mod_8", seven, differs(seven, 0),
+                    lambda n: (Fraction(0), av(n))),
+        table_check("a_eq_r3_for_0_mod_4", four,
+                    differs(four, 12 * r3[four]),
+                    lambda n: (Fraction(int(r3[n])), av(n))),
+        table_check("r3_quarter_for_0_mod_4", four, r3[four // 4] != r3[four],
+                    lambda n: (int(r3[n // 4]), int(r3[n]))),
     ]
     return VerificationReport("theorem17", params, checks)
 
 
 def suite_propositions(order: int, maxn: int,
                        tables: Tables) -> VerificationReport:
-    """The per-residue coefficient evaluations and the n = 0 mod 4 analysis."""
+    """The per-residue coefficient evaluations and the n = 0 mod 4 analysis.
+
+    The sweeps compare int64 tables as ``suite_residue_classes`` does."""
     params = {"order": order, "max": maxn}
     a = tables.product
     if isinstance(a, Check):
         return VerificationReport("propositions", params, [a])
+    counting.check_sweep_int64(maxn)
     open_total, _, open_even_r = tables.open_triples
     sh_total, sh_signed, sh_even_r = tables.shifted_triples
     r3, sig0 = tables.r3, tables.sigma0
     parity_counts = (*tables.signed_unsigned, r3)
+    A, exact = tables.product_table
     av = a.coeff  # exact: a nonzero imaginary part fails the comparison
 
+    def differs(ns, expected):
+        return ~exact[ns] | (A[ns] != expected)
+
+    two = np.arange(2, maxn + 1, 4)
+    one = np.arange(1, maxn + 1, 4)
+    three = np.arange(3, maxn + 1, 8)
+    seven = np.arange(7, maxn + 1, 8)
+    four = np.arange(4, maxn + 1, 4)
     checks = [
-        sweep_check("open_triples_have_odd_r",
-                    ((n, 0, int(open_even_r[n]))
-                     for n in range(2, maxn + 1, 4))),
-        sweep_check("shifted_triples_have_even_r_1_mod_4",
-                    ((n, int(sh_total[n]), int(sh_even_r[n]))
-                     for n in range(1, maxn + 1, 4))),
-        sweep_check("a_4m2_eq_minus4_sigma0_minus4_open",
-                    ((n, -4 * int(sig0[n // 2]) - 4 * int(open_total[n]), av(n))
-                     for n in range(2, maxn + 1, 4))),
-        sweep_check("a_4m1_eq_minus2_sigma0_minus4_shifted",
-                    ((n, -2 * int(sig0[n]) - 4 * int(sh_total[n]), av(n))
-                     for n in range(1, maxn + 1, 4))),
-        sweep_check("a_8m3_eq_2_sigma0_plus4_shifted",
-                    ((n, 2 * int(sig0[n]) + 4 * int(sh_total[n]), av(n))
-                     for n in range(3, maxn + 1, 8))),
-        sweep_check("a_8m7_eq_2_sigma0_minus4_signed_shifted",
-                    ((n, 2 * int(sig0[n]) - 4 * int(sh_signed[n]), av(n))
-                     for n in range(7, maxn + 1, 8))),
-        sweep_check("a_8m7_vanishes",
-                    ((n, 0, av(n)) for n in range(7, maxn + 1, 8))),
-        sweep_check("a_4m_eq_r3_eq_r3_quarter",
-                    ((n, (int(r3[n]), int(r3[n // 4])), (av(n), av(n)))
-                     for n in range(4, maxn + 1, 4))),
+        table_check("open_triples_have_odd_r", two, open_even_r[two] != 0,
+                    lambda n: (0, int(open_even_r[n]))),
+        table_check("shifted_triples_have_even_r_1_mod_4", one,
+                    sh_total[one] != sh_even_r[one],
+                    lambda n: (int(sh_total[n]), int(sh_even_r[n]))),
+        table_check("a_4m2_eq_minus4_sigma0_minus4_open", two,
+                    differs(two, -4 * sig0[two // 2] - 4 * open_total[two]),
+                    lambda n: (-4 * int(sig0[n // 2]) - 4 * int(open_total[n]),
+                               av(n))),
+        table_check("a_4m1_eq_minus2_sigma0_minus4_shifted", one,
+                    differs(one, -2 * sig0[one] - 4 * sh_total[one]),
+                    lambda n: (-2 * int(sig0[n]) - 4 * int(sh_total[n]),
+                               av(n))),
+        table_check("a_8m3_eq_2_sigma0_plus4_shifted", three,
+                    differs(three, 2 * sig0[three] + 4 * sh_total[three]),
+                    lambda n: (2 * int(sig0[n]) + 4 * int(sh_total[n]),
+                               av(n))),
+        table_check("a_8m7_eq_2_sigma0_minus4_signed_shifted", seven,
+                    differs(seven, 2 * sig0[seven] - 4 * sh_signed[seven]),
+                    lambda n: (2 * int(sig0[n]) - 4 * int(sh_signed[n]),
+                               av(n))),
+        table_check("a_8m7_vanishes", seven, differs(seven, 0),
+                    lambda n: (0, av(n))),
+        table_check("a_4m_eq_r3_eq_r3_quarter", four,
+                    differs(four, r3[four]) | (r3[four // 4] != r3[four]),
+                    lambda n: ((int(r3[n]), int(r3[n // 4])),
+                               (av(n), av(n)))),
         _parity_check(maxn, parity_counts),
     ]
-    checks.extend(_prop_residue_zero_series_checks(maxn + 1, a))
+    checks.extend(_prop_residue_zero_series_checks(maxn + 1, a,
+                                                   tables.product_table))
     return VerificationReport("propositions", params, checks)
 
 
@@ -362,10 +415,12 @@ def _parity_check(maxn: int, counts) -> Check:
         "three_squares_parity_check", prefix=range(maxn + 1))
 
 
-def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
+def _prop_residue_zero_series_checks(order: int, a: QSeries,
+                                     a_table) -> list[Check]:
     """The q^{4m} extraction: the only residue-0 products of the half-split
     expansion, their non-negativity, and the corrected six-term expansion.
-    ``a`` is ``product_side_series(order)``, the theta-route product."""
+    ``a`` is ``product_side_series(order)``, the theta-route product, and
+    ``a_table`` its ``Tables.product_table``."""
     A = Jbar(4, 8, order)
     B = Jbar(0, 8, order)
     C = Jbar(8, 16, order)
@@ -381,39 +436,50 @@ def _prop_residue_zero_series_checks(order: int, a: QSeries) -> list[Check]:
                                a, expansion, order))
 
     residue0 = A * C * C + (A * D * D).shift(4).truncate(order)
-    checks.append(sweep_check(
-        "q4m_coefficients_match_residue0_products",
-        ((n, residue0.coeff(n), a.coeff(n)) for n in range(0, order, 4))))
-    checks.append(sweep_check(
-        "q4m_coefficients_nonnegative",
-        ((n, True, a.coeff(n).re >= 0) for n in range(0, order, 4))))
+    r0, r0_exact = residue0.int64_coefficients()
+    a_int, a_exact = a_table
+    ns = np.arange(0, order, 4)
+    checks.append(table_check(
+        "q4m_coefficients_match_residue0_products", ns,
+        ~r0_exact[ns] | ~a_exact[ns] | (r0[ns] != a_int[ns]),
+        lambda n: (residue0.coeff(n), a.coeff(n))))
+    checks.append(table_check(
+        "q4m_coefficients_nonnegative", ns, ~a_exact[ns] | (a_int[ns] < 0),
+        lambda n: (True, a.coeff(n).re >= 0)))
     return checks
 
 
 def suite_triple_counts(order: int, maxn: int,
                         tables: Tables) -> VerificationReport:
-    """Triple counts against Hurwitz class numbers and divisor counts."""
+    """Triple counts against Hurwitz class numbers and divisor counts, on
+    int64 tables in units of 12*H, with the per-n expressions on Fractions
+    where they fail (``report.table_check``)."""
+    counting.check_sweep_int64(maxn)
     open_total, _, _ = tables.open_triples
     sh_total, sh_signed, _ = tables.shifted_triples
-    sig0, H = tables.sigma0, tables.H
+    sig0, H, h12 = tables.sigma0, tables.H, tables.h12
 
+    two = np.arange(2, maxn + 1, 4)
+    one = np.arange(1, maxn + 1, 4)
+    three = np.arange(3, maxn + 1, 8)
+    seven = np.arange(7, maxn + 1, 8)
     checks = [
-        sweep_check("open_count_2_mod_4",
-                    ((n, H(4 * n) - int(sig0[n // 2]),
-                      Fraction(int(open_total[n])))
-                     for n in range(2, maxn + 1, 4))),
-        sweep_check("shifted_count_1_mod_4",
-                    ((n, H(4 * n) - Fraction(int(sig0[n]), 2),
-                      Fraction(int(sh_total[n])))
-                     for n in range(1, maxn + 1, 4))),
-        sweep_check("shifted_count_3_mod_8",
-                    ((n, 6 * H(n) - Fraction(int(sig0[n]), 2),
-                      Fraction(int(sh_total[n])))
-                     for n in range(3, maxn + 1, 8))),
-        sweep_check("shifted_signed_7_mod_8",
-                    ((n, Fraction(int(sig0[n]), 2),
-                      Fraction(int(sh_signed[n])))
-                     for n in range(7, maxn + 1, 8))),
+        table_check("open_count_2_mod_4", two,
+                    h12[4 * two] - 12 * sig0[two // 2] != 12 * open_total[two],
+                    lambda n: (H(4 * n) - int(sig0[n // 2]),
+                               Fraction(int(open_total[n])))),
+        table_check("shifted_count_1_mod_4", one,
+                    h12[4 * one] - 6 * sig0[one] != 12 * sh_total[one],
+                    lambda n: (H(4 * n) - Fraction(int(sig0[n]), 2),
+                               Fraction(int(sh_total[n])))),
+        table_check("shifted_count_3_mod_8", three,
+                    6 * h12[three] - 6 * sig0[three] != 12 * sh_total[three],
+                    lambda n: (6 * H(n) - Fraction(int(sig0[n]), 2),
+                               Fraction(int(sh_total[n])))),
+        table_check("shifted_signed_7_mod_8", seven,
+                    6 * sig0[seven] != 12 * sh_signed[seven],
+                    lambda n: (Fraction(int(sig0[n]), 2),
+                               Fraction(int(sh_signed[n])))),
     ]
     return VerificationReport("theorem61", {"order": order, "max": maxn}, checks)
 
@@ -475,7 +541,11 @@ def suite_background(order: int, maxn: int,
     unsigned generating function, and the local-global sweep.  Hurwitz
     doubling, H(4n) = 4H(n) for n = 3 mod 8 and 2H(n) for n = 7 mod 8 (the
     checks of ``quadforms.verify_hurwitz_doubling``), reads ``Tables.h12``
-    for every n <= maxn and the per-N ``hurwitz_H`` on the prefix."""
+    for every n <= maxn and the per-N ``hurwitz_H`` on the prefix.  The
+    other sweeps compare int64 tables (``report.table_check``); the
+    local-global criterion reads ``counting.three_square_excluded_table``,
+    with ``is_three_square_excluded`` where the tables disagree."""
+    counting.check_sweep_int64(maxn)
     checks = []
     checks.extend(verify_theta_suite(order).checks)
     checks.extend(verify_appell_suite(order).checks)
@@ -491,26 +561,28 @@ def suite_background(order: int, maxn: int,
             "hurwitz_H"))
 
     signed, unsigned = tables.signed_unsigned
-    checks.append(sweep_check(
-        "abs_signed_count_eq_unsigned_count",
-        ((n, abs(int(signed[n])), int(unsigned[n]))
-         for n in range(maxn + 1))))
-    checks.append(sweep_check(
-        "local_global_criterion",
-        ((n, counting.is_three_square_excluded(n), int(unsigned[n]) == 0)
-         for n in range(maxn + 1))))
+    ns = np.arange(0, maxn + 1)
+    checks.append(table_check(
+        "abs_signed_count_eq_unsigned_count", ns,
+        np.abs(signed) != unsigned,
+        lambda n: (abs(int(signed[n])), int(unsigned[n]))))
+    checks.append(table_check(
+        "local_global_criterion", ns,
+        counting.three_square_excluded_table(maxn) != (unsigned == 0),
+        lambda n: (counting.is_three_square_excluded(n),
+                   int(unsigned[n]) == 0)))
     r3 = tables.r3
-    checks.append(sweep_check(
-        "unsigned_zero_iff_r3_zero",
-        ((n, int(r3[n]) == 0, int(unsigned[n]) == 0)
-         for n in range(maxn + 1))))
+    checks.append(table_check(
+        "unsigned_zero_iff_r3_zero", ns, (r3 == 0) != (unsigned == 0),
+        lambda n: (int(r3[n]) == 0, int(unsigned[n]) == 0)))
 
     b_order = min(order, maxn + 1)
     b_series = rep_count_product_series(b_order)
-    checks.append(sweep_check(
-        "unsigned_generating_function",
-        ((n, int(unsigned[n]), b_series.coeff(n))
-         for n in range(b_order))))
+    b, b_exact = b_series.int64_coefficients()
+    checks.append(table_check(
+        "unsigned_generating_function", ns[:b_order],
+        ~b_exact | (b != unsigned[:b_order]),
+        lambda n: (int(unsigned[n]), b_series.coeff(n))))
     return VerificationReport("background", {"order": order, "max": maxn},
                               checks)
 

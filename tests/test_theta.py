@@ -10,11 +10,16 @@ from qident.theta import (I_UNIT, J, Jbar, Jm, Monomial, NegativeQPower,
                           theta_j_sum, verify_theta_suite)
 
 
+def is_integer(c: GaussianRational) -> bool:
+    """The reference predicate: c is a plain integer."""
+    return not c.im and c.re.denominator == 1
+
+
 def ints(series, upto):
     out = []
     for n in range(upto):
         c = series.coeff(n)
-        assert c.is_integer, (n, c)
+        assert is_integer(c), (n, c)
         out.append(int(c.re))
     return out
 
@@ -170,3 +175,138 @@ def test_corrupted_series_is_reported_with_locus():
     assert not check.passed
     assert check.locus == 9
     assert check.name == "jq_q2_corrupted"
+
+
+# ---------------------------------------------------------------------------
+# the store of base theta products
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_theta_store():
+    from qident import theta
+    from qident.series import clear_product_store
+
+    clear_product_store()
+    yield theta._bases
+    clear_product_store()
+
+
+def fresh_theta(spec, order, pre_unit=1, pre_exponent=0):
+    """``theta_j_shifted`` built with the theta store empty before and
+    after, so nothing is read from it."""
+    from qident import theta
+
+    saved = dict(theta._bases)
+    theta._bases.clear()
+    try:
+        return theta_j_shifted(spec, order, pre_unit, pre_exponent)
+    finally:
+        theta._bases.clear()
+        theta._bases.update(saved)
+
+
+# specs at base and shifted arguments, every unit, a0 = 0 included
+STORE_SPECS = [(1, 1, 2, 0), (I_UNIT, 1, 2, 0), (-1, 0, 3, 0), (-1, 5, 3, 4),
+               (GaussianRational(0, -1), 3, 4, 0), (1, 7, 2, 9),
+               (-1, -2, 3, 5)]
+
+
+@pytest.mark.parametrize("zeta, a, m, pre", STORE_SPECS)
+def test_theta_store_hit_equals_a_fresh_build_at_every_prefix(
+        empty_theta_store, zeta, a, m, pre):
+    spec = jtheta(zeta, a, m)
+    top = 90
+    longest = theta_j_shifted(spec, top, 1, pre)
+    assert longest == fresh_theta(spec, top, 1, pre)
+    (key,) = empty_theta_store
+    stored = empty_theta_store[key]
+    for order in range(1, top + 1):
+        hit = theta_j_shifted(spec, order, 1, pre)
+        assert hit == fresh_theta(spec, order, 1, pre), order
+        # a hit neither rebuilds nor shortens the entry
+        assert list(empty_theta_store) == [key]
+        assert empty_theta_store[key] is stored
+
+
+def test_theta_store_serves_fresh_copies(empty_theta_store):
+    spec = jtheta(I_UNIT, 1, 2)
+    first = theta_j(spec, 60)
+    first._re[3] += 5
+    second = theta_j(spec, 60)
+    assert second == fresh_theta(spec, 60) and second._re is not first._re
+    (stored,) = empty_theta_store.values()
+    assert stored._re is not second._re
+
+
+def test_theta_store_keeps_the_longest_build(empty_theta_store, monkeypatch):
+    import qident.theta as T
+
+    calls = []
+    real = T.pochhammer_inf
+    monkeypatch.setattr(T, "pochhammer_inf",
+                        lambda *args: calls.append(args[-1]) or real(*args))
+    spec = jtheta(-1, 1, 2)
+    for order in (40, 30, 41, 12, 41):
+        theta_j(spec, order)
+    # three lane factors at 40, none for the prefix at 30, three at 41
+    assert calls == [40] * 3 + [41] * 3
+    (stored,) = empty_theta_store.values()
+    assert stored.order == 41
+
+
+def test_clear_product_store_empties_the_theta_store(empty_theta_store,
+                                                     monkeypatch):
+    import qident.theta as T
+    from qident.series import clear_product_store
+
+    spec = jtheta(1, 1, 3)
+    clean = theta_j(spec, 50)
+    assert empty_theta_store
+    clear_product_store()
+    assert not empty_theta_store
+    real = T.pochhammer_inf
+    # a factor patched after the clear is read by the next build
+    monkeypatch.setattr(T, "pochhammer_inf",
+                        lambda z, e, m, n: real(z, e, m, n)
+                        + QSeries.monomial(1, 7, n))
+    assert theta_j(spec, 50) != clean
+
+
+def test_theta_store_keeps_its_limit(empty_theta_store, monkeypatch):
+    from qident import series
+
+    monkeypatch.setattr(series, "PRODUCT_STORE_LIMIT", 3)
+    for m in range(2, 8):
+        theta_j(jtheta(1, 1, m), 30)
+        assert len(empty_theta_store) == min(m - 1, 3)
+    # the least recently used keys went first; a hit moves its key last
+    assert list(empty_theta_store) == [(0, 1, 5), (0, 1, 6), (0, 1, 7)]
+    theta_j(jtheta(1, 1, 5), 20)
+    assert list(empty_theta_store) == [(0, 1, 6), (0, 1, 7), (0, 1, 5)]
+
+
+@pytest.mark.parametrize("zeta, a, m", [(1, 1, 3), (I_UNIT, 1, 2),
+                                        (-1, 2, 5)])
+def test_flip_law_with_one_corrupted_factor_still_fails(
+        empty_theta_store, monkeypatch, zeta, a, m):
+    # j(x) and j(q^m/x) are two keys: the corrupted build of j(x) is not
+    # served for j(q^m/x), which is built from clean factors.  (A flip
+    # spec such as (-1, 0, 3), whose two arguments the shift law
+    # normalises to one base product, compares that product with itself
+    # with or without the store.)
+    import qident.theta as T
+
+    real = T.pochhammer_inf
+    calls = []
+
+    def first_call_corrupted(z, e, mod, n):
+        calls.append(n)
+        out = real(z, e, mod, n)
+        return out + QSeries.monomial(1, 5, n) if len(calls) == 1 else out
+
+    monkeypatch.setattr(T, "pochhammer_inf", first_call_corrupted)
+    zeta = GaussianRational(zeta) if isinstance(zeta, int) else zeta
+    check = T._check_flip_law(zeta, a, m, 60)
+    assert not check.passed and check.locus == 5
+    assert len(empty_theta_store) == 2
