@@ -129,11 +129,13 @@ def _base_product(zeta: GaussianRational, a0: int, m: int,
     ``(zeta q**a0)_inf (zeta**-1 q**(m - a0))_inf (q**m)_inf`` of three
     lane products, taken in that order.
 
-    The store keeps the longest product built per key (zeta, a0, m), and a
-    request below a shorter order reads its prefix, which is the product
-    built at that order: a prefix, not an identity.  No key stands for
-    another argument, so ``j(x)`` and ``j(q**m/x)`` are two keys and every
-    theta law stays a comparison of two builds."""
+    The store keeps the longest product built per key (zeta, a0, m), the
+    argument the build reads once ``_normalize`` has applied the shift law,
+    and a request below a shorter order reads its prefix, which is the
+    product built at that order: a prefix, not an identity.  The key is
+    that argument and nothing more, so ``j(x)`` and ``j(q**m/x)`` are two
+    keys wherever their normalised arguments differ, and the flip, split
+    and shift checks stay comparisons of two builds."""
     def build(need):
         return (pochhammer_inf(zeta, a0, m, need)
                 * pochhammer_inf(unit_power(zeta, -1), m - a0, m, need)
