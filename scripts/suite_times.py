@@ -4,7 +4,10 @@ Runs the suites of ``run_suites("all", order, max)`` in their stable order
 over one shared ``verify.Tables``, as the CLI does, and prints one JSON
 object: the in-process seconds of each suite, their total, whether every
 suite passed, and the peak RSS of the process.  The first suite to read a
-shared table pays for building it.  The import is not timed.
+shared table pays for building it.  The suites' times exclude the import;
+``import_s`` gives it apart, for each of ``qident.cli`` (the per-n layer
+that ``qident table`` loads) and ``qident.verify`` (the batch stack): the
+median wall time of 5 fresh interpreters that import only that module.
 
     PYTHONPATH=src python3 scripts/suite_times.py --order 300 --max 9000
 """
@@ -13,11 +16,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
+import statistics
+import subprocess
 import sys
 import time
 
+import qident
 from qident import verify
+
+IMPORT_RUNS = 5
+
+
+def import_seconds(module: str) -> float:
+    """Median wall time of ``IMPORT_RUNS`` fresh ``python -c "import
+    module"`` processes, with this qident first on their path."""
+    src = os.path.dirname(os.path.dirname(qident.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    times = []
+    for _ in range(IMPORT_RUNS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                       check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def main(argv=None) -> int:
@@ -38,9 +63,12 @@ def main(argv=None) -> int:
         passed = passed and report.passed
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    imports = {m: round(import_seconds(m), 4)
+               for m in ("qident.cli", "qident.verify")}
     json.dump({"order": args.order, "max": args.maxn, "seconds": seconds,
                "total_s": round(sum(seconds.values()), 4),
-               "passed": passed, "peak_rss_mb": round(rss, 1)},
+               "passed": passed, "peak_rss_mb": round(rss, 1),
+               "import_s": imports},
               sys.stdout, indent=1)
     print()
     return 0 if passed else 1

@@ -6,6 +6,13 @@ or the memory budget of the series or tables),
 3 internal error (an exception escaped the command; stderr names it).
 Rationals always render as "p/q"; JSON reports follow the documented schema
 {"suite", "parameters": {"order", "max"}, "checks": [...]}.
+
+Import layers: this module loads only the standard library and the per-n
+layer (``oracles``, ``quadforms.hurwitz_H``, ``report``), so ``table``,
+``--help`` and every usage error that argparse or ``table`` reports run
+without numpy.  ``verify`` imports the batch stack (``verify``, and through
+it ``_kernels``, ``series`` and numpy) inside ``cmd_verify``, and
+``bijection`` imports ``bijections`` inside ``cmd_bijection``.
 """
 
 from __future__ import annotations
@@ -14,19 +21,19 @@ import argparse
 import json
 import sys
 
-from . import bijections, counting
+from . import oracles
 from .quadforms import hurwitz_H
-from .verify import SUITE_NAMES, run_suites, size_error
+from .report import SUITE_NAMES
 
 # each column's value at n, computed only when the column is asked for
 _COLUMN_VALUES = {
     "n": lambda n: n,
-    "a": lambda n: counting.signed_rep_count(n),
-    "b": lambda n: counting.rep_count(n),
-    "r3": lambda n: counting.rep_squares(3, n),
+    "a": lambda n: oracles.signed_rep_count(n),
+    "b": lambda n: oracles.rep_count(n),
+    "r3": lambda n: oracles.rep_squares(3, n),
     "H": lambda n: hurwitz_H(n),
     "H4": lambda n: hurwitz_H(4 * n),
-    "sigma0": lambda n: counting.sigma(0, n) if n > 0 else None,
+    "sigma0": lambda n: oracles.sigma(0, n) if n > 0 else None,
 }
 TABLE_COLUMNS = tuple(_COLUMN_VALUES)
 
@@ -51,10 +58,12 @@ def _print_report_text(report, out):
 
 
 def cmd_verify(args) -> int:
-    error = size_error(args.suite, args.order, args.max)
+    from . import verify
+
+    error = verify.size_error(args.suite, args.order, args.max)
     if error is not None:
         return _usage_error(error)
-    reports = run_suites(args.suite, args.order, args.max)
+    reports = verify.run_suites(args.suite, args.order, args.max)
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
         json.dump(payload[0] if len(payload) == 1 else payload,
@@ -104,6 +113,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    from . import bijections
+
     n = args.n
     if n < 1 or n % 4 == 0:
         return _usage_error(f"n = {n} is outside the supported residue "

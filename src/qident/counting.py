@@ -1,13 +1,10 @@
-"""Arithmetic-function and lattice-point counters.
+"""Solution triples, the sum side, and the classical identities.
 
-The per-n counters here are deliberately simple loops: they are the
-trusted oracles everything else is checked against.  The lattice counters
-walk one symmetry chamber of the coordinates and weigh each solution by
-the points it stands for: its 2**k sign flips, k the number of nonzero
-coordinates, times its distinct images under the coordinate swaps that
-fix the equation (the permutations of x, y, z for r3, y <-> z for
-x^2+2y^2+2z^2).  The tests pin them to a brute force over every sign
-vector.  One per-n function is not a loop: ``solution_triple_arrays``
+The per-n divisor and lattice counters (``sigma``, ``d_mod4``,
+``rep_squares``, ``signed_rep_count``, ``rep_count``, ``r3_triangular``,
+``is_three_square_excluded``) live in the stdlib-only ``oracles`` and are
+imported back here, so ``counting.X`` keeps naming them.  The triple
+counters here are per-n too.  One is not a loop: ``solution_triple_arrays``
 reads the solution triples of one n from ``_kernels.progression_terms``,
 for the bijections and the closed forms; ``iter_solution_triples`` stays
 its loop oracle, behind ``triple_sum`` and the tests.  The sweep-scale
@@ -17,13 +14,16 @@ directly; tests pin every kernel against the per-n oracles.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
+# the per-n oracles, imported back so that ``counting.X`` names each
+from .oracles import (_orthant_solutions, d_mod4, is_three_square_excluded,
+                      r3_triangular, rep_count, rep_squares, sigma,
+                      signed_rep_count)
 from .quadforms import hurwitz_table
 from .report import Check, VerificationReport, table_check
 from .series import QSeries, series_eq
@@ -39,151 +39,6 @@ class TripleParityViolation(ValueError):
 
 
 OPEN, SHIFTED = "open", "shifted"
-
-
-# ---------------------------------------------------------------------------
-# divisor functions
-# ---------------------------------------------------------------------------
-
-
-def sigma(k: int, n: int) -> int:
-    """Sum of d**k over the divisors d of n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d ** k
-            e = n // d
-            if e != d:
-                total += e ** k
-    return total
-
-
-def d_mod4(k: int, n: int) -> int:
-    """Number of divisors of n congruent to k mod 4 (k in {1, 3})."""
-    if k not in (1, 3):
-        raise ValueError("k must be 1 or 3")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            count += d % 4 == k
-            e = n // d
-            if e != d:
-                count += e % 4 == k
-    return count
-
-
-# ---------------------------------------------------------------------------
-# representation counters (per-n oracles)
-# ---------------------------------------------------------------------------
-
-
-def rep_squares(s: int, n: int) -> int:
-    """Ordered representations of n as a sum of s squares, s <= 4.
-
-    s = 3 walks the chamber 0 <= x <= y <= z once; a solution there stands
-    for its distinct permutations (6, 3 or 1) times its 2**k sign vectors,
-    k the number of nonzero coordinates.  s = 2 and s = 4 walk x >= 0,
-    weight 2 for x > 0, s = 4 over ``rep_squares(3, n - x*x)``.
-    """
-    if not 1 <= s <= 4:
-        raise ValueError("s must be between 1 and 4")
-    if n < 0:
-        return 0
-    m = math.isqrt(n)
-    if s == 1:
-        return (2 if m else 1) if m * m == n else 0
-    total = 0
-    if s == 3:
-        # x <= y <= z: 3x^2 <= n, and 2y^2 <= n - x^2 leaves z >= y
-        for x in range(math.isqrt(n // 3) + 1):
-            rx = n - x * x
-            for y in range(x, math.isqrt(rx // 2) + 1):
-                rem = rx - y * y
-                z = math.isqrt(rem)
-                if z * z == rem:
-                    w = 1 << ((x > 0) + (y > 0) + (z > 0))
-                    if x < y < z:
-                        w *= 6
-                    elif x < z:
-                        w *= 3
-                    total += w
-        return total
-    for x in range(m + 1):
-        rem = n - x * x
-        if s == 2:
-            y = math.isqrt(rem)
-            c = (2 if y else 1) if y * y == rem else 0
-        else:
-            c = rep_squares(3, rem)
-        total += 2 * c if x else c
-    return total
-
-
-@functools.lru_cache(maxsize=1)
-def _orthant_solutions(n: int) -> tuple:
-    """``(x + y + z, w)`` for each solution of x^2+2y^2+2z^2 = n with
-    x >= 0 and 0 <= y <= z; w is the number of integer solutions it stands
-    for, its 2**k sign vectors (k the number of nonzero coordinates),
-    doubled when y != z for the swap of y and z.
-
-    x runs over the parity of n, the only one that leaves n - x^2 even.
-    Neither a sign flip nor the swap changes the parity of x + y + z, so
-    all w solutions carry the sign of the one listed.  The last n's tuple
-    is kept, so ``signed_rep_count`` and ``rep_count`` at one n (a row of
-    ``qident table``) walk it once.
-    """
-    out = []
-    for x in range(n % 2, math.isqrt(n) + 1, 2):
-        rx = (n - x * x) // 2
-        # 2y^2 <= rx leaves z >= y
-        for y in range(math.isqrt(rx // 2) + 1):
-            rem = rx - y * y
-            z = math.isqrt(rem)
-            if z * z == rem:
-                w = 1 << ((x > 0) + (y > 0) + (z > 0))
-                out.append((x + y + z, 2 * w if y < z else w))
-    return tuple(out)
-
-
-def signed_rep_count(n: int) -> int:
-    """Sum of (-1)**(x+y+z) over integer solutions of x^2+2y^2+2z^2 = n."""
-    if n < 0:
-        return 0
-    total = 0
-    for xyz, w in _orthant_solutions(n):
-        total += -w if xyz % 2 else w
-    return total
-
-
-def rep_count(n: int) -> int:
-    """Number of integer solutions of x^2 + 2y^2 + 2z^2 = n."""
-    if n < 0:
-        return 0
-    return sum(w for _, w in _orthant_solutions(n))
-
-
-def r3_triangular(n: int) -> int:
-    """Ordered triples of triangular numbers summing to n."""
-    if n < 0:
-        return 0
-    tri = []
-    k = 0
-    while k * (k + 1) // 2 <= n:
-        tri.append(k * (k + 1) // 2)
-        k += 1
-    tset = set(tri)
-    return sum(1 for a in tri for b in tri if a + b <= n and n - a - b in tset)
-
-
-def is_three_square_excluded(n: int) -> bool:
-    """True exactly when n has the form 4**a * (8b + 7)."""
-    while n % 4 == 0 and n:
-        n //= 4
-    return n % 8 == 7
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ the divisors a of (b² + N)/4 (Cohen, Alg. 5.3.5), with
 ``enumerate_reduced_bruteforce`` as its slow oracle; it reads no numpy
 kernel.  The batch route, ``hurwitz_table``, counts the forms of every
 N <= X at once on the progression walk of ``_kernels``, which the
-bijection window lane reads too.  All class-number values are exact
-rationals.  Weighted forms are detected literally among reduced
+bijection window lane reads too; it imports numpy and ``_kernels`` on its
+first call, so the module loads only the standard library and ``qident
+table`` runs without numpy (a test checks both).  All class-number values
+are exact rationals.  Weighted forms are detected literally among reduced
 representatives: a reduced multiple of x²+y² is exactly (a,0,a) and of
 x²+xy+y² exactly (a,a,a).
 """
@@ -18,9 +20,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _kernels
 from .report import VerificationReport, sweep_check
 
 
@@ -80,9 +79,11 @@ def _check_discriminant(D: int) -> None:
         raise BadDiscriminantResidue(f"{D} is not a negative discriminant")
 
 
-# the bound of the progression walk, which the window lane reads the same
-# forms from; ``enumerate_reduced`` refuses the same discriminants
-REDUCED_D_LIMIT = _kernels.PROGRESSION_LIMIT
+# the bound of the progression walk, ``_kernels.PROGRESSION_LIMIT``, which
+# the window lane reads the same forms from; ``enumerate_reduced`` refuses
+# the same discriminants.  Copied, not read, to keep numpy out of the per-N
+# route; a test pins the two equal.
+REDUCED_D_LIMIT = 2 ** 62
 
 
 def enumerate_reduced(D: int) -> list[QuadForm]:
@@ -180,6 +181,10 @@ def hurwitz_table(X: int) -> np.ndarray:
         raise ValueError("X must be non-negative")
     if X >= HURWITZ_X_LIMIT:
         raise OverflowError(f"12*H(N) for N <= {X} may exceed int64")
+    import numpy as np
+
+    from . import _kernels
+
     out = _kernels.progression_counts(1, X)
     out[::4] += _kernels.progression_counts(4, X // 4)
     out *= 12

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# The named verification suites, in the order ``--suite all`` runs them:
+# the CLI's choices, and the keys of ``verify._SUITES``.
+SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
+               "bijections", "background")
+
 
 @dataclass(frozen=True)
 class Check:

@@ -2,7 +2,7 @@
 
 Each suite returns a ``VerificationReport`` whose checks carry first-failure
 loci with exact expected/actual values.  Suite names are the stable CLI
-tokens; ``run_suites`` resolves them and hands every suite one ``Tables``,
+tokens, ``report.SUITE_NAMES``; ``run_suites`` resolves them and hands every suite one ``Tables``,
 and ``size_error`` holds every rule on the sizes a suite accepts.
 
 Four sweeps run a batch route on every n <= max and a per-n oracle on the
@@ -42,8 +42,8 @@ import numpy as np
 from . import _kernels, bijection_windows, bijections, counting
 from .appell import verify_appell_suite
 from .quadforms import HURWITZ_X_LIMIT, hurwitz_H, hurwitz_table
-from .report import (Check, VerificationReport, series_check, sweep_check,
-                     table_check)
+from .report import (SUITE_NAMES, Check, VerificationReport, series_check,
+                     sweep_check, table_check)
 from .series import QSeries, series_bytes
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
@@ -427,15 +427,20 @@ def _prop_residue_zero_series_checks(order: int, a: QSeries,
     D = Jbar(0, 16, order)
     checks = []
 
-    expansion = (A * C * C - (B * C * C).shift(1).truncate(order)
-                 - (A * C * D).shift(2).truncate(order) * 2
-                 + (B * C * D).shift(3).truncate(order) * 2
-                 + (A * D * D).shift(4).truncate(order)
+    # each product built once; residue0 reuses the expansion's A*C*C and
+    # A*D*D
+    AC, BC = A * C, B * C
+    ACC = AC * C
+    ADD4 = (A * D * D).shift(4).truncate(order)
+    expansion = (ACC - (BC * C).shift(1).truncate(order)
+                 - (AC * D).shift(2).truncate(order) * 2
+                 + (BC * D).shift(3).truncate(order) * 2
+                 + ADD4
                  - (B * D * D).shift(5).truncate(order))
     checks.append(series_check("half_split_six_term_expansion",
                                a, expansion, order))
 
-    residue0 = A * C * C + (A * D * D).shift(4).truncate(order)
+    residue0 = ACC + ADD4
     r0, r0_exact = residue0.int64_coefficients()
     a_int, a_exact = a_table
     ns = np.arange(0, order, 4)
@@ -587,16 +592,11 @@ def suite_background(order: int, maxn: int,
                               checks)
 
 
-_SUITES = {
-    "dkm": suite_main_identity,
-    "corollary": suite_corollary,
-    "theorem17": suite_residue_classes,
-    "propositions": suite_propositions,
-    "theorem61": suite_triple_counts,
-    "bijections": suite_bijections,
-    "background": suite_background,
-}
-SUITE_NAMES = tuple(_SUITES)
+# keyed by ``report.SUITE_NAMES``, in its order
+_SUITES = dict(zip(SUITE_NAMES, (
+    suite_main_identity, suite_corollary, suite_residue_classes,
+    suite_propositions, suite_triple_counts, suite_bijections,
+    suite_background), strict=True))
 
 
 def run_suites(name: str, order: int, maxn: int) -> list[VerificationReport]:

@@ -86,12 +86,12 @@ def test_sizes_past_the_int64_guards_are_usage_errors(capsys, monkeypatch,
 @pytest.mark.parametrize("suite", ["dkm", "background"])
 def test_order_past_the_kernel_bound_is_a_usage_error(capsys, monkeypatch,
                                                       suite):
-    from qident import cli
+    from qident import verify
 
     def no_run(name, order, maxn):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cli, "run_suites", no_run)
+    monkeypatch.setattr(verify, "run_suites", no_run)
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--order", "4611686018427387904")
     assert code == 2
@@ -102,11 +102,11 @@ def test_order_past_the_kernel_bound_is_a_usage_error(capsys, monkeypatch,
 @pytest.mark.parametrize("suite", ["dkm", "background", "all"])
 def test_order_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
                                                        suite):
-    from qident import cli, verify
+    from qident import verify
     from qident.series import series_bytes
 
     ran = []
-    monkeypatch.setattr(cli, "run_suites",
+    monkeypatch.setattr(verify, "run_suites",
                         lambda name, order, maxn: ran.append(order) or [])
     monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(4000))
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
@@ -121,9 +121,9 @@ def test_order_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
 
 def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
                                                              monkeypatch):
-    from qident import cli, verify
+    from qident import verify
 
-    monkeypatch.setattr(cli, "run_suites", lambda name, order, maxn: [])
+    monkeypatch.setattr(verify, "run_suites", lambda name, order, maxn: [])
     # room for corollary's tables at --max 10, none for series at --order
     monkeypatch.setattr(verify, "BYTES_BUDGET", 1 << 20)
     assert run_cli(capsys, "verify", "--suite", "corollary",
@@ -134,11 +134,11 @@ def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
                                    "background", "all"])
 def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
                                                      suite):
-    from qident import cli, verify
+    from qident import verify
     from qident.series import series_bytes
 
     ran = []
-    monkeypatch.setattr(cli, "run_suites",
+    monkeypatch.setattr(verify, "run_suites",
                         lambda name, order, maxn: ran.append(maxn) or [])
     monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
@@ -153,12 +153,12 @@ def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
 
 
 def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
-    from qident import cli
+    from qident import verify
 
     def no_run(name, order, maxn):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(cli, "run_suites", no_run)
+    monkeypatch.setattr(verify, "run_suites", no_run)
     code, out, err = run_cli(capsys, "verify", "--suite", "theorem17",
                              "--max", "200000")
     assert code == 2
@@ -222,7 +222,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 
 def test_table_computes_only_the_requested_columns(capsys, monkeypatch):
-    from qident import counting
+    from qident import oracles
 
     _, full, _ = run_cli(capsys, "table", "--max", "40", "--format", "csv")
 
@@ -230,7 +230,7 @@ def test_table_computes_only_the_requested_columns(capsys, monkeypatch):
         raise AssertionError("a column that was not asked for")
 
     for name in ("rep_squares", "rep_count", "signed_rep_count"):
-        monkeypatch.setattr(counting, name, not_requested)
+        monkeypatch.setattr(oracles, name, not_requested)
     code, out, _ = run_cli(capsys, "table", "--max", "40", "--columns",
                            "n,H", "--format", "csv")
     assert code == 0
@@ -270,7 +270,7 @@ def test_table_columns_match_the_batch_tables(capsys):
 
 
 def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
-    from qident import counting, quadforms
+    from qident import oracles, quadforms
 
     calls = dict.fromkeys(("signed_rep_count", "rep_count",
                            "enumerate_reduced"), 0)
@@ -285,15 +285,15 @@ def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     # through the module bindings, as the benchmark's tracer wraps them
-    count_calls(counting, "signed_rep_count")
-    count_calls(counting, "rep_count")
+    count_calls(oracles, "signed_rep_count")
+    count_calls(oracles, "rep_count")
     count_calls(quadforms, "enumerate_reduced")
-    counting._orthant_solutions.cache_clear()
+    oracles._orthant_solutions.cache_clear()
     maxn = 300
     code, out, _ = run_cli(capsys, "table", "--max", str(maxn), "--format",
                            "csv")
     assert code == 0
-    walks = counting._orthant_solutions.cache_info()
+    walks = oracles._orthant_solutions.cache_info()
     assert (walks.misses, walks.hits) == (maxn + 1, maxn + 1)
     assert calls["signed_rep_count"] == calls["rep_count"] == maxn + 1
     # H(n) enumerates for n = 0, 3 mod 4 and H4 at every 4n > 0
@@ -304,10 +304,10 @@ def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
     want = [["n", "a", "b", "r3", "H", "H4", "sigma0"]]
     for n in range(maxn + 1):
         want.append([str(v) for v in (
-            n, counting.signed_rep_count(n), counting.rep_count(n),
-            counting.rep_squares(3, n), quadforms.hurwitz_H(n),
+            n, oracles.signed_rep_count(n), oracles.rep_count(n),
+            oracles.rep_squares(3, n), quadforms.hurwitz_H(n),
             quadforms.hurwitz_H(4 * n))]
-            + [str(counting.sigma(0, n)) if n else ""])
+            + [str(oracles.sigma(0, n)) if n else ""])
     assert list(csv.reader(io.StringIO(out))) == want
 
 

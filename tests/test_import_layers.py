@@ -1,0 +1,122 @@
+"""Import layers: ``qident table``, ``--help`` and the usage errors load only
+the standard library and the per-n layer; ``verify`` loads the batch stack
+when it runs.  Each case runs in a fresh interpreter, so what the other
+tests imported does not count."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import qident
+
+SRC = os.path.dirname(os.path.dirname(qident.__file__))
+
+# the batch stack: none of these may load on the per-n layer's paths
+BATCH = ("numpy", "qident._kernels", "qident.series", "qident.verify")
+
+# Runs ``body`` (which may set ``code``), then prints the exit code and
+# which of BATCH are loaded as the last line of stdout.
+PROBE = """\
+import json, sys
+code = None
+{body}
+sys.stdout.flush()
+print(json.dumps({{"code": code,
+                  "loaded": [m for m in {batch!r} if m in sys.modules]}}))
+"""
+
+
+def _run(body: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body, batch=BATCH)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cli(*argv) -> str:
+    return f"from qident import cli\ncode = cli.main({list(argv)!r})"
+
+
+@pytest.mark.parametrize("body,code", [
+    ("import qident.cli", None),
+    (_cli("table", "--max", "30"), 0),
+    (_cli("table", "--max", "30", "--format", "csv"), 0),
+    (_cli("table", "--max", "30", "--format", "json"), 0),
+    (_cli("--help"), 0),
+    (_cli("table", "--max", "-1"), 2),
+    (_cli("verify", "--suite", "bogus"), 2),
+], ids=["import", "table-text", "table-csv", "table-json", "help",
+        "table-usage-error", "verify-bad-suite"])
+def test_per_n_paths_load_no_batch_module(body, code):
+    result = _run(body)
+    assert result == {"code": code, "loaded": []}
+
+
+def test_verify_loads_the_batch_stack_and_passes():
+    result = _run(_cli("verify", "--suite", "dkm", "--order", "20"))
+    assert result == {"code": 0, "loaded": list(BATCH)}
+
+
+# every name ``qident`` exported from each submodule before the per-n
+# oracles moved to ``oracles``, by the submodule it was imported from
+EXPORTED = {
+    "series": ("GaussianRational", "QSeries", "IndexBeyondOrder",
+               "NonUnitConstantTerm", "pochhammer_inf", "series_eq"),
+    "theta": ("J", "Jbar", "Jm", "Monomial", "NegativeQPower", "ThetaSpec",
+              "InternalCrossCheckFailure", "jtheta", "mono",
+              "product_side_series", "rep_count_product_series", "theta_j",
+              "theta_j_sum", "verify_theta_suite"),
+    "appell": ("AppellSpec", "NonUnitThetaDenominator", "PoleAtMonomialOne",
+               "appell_m", "verify_appell_suite", "verify_changing_z"),
+    "quadforms": ("BadDiscriminantResidue", "NotPositiveDefinite",
+                  "QuadForm", "class_number_h", "enumerate_reduced",
+                  "enumerate_reduced_bruteforce", "hurwitz_H",
+                  "hurwitz_table", "is_reduced", "verify_hurwitz_doubling"),
+    "counting": ("WrongParity", "classical_checks", "d_mod4",
+                 "is_three_square_excluded", "iter_solution_triples",
+                 "parity_bijection_images", "r3_triangular", "rep_count",
+                 "rep_squares", "sigma", "signed_formula_even",
+                 "signed_formula_odd", "signed_rep_count", "sum_side_series",
+                 "three_squares_parity_check", "triple_sum"),
+    "bijections": ("ALL_EQUAL", "CaseMismatch", "NotASolution", "Triple",
+                   "UnclassifiableForm", "classify_form", "classify_triple",
+                   "map_triple", "solution_triples", "verify_case"),
+    "report": ("Check", "VerificationReport"),
+    "verify": ("Tables", "run_suites"),
+}
+
+
+def test_package_exports_resolve_to_their_submodule_objects():
+    import importlib
+
+    listed = dir(qident)
+    for module, names in EXPORTED.items():
+        sub = importlib.import_module(f"qident.{module}")
+        for name in names:
+            namespace = {}
+            exec(f"from qident import {name}", namespace)
+            assert namespace[name] is getattr(sub, name), (module, name)
+            assert name in listed, name
+    assert qident.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        qident.no_such_name
+
+
+def test_readme_example_import_runs():
+    result = _run("from qident import (J, Jbar, pochhammer_inf, "
+                  "product_side_series, series_eq)\n"
+                  "a = product_side_series(50)\n"
+                  "assert [int(a.coeff(n).re) for n in range(8)] == "
+                  "[1, -2, -4, 8, 6, -8, -8, 0]\n"
+                  "lhs = J(1, 2, 100)\n"
+                  "rhs = Jbar(4, 8, 100) - "
+                  "Jbar(0, 8, 100).shift(1).truncate(100)\n"
+                  "assert series_eq(lhs, rhs, 100) is None")
+    assert result["code"] is None

@@ -177,6 +177,16 @@ def test_enumerate_overflow_guard():
         enumerate_reduced(-REDUCED_D_LIMIT)
 
 
+def test_reduced_form_bound_is_the_progression_bound():
+    # quadforms copies the bound instead of reading _kernels; the per-N
+    # forms, the window lane's forms and the triples share one bound
+    from qident import _kernels, counting
+    from qident.quadforms import REDUCED_D_LIMIT
+
+    assert REDUCED_D_LIMIT == _kernels.PROGRESSION_LIMIT \
+        == counting.TRIPLE_N_LIMIT
+
+
 def test_enumerate_memory_is_bounded():
     import tracemalloc
 
