@@ -4,12 +4,16 @@ Runs the suites of ``run_suites("all", order, max)`` in their stable order
 over one shared ``verify.Tables``, as the CLI does, and prints one JSON
 object: the in-process seconds of each suite, their total, whether every
 suite passed, and the peak RSS of the process.  The first suite to read a
-shared table pays for building it.  The suites' times exclude the import;
+shared table pays for building it.  ``--repeat K`` runs the suites K times,
+each time over a fresh ``Tables`` after ``series.clear_product_store()``,
+and reports each suite's median: the host's speed swings, so one run can
+mislead.  The suites' times exclude the import;
 ``import_s`` gives it apart, for each of ``qident.cli`` (the per-n layer
 that ``qident table`` loads) and ``qident.verify`` (the batch stack): the
 median wall time of 5 fresh interpreters that import only that module.
 
     PYTHONPATH=src python3 scripts/suite_times.py --order 300 --max 9000
+    PYTHONPATH=src python3 scripts/suite_times.py --max 3000 --repeat 5
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import sys
 import time
 
 import qident
-from qident import verify
+from qident import series, verify
 
 IMPORT_RUNS = 5
 
@@ -49,23 +53,34 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--order", type=int, default=300)
     parser.add_argument("--max", dest="maxn", type=int, default=3000)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of the suites; each suite's median is "
+                             "reported (default 1)")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
     problem = verify.size_error("all", args.order, args.maxn)
     if problem:
         parser.error(problem)
 
-    tables = verify.Tables(args.maxn)
-    seconds, passed = {}, True
-    for name, suite in verify._SUITES.items():
-        start = time.perf_counter()
-        report = suite(args.order, args.maxn, tables)
-        seconds[name] = round(time.perf_counter() - start, 4)
-        passed = passed and report.passed
+    runs = {name: [] for name in verify._SUITES}
+    passed = True
+    for _ in range(args.repeat):
+        series.clear_product_store()
+        tables = verify.Tables(args.maxn)
+        for name, suite in verify._SUITES.items():
+            start = time.perf_counter()
+            report = suite(args.order, args.maxn, tables)
+            runs[name].append(time.perf_counter() - start)
+            passed = passed and report.passed
+    seconds = {name: round(statistics.median(times), 4)
+               for name, times in runs.items()}
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     imports = {m: round(import_seconds(m), 4)
                for m in ("qident.cli", "qident.verify")}
-    json.dump({"order": args.order, "max": args.maxn, "seconds": seconds,
+    json.dump({"order": args.order, "max": args.maxn,
+               "repeat": args.repeat, "seconds": seconds,
                "total_s": round(sum(seconds.values()), 4),
                "passed": passed, "peak_rss_mb": round(rss, 1),
                "import_s": imports},

@@ -126,8 +126,17 @@ _bases = product_store()
 def _base_product(zeta: GaussianRational, a0: int, m: int,
                   n: int) -> QSeries:
     """A fresh copy of ``j(zeta*q**a0; q**m)`` below ``q**n``, the product
-    ``(zeta q**a0)_inf (zeta**-1 q**(m - a0))_inf (q**m)_inf`` of three
-    lane products, taken in that order.
+    ``((zeta q**a0)_inf (q**m)_inf) (zeta**-1 q**(m - a0))_inf`` of three
+    lane products, multiplied in that order.
+
+    For 0 < a0 < m the first product runs over the distinct exponents
+    ``a0 + k*m`` and ``m + k*m``, so its coefficients are signed counts of
+    sets of distinct exponents: it is ``(q;q)_inf``, with coefficients in
+    {0, 1, -1}, for ``j(q;q**2)``.  The two arguments' exponents coincide
+    when ``2*a0 == m``, so multiplying them first would square
+    ``(q;q**2)_inf`` for ``j(q;q**2)``: 106-bit coefficients below
+    ``q**4000`` into 155-bit ones, and wider packed columns for both
+    products of the build.
 
     The store keeps the longest product built per key (zeta, a0, m), the
     argument the build reads once ``_normalize`` has applied the shift law,
@@ -137,9 +146,9 @@ def _base_product(zeta: GaussianRational, a0: int, m: int,
     keys wherever their normalised arguments differ, and the flip, split
     and shift checks stay comparisons of two builds."""
     def build(need):
-        return (pochhammer_inf(zeta, a0, m, need)
-                * pochhammer_inf(unit_power(zeta, -1), m - a0, m, need)
-                * pochhammer_inf(1, m, m, need))
+        x = pochhammer_inf(zeta, a0, m, need)
+        y = pochhammer_inf(unit_power(zeta, -1), m - a0, m, need)
+        return x * pochhammer_inf(1, m, m, need) * y
 
     return stored_product(_bases, (_unit_index(zeta), a0, m), n,
                           build).truncate(n)
@@ -266,14 +275,14 @@ def product_side_pochhammer(order: int) -> QSeries:
     """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients."""
     s1 = pochhammer_inf(1, 1, 1, order) * pochhammer_inf(-1, 1, 1, order).invert()
     s2 = pochhammer_inf(1, 2, 2, order) * pochhammer_inf(-1, 2, 2, order).invert()
-    return s1 * s2 * s2
+    return s1 * (s2 * s2)
 
 
 def product_side_theta(order: int) -> QSeries:
     """The same series as ``j(q;q²) * j(q²;q⁴)²``."""
     a = J(1, 2, order)
     b = J(2, 4, order)
-    return a * b * b
+    return a * (b * b)
 
 
 def product_side_series(order: int) -> QSeries:
@@ -298,7 +307,7 @@ def rep_count_product_series(order: int) -> QSeries:
     """Generating function of the unsigned counts: ``j(-q;q²) j(-q²;q⁴)²``."""
     a = Jbar(1, 2, order)
     b = Jbar(2, 4, order)
-    return a * b * b
+    return a * (b * b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import decimal
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from qident import series
 from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
-                           _conv, _conv_packed, _conv_school, _decimal_columns,
+                           _conv, _conv_packed, _decimal_columns,
                            _factors_lane, _factors_loop, _lane_moduli,
                            _lane_prime, _partition_bound_bits,
                            clear_product_store, pochhammer_inf, series_eq)
+from series_oracles import _conv_school
 
 
 def is_integer(c: GaussianRational) -> bool:
@@ -337,6 +339,61 @@ class TestMultiModularLane:
         order = 24
         assert (pochhammer_inf(zeta, offset, modulus, order)
                 == naive_pochhammer(zeta, offset, modulus, order))
+
+
+def exponents_below_half(offset, modulus, order):
+    """How many factor exponents of ``(zeta*q**offset; q**modulus)`` lie
+    below ``ceil(order/2)``, where the lane's one scan starts."""
+    return len(range(offset, -(-order // 2), modulus))
+
+
+class TestUpperHalfScan:
+    """The lane applies every factor from ``ceil(order/2)`` on in one
+    stride prefix-sum scan; each case is pinned to the big-integer loop."""
+
+    @pytest.mark.parametrize("unit", range(4))
+    def test_lane_equals_loop_over_small_orders(self, unit):
+        zeta = UNITS[unit]
+        for offset in range(1, 7):
+            for modulus in range(1, 7):
+                # below q**80 every order is a prefix of the loop product
+                ref = _factors_loop(zeta, offset, modulus, 80)
+                for order in range(1, 81):
+                    assert (_factors_lane(unit, offset, modulus, order)
+                            == ref.truncate(order)), (offset, modulus, order)
+                for order in (127, 128, 257):
+                    assert (_factors_lane(unit, offset, modulus, order)
+                            == _factors_loop(zeta, offset, modulus, order)), (
+                                offset, modulus, order)
+
+    @pytest.mark.parametrize("unit", range(4))
+    @pytest.mark.parametrize("offset,modulus,order,below", [
+        (5, 1, 9, 0), (40, 3, 80, 0), (64, 7, 128, 0), (13, 2, 25, 0),
+        (79, 1, 80, 0), (39, 1, 80, 1), (30, 11, 80, 1), (63, 1, 127, 1),
+        (12, 2, 25, 1)])
+    def test_scan_alone_and_after_one_factor(self, unit, offset, modulus,
+                                             order, below):
+        # below = 0: the whole product is the scan; below = 1: one slice
+        # update precedes it
+        assert exponents_below_half(offset, modulus, order) == below
+        assert (_factors_lane(unit, offset, modulus, order)
+                == _factors_loop(UNITS[unit], offset, modulus, order))
+
+    @pytest.mark.parametrize("zeta,offset,modulus", [(MINUS_ONE, 1, 1),
+                                                     (I_UNIT, 1, 3)])
+    def test_lane_equals_loop_at_1500(self, zeta, offset, modulus):
+        assert (_factors_lane(UNITS.index(zeta), offset, modulus, 1500)
+                == _factors_loop(zeta, offset, modulus, 1500))
+
+    def test_lane_peak_stays_below_its_share_of_series_bytes(self):
+        _factors_lane(1, 1, 1, 50)  # moduli and primes found outside the trace
+        tracemalloc.start()
+        try:
+            _factors_lane(1, 1, 1, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < series._lane_bytes(4000) < series.series_bytes(4000)
 
 
 @pytest.fixture

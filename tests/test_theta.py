@@ -310,3 +310,55 @@ def test_flip_law_with_one_corrupted_factor_still_fails(
     check = T._check_flip_law(zeta, a, m, 60)
     assert not check.passed and check.locus == 5
     assert len(empty_theta_store) == 2
+
+
+# ---------------------------------------------------------------------------
+# the order of the three lane products in a base product
+# ---------------------------------------------------------------------------
+
+
+def loop_factor(zeta, e, m, n):
+    """``(zeta*q**e; q**m)`` below ``q**n`` on the big-integer loop alone."""
+    from qident.series import _factors_loop
+
+    if e:
+        return _factors_loop(zeta, e, m, n)
+    return _factors_loop(zeta, m, m, n) * (1 - zeta)
+
+
+@pytest.mark.parametrize("zeta, a, m, pre", STORE_SPECS)
+def test_base_product_equals_three_loop_products(empty_theta_store, zeta, a,
+                                                 m, pre):
+    from qident import theta
+    from qident.series import ONE, clear_product_store
+
+    spec = jtheta(zeta, a, m)
+    z = spec.arg.unit
+    _, _, a0 = theta._normalize(spec)
+    top = 90
+    ref = (loop_factor(z, a0, m, top)
+           * loop_factor(z.conjugate(), m - a0, m, top)
+           * loop_factor(ONE, m, m, top))
+    for order in range(1, top + 1):
+        clear_product_store()  # a fresh build at every order
+        assert theta._base_product(z, a0, m, order) == ref.truncate(order), (
+            order)
+
+
+@pytest.mark.parametrize("a, m", [(1, 2), (2, 4)])
+def test_base_product_build_has_a_unit_operand_in_every_product(
+        empty_theta_store, monkeypatch, a, m):
+    # (q;q^2) (q^2;q^2) = (q;q) has coefficients in {0, 1, -1}: the build
+    # multiplies it by (q;q^2) and never squares (q;q^2)
+    from qident import series
+
+    widest = []
+    real = series._conv_packed
+
+    def spy(u, v, n):
+        widest.append(min(max(map(abs, u)), max(map(abs, v))))
+        return real(u, v, n)
+
+    monkeypatch.setattr(series, "_conv_packed", spy)
+    J(a, m, 600)
+    assert widest and max(widest) <= 1, widest
