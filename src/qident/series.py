@@ -983,9 +983,13 @@ def _lane_bytes(order: int) -> int:
     row per prime at the bound, every prime being above ``2**61``; the scan
     over the upper-half factors keeps its prefix sums and temporaries in
     the scratch rows), and one int of 62 bits with its list slot per
-    residue, room for the CRT's output lists while ``_crt`` fills them a
-    block of columns at a time.  ``_factors_lane(1, 1, 1, 4000)`` peaks at
-    0.86 MB in tracemalloc against the 0.91 MB counted here.
+    residue.  ``_crt`` converts residues a block of columns at a time, so
+    those slots are room for the two coefficient lists it fills: from order
+    3001 on they hold them, and ``_factors_lane(1, 1, 1, N)`` peaks in
+    tracemalloc at 0.65 MB for N = 3001 and 0.86 MB for 4000, against 0.68
+    and 0.91 MB counted here.  Below that the lists outgrow the slots (56
+    against 23 KB at 300), and the list term of ``series_bytes`` covers
+    them.
     """
     bits = _partition_bound_bits(max(order - 1, 0))
     rows = (bits + 2) // 61 + 1

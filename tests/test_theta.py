@@ -352,13 +352,13 @@ def test_base_product_build_has_a_unit_operand_in_every_product(
     # multiplies it by (q;q^2) and never squares (q;q^2)
     from qident import series
 
-    widest = []
+    narrower = []
     real = series._conv_packed
 
     def spy(u, v, n):
-        widest.append(min(max(map(abs, u)), max(map(abs, v))))
+        narrower.append(min(max(map(abs, u)), max(map(abs, v))))
         return real(u, v, n)
 
     monkeypatch.setattr(series, "_conv_packed", spy)
     J(a, m, 600)
-    assert widest and max(widest) <= 1, widest
+    assert narrower and max(narrower) <= 1, narrower
