@@ -1,19 +1,31 @@
-"""Time the two radices of the packed product of ``qident.series``.
+"""Time the crossovers of the series products of ``qident.series``.
 
-For every operand size n and coefficient width (bits), two random operands
-of n signed coefficients below ``2**bits`` in magnitude are multiplied
-modulo ``q**n`` by ``_conv_packed``, once with byte columns and once with
-decimal columns; each radix is forced by setting ``DECIMAL_MIN_DIGITS``
-past every case or to 0, and each time is the best of five.  The packed
-size ``n * width`` (decimal digits) is what ``_conv_packed`` compares with
-``DECIMAL_MIN_DIGITS``.  Prints one JSON object.
+Radix sweep: for every operand size n and coefficient width (bits), two
+random operands of n signed coefficients below ``2**bits`` in magnitude are
+multiplied modulo ``q**n`` by ``_conv_packed``, once with byte columns and
+once with decimal columns; each radix is forced by setting
+``DECIMAL_MIN_DIGITS`` past every case or to 0.  The packed size
+``n * width`` (decimal digits) is what ``_conv_packed`` compares with
+``DECIMAL_MIN_DIGITS``.
 
-    PYTHONPATH=src python3 scripts/conv_crossover.py
+Row sweep: for every n, dense width (bits) and number k of nonzero terms,
+a sparse operand of k coefficients +-1 at quadratically spaced exponents
+(as in ``(q;q)_inf`` or a theta series) times a dense operand of n random
+signed coefficients, the j-th below ``2**ceil(bits*sqrt((j+1)/n))``: they
+grow as ``exp(c*sqrt(j))``, as those of the package's products do, up to
+``bits`` bits.  Each product runs through ``_conv_rows`` and through
+``_conv_packed``; ``takes_rows`` is what ``_conv``'s rule picks.
+
+Each time is the best of five.  Prints one JSON object.
+
+    PYTHONPATH=src python3 scripts/conv_crossover.py [--sweep radix|rows|all]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -24,6 +36,20 @@ SIZES = (128, 256, 300, 512, 1024, 1536, 2048, 3001, 4000)
 BITS = (4, 8, 16, 32, 60, 106, 200, 400)
 REPEATS = 5
 
+ROW_SIZES = (256, 500, 1000, 2000, 3001, 4000)
+ROW_BITS = (2, 8, 16, 32, 64, 106, 160)
+ROW_TERMS = (8, 16, 32, 64, 128, 256)
+
+
+def best(f, *args):
+    """Best time and result of ``f(*args)`` over ``REPEATS`` calls."""
+    top = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        out = f(*args)
+        top = min(top, time.perf_counter() - start)
+    return top, out
+
 
 def best_of(min_digits, u, v, n):
     """Best time and result of ``_conv_packed(u, v, n)`` with the radix
@@ -31,18 +57,12 @@ def best_of(min_digits, u, v, n):
     saved = series.DECIMAL_MIN_DIGITS
     series.DECIMAL_MIN_DIGITS = min_digits
     try:
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            out = series._conv_packed(u, v, n)
-            best = min(best, time.perf_counter() - start)
+        return best(series._conv_packed, u, v, n)
     finally:
         series.DECIMAL_MIN_DIGITS = saved
-    return best, out
 
 
-def main() -> int:
-    rng = random.Random(0)
+def radix_sweep(rng) -> list[dict]:
     rows = []
     for n in SIZES:
         for bits in BITS:
@@ -62,9 +82,64 @@ def main() -> int:
             print(f"n={n:5d} bits={bits:4d} digits={n * width:8d} "
                   f"bytes={t_bytes * 1e3:8.2f} ms "
                   f"decimal={t_dec * 1e3:8.2f} ms", file=sys.stderr)
-    json.dump({"repeats": REPEATS, "python": sys.version.split()[0],
-               "decimal_min_digits": series.DECIMAL_MIN_DIGITS,
-               "rows": rows}, sys.stdout, indent=1)
+    return rows
+
+
+def quadratic_exponents(n, k):
+    """k distinct exponents below n, the i-th near ``n*(i/k)**2``."""
+    out, last = [], -1
+    for i in range(k):
+        last = max(n * i * i // (k * k), last + 1)
+        out.append(last)
+    return out
+
+
+def row_sweep(rng) -> list[dict]:
+    rows = []
+    for n in ROW_SIZES:
+        for bits in ROW_BITS:
+            v = [rng.randrange(-top + 1, top) for top in
+                 (1 << math.ceil(bits * math.sqrt((j + 1) / n))
+                  for j in range(n))]
+            for k in ROW_TERMS:
+                if 2 * k > n:
+                    continue
+                nzu = [(j, rng.choice((1, -1)))
+                       for j in quadratic_exponents(n, k)]
+                u = [0] * n
+                for j, x in nzu:
+                    u[j] = x
+                t_rows, out = best(series._conv_rows, nzu, v, n)
+                t_packed, ref = best(series._conv_packed, u, v, n)
+                if out != ref:
+                    raise SystemExit(f"row path differs at n={n}, "
+                                     f"bits={bits}, k={k}")
+                rows.append({"n": n, "bits": bits, "k": k,
+                             "rows_s": round(t_rows, 6),
+                             "packed_s": round(t_packed, 6),
+                             "rows_over_packed": round(t_rows / t_packed, 3),
+                             "takes_rows": series._takes_rows(k, n, v)})
+                print(f"n={n:5d} bits={bits:4d} k={k:4d} "
+                      f"rows={t_rows * 1e3:8.2f} ms "
+                      f"packed={t_packed * 1e3:8.2f} ms", file=sys.stderr)
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sweep", choices=("radix", "rows", "all"),
+                        default="all")
+    args = parser.parse_args()
+    rng = random.Random(0)
+    out = {"repeats": REPEATS, "python": sys.version.split()[0],
+           "decimal_min_digits": series.DECIMAL_MIN_DIGITS,
+           "row_length_per_term": series.ROW_LENGTH_PER_TERM,
+           "row_bits_offset": series.ROW_BITS_OFFSET}
+    if args.sweep in ("radix", "all"):
+        out["rows"] = radix_sweep(rng)
+    if args.sweep in ("rows", "all"):
+        out["row_path"] = row_sweep(rng)
+    json.dump(out, sys.stdout, indent=1)
     print()
     return 0
 

@@ -109,7 +109,7 @@ def appell_m(spec: AppellSpec, order: int) -> QSeries:
             total = total + t
         r -= 1
 
-    return jz.invert() * total
+    return total / jz
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def _theta_quotient(x: Monomial, z1: Monomial, z0: Monomial, m: int,
     den = (theta_j(ThetaSpec(z0, m), order) * theta_j(ThetaSpec(z1, m), order)
            * theta_j(ThetaSpec(x * z0, m), order)
            * theta_j(ThetaSpec(x * z1, m), order))
-    quotient = j1_cubed * num * den.invert() * z0.unit
+    quotient = j1_cubed * num / den * z0.unit
     return quotient.shift(z0.exponent).truncate(order)
 
 

@@ -514,5 +514,5 @@ def _eta_quotient_check(tri, order: int) -> Check:
     bad = series_eq(lhs * Jm(1, order) ** 3, Jm(2, order) ** 6, order)
     if bad is None:
         return Check.ok(name)
-    gf = (Jm(2, order) ** 2 * Jm(1, order).invert()) ** 3
+    gf = (Jm(2, order) ** 2 / Jm(1, order)) ** 3
     return Check.fail(name, bad, gf.coeff(bad), lhs.coeff(bad))

@@ -9,14 +9,18 @@ demand.  Convolution first takes g, the gcd of the nonzero exponents of
 both operands: for g > 1 both are series in q**g, and it multiplies every
 g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
 change of variable q -> q**g).  On the compressed length it then takes a
-sparse loop or one packed product (Kronecker substitution): both operands
-are offset to non-negative columns of one width, multiplied once, and the
-offsets are taken back out by a prefix sum.  Below ``DECIMAL_MIN_DIGITS``
-packed digits the columns are bytes in one Python int multiply; at or above
-it they are decimal digits multiplied by libmpdec (the C library behind
-``decimal``, which uses a number-theoretic transform for large operands),
-in a private context that traps every lost digit.  ``QSeries.invert`` takes
-each Newton correction at half length.
+sparse loop, shifted rows of the dense operand when the other has few
+nonzero terms (``ROW_LENGTH_PER_TERM``, ``ROW_BITS_OFFSET``), or one packed
+product (Kronecker substitution): both operands are offset to non-negative
+columns of one width, multiplied once, and the offsets are taken back out
+by a prefix sum.  Below ``DECIMAL_MIN_DIGITS`` packed digits the columns
+are bytes in one Python int multiply; at or above it they are decimal
+digits multiplied by libmpdec (the C library behind ``decimal``, which uses
+a number-theoretic transform for large operands), in a private context
+that traps every lost digit.  ``QSeries.invert`` takes each Newton
+correction at half length, and a quotient ``a / b`` takes one Newton step
+from the inverse of b at half length, so no quotient builds a full-length
+inverse.
 
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
@@ -53,7 +57,8 @@ import numpy as np
 
 
 class NonUnitConstantTerm(ArithmeticError):
-    """Inversion requested for a series whose constant term is zero."""
+    """Inversion of, or division by, a series whose constant term is
+    zero."""
 
 
 class IndexBeyondOrder(IndexError):
@@ -293,6 +298,37 @@ def _conv_packed(u, v, n):
     return list(map(operator.sub, cols, shares))
 
 
+# The crossover of the row path and the packed product, from the row sweep
+# of scripts/conv_crossover.py (see README): a sparse operand of k nonzero
+# terms times a dense one whose largest coefficient has b bits takes rows
+# when ``ROW_LENGTH_PER_TERM * k <= n`` and ``2*k <= ROW_BITS_OFFSET + b``.
+ROW_LENGTH_PER_TERM = 8
+ROW_BITS_OFFSET = 64
+
+
+def _takes_rows(k, n, v):
+    """Whether ``_conv`` multiplies a sparse operand of k nonzero terms by
+    the dense operand v below q**n as shifted rows."""
+    bits = max(map(abs, v)).bit_length()
+    return ROW_LENGTH_PER_TERM * k <= n and 2 * k <= ROW_BITS_OFFSET + bits
+
+
+def _conv_rows(nzu, v, n):
+    """The sum of the rows ``x * q**j * v`` below q**n over the nonzero terms
+    (j, x) of a sparse operand.  Terms of one magnitude m share one row, v
+    or ``m*v``, which each adds at its shift j, or subtracts for x < 0.  v
+    is padded to n first, so every row reaches q**n."""
+    v = v + [0] * (n - len(v))
+    out = [0] * n
+    row, m = v, 1
+    for j, x in sorted(nzu, key=lambda term: abs(term[1])):
+        if abs(x) != m:
+            m = abs(x)
+            row = [m * y for y in v]
+        out[j:] = map(operator.add if x > 0 else operator.sub, out[j:], row)
+    return out
+
+
 def _spread(vals: list[int], g: int, order: int) -> list[int]:
     """A fresh list of the first ``order`` coefficients of ``f(q**g)``,
     where ``vals`` holds at least ``ceil(order/g)`` coefficients of f."""
@@ -309,8 +345,10 @@ def _conv(u, v, n):
     With g the gcd of the nonzero exponents of both operands, g > 1 means
     both are series in q**g: their product below q**n is the product of
     ``u[::g]`` and ``v[::g]`` below ``q**ceil(n/g)`` with q -> q**g, so the
-    two paths below, and the radix threshold, see the compressed length: a
-    sparse loop when few products of nonzero terms fall below q**n, and
+    paths below, and the radix threshold, see the compressed length: a
+    sparse loop when few products of nonzero terms fall below q**n,
+    ``_conv_rows`` when one operand has few nonzero terms against both n
+    and the other operand's bit width (``_takes_rows``), and
     ``_conv_packed`` otherwise.
     """
     u = u[:n]
@@ -324,6 +362,10 @@ def _conv(u, v, n):
         return _spread(_conv(u[::g], v[::g], -(-n // g)), g, n)
     if len(nzu) * len(nzv) <= max(1024, 4 * n):
         return _conv_sparse(nzu, nzv, n)
+    if len(nzu) > len(nzv):
+        u, v, nzu = v, u, nzv
+    if _takes_rows(len(nzu), n, v):
+        return _conv_rows(nzu, v, n)
     return _conv_packed(u, v, n)
 
 
@@ -614,6 +656,30 @@ class QSeries:
             x = x._pad(k) - (x.truncate(k - h) * e).shift(h)
             h = k
         return x
+
+    def __truediv__(self, other):
+        """The quotient ``self / other`` modulo ``q**n``, n the smaller order,
+        in one Newton step from half length (Karp and Markstein, ACM TOMS
+        23(4), 1997).
+
+        With h = ceil(n/2), x inverts ``other`` and y = self*x is the
+        quotient modulo q**h.  The remainder ``self - other*y`` is zero below
+        q**h, and the quotient is y + q**h * x*r modulo q**n, with r that
+        remainder over q**h.  No product runs at more than length n, no
+        inverse at more than length h, and the quotient modulo q**n is
+        unique, so this is the same series as ``self * other.invert()``.
+        """
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        h = -(-n // 2)
+        x = other.truncate(h).invert()
+        y = self.truncate(h) * x
+        if h == n:
+            return y
+        y = y._pad(n)
+        r = (self.truncate(n) - other.truncate(n) * y).shift(-h)
+        return y + (x.truncate(n - h) * r).shift(h)
 
     def truncate(self, order: int) -> "QSeries":
         if not 1 <= order <= self.order:
@@ -1003,8 +1069,9 @@ def series_bytes(order: int) -> int:
     It counts one lane build (``_lane_bytes``) and the coefficient lists,
     every coefficient an int of the bound's size: two for each of
     ``PRODUCT_STORE_LIMIT`` stored products and 16 more, with room to
-    spare, for the operands, products and inverses of the two product
-    routes.  The base products of the theta store are not counted apart: a
+    spare, for the operands, products and quotients of the two product
+    routes (each quotient holds an inverse and a remainder at half
+    length).  The base products of the theta store are not counted apart: a
     theta series has at most two terms at each power of q, so their
     coefficients have modulus at most 2, CPython's shared small ints, and a
     full store holds ``16 * PRODUCT_STORE_LIMIT`` bytes per unit of order,

@@ -273,8 +273,8 @@ def Jm(m: int, order: int) -> QSeries:
 
 def product_side_pochhammer(order: int) -> QSeries:
     """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients."""
-    s1 = pochhammer_inf(1, 1, 1, order) * pochhammer_inf(-1, 1, 1, order).invert()
-    s2 = pochhammer_inf(1, 2, 2, order) * pochhammer_inf(-1, 2, 2, order).invert()
+    s1 = pochhammer_inf(1, 1, 1, order) / pochhammer_inf(-1, 1, 1, order)
+    s2 = pochhammer_inf(1, 2, 2, order) / pochhammer_inf(-1, 2, 2, order)
     return s1 * (s2 * s2)
 
 
@@ -381,14 +381,14 @@ def verify_theta_suite(order: int) -> VerificationReport:
     checks.append(series_check("jbar_0_1_eq_2_jbar_1_4",
                                Jbar(0, 1, N), Jbar(1, 4, N) * 2, N))
     checks.append(series_check("jbar_0_1_eq_2_J2sq_over_J1",
-                               Jbar(0, 1, N), j2 * j2 * j1.invert() * 2, N))
+                               Jbar(0, 1, N), j2 * j2 / j1 * 2, N))
     checks.append(series_check("jbar_1_2_eta_quotient",
                                Jbar(1, 2, N),
-                               j2 ** 5 * (j1 * j1 * j4 * j4).invert(), N))
+                               j2 ** 5 / (j1 * j1 * j4 * j4), N))
     checks.append(series_check("j_1_2_eta_quotient",
-                               J(1, 2, N), j1 * j1 * j2.invert(), N))
+                               J(1, 2, N), j1 * j1 / j2, N))
     checks.append(series_check("j_1_4_eta_quotient",
-                               J(1, 4, N), j1 * j4 * j2.invert(), N))
+                               J(1, 4, N), j1 * j4 / j2, N))
 
     sum_specs = [(ONE, 1, 2), (MINUS_ONE, 0, 1), (I_UNIT, 1, 2),
                  (ONE, 1, 3), (MINUS_ONE, 2, 5), (MINUS_I, 3, 4)]
@@ -414,7 +414,7 @@ def verify_theta_suite(order: int) -> VerificationReport:
     checks.append(series_check(
         "j_iq_q2_eta_quotient",
         theta_j(jtheta(I_UNIT, 1, 2), N),
-        Jm(4, N) ** 2 * Jm(8, N).invert(), N))
+        Jm(4, N) ** 2 / Jm(8, N), N))
 
     # exponents 0 and 1 are the whole power-series range at base modulus 1
     for zeta, a in [(ONE, 1), (MINUS_ONE, 0), (I_UNIT, 0), (MINUS_ONE, 1),

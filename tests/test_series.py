@@ -212,6 +212,70 @@ class TestNewtonHalfLength:
             strided([0, 5, 1], 2, order).invert()
 
 
+# orders 1 to 9 (1, 2, 3 and the odd ones among them), so dividend and
+# divisor come in unequal orders; the Fraction parts keep most
+# denominators above 1
+any_order_series = st.integers(1, 9).flatmap(
+    lambda order: st.builds(QSeries, st.lists(scalars, min_size=1,
+                                              max_size=order),
+                            st.just(order)))
+divisors = any_order_series.filter(lambda s: bool(s.coeff(0)))
+
+
+class TestDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(any_order_series, divisors)
+    @example(QSeries([Fraction(1, 2)], 1), QSeries([Fraction(2, 3), 1], 2))
+    @example(QSeries([1, Fraction(1, 3), 2], 3), QSeries([3, -1, 1], 9))
+    def test_quotient_is_the_product_with_the_inverse(self, a, b):
+        n = min(a.order, b.order)
+        q = a / b
+        assert q.order == n
+        assert q == a * b.invert()
+        assert q * b == a.truncate(n)
+
+    @pytest.mark.parametrize("order", range(1, 20))
+    def test_every_small_order(self, order):
+        # order 1 is the quotient modulo q**h itself, h = ceil(1/2) = 1
+        for name, b in TestNewtonHalfLength._cases(order).items():
+            a = TestNewtonHalfLength._cases(order + 1)["gaussian"]
+            assert a / b == a * b.invert(), name
+            assert (a / b) * b == a.truncate(order), name
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("order", [2, 7, 40, 301])
+    def test_divisors_in_q_g(self, g, order):
+        rng = random.Random(g * order)
+        b = strided([1] + [rng.randint(-9, 9) for _ in range(order)], g,
+                    order)
+        dense = QSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                         for _ in range(order)], order)
+        in_q_g = strided([rng.randint(-9, 9) for _ in range(order)], g,
+                         order)
+        for a in (dense, in_q_g):
+            assert a / b == a * b.invert()
+            assert (a / b) * b == a
+        # a quotient of two series in q**g is one too
+        q = in_q_g / b
+        assert not any(q.coeff(j) for j in range(order) if j % g)
+
+    def test_operands_of_unequal_order(self):
+        a = QSeries([1, 2, 3, 4, 5, 6, 7], 7)
+        b = QSeries([1, -1], 30)
+        assert (a / b).order == 7 and (b / a).order == 7
+        # a / (1 - q) is the running sum of a
+        assert a / b == QSeries([1, 3, 6, 10, 15, 21, 28], 7)
+        assert (b / a) * a == b.truncate(7)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 9])
+    def test_zero_constant_term_rejected(self, order):
+        a = QSeries([1, 2], 12)
+        for b in (QSeries.zeros(order), strided([0, 5, 1], 2, order),
+                  QSeries.monomial(3, 1, order)):
+            with pytest.raises(NonUnitConstantTerm):
+                a / b
+
+
 class TestPochhammer:
     def test_euler_pentagonal(self):
         p = pochhammer_inf(1, 1, 1, 13)
@@ -741,3 +805,54 @@ class TestStride:
         assert calls == [m, m]
         assert prod._re == _conv_school(a._re, b_re, n)
         assert prod._im == _conv_school(a._re, b_im, n)
+
+
+def _sparse_ints(rng, n, k, sizes, g):
+    """An int list of length n with k nonzero terms at distinct multiples of
+    g, 0 among them, each a magnitude from ``sizes`` with a random sign."""
+    out = [0] * n
+    for j in [0] + rng.sample(range(g, n, g), k - 1):
+        out[j] = rng.choice(sizes) * rng.choice((1, -1))
+    return out
+
+
+class TestRowPath:
+    SIZES = {"unit": (1,), "small": (1, 2), "large": (1, 2, 1 << 70)}
+
+    @staticmethod
+    def _most_terms(n, bits):
+        """The most nonzero terms a sparse operand can have and still take
+        the row path against a dense operand of that width below q**n."""
+        return min(n // series.ROW_LENGTH_PER_TERM,
+                   (series.ROW_BITS_OFFSET + bits) // 2)
+
+    @pytest.mark.parametrize("sizes", ["unit", "small", "large"])
+    @pytest.mark.parametrize("n, bits", [(300, 130), (1000, 2), (1000, 40)])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_rows_match_school_on_both_sides_of_the_rule(self, monkeypatch,
+                                                         sizes, n, bits, g):
+        rng = random.Random(n * bits + g)
+        m = -(-n // g)  # the length the rule sees
+        # in q**g, shorter than n, and exactly ``bits`` wide
+        dense = _strided_ints(rng, g, n - 5 * g, bits)
+        dense[0] = (1 << bits) - 1
+        rows = _spy(monkeypatch, "_conv_rows")
+        packed = _spy(monkeypatch, "_conv_packed")
+        k = self._most_terms(m, bits)
+        for terms in (k, k + 1):
+            sparse = _sparse_ints(rng, n, terms, self.SIZES[sizes], g)
+            assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
+            assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
+        assert rows == [m, m] and packed == [m, m]
+
+    def test_rows_reach_q_n_past_a_short_dense_operand(self):
+        # the last row starts at n - 1 and the dense operand has 3 terms
+        n = 400
+        sparse = [0] * n
+        for j in range(0, n, 9):
+            sparse[j] = -1
+        sparse[n - 1] = 2
+        dense = [1 << 90, -(1 << 90), 5]
+        nz = [(j, x) for j, x in enumerate(sparse) if x]
+        out = series._conv_rows(nz, dense, n)
+        assert len(out) == n and out == _conv_school(sparse, dense, n)

@@ -349,16 +349,104 @@ def test_base_product_equals_three_loop_products(empty_theta_store, zeta, a,
 def test_base_product_build_has_a_unit_operand_in_every_product(
         empty_theta_store, monkeypatch, a, m):
     # (q;q^2) (q^2;q^2) = (q;q) has coefficients in {0, 1, -1}: the build
-    # multiplies it by (q;q^2) and never squares (q;q^2)
+    # multiplies it by (q;q^2) and never squares (q;q^2); the spy sees the
+    # packed products and the row products, whose sparse operand comes as
+    # (exponent, coefficient) pairs
     from qident import series
 
     narrower = []
-    real = series._conv_packed
+    real_packed, real_rows = series._conv_packed, series._conv_rows
 
-    def spy(u, v, n):
+    def packed(u, v, n):
         narrower.append(min(max(map(abs, u)), max(map(abs, v))))
-        return real(u, v, n)
+        return real_packed(u, v, n)
 
-    monkeypatch.setattr(series, "_conv_packed", spy)
+    def rows(nzu, v, n):
+        narrower.append(min(max(abs(x) for _, x in nzu), max(map(abs, v))))
+        return real_rows(nzu, v, n)
+
+    monkeypatch.setattr(series, "_conv_packed", packed)
+    monkeypatch.setattr(series, "_conv_rows", rows)
     J(a, m, 600)
     assert narrower and max(narrower) <= 1, narrower
+
+
+# ---------------------------------------------------------------------------
+# the Pochhammer route's quotients
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 150, 601])
+def test_pochhammer_route_inverts_at_half_order_only(monkeypatch, order):
+    orders = []
+    real = QSeries.invert
+
+    def spy(self):
+        orders.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(QSeries, "invert", spy)
+    product_side_pochhammer(order)
+    assert orders and max(orders) <= -(-order // 2), orders
+
+
+def bump_minus_q(monkeypatch, e):
+    """Make ``(-q;q)_inf``, the divisor of the Pochhammer route's first
+    quotient, gain q**e wherever theta builds it."""
+    import qident.theta as T
+
+    real = T.pochhammer_inf
+
+    def bumped(zeta, offset, modulus, order):
+        out = real(zeta, offset, modulus, order)
+        if (zeta, offset, modulus) == (-1, 1, 1) and e < order:
+            out = out + QSeries.monomial(1, e, order)
+        return out
+
+    monkeypatch.setattr(T, "pochhammer_inf", bumped)
+
+
+@pytest.mark.parametrize("order, e", [(200, 101), (200, 163), (200, 199),
+                                      (601, 444)])
+def test_a_divisor_bump_above_half_order_fails_the_cross_check(
+        monkeypatch, order, e):
+    # the inverse reads the divisor below q**ceil(order/2) only, so only
+    # the correction sees the bump
+    from qident.theta import InternalCrossCheckFailure
+
+    assert order / 2 < e < order
+    bump_minus_q(monkeypatch, e)
+    with pytest.raises(InternalCrossCheckFailure) as info:
+        product_side_series(order)
+    assert info.value.locus == e
+
+
+def test_a_divisor_bump_above_half_order_fails_dkm(monkeypatch, capsys):
+    import json
+
+    from qident.cli import main
+
+    bump_minus_q(monkeypatch, 150)
+    code = main(["verify", "--suite", "dkm", "--order", "200",
+                 "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    failed = {c["name"]: c["locus"] for c in checks if c["status"] == "fail"}
+    assert failed["pochhammer_route_eq_theta_route"] == 150
+
+
+def test_product_routes_peak_below_series_bytes():
+    import tracemalloc
+
+    from qident.series import clear_product_store, series_bytes
+
+    order = 1001
+    clear_product_store()
+    tracemalloc.start()
+    try:
+        product_side_series(order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_product_store()
+    assert peak < series_bytes(order), (peak, series_bytes(order))
