@@ -6,39 +6,47 @@ multiplied modulo ``q**n`` by ``_conv_packed``, once with byte columns and
 once with decimal columns; each radix is forced by setting
 ``DECIMAL_MIN_DIGITS`` past every case or to 0.  The packed size
 ``n * width`` (decimal digits) is what ``_conv_packed`` compares with
-``DECIMAL_MIN_DIGITS``.
+``DECIMAL_MIN_DIGITS``.  Each time is the best of five.
 
-Row sweep: for every n, dense width (bits) and number k of nonzero terms,
-a sparse operand of k coefficients +-1 at quadratically spaced exponents
-(as in ``(q;q)_inf`` or a theta series) times a dense operand of n random
-signed coefficients, the j-th below ``2**ceil(bits*sqrt((j+1)/n))``: they
-grow as ``exp(c*sqrt(j))``, as those of the package's products do, up to
-``bits`` bits.  Each product runs through ``_conv_rows`` and through
-``_conv_packed``; ``takes_rows`` is what ``_conv``'s rule picks.
+Row replay: the package's own products.  ``verify.run_suites`` runs the
+suites of ``REPLAY_RUNS`` with ``_conv_rows`` and ``_conv_packed`` (only
+``_conv`` calls them) wrapped to record every product that reaches the
+choice between them.  Each distinct product, by length n, number k of
+nonzero terms of the sparser operand, the largest modulus among them and
+the bit width of the dense operand, runs through both paths, best of
+five, and ``takes_rows`` is what ``_conv``'s rule picks.  For each offset
+tried in place of ``ROW_TERMS_OVER_BITS``, ``offsets`` gives the time the
+picks of the rule with that offset spend over the faster path (over every
+recorded product, repeats counted) and the products where the pick is more
+than 15 % slower than the other path.
 
-Each time is the best of five.  Prints one JSON object.
+Prints one JSON object, the radix sweep first.
 
-    PYTHONPATH=src python3 scripts/conv_crossover.py [--sweep radix|rows|all]
+    PYTHONPATH=src python3 scripts/conv_crossover.py
 """
 
 from __future__ import annotations
 
-import argparse
+import collections
 import json
-import math
 import random
 import sys
 import time
 
 from qident import series
+from qident.verify import run_suites
 
 SIZES = (128, 256, 300, 512, 1024, 1536, 2048, 3001, 4000)
 BITS = (4, 8, 16, 32, 60, 106, 200, 400)
 REPEATS = 5
 
-ROW_SIZES = (256, 500, 1000, 2000, 3001, 4000)
-ROW_BITS = (2, 8, 16, 32, 64, 106, 160)
-ROW_TERMS = (8, 16, 32, 64, 128, 256)
+# (suite, order, max) as ``verify.run_suites`` takes them: the two
+# benchmark workloads, ``verify --suite dkm --order 4000`` and ``verify
+# --suite all --order 300 --max 3000``, and ``verify --suite theorem17
+# --max 18000`` for the wider products of larger orders
+REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
+               ("theorem17", 200, 18000))
+OFFSETS = range(0, 65, 4)
 
 
 def best(f, *args):
@@ -85,60 +93,82 @@ def radix_sweep(rng) -> list[dict]:
     return rows
 
 
-def quadratic_exponents(n, k):
-    """k distinct exponents below n, the i-th near ``n*(i/k)**2``."""
-    out, last = [], -1
-    for i in range(k):
-        last = max(n * i * i // (k * k), last + 1)
-        out.append(last)
-    return out
+def recorded_products() -> list[tuple[list[int], list[int], int]]:
+    """Every (u, v, n) that reaches ``_conv``'s choice of path in the runs
+    of ``REPLAY_RUNS``."""
+    products = []
+    rows, packed = series._conv_rows, series._conv_packed
+
+    def record_rows(nzu, v, n):
+        u = [0] * n
+        for j, x in nzu:
+            u[j] = x
+        products.append((u, list(v), n))
+        return rows(nzu, v, n)
+
+    def record_packed(u, v, n):
+        products.append((list(u), list(v), n))
+        return packed(u, v, n)
+
+    series._conv_rows, series._conv_packed = record_rows, record_packed
+    try:
+        for run in REPLAY_RUNS:
+            run_suites(*run)
+    finally:
+        series._conv_rows, series._conv_packed = rows, packed
+    return products
 
 
-def row_sweep(rng) -> list[dict]:
-    rows = []
-    for n in ROW_SIZES:
-        for bits in ROW_BITS:
-            v = [rng.randrange(-top + 1, top) for top in
-                 (1 << math.ceil(bits * math.sqrt((j + 1) / n))
-                  for j in range(n))]
-            for k in ROW_TERMS:
-                if 2 * k > n:
-                    continue
-                nzu = [(j, rng.choice((1, -1)))
-                       for j in quadratic_exponents(n, k)]
-                u = [0] * n
-                for j, x in nzu:
-                    u[j] = x
-                t_rows, out = best(series._conv_rows, nzu, v, n)
-                t_packed, ref = best(series._conv_packed, u, v, n)
-                if out != ref:
-                    raise SystemExit(f"row path differs at n={n}, "
-                                     f"bits={bits}, k={k}")
-                rows.append({"n": n, "bits": bits, "k": k,
-                             "rows_s": round(t_rows, 6),
-                             "packed_s": round(t_packed, 6),
-                             "rows_over_packed": round(t_rows / t_packed, 3),
-                             "takes_rows": series._takes_rows(k, n, v)})
-                print(f"n={n:5d} bits={bits:4d} k={k:4d} "
-                      f"rows={t_rows * 1e3:8.2f} ms "
-                      f"packed={t_packed * 1e3:8.2f} ms", file=sys.stderr)
-    return rows
+def row_replay() -> dict:
+    seen, counts = {}, collections.Counter()
+    for u, v, n in recorded_products():
+        u, v = u[:n], v[:n]
+        if sum(map(bool, u)) > sum(map(bool, v)):
+            u, v = v, u
+        nzu = [(j, x) for j, x in enumerate(u) if x]
+        key = (n, len(nzu), max(abs(x) for _, x in nzu),
+               max(map(abs, v)).bit_length())
+        counts[key] += 1
+        seen.setdefault(key, (u, v, nzu))
+    products = []
+    for key, (u, v, nzu) in sorted(seen.items()):
+        n, k, modulus, bits = key
+        t_rows, out = best(series._conv_rows, nzu, v, n)
+        t_packed, ref = best(series._conv_packed, u, v, n)
+        if out != ref:
+            raise SystemExit(f"row path differs at n={n}, k={k}, "
+                             f"bits={bits}")
+        products.append({"n": n, "k": k, "sparse_modulus": modulus,
+                         "bits": bits, "count": counts[key],
+                         "rows_s": round(t_rows, 6),
+                         "packed_s": round(t_packed, 6),
+                         "rows_over_packed": round(t_rows / t_packed, 3),
+                         "takes_rows": series._takes_rows(nzu, v, n)})
+        print(f"n={n:5d} k={k:5d} modulus={modulus} bits={bits:4d} "
+              f"rows={t_rows * 1e3:8.2f} ms "
+              f"packed={t_packed * 1e3:8.2f} ms", file=sys.stderr)
+    offsets = []
+    for offset in OFFSETS:
+        over, slow = 0.0, []
+        for p in products:
+            rows = (2 * p["k"] <= p["n"] and p["k"] <= offset + p["bits"]
+                    and p["sparse_modulus"] <= 2)
+            pick, other = ((p["rows_s"], p["packed_s"]) if rows
+                           else (p["packed_s"], p["rows_s"]))
+            over += p["count"] * (pick - min(pick, other))
+            if pick > 1.15 * other:
+                slow.append([p["n"], p["k"], p["bits"]])
+        offsets.append({"offset": offset, "over_faster_s": round(over, 6),
+                        "slower_by_15_percent": slow})
+    return {"runs": REPLAY_RUNS, "products": products, "offsets": offsets}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sweep", choices=("radix", "rows", "all"),
-                        default="all")
-    args = parser.parse_args()
     rng = random.Random(0)
     out = {"repeats": REPEATS, "python": sys.version.split()[0],
            "decimal_min_digits": series.DECIMAL_MIN_DIGITS,
-           "row_length_per_term": series.ROW_LENGTH_PER_TERM,
-           "row_bits_offset": series.ROW_BITS_OFFSET}
-    if args.sweep in ("radix", "all"):
-        out["rows"] = radix_sweep(rng)
-    if args.sweep in ("rows", "all"):
-        out["row_path"] = row_sweep(rng)
+           "row_terms_over_bits": series.ROW_TERMS_OVER_BITS,
+           "rows": radix_sweep(rng), "row_replay": row_replay()}
     json.dump(out, sys.stdout, indent=1)
     print()
     return 0

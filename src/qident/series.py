@@ -10,17 +10,17 @@ both operands: for g > 1 both are series in q**g, and it multiplies every
 g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
 change of variable q -> q**g).  On the compressed length it then takes a
 sparse loop, shifted rows of the dense operand when the other has few
-nonzero terms (``ROW_LENGTH_PER_TERM``, ``ROW_BITS_OFFSET``), or one packed
+nonzero terms of modulus at most 2 (``ROW_TERMS_OVER_BITS``), or one packed
 product (Kronecker substitution): both operands are offset to non-negative
 columns of one width, multiplied once, and the offsets are taken back out
 by a prefix sum.  Below ``DECIMAL_MIN_DIGITS`` packed digits the columns
 are bytes in one Python int multiply; at or above it they are decimal
 digits multiplied by libmpdec (the C library behind ``decimal``, which uses
 a number-theoretic transform for large operands), in a private context
-that traps every lost digit.  ``QSeries.invert`` takes each Newton
-correction at half length, and a quotient ``a / b`` takes one Newton step
-from the inverse of b at half length, so no quotient builds a full-length
-inverse.
+that traps every lost digit.  A quotient ``a / b`` takes one Newton step
+from the inverse of b at half length, and ``QSeries.invert`` is the
+quotient ``1 / b``, so the inverses halve down to order 1 and no quotient
+builds a full-length inverse.
 
 ``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
 package) runs on a multi-modular numpy lane: the product is formed in uint64
@@ -298,19 +298,31 @@ def _conv_packed(u, v, n):
     return list(map(operator.sub, cols, shares))
 
 
-# The crossover of the row path and the packed product, from the row sweep
-# of scripts/conv_crossover.py (see README): a sparse operand of k nonzero
-# terms times a dense one whose largest coefficient has b bits takes rows
-# when ``ROW_LENGTH_PER_TERM * k <= n`` and ``2*k <= ROW_BITS_OFFSET + b``.
-ROW_LENGTH_PER_TERM = 8
-ROW_BITS_OFFSET = 64
+# The crossover of the row path and the packed product, fitted to the
+# package's own products by the row replay of scripts/conv_crossover.py (see
+# README): every product that reaches this choice in ``verify --suite dkm
+# --order 4000``, ``verify --suite all --order 300 --max 3000`` and ``verify
+# --suite theorem17 --max 18000`` (n = 35 to 18001, dense operands up to 339
+# bits), timed through both paths.  A sparse operand of k nonzero terms, each
+# of modulus at most 2, times a dense one whose largest coefficient has b
+# bits takes rows when ``k <= ROW_TERMS_OVER_BITS + b``.  Of the offsets
+# tried, 20 to 28 left the least time over the faster path, 0.06 ms in
+# 1.70 s summed over the 260 replayed products; 24 is the middle.  Every
+# replayed product that rows multiplied faster had a sparse operand of
+# modulus at most 2, and wider sparse coefficients each cost a scaled row.
+# Past 339 bits the rule is an extrapolation.  The sparse operand must also
+# be zero at half its exponents or more, so a dense operand, n rows, never
+# takes the path.
+ROW_TERMS_OVER_BITS = 24
 
 
-def _takes_rows(k, n, v):
-    """Whether ``_conv`` multiplies a sparse operand of k nonzero terms by
-    the dense operand v below q**n as shifted rows."""
+def _takes_rows(nzu, v, n):
+    """Whether ``_conv`` multiplies the sparse operand with nonzero terms
+    nzu by the dense operand v below q**n as shifted rows."""
+    k = len(nzu)
     bits = max(map(abs, v)).bit_length()
-    return ROW_LENGTH_PER_TERM * k <= n and 2 * k <= ROW_BITS_OFFSET + bits
+    return (2 * k <= n and k <= ROW_TERMS_OVER_BITS + bits
+            and all(-2 <= x <= 2 for _, x in nzu))
 
 
 def _conv_rows(nzu, v, n):
@@ -347,9 +359,9 @@ def _conv(u, v, n):
     ``u[::g]`` and ``v[::g]`` below ``q**ceil(n/g)`` with q -> q**g, so the
     paths below, and the radix threshold, see the compressed length: a
     sparse loop when few products of nonzero terms fall below q**n,
-    ``_conv_rows`` when one operand has few nonzero terms against both n
-    and the other operand's bit width (``_takes_rows``), and
-    ``_conv_packed`` otherwise.
+    ``_conv_rows`` when one operand has few nonzero terms, each of modulus
+    at most 2, against both n and the other operand's bit width
+    (``_takes_rows``), and ``_conv_packed`` otherwise.
     """
     u = u[:n]
     v = v[:n]
@@ -364,7 +376,7 @@ def _conv(u, v, n):
         return _conv_sparse(nzu, nzv, n)
     if len(nzu) > len(nzv):
         u, v, nzu = v, u, nzv
-    if _takes_rows(len(nzu), n, v):
+    if _takes_rows(nzu, v, n):
         return _conv_rows(nzu, v, n)
     return _conv_packed(u, v, n)
 
@@ -634,28 +646,20 @@ class QSeries:
         return out
 
     def invert(self) -> "QSeries":
-        """Two-sided inverse modulo ``q**order`` via Newton iteration.
+        """Two-sided inverse modulo ``q**order``: the quotient ``1 / self``.
 
-        Each step doubles the precision h of x to k = min(2h, order).  The
-        product ``self*x`` is 1 + q**h * e modulo q**k, and the correction
-        ``x*e`` is needed below q**(k - h) only, so the step's second
-        product runs at length k - h rather than k.  The inverse modulo
-        q**k is unique, so this is the same series as ``x*(2 - self*x)``.
+        The division inverts ``self`` below q**ceil(order/2) and corrects
+        once, so the inverses halve down to order 1, where the inverse is
+        that of the constant term: Newton iteration with each correction at
+        half length.  The inverse modulo q**order is unique, so this is the
+        same series as the full-length step ``x*(2 - self*x)`` gives.
         """
         c0 = self.coeff(0)
         if not c0:
             raise NonUnitConstantTerm("constant term is zero")
-        n = self.order
-        x = QSeries.constant(c0.inverse(), 1)
-        h = 1
-        while h < n:
-            k = min(2 * h, n)
-            # x inverts self modulo q**h, so self*x = 1 + q**h * e modulo
-            # q**k, and x - q**h * x*e inverts it modulo q**k
-            e = (self.truncate(k) * x._pad(k) - 1).shift(-h)
-            x = x._pad(k) - (x.truncate(k - h) * e).shift(h)
-            h = k
-        return x
+        if self.order == 1:
+            return QSeries.constant(c0.inverse(), 1)
+        return QSeries.one(self.order) / self
 
     def __truediv__(self, other):
         """The quotient ``self / other`` modulo ``q**n``, n the smaller order,

@@ -817,33 +817,62 @@ def _sparse_ints(rng, n, k, sizes, g):
 
 
 class TestRowPath:
-    SIZES = {"unit": (1,), "small": (1, 2), "large": (1, 2, 1 << 70)}
+    SIZES = {"unit": (1,), "small": (1, 2)}
 
-    @staticmethod
-    def _most_terms(n, bits):
-        """The most nonzero terms a sparse operand can have and still take
-        the row path against a dense operand of that width below q**n."""
-        return min(n // series.ROW_LENGTH_PER_TERM,
-                   (series.ROW_BITS_OFFSET + bits) // 2)
-
-    @pytest.mark.parametrize("sizes", ["unit", "small", "large"])
-    @pytest.mark.parametrize("n, bits", [(300, 130), (1000, 2), (1000, 40)])
+    @pytest.mark.parametrize("sizes", ["unit", "small"])
+    @pytest.mark.parametrize("n, bits", [(1000, 2), (1000, 40), (1000, 130)])
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_rows_match_school_on_both_sides_of_the_rule(self, monkeypatch,
                                                          sizes, n, bits, g):
         rng = random.Random(n * bits + g)
-        m = -(-n // g)  # the length the rule sees
-        # in q**g, shorter than n, and exactly ``bits`` wide
+        m = -(-n // g)  # the length the paths see
+        # in q**g and shorter than n
         dense = _strided_ints(rng, g, n - 5 * g, bits)
-        dense[0] = (1 << bits) - 1
         rows = _spy(monkeypatch, "_conv_rows")
         packed = _spy(monkeypatch, "_conv_packed")
-        k = self._most_terms(m, bits)
+        # the most nonzero terms that still take the row path
+        k = (series.ROW_TERMS_OVER_BITS
+             + max(map(abs, dense)).bit_length())
         for terms in (k, k + 1):
             sparse = _sparse_ints(rng, n, terms, self.SIZES[sizes], g)
             assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
             assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
         assert rows == [m, m] and packed == [m, m]
+
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_rows_take_at_most_half_the_length(self, monkeypatch, n):
+        rng = random.Random(n)
+        dense = _strided_ints(rng, 1, n, 400)
+        rows = _spy(monkeypatch, "_conv_rows")
+        packed = _spy(monkeypatch, "_conv_packed")
+        for terms in (n // 2, n // 2 + 1):
+            sparse = _sparse_ints(rng, n, terms, (1, 2), 1)
+            assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
+            assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
+        assert rows == [n, n] and packed == [n, n]
+
+    @pytest.mark.parametrize("wide", [3, -3, 1 << 70])
+    def test_a_sparse_coefficient_past_2_takes_the_packed_product(
+            self, monkeypatch, wide):
+        rng = random.Random(wide % 97)
+        n, bits = 1000, 40
+        dense = _strided_ints(rng, 1, n, bits)
+        sparse = _sparse_ints(rng, n, 20, (1, 2), 1)
+        sparse[0] = wide
+        rows = _spy(monkeypatch, "_conv_rows")
+        packed = _spy(monkeypatch, "_conv_packed")
+        assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
+        assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
+        assert rows == [] and packed == [n, n]
+
+    def test_rows_scale_every_magnitude(self):
+        rng = random.Random(5)
+        n = 300
+        dense = _strided_ints(rng, 1, n, 60)
+        sparse = _sparse_ints(rng, n, 12, (1, 2, 3, 1 << 70), 1)
+        nz = [(j, x) for j, x in enumerate(sparse) if x]
+        assert series._conv_rows(nz, dense, n) == _conv_school(sparse,
+                                                                dense, n)
 
     def test_rows_reach_q_n_past_a_short_dense_operand(self):
         # the last row starts at n - 1 and the dense operand has 3 terms
