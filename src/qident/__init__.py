@@ -22,9 +22,10 @@ _EXPORTS = {
                   "QuadForm", "class_number_h", "enumerate_reduced",
                   "enumerate_reduced_bruteforce", "hurwitz_H",
                   "hurwitz_table", "is_reduced", "verify_hurwitz_doubling"),
-    "oracles": ("d_mod4", "is_three_square_excluded", "r3_triangular",
-                "rep_count", "rep_squares", "sigma", "signed_rep_count"),
-    "counting": ("WrongParity", "classical_checks", "iter_solution_triples",
+    "oracles": ("d_mod4", "is_three_square_excluded", "iter_solution_triples",
+                "r3_triangular", "rep_count", "rep_squares", "sigma",
+                "signed_rep_count"),
+    "counting": ("WrongParity", "classical_checks",
                  "parity_bijection_images", "signed_formula_even",
                  "signed_formula_odd", "sum_side_series",
                  "three_squares_parity_check", "triple_sum"),

@@ -281,36 +281,19 @@ def _term_blocks(pairs, lo, hi, block=None):
 
 def progression_terms(family, lo, hi):
     """``(n, p, q, k)`` int64 arrays of the terms with lo <= n <= hi of the
-    family ("open" or "shifted" triples, or m = 4 or 1 forms), sorted
-    stably by n, so that within one n they come in the order of
-    ``counting.iter_solution_triples`` and ``quadforms.enumerate_reduced``.
-    A window's terms come from ``_term_blocks``; one n (lo == hi) keeps the
-    pairs whose progression hits it.  ``m*hi >= PROGRESSION_LIMIT`` raises
-    ``OverflowError``."""
+    family ("open" or "shifted" triples, or m = 4 or 1 forms), from
+    ``_term_blocks`` sorted stably by n, so that within one n they come in
+    the order of ``oracles.iter_solution_triples`` and
+    ``quadforms.enumerate_reduced``, the per-n loops they are pinned to.
+    ``m*hi >= PROGRESSION_LIMIT`` raises ``OverflowError``."""
     _check_family(family, hi)
-    if lo != hi:
-        parts = list(_term_blocks(_pair_blocks(family, hi), lo, hi))
-    else:
-        parts = []
-        for p, q, first, step in _pair_blocks(family, hi):
-            d = np.subtract(hi, first, out=first)
-            hit = d % step == 0
-            if family in (4, 1):  # form rows may start above hi
-                hit &= d >= 0
-            i = hit.nonzero()[0]
-            k = d[i]
-            k //= step[i]
-            n = np.empty(len(i), dtype=np.int64)  # np.full costs twice this
-            n.fill(hi)
-            parts.append((n, p[i], q[i], k))
+    parts = list(_term_blocks(_pair_blocks(family, hi), lo, hi))
     if not parts:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
     cols = (parts[0] if len(parts) == 1
             else [np.concatenate(col) for col in zip(*parts)])
-    if lo < hi:
-        order = np.argsort(cols[0], kind="stable")
-        cols = [col[order] for col in cols]
-    return tuple(cols)
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(col[order] for col in cols)
 
 
 def progression_counts(family, hi):

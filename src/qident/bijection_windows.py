@@ -1,13 +1,16 @@
 """The window lane of the bijection checks: every check of
 ``bijections.verify_case`` for all n of a window of consecutive n at once.
 
-Its triples and forms come from ``_kernels.progression_terms``, as do the
-per-n triples (the per-n forms come from ``enumerate_reduced``'s own
-loop), and it reads no kernel table.  ``verify.suite_bijections`` runs
-``verify_case`` beside it on a prefix of n, which compares the check logic
-of the two routes; the enumeration is pinned by the tests to its loop
-oracles, and in every run by ``count_identity`` (triples against
-``hurwitz_table``) and the preimage checks (triples against forms).
+Its triples and forms come from ``_kernels.progression_terms``, and it
+reads no kernel table but the ``hurwitz_table`` it is given.  The per-n
+route shares none of these: its triples come from the loop
+``oracles.iter_solution_triples``, its forms from ``enumerate_reduced``'s
+own loop and its class numbers from ``hurwitz_H``.  Of the per-n code the
+lane runs only the inverse maps of ``bijections`` and ``sigma``.
+``verify.suite_bijections`` runs ``verify_case`` beside it on a prefix of
+n; the enumeration is pinned by the tests to its loop oracles, and in
+every run by ``count_identity`` (triples against ``hurwitz_table``) and
+the preimage checks (triples against forms).
 """
 
 from __future__ import annotations

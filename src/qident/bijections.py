@@ -13,9 +13,11 @@ resulting count identities.
 Everything here works one n at a time and is the oracle behind
 ``qident bijection``; ``bijection_windows`` runs the same checks over
 windows of consecutive n for the ``bijections`` suite, which compares the
-check logic of the two on a prefix of n.  Both enumerate the triples
-through ``_kernels.progression_terms``; the forms come from
-``enumerate_reduced``'s own loop here and from that walk in the lane.
+two on a prefix of n.  The two share no enumeration: the triples come from
+the loop ``oracles.iter_solution_triples`` here and the forms from
+``enumerate_reduced``'s own loop, both from ``_kernels.progression_terms``
+in the lane.  The module imports only the per-n layer (``oracles``,
+``quadforms``, ``report``), so ``qident bijection`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import OPEN, SHIFTED, sigma, solution_triple_arrays
+from .oracles import OPEN, SHIFTED, iter_solution_triples, sigma
 from .quadforms import QuadForm, enumerate_reduced, hurwitz_H, is_reduced
 from .report import Check, VerificationReport
 
@@ -67,9 +69,7 @@ def solution_triples(n: int) -> list[Triple]:
     shape = OPEN if n % 4 == 2 else SHIFTED
     if n % 4 == 0:
         raise CaseMismatch("n = 0 mod 4 has no triple correspondence")
-    r, s, t = solution_triple_arrays(n, shape)
-    return [Triple(*rst, n, shape)
-            for rst in zip(r.tolist(), s.tolist(), t.tolist())]
+    return [Triple(*rst, n, shape) for rst in iter_solution_triples(n, shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +378,15 @@ def _b0_expected(n: int) -> Fraction:
     return Fraction(sigma(0, n) + (1 if root * root == n else 0), 2)
 
 
-def verify_case(n: int, h4n: Fraction | None = None,
-                hn: Fraction | None = None) -> VerificationReport:
-    """Machine-check the triple-to-form construction for one n.
-
-    ``h4n`` and ``hn`` are H(4n) and H(n), from ``hurwitz_H`` when not
-    given."""
+def verify_case(n: int) -> VerificationReport:
+    """Machine-check the triple-to-form construction for one n, with the
+    class numbers H(4n) and H(n) from the per-N ``hurwitz_H``."""
     if n < 1 or n % 4 == 0:
         raise CaseMismatch("n must be positive and not 0 mod 4")
     checks: list[Check] = []
     triples = solution_triples(n)
-    if h4n is None:
-        h4n = hurwitz_H(4 * n)
-    if hn is None:
-        hn = hurwitz_H(n)
+    h4n = hurwitz_H(4 * n)
+    hn = hurwitz_H(n)
     sig0 = sigma(0, n)
 
     if n % 4 == 2:

@@ -12,7 +12,8 @@ layer (``oracles``, ``quadforms.hurwitz_H``, ``report``), so ``table``,
 ``--help`` and every usage error that argparse or ``table`` reports run
 without numpy.  ``verify`` imports the batch stack (``verify``, and through
 it ``_kernels``, ``series`` and numpy) inside ``cmd_verify``, and
-``bijection`` imports ``bijections`` inside ``cmd_bijection``.
+``bijection`` imports ``bijections``, which needs only the per-n layer, so
+``bijection`` runs without numpy too.
 """
 
 from __future__ import annotations

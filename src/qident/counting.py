@@ -1,15 +1,15 @@
 """Solution triples, the sum side, and the classical identities.
 
-The per-n divisor and lattice counters (``sigma``, ``d_mod4``,
-``rep_squares``, ``signed_rep_count``, ``rep_count``, ``r3_triangular``,
-``is_three_square_excluded``) live in the stdlib-only ``oracles`` and are
-imported back here, so ``counting.X`` keeps naming them.  The triple
-counters here are per-n too.  One is not a loop: ``solution_triple_arrays``
-reads the solution triples of one n from ``_kernels.progression_terms``,
-for the bijections and the closed forms; ``iter_solution_triples`` stays
-its loop oracle, behind ``triple_sum`` and the tests.  The sweep-scale
-tables are the batch kernels in ``_kernels``, which callers read
-directly; tests pin every kernel against the per-n oracles.
+The per-n counters (``sigma``, ``d_mod4``, ``rep_squares``,
+``signed_rep_count``, ``rep_count``, ``r3_triangular``,
+``is_three_square_excluded``, and ``iter_solution_triples``, the one
+enumeration of the solution triples of one n) live in the stdlib-only
+``oracles`` and are imported back here, so ``counting.X`` keeps naming them.
+``triple_sum`` counts those triples for the closed forms
+``signed_formula_*``, which pin the batch sum side on a prefix of n and so
+share no walk with it.  The sweep-scale tables are the batch kernels in
+``_kernels``, which callers read directly; tests pin every kernel against
+the per-n oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _kernels
 # the per-n oracles, imported back so that ``counting.X`` names each
-from .oracles import (_orthant_solutions, d_mod4, is_three_square_excluded,
+from .oracles import (OPEN, SHIFTED, TRIPLE_N_LIMIT, _orthant_solutions,
+                      d_mod4, is_three_square_excluded, iter_solution_triples,
                       r3_triangular, rep_count, rep_squares, sigma,
                       signed_rep_count)
 from .quadforms import hurwitz_table
@@ -38,76 +39,14 @@ class TripleParityViolation(ValueError):
     """A solution triple has the parity of r its residue class excludes."""
 
 
-OPEN, SHIFTED = "open", "shifted"
-
-
 # ---------------------------------------------------------------------------
 # solution triples of (2s - chi + r)(2t - chi + r) = n + r^2
 # ---------------------------------------------------------------------------
 
 
-def iter_solution_triples(n: int, shape: str):
-    """Yield every (r, s, t) with r,s,t >= 1 solving the shape equation.
-
-    open:    (2s + r)(2t + r) = n + r^2,   i.e. n = 2r(s+t) + 4st
-    shifted: (2s-1+r)(2t-1+r) = n + r^2,   i.e. n = 2r(s+t-1) + (2s-1)(2t-1)
-    """
-    if shape == OPEN:
-        s = 1
-        while 4 * s + 2 * (s + 1) <= n:
-            t = 1
-            while True:
-                num = n - 4 * s * t
-                den = 2 * (s + t)
-                if num < den:
-                    break
-                if num % den == 0:
-                    yield num // den, s, t
-                t += 1
-            s += 1
-    elif shape == SHIFTED:
-        s = 1
-        while (2 * s - 1) + 2 * s <= n:
-            t = 1
-            while True:
-                num = n - (2 * s - 1) * (2 * t - 1)
-                den = 2 * (s + t - 1)
-                if num < den:
-                    break
-                if num % den == 0:
-                    yield num // den, s, t
-                t += 1
-            s += 1
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
-
-
-# the shared enumerator's int64 bound, with m = 1
-TRIPLE_N_LIMIT = _kernels.PROGRESSION_LIMIT
-
-
-def solution_triple_arrays(n: int, shape: str):
-    """``(r, s, t)`` int64 arrays of the shape's solution triples, in the
-    order ``iter_solution_triples`` yields them: by s, then by t.
-
-    They are the terms at n of ``_kernels.progression_terms``; n >=
-    ``TRIPLE_N_LIMIT`` raises ``OverflowError``.
-    """
-    if shape not in (OPEN, SHIFTED):
-        raise ValueError(f"unknown shape {shape!r}")
-    _, s, t, k = _kernels.progression_terms(shape, n, n)
-    k += 1
-    return k, s, t
-
-
-def _signed_triple_sum(n: int, shape: str) -> int:
-    """Sum of (-1)**(r+s+t) over the shape's solution triples."""
-    r, s, t = solution_triple_arrays(n, shape)
-    return len(r) - 2 * int(np.count_nonzero((r + s + t) & 1))
-
-
 def triple_sum(n: int, shape: str, signed: bool = False) -> int:
-    """Count (or sign-count) the solution triples of the shape equation.
+    """Count (or sign-count) the solution triples of the shape equation;
+    the closed forms ``signed_formula_*`` take their signed sums here.
 
     For the residue classes where the count feeds an identity, the parity
     of r is forced, and a triple that breaks it raises
@@ -187,7 +126,7 @@ def signed_formula_even(n: int) -> int:
     total = -4 * _signed_divisor_pairs(n // 2)
     if n % 4 == 0:
         total -= 2 * _signed_divisor_pairs(n // 4)
-    return total - 4 * _signed_triple_sum(n, OPEN)
+    return total - 4 * triple_sum(n, OPEN, signed=True)
 
 
 def signed_formula_odd(n: int) -> int:
@@ -201,7 +140,7 @@ def signed_formula_odd(n: int) -> int:
                 s = (a + 1) // 2
                 t = (n // a + 1) // 2
                 total += -2 if (s + t) % 2 == 0 else 2
-    return total - 4 * _signed_triple_sum(n, SHIFTED)
+    return total - 4 * triple_sum(n, SHIFTED, signed=True)
 
 
 # ---------------------------------------------------------------------------

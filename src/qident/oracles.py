@@ -1,16 +1,18 @@
 """Per-n arithmetic-function and lattice-point counters, standard library only.
 
 These are deliberately simple loops: the trusted oracles that the batch
-tables of ``_kernels`` are checked against, and the columns of
-``qident table``.  The lattice counters walk one symmetry chamber of the
-coordinates and weigh each solution by the points it stands for: its 2**k
-sign flips, k the number of nonzero coordinates, times its distinct images
-under the coordinate swaps that fix the equation (the permutations of
-x, y, z for r3, y <-> z for x^2+2y^2+2z^2).  The tests pin them to a brute
-force over every sign vector.
+tables of ``_kernels`` are checked against, the columns of ``qident
+table``, and the solution triples of one n that ``bijections`` and the
+closed forms of ``counting`` read.  The lattice counters walk one symmetry
+chamber of the coordinates and weigh each solution by the points it stands
+for: its 2**k sign flips, k the number of nonzero coordinates, times its
+distinct images under the coordinate swaps that fix the equation (the
+permutations of x, y, z for r3, y <-> z for x^2+2y^2+2z^2).  The tests pin
+them to a brute force over every sign vector.
 
 The module imports nothing outside the standard library, so ``qident
-table`` runs without numpy; ``counting`` imports every name back.
+table`` and ``qident bijection`` run without numpy; ``counting`` imports
+every name back.
 """
 
 from __future__ import annotations
@@ -162,3 +164,59 @@ def is_three_square_excluded(n: int) -> bool:
     while n % 4 == 0 and n:
         n //= 4
     return n % 8 == 7
+
+
+# ---------------------------------------------------------------------------
+# solution triples of (2s - chi + r)(2t - chi + r) = n + r^2
+# ---------------------------------------------------------------------------
+
+
+OPEN, SHIFTED = "open", "shifted"
+
+# the bound of the progression walk, ``_kernels.PROGRESSION_LIMIT``, which
+# the window lane and the triple tables read the same triples from; the loop
+# refuses the same n.  Copied, not read, to keep numpy out of the per-n
+# route; a test pins the two equal.
+TRIPLE_N_LIMIT = 2 ** 62
+
+
+def iter_solution_triples(n: int, shape: str):
+    """Yield every (r, s, t) with r,s,t >= 1 solving the shape equation,
+    by s, then by t.
+
+    open:    (2s + r)(2t + r) = n + r^2,   i.e. n = 2r(s+t) + 4st
+    shifted: (2s-1+r)(2t-1+r) = n + r^2,   i.e. n = 2r(s+t-1) + (2s-1)(2t-1)
+
+    n >= ``TRIPLE_N_LIMIT`` raises ``OverflowError`` before any triple.
+    """
+    if n >= TRIPLE_N_LIMIT:
+        raise OverflowError(f"progression terms of {shape!r} for n <= {n} "
+                            "may exceed int64")
+    if shape == OPEN:
+        s = 1
+        while 4 * s + 2 * (s + 1) <= n:
+            t = 1
+            while True:
+                num = n - 4 * s * t
+                den = 2 * (s + t)
+                if num < den:
+                    break
+                if num % den == 0:
+                    yield num // den, s, t
+                t += 1
+            s += 1
+    elif shape == SHIFTED:
+        s = 1
+        while (2 * s - 1) + 2 * s <= n:
+            t = 1
+            while True:
+                num = n - (2 * s - 1) * (2 * t - 1)
+                den = 2 * (s + t - 1)
+                if num < den:
+                    break
+                if num % den == 0:
+                    yield num // den, s, t
+                t += 1
+            s += 1
+    else:
+        raise ValueError(f"unknown shape {shape!r}")

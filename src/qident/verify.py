@@ -494,19 +494,17 @@ def suite_bijections(order: int, maxn: int,
     """Every per-n construction check, aggregated with first-failure n.
 
     The window lane (``bijection_windows.verify_windows``) checks every
-    n <= maxn; ``verify_case`` also checks every n <= ``PER_N_PREFIX``,
-    which pins the lane's check logic to the per-n route in every run (the
-    two share the enumeration of triples, not of forms) and fixes the
-    check names and their order.
+    n <= maxn from ``Tables.h12``; ``verify_case`` also checks every
+    n <= ``PER_N_PREFIX``, which pins the lane to the per-n route in every
+    run (the two share no enumeration of triples or forms, and the per-n
+    route takes its class numbers from ``hurwitz_H``, not from ``h12``)
+    and fixes the check names and their order.
     A check fails at the first n where either route fails it, with the
     expected and actual values of ``verify_case`` at that n, or, where
     only the lane fails, a failure naming the disagreement."""
     if maxn < 7:
         raise ValueError("maxn must be >= 7")
-    H = tables.H
-
-    def per_n(n):
-        return bijections.verify_case(n, H(4 * n), H(n))
+    per_n = bijections.verify_case
 
     failing = {}  # the per-n reports on the prefix that fail a check
     first: dict[str, int | None] = {}

@@ -1,7 +1,8 @@
 """The window lane of the bijection checks, pinned to the per-n route."""
 
+import inspect
+import itertools
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ import qident.verify as V
 from qident import _kernels
 from qident import counting as C
 from qident.cli import main
-from qident.quadforms import enumerate_reduced, hurwitz_H, hurwitz_table
+from qident.quadforms import enumerate_reduced, hurwitz_table
 from qident.verify import run_suites
+from package_calls import package_calls
 
 
 def lane_failures(maxn):
@@ -39,14 +41,37 @@ def test_lane_enumerates_the_per_n_triples_and_forms():
             continue
         shape = C.OPEN if m % 4 == 2 else C.SHIFTED
         sel = n == m
-        for got, want in zip((r, s, t), C.solution_triple_arrays(m, shape)):
-            assert got[sel].tolist() == want.tolist(), m
+        got = list(zip(r[sel].tolist(), s[sel].tolist(), t[sel].tolist()))
+        assert got == list(C.iter_solution_triples(m, shape)), m
         for (fn, a, b, c), D in ((quarter, -4 * m), (minus_n, -m)):
             sel = fn == m
             got = list(zip(a[sel].tolist(), b[sel].tolist(), c[sel].tolist()))
             want = ([(f.a, f.b, f.c) for f in enumerate_reduced(D)]
                     if D % 4 == 0 or m % 4 == 3 else [])
             assert got == want, (m, D)
+
+
+def test_per_n_route_shares_only_the_inverse_maps_with_the_lane():
+    # verify_case pins the lane on the prefix, so the two enumerate their
+    # triples, forms and class numbers apart.  Allowed: the inverse maps
+    # (and their lambdas), the paper's formulas, which the lane imports so
+    # that each route's own forward map is checked against them; and
+    # sigma, the per-n divisor count, pinned to the kernel tables in tests
+    h12 = hurwitz_table(4 * 250)
+    per_n = package_calls(
+        lambda: [B.verify_case(n) for n in range(1, 251) if n % 4])
+    lane = package_calls(lambda: list(W.verify_windows(250, h12)))
+    spans = []
+    for inverse in (B._open_inverse, B._shifted_inverse, B._half_inverse):
+        lines, first = inspect.getsourcelines(inverse)
+        spans.append(range(first, first + len(lines)))
+    allowed = {("oracles.py", C.sigma.__code__.co_firstlineno, "sigma")} | {
+        (file, line, name) for file, line, name in per_n
+        if file == "bijections.py" and any(line in span for span in spans)}
+    # the recorder sees each route's enumeration
+    assert any(name == "iter_solution_triples" for _, _, name in per_n)
+    assert any(name == "progression_terms" for _, _, name in lane)
+    assert not (per_n & lane) - allowed, sorted((per_n & lane) - allowed)
 
 
 def test_lane_classifies_and_maps_like_the_oracles():
@@ -118,9 +143,9 @@ def test_corruption_past_the_prefix_fails_like_verify_case(monkeypatch, n,
                                                             what):
     # each corruption once in the lane (n > PER_N_PREFIX, so the suite has
     # only the lane there) and once in the per-n route; the failed check
-    # names at n must agree
+    # names at n must agree.  A bumped h12 reaches only the lane, as the
+    # per-n route takes its class numbers from hurwitz_H
     assert n > V.PER_N_PREFIX
-    h4n, hn = hurwitz_H(4 * n), hurwitz_H(n)
     with monkeypatch.context() as mp:
         if what == "triple":
             real = W._window_triples
@@ -135,7 +160,6 @@ def test_corruption_past_the_prefix_fails_like_verify_case(monkeypatch, n,
                 return table
 
             mp.setattr(V, "hurwitz_table", bumped)
-            h4n += Fraction(1, 12)
         else:
             disc = -4 * n if what == "quarter" else -n
             real = W._window_forms
@@ -145,19 +169,24 @@ def test_corruption_past_the_prefix_fails_like_verify_case(monkeypatch, n,
     assert report.failures
     assert {c.locus for c in report.failures} == {n}
     lane = {c.name for c in report.failures}
+    if what == "hurwitz":
+        assert [(c.name, c.actual) for c in report.failures] == [
+            ("count_identity", "only the window lane fails")]
+        assert B.verify_case(n).passed
+        return
 
     with monkeypatch.context() as mp:
         if what == "triple":
-            real = B.solution_triple_arrays
-            mp.setattr(B, "solution_triple_arrays",
-                       lambda m, shape: tuple(
-                           x[1:] if m == n else x for x in real(m, shape)))
-        elif what != "hurwitz":
+            real = B.iter_solution_triples
+            mp.setattr(B, "iter_solution_triples",
+                       lambda m, shape: itertools.islice(
+                           real(m, shape), 1 if m == n else 0, None))
+        else:
             D = -4 * n if what == "quarter" else -n
             real = B.enumerate_reduced
             mp.setattr(B, "enumerate_reduced",
                        lambda D_: real(D_)[1:] if D_ == D else real(D_))
-        per_n = {c.name for c in B.verify_case(n, h4n, hn).failures}
+        per_n = {c.name for c in B.verify_case(n).failures}
     assert lane == per_n
 
 
@@ -187,9 +216,9 @@ def test_lane_raises_what_verify_case_raises(monkeypatch, target, error):
             n, r, s, t = real(*args)
             return n, r + 1, s, t
         monkeypatch.setattr(W, "_window_triples", broken)
-        real_n = B.solution_triple_arrays
-        monkeypatch.setattr(B, "solution_triple_arrays", lambda *args: (
-            lambda r, s, t: (r + 1, s, t))(*real_n(*args)))
+        real_n = B.iter_solution_triples
+        monkeypatch.setattr(B, "iter_solution_triples", lambda *args: (
+            (r + 1, s, t) for r, s, t in real_n(*args)))
     else:
         real = W._window_forms
 
@@ -212,7 +241,7 @@ def test_image_off_its_discriminant_fails_a_check(monkeypatch, capsys, n):
     # but off -4n; inside and past the prefix, both routes fail the same
     # checks at n, image_discriminant among them, and the CLI exits 1
     shape = C.OPEN if n % 4 == 2 else C.SHIFTED
-    r, s, t = (int(x[0]) for x in C.solution_triple_arrays(n, shape))
+    r, s, t = next(C.iter_solution_triples(n, shape))
     ruv = (r, 2 * s - n % 2, 2 * t - n % 2)  # one triple, so one n
     real_images, real_map = W._images, B._map_classified
 

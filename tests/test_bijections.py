@@ -1,5 +1,7 @@
 """Triple classification, the six maps per case, and preimage bookkeeping."""
 
+import itertools
+
 import pytest
 
 from qident import counting as C
@@ -115,19 +117,6 @@ def test_verify_case_examples():
         assert report.passed, (n, report.failures)
 
 
-def test_verify_case_reads_given_class_numbers():
-    from qident.quadforms import hurwitz_H
-
-    for n in (21, 23):  # H(4n) feeds n = 21, H(n) feeds n = 23
-        h4n, hn = hurwitz_H(4 * n), hurwitz_H(n)
-        assert (verify_case(n, h4n, hn).to_dict()
-                == verify_case(n).to_dict())
-    assert {c.name for c in verify_case(21, h4n=hurwitz_H(84) + 1).failures
-            } == {"count_identity"}
-    assert {c.name for c in verify_case(23, hn=hurwitz_H(23) + 1).failures
-            } == {"case4_category_sizes"}
-
-
 def test_verify_case_sweep():
     for n in range(1, 260):
         if n % 4 == 0:
@@ -166,14 +155,13 @@ def test_dropped_triple_fails_bijections_and_corollary(monkeypatch):
     import qident.bijections as B
     from qident.verify import run_suites
 
-    real = C.solution_triple_arrays
+    real = C.iter_solution_triples
 
     def one_short(n, shape):
-        arrays = real(n, shape)
-        return tuple(a[1:] for a in arrays) if n == 21 else arrays
+        return itertools.islice(real(n, shape), 1 if n == 21 else 0, None)
 
-    monkeypatch.setattr(C, "solution_triple_arrays", one_short)
-    monkeypatch.setattr(B, "solution_triple_arrays", one_short)
+    monkeypatch.setattr(C, "iter_solution_triples", one_short)
+    monkeypatch.setattr(B, "iter_solution_triples", one_short)
     (bij,) = run_suites("bijections", 32, 60)
     assert bij.failures and {c.locus for c in bij.failures} == {21}
     (cor,) = run_suites("corollary", 32, 60)

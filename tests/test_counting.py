@@ -14,6 +14,7 @@ from qident.quadforms import (QuadForm, enumerate_reduced_bruteforce,
                               hurwitz_table, is_reduced)
 from qident.series import series_eq
 from qident.theta import product_side_series
+from package_calls import package_calls
 
 
 def test_divisor_functions():
@@ -170,6 +171,21 @@ def test_triple_sum_parity_assertions():
             C.triple_sum(n, C.SHIFTED)
 
 
+def test_closed_forms_share_no_code_with_the_sum_side():
+    # the per-n closed forms pin the batch sum side in the corollary suite:
+    # two independent routes to the signed triple sums, no package function
+    # runs in both
+    per_n = package_calls(lambda: [
+        (C.signed_formula_odd if n % 2 else C.signed_formula_even)(n)
+        for n in range(1, 251)])
+    table = package_calls(C.sum_side_table, 250)
+    # the recorder sees each route's enumeration
+    assert ("oracles.py", C.iter_solution_triples.__code__.co_firstlineno,
+            "iter_solution_triples") in per_n
+    assert any(name == "_pair_blocks" for _, _, name in table)
+    assert not per_n & table, sorted(per_n & table)
+
+
 def test_triple_sum_parity_violation_raises(monkeypatch):
     # the parity check is an explicit raise, so it also holds under -O
     real = C.iter_solution_triples
@@ -181,34 +197,6 @@ def test_triple_sum_parity_violation_raises(monkeypatch):
     monkeypatch.setattr(C, "iter_solution_triples", with_even_r)
     with pytest.raises(C.TripleParityViolation, match="n = 14"):
         C.triple_sum(14, C.OPEN)
-
-
-def _triple_pairs(n, shape):
-    """The (s, t) pairs the shape's enumeration walks at n."""
-    if shape == C.OPEN:
-        return sum((n - 2 * s) // (4 * s + 2)
-                   for s in range(1, (n - 2) // 6 + 1))
-    return sum((n + 1) // (4 * s) for s in range(1, (n + 1) // 4 + 1))
-
-
-def _as_tuples(arrays):
-    assert [a.dtype for a in arrays] == [np.int64] * 3
-    return list(zip(*(a.tolist() for a in arrays)))
-
-
-def test_solution_triple_arrays_match_loop():
-    for shape in (C.OPEN, C.SHIFTED):
-        for n in range(1501):
-            assert (_as_tuples(C.solution_triple_arrays(n, shape))
-                    == list(C.iter_solution_triples(n, shape))), (n, shape)
-
-
-def test_solution_triple_arrays_across_blocks():
-    n = 30_001
-    assert _triple_pairs(n, C.SHIFTED) > _kernels.BLOCK
-    for shape in (C.OPEN, C.SHIFTED):
-        assert (_as_tuples(C.solution_triple_arrays(n, shape))
-                == list(C.iter_solution_triples(n, shape))), shape
 
 
 def test_ragged_blocks_split_rows_and_row_chunks(monkeypatch):
@@ -341,10 +329,11 @@ def test_triple_tables_at_scale_are_exact_and_small():
         assert peak < 8 * 2 ** 20, shape
         assert [t.dtype for t in (total, signed, r_even)] == [np.int64] * 3
         for n in range(maxn - 3, maxn + 1):
-            r, _, _ = C.solution_triple_arrays(n, shape)
             assert int(total[n]) == C.triple_sum(n, shape), (shape, n)
             assert int(signed[n]) == C.triple_sum(n, shape, signed=True)
-            assert int(r_even[n]) == int(np.count_nonzero(r % 2 == 0))
+            assert int(r_even[n]) == sum(
+                1 for r, _, _ in C.iter_solution_triples(n, shape)
+                if r % 2 == 0)
 
 
 def test_walked_tables_at_scale_are_exact_and_small():
@@ -392,26 +381,15 @@ def test_walked_tables_at_scale_are_exact_and_small():
         assert int(tri_sum[n]) == C.r3_triangular(n), n
 
 
-def test_solution_triple_arrays_guards():
+def test_iter_solution_triples_guards():
     with pytest.raises(ValueError, match="unknown shape"):
-        C.solution_triple_arrays(10, "bogus")
-    # refused before any allocation, just past the bound
+        next(C.iter_solution_triples(10, "bogus"))
+    # refused before the first triple, just past the bound
     for shape in (C.OPEN, C.SHIFTED):
-        with pytest.raises(OverflowError):
-            C.solution_triple_arrays(C.TRIPLE_N_LIMIT, shape)
-
-
-def test_solution_triple_arrays_memory_is_bounded():
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        r, _, _ = C.solution_triple_arrays(400_002, C.OPEN)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(r) == C.triple_sum(400_002, C.OPEN)
-    assert peak < 8 * 2 ** 20
+        triples = C.iter_solution_triples(C.TRIPLE_N_LIMIT, shape)
+        with pytest.raises(OverflowError, match="int64"):
+            next(triples)
+    assert next(C.iter_solution_triples(C.TRIPLE_N_LIMIT - 3, C.SHIFTED))
 
 
 def test_sum_side_low_coefficients():

@@ -1,7 +1,7 @@
-"""Import layers: ``qident table``, ``--help`` and the usage errors load only
-the standard library and the per-n layer; ``verify`` loads the batch stack
-when it runs.  Each case runs in a fresh interpreter, so what the other
-tests imported does not count."""
+"""Import layers: ``qident table``, ``bijection``, ``--help`` and the usage
+errors load only the standard library and the per-n layer; ``verify`` loads
+the batch stack when it runs.  Each case runs in a fresh interpreter, so
+what the other tests imported does not count."""
 
 import json
 import os
@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import qident
+from qident.oracles import TRIPLE_N_LIMIT
 
 SRC = os.path.dirname(os.path.dirname(qident.__file__))
 
@@ -52,8 +53,12 @@ def _cli(*argv) -> str:
     (_cli("--help"), 0),
     (_cli("table", "--max", "-1"), 2),
     (_cli("verify", "--suite", "bogus"), 2),
+    (_cli("bijection", "21"), 0),
+    (_cli("bijection", "21", "--format", "json"), 0),
+    (_cli("bijection", str(TRIPLE_N_LIMIT + 1)), 2),
 ], ids=["import", "table-text", "table-csv", "table-json", "help",
-        "table-usage-error", "verify-bad-suite"])
+        "table-usage-error", "verify-bad-suite", "bijection-text",
+        "bijection-json", "bijection-usage-error"])
 def test_per_n_paths_load_no_batch_module(body, code):
     result = _run(body)
     assert result == {"code": code, "loaded": []}

@@ -12,6 +12,7 @@ from qident.quadforms import (HURWITZ_X_LIMIT, BadDiscriminantResidue,
                               enumerate_reduced_bruteforce, hurwitz_H,
                               hurwitz_table, is_reduced,
                               verify_hurwitz_doubling)
+from package_calls import package_calls
 
 
 def test_is_reduced_examples():
@@ -178,8 +179,8 @@ def test_enumerate_overflow_guard():
 
 
 def test_reduced_form_bound_is_the_progression_bound():
-    # quadforms copies the bound instead of reading _kernels; the per-N
-    # forms, the window lane's forms and the triples share one bound
+    # quadforms and oracles copy the bound instead of reading _kernels; the
+    # per-N forms, the per-n triples and the window lane share one bound
     from qident import _kernels, counting
     from qident.quadforms import REDUCED_D_LIMIT
 
@@ -221,37 +222,11 @@ def test_quad_form_is_an_immutable_ordered_tuple():
     assert forms and all(type(g) is QuadForm for g in forms)
 
 
-def _package_calls(fn, *args):
-    """The qident functions (file, first line, name) that ``fn(*args)``
-    runs, recorded with ``sys.setprofile``."""
-    import os
-    import sys
-
-    import qident
-
-    root = os.path.dirname(qident.__file__) + os.sep
-    seen = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(root):
-            seen.add((os.path.basename(code.co_filename),
-                      code.co_firstlineno, code.co_name))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return seen
-
-
 def test_per_n_class_numbers_share_no_code_with_the_table():
     # the per-N route and the batch table are two independent routes to
     # 12*H(N): no package function runs in both
-    per_n = _package_calls(lambda: [hurwitz_H(N) for N in range(61)])
-    table = _package_calls(hurwitz_table, 60)
+    per_n = package_calls(lambda: [hurwitz_H(N) for N in range(61)])
+    table = package_calls(hurwitz_table, 60)
     # the recorder sees each route's enumeration
     assert ("quadforms.py", enumerate_reduced.__code__.co_firstlineno,
             "enumerate_reduced") in per_n
