@@ -12,8 +12,16 @@ mislead.  The suites' times exclude the import;
 that ``qident table`` loads) and ``qident.verify`` (the batch stack): the
 median wall time of 5 fresh interpreters that import only that module.
 
+``--table MAX`` times ``qident table`` instead of the suites: each column
+of ``cli.TABLE_COLUMNS`` alone over 0 <= n <= MAX, and ``rows_s``, every
+column row by row as ``table`` builds its rows, each the median of
+``--repeat`` runs.  Each run starts with an empty orthant-walk cache, so a
+column timed alone pays for its own walks, while ``table`` reads one walk
+for both a and b at each row.
+
     PYTHONPATH=src python3 scripts/suite_times.py --order 300 --max 9000
     PYTHONPATH=src python3 scripts/suite_times.py --max 3000 --repeat 5
+    PYTHONPATH=src python3 scripts/suite_times.py --table 2000 --repeat 5
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import sys
 import time
 
 import qident
-from qident import series, verify
+from qident import cli, oracles, series, verify
 
 IMPORT_RUNS = 5
 
@@ -49,6 +57,30 @@ def import_seconds(module: str) -> float:
     return statistics.median(times)
 
 
+def _timed(fn, repeat: int) -> float:
+    """Median seconds of ``repeat`` runs of ``fn()``, each after emptying
+    the orthant-walk cache."""
+    times = []
+    for _ in range(repeat):
+        oracles._orthant_solutions.cache_clear()
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 4)
+
+
+def table_seconds(maxn: int, repeat: int) -> dict:
+    """In-process seconds of each ``qident table`` column over
+    0 <= n <= maxn, and of the whole rows."""
+    ns = range(maxn + 1)
+    columns = {c: _timed(lambda f=f: [f(n) for n in ns], repeat)
+               for c, f in cli._COLUMN_VALUES.items()}
+    rows = _timed(lambda: [cli._table_row(n, cli.TABLE_COLUMNS)
+                           for n in ns], repeat)
+    return {"table_max": maxn, "repeat": repeat, "columns": columns,
+            "rows_s": rows}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--order", type=int, default=300)
@@ -56,9 +88,19 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs of the suites; each suite's median is "
                              "reported (default 1)")
+    parser.add_argument("--table", type=int, metavar="MAX",
+                        help="time each qident table column over n <= MAX "
+                             "instead of the suites")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    if args.table is not None:
+        if args.table < 0:
+            parser.error("--table must be >= 0")
+        json.dump(table_seconds(args.table, args.repeat), sys.stdout,
+                  indent=1)
+        print()
+        return 0
     problem = verify.size_error("all", args.order, args.maxn)
     if problem:
         parser.error(problem)

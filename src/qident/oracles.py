@@ -190,8 +190,9 @@ def iter_solution_triples(n: int, shape: str):
     n >= ``TRIPLE_N_LIMIT`` raises ``OverflowError`` before any triple.
     """
     if n >= TRIPLE_N_LIMIT:
-        raise OverflowError(f"progression terms of {shape!r} for n <= {n} "
-                            "may exceed int64")
+        raise OverflowError(f"n = {n} is not below TRIPLE_N_LIMIT = 2**62, "
+                            "the int64 bound of the progression walk, which "
+                            "this loop mirrors so that both refuse the same n")
     if shape == OPEN:
         s = 1
         while 4 * s + 2 * (s + 1) <= n:

@@ -1,12 +1,13 @@
 """Binary quadratic forms: reduction, enumeration, class numbers, Hurwitz H.
 
-Two independent routes give the class numbers.  The per-N route,
-``enumerate_reduced`` and ``hurwitz_H``, is the textbook loop over b and
-the divisors a of (b² + N)/4 (Cohen, Alg. 5.3.5), with
-``enumerate_reduced_bruteforce`` as its slow oracle; it reads no numpy
-kernel.  The batch route, ``hurwitz_table``, counts the forms of every
-N <= X at once on the progression walk of ``_kernels``, which the
-bijection window lane reads too; it imports numpy and ``_kernels`` on its
+Two independent routes give the class numbers.  The per-N route is the
+textbook loop over b and the divisors a of (b² + N)/4 (Cohen, Alg.
+5.3.5), ``_reduced_forms``: ``enumerate_reduced`` lists its forms, with
+``enumerate_reduced_bruteforce`` as its slow oracle, and ``hurwitz_H``
+sums their weights without building a form; it reads no numpy kernel.
+The batch route, ``hurwitz_table``, counts the forms of every N <= X at
+once on the progression walk of ``_kernels``, which the bijection window
+lane reads too; it imports numpy and ``_kernels`` on its
 first call, so the module loads only the standard library and ``qident
 table`` runs without numpy (a test checks both).  All class-number values
 are exact rationals.  Weighted forms are detected literally among reduced
@@ -86,30 +87,41 @@ def _check_discriminant(D: int) -> None:
 REDUCED_D_LIMIT = 2 ** 62
 
 
-def enumerate_reduced(D: int) -> list[QuadForm]:
-    """All reduced positive definite forms of discriminant D, in
-    lexicographic (a, b, c) order, each exactly once.
+def _reduced_forms(D: int):
+    """Yield (a, b, c) for the reduced forms of discriminant D with b >= 0,
+    in loop order: the divisor loop of Cohen, Alg. 5.3.5.
 
     With N = -D, each b = N mod 2 with 0 <= b <= isqrt(N/3) (b² <= ac
     and 4ac = b² + N) and each divisor a of q = (b² + N)/4 with
-    max(b, 1) <= a <= isqrt(q) give the form (a, b, q/a), and also
-    (a, -b, q/a) when 0 < b < a < q/a; the list is sorted at the end.
-    ``-D >= REDUCED_D_LIMIT`` raises ``OverflowError``.
+    max(b, 1) <= a <= isqrt(q) give the form (a, b, q/a).  Its mirror
+    (a, -b, q/a) is reduced too exactly when 0 < b < a < q/a.  A bad D
+    raises ``BadDiscriminantResidue`` and ``-D >= REDUCED_D_LIMIT``
+    raises ``OverflowError``, both before the first form.
     """
     _check_discriminant(D)
     N = -D
     if N >= REDUCED_D_LIMIT:
         raise OverflowError(f"reduced forms of discriminant {D} exceed "
                             "the progression walk's int64 bound")
-    out = []
     for b in range(N % 2, math.isqrt(N // 3) + 1, 2):
         q = (b * b + N) // 4
         for a in range(max(b, 1), math.isqrt(q) + 1):
             if q % a == 0:
-                c = q // a
-                out.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
-                    out.append(QuadForm(a, -b, c))
+                yield a, b, q // a
+
+
+def enumerate_reduced(D: int) -> list[QuadForm]:
+    """All reduced positive definite forms of discriminant D, in
+    lexicographic (a, b, c) order, each exactly once: the forms of
+    ``_reduced_forms(D)`` and their mirrors (a, -b, c) where
+    0 < b < a < c, sorted.  ``-D >= REDUCED_D_LIMIT`` raises
+    ``OverflowError``.
+    """
+    out = []
+    for a, b, c in _reduced_forms(D):
+        out.append(QuadForm(a, b, c))
+        if 0 < b < a < c:
+            out.append(QuadForm(a, -b, c))
     out.sort()
     return out
 
@@ -139,8 +151,11 @@ def hurwitz_H(N: int) -> Fraction:
 
     H(N) = 0 for N = 1, 2 mod 4; H(0) = -1/12; otherwise the reduced forms
     of discriminant -N counted with weight 1/2 for (a,0,a) forms and 1/3
-    for (a,a,a) forms: the integer weights 6, 4 and 12 are summed and
-    divided by 12 once.
+    for (a,a,a) forms.  The integer weights are summed straight off
+    ``_reduced_forms``, which yields each form with b >= 0 once, and
+    divided by 12 once: 6 for (a,0,a), 4 for (a,a,a), 24 for a form
+    with 0 < b < a < c, which stands for its mirror (a,-b,c) too, and 12
+    for every other form.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -149,13 +164,13 @@ def hurwitz_H(N: int) -> Fraction:
     if N % 4 in (1, 2):
         return Fraction(0)
     total = 0
-    for a, b, c in enumerate_reduced(-N):
-        if b == 0 and a == c:
-            total += 6
-        elif a == b == c:
-            total += 4
+    for a, b, c in _reduced_forms(-N):
+        if b == 0:
+            total += 6 if a == c else 12
+        elif b < a < c:
+            total += 24
         else:
-            total += 12
+            total += 4 if a == b == c else 12
     return Fraction(total, 12)
 
 

@@ -7,7 +7,7 @@ as "p/q", never as decimals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # The named verification suites, in the order ``--suite all`` runs them:
 # the CLI's choices, and the keys of ``verify._SUITES``.
@@ -15,8 +15,13 @@ SUITE_NAMES = ("dkm", "corollary", "theorem17", "propositions", "theorem61",
                "bijections", "background")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    """One named check and its outcome.
+
+    A named tuple, as ``quadforms.QuadForm`` is: immutable, hashable and
+    compared by value, without loading ``dataclasses`` on the per-n layer.
+    """
+
     name: str
     status: str                  # "pass" | "fail"
     locus: int | None = None
@@ -45,11 +50,28 @@ class Check:
         return cls(d["name"], d["status"], d["locus"], d["expected"], d["actual"])
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    parameters: dict
-    checks: list = field(default_factory=list)
+    """One suite's checks under its parameters; compared by value, and
+    mutable, so unhashable."""
+
+    __slots__ = ("suite", "parameters", "checks")
+    __hash__ = None
+
+    def __init__(self, suite: str, parameters: dict,
+                 checks: list | None = None):
+        self.suite = suite
+        self.parameters = parameters
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.suite, self.parameters, self.checks)
+                == (other.suite, other.parameters, other.checks))
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(suite={self.suite!r}, "
+                f"parameters={self.parameters!r}, checks={self.checks!r})")
 
     @property
     def passed(self) -> bool:

@@ -270,9 +270,9 @@ def test_table_columns_match_the_batch_tables(capsys):
 
 
 def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
-    from qident import oracles, quadforms
+    from qident import cli, oracles, quadforms
 
-    calls = dict.fromkeys(("signed_rep_count", "rep_count",
+    calls = dict.fromkeys(("signed_rep_count", "rep_count", "hurwitz_H",
                            "enumerate_reduced"), 0)
 
     def count_calls(module, name):
@@ -287,6 +287,7 @@ def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
     # through the module bindings, as the benchmark's tracer wraps them
     count_calls(oracles, "signed_rep_count")
     count_calls(oracles, "rep_count")
+    count_calls(cli, "hurwitz_H")
     count_calls(quadforms, "enumerate_reduced")
     oracles._orthant_solutions.cache_clear()
     maxn = 300
@@ -296,9 +297,9 @@ def test_table_walks_each_row_orthant_once(capsys, monkeypatch):
     walks = oracles._orthant_solutions.cache_info()
     assert (walks.misses, walks.hits) == (maxn + 1, maxn + 1)
     assert calls["signed_rep_count"] == calls["rep_count"] == maxn + 1
-    # H(n) enumerates for n = 0, 3 mod 4 and H4 at every 4n > 0
-    assert calls["enumerate_reduced"] == maxn + sum(
-        n % 4 in (0, 3) for n in range(1, maxn + 1))
+    # H and H4 at every row; the table lists no forms
+    assert calls["hurwitz_H"] == 2 * (maxn + 1)
+    assert calls["enumerate_reduced"] == 0
 
     monkeypatch.undo()
     want = [["n", "a", "b", "r3", "H", "H4", "sigma0"]]

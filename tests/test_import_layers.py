@@ -64,6 +64,13 @@ def test_per_n_paths_load_no_batch_module(body, code):
     assert result == {"code": code, "loaded": []}
 
 
+def test_cli_import_loads_no_dataclasses():
+    # ``report`` needs no dataclasses, which would load inspect, ast and
+    # dis into every ``table`` run
+    result = _run("import qident.cli\ncode = 'dataclasses' in sys.modules")
+    assert result == {"code": False, "loaded": []}
+
+
 def test_verify_loads_the_batch_stack_and_passes():
     result = _run(_cli("verify", "--suite", "dkm", "--order", "20"))
     assert result == {"code": 0, "loaded": list(BATCH)}

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qident.quadforms import (HURWITZ_X_LIMIT, BadDiscriminantResidue,
-                              NotPositiveDefinite, QuadForm, class_number_h,
+from qident.quadforms import (HURWITZ_X_LIMIT, REDUCED_D_LIMIT,
+                              BadDiscriminantResidue, NotPositiveDefinite,
+                              QuadForm, _reduced_forms, class_number_h,
                               enumerate_reduced,
                               enumerate_reduced_bruteforce, hurwitz_H,
                               hurwitz_table, is_reduced,
@@ -228,10 +229,32 @@ def test_per_n_class_numbers_share_no_code_with_the_table():
     per_n = package_calls(lambda: [hurwitz_H(N) for N in range(61)])
     table = package_calls(hurwitz_table, 60)
     # the recorder sees each route's enumeration
-    assert ("quadforms.py", enumerate_reduced.__code__.co_firstlineno,
-            "enumerate_reduced") in per_n
+    assert ("quadforms.py", _reduced_forms.__code__.co_firstlineno,
+            "_reduced_forms") in per_n
     assert any(name == "_pair_blocks" for _, _, name in table)
     assert not per_n & table, sorted(per_n & table)
+
+
+def _weighted_form_count(N):
+    """12*H(N) from the listed forms: weight 6 for (a,0,a), 4 for (a,a,a)
+    and 12 for every other reduced form of discriminant -N."""
+    return sum(6 if b == 0 and a == c else 4 if a == b == c else 12
+               for a, b, c in enumerate_reduced(-N))
+
+
+def test_per_n_class_numbers_are_the_weighted_form_lists():
+    # hurwitz_H counts the forms with b >= 0 and doubles the mirrored ones
+    # without listing them: pin it to the list of every form
+    ns = [N for N in range(3, 4001) if N % 4 in (0, 3)]
+    ns += [m * a * a for a in range(1, 301) for m in (3, 4)]
+    ns += [999_999, 1_000_000, 1_000_003, 1_000_004]
+    for N in ns:
+        assert 12 * hurwitz_H(N) == _weighted_form_count(N), N
+    # both refuse the same N
+    with pytest.raises(OverflowError):
+        hurwitz_H(REDUCED_D_LIMIT)
+    with pytest.raises(OverflowError):
+        enumerate_reduced(-REDUCED_D_LIMIT)
 
 
 def test_per_n_class_numbers_equal_the_table_to_8000():
