@@ -23,8 +23,8 @@ in the lane.  The module imports only the per-n layer (``oracles``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .oracles import OPEN, SHIFTED, iter_solution_triples, sigma
 from .quadforms import QuadForm, enumerate_reduced, hurwitz_H, is_reduced
@@ -46,8 +46,10 @@ class UnclassifiableForm(ValueError):
 ALL_EQUAL = 0
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """A solution triple (r, s, t) of n in its shape, a named tuple as
+    ``QuadForm`` is, so ``qident bijection`` loads no dataclasses."""
+
     r: int
     s: int
     t: int

@@ -27,8 +27,7 @@ from .oracles import (OPEN, SHIFTED, TRIPLE_N_LIMIT, _orthant_solutions,
                       signed_rep_count)
 from .quadforms import hurwitz_table
 from .report import Check, VerificationReport, table_check
-from .series import QSeries, series_eq
-from .theta import Jm
+from .series import QSeries, eta_quotient
 
 
 class WrongParity(ValueError):
@@ -374,12 +373,8 @@ def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     Every sweep compares whole int64 tables and runs its per-n expression
     only at the n where they fail (``report.table_check``); the bound of
     its int64 arithmetic is ``check_sweep_int64``.  The triangular triples
-    meet the eta quotient ``((q^2;q^2)^2/(q;q))^3`` without a division:
-    with T the triangular series and E = (q;q)^3, ``T*E - (q^2;q^2)^6`` is
-    ``(T - (q^2;q^2)^6/E)*E``, and E has constant term 1, so it first
-    differs from 0 at the first n where T differs from the quotient, by
-    the same coefficient.  The quotient is built only on a failure, for the
-    values reported there.
+    meet the eta quotient ``((q^2;q^2)^2/(q;q))^3`` entry by entry, built in
+    int64 by ``series.eta_quotient``.
     """
     if maxn < 8:
         raise ValueError("maxn must be >= 8")
@@ -409,7 +404,10 @@ def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     checks.append(table_check(
         "triangular_triple_sum_side", ns, tri[:maxn + 1] != tri_sum[:maxn + 1],
         lambda n: (int(tri[n]), int(tri_sum[n]))))
-    checks.append(_eta_quotient_check(tri, maxn + 1))
+    eta = eta_quotient({1: -3, 2: 6}, maxn + 1)
+    checks.append(table_check(
+        "triangular_triple_eta_quotient", ns, tri[:maxn + 1] != eta,
+        lambda n: (int(eta[n]), int(tri[n]))))
     checks.append(table_check(
         "triangular_triple_positivity", ns, tri[:maxn + 1] <= 0,
         lambda n: (True, int(tri[n]) > 0)))
@@ -444,14 +442,3 @@ def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
 
     return VerificationReport("classical", {"max": maxn}, checks)
 
-
-def _eta_quotient_check(tri, order: int) -> Check:
-    """The triangular triples below ``q**order`` against the eta quotient,
-    division-free (see ``classical_checks``)."""
-    name = "triangular_triple_eta_quotient"
-    lhs = QSeries._raw(tri[:order].tolist(), None, 1, order)
-    bad = series_eq(lhs * Jm(1, order) ** 3, Jm(2, order) ** 6, order)
-    if bad is None:
-        return Check.ok(name)
-    gf = (Jm(2, order) ** 2 / Jm(1, order)) ** 3
-    return Check.fail(name, bad, gf.coeff(bad), lhs.coeff(bad))

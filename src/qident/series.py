@@ -41,6 +41,11 @@ identity.  Every call still returns a fresh series.
 one).
 Any other scalar takes the big-integer loop, which also pins the lane in the
 tests.  Every path is exact: no floats anywhere.
+
+``eta_quotient`` builds a product of Euler products ``(q**m; q**m)_inf`` and
+their inverses as one int64 table, from the product's logarithmic
+derivative, with exact divisions and an explicit overflow guard: no lane
+and no wide integers, for the series the suites read below ``q**(max+1)``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,8 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+
+from . import _kernels
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -1085,3 +1092,62 @@ def series_bytes(order: int) -> int:
     bits = _partition_bound_bits(max(order - 1, 0))
     lists = 2 * PRODUCT_STORE_LIMIT + 16
     return _lane_bytes(order) + lists * order * (8 + _int_bytes(bits))
+
+
+# ---------------------------------------------------------------------------
+# eta quotients in int64
+# ---------------------------------------------------------------------------
+
+
+class InexactRecurrence(ArithmeticError):
+    """A division of ``eta_quotient``'s recurrence left a remainder, so its
+    divisor sums are wrong: a fault of the program, not a failed check."""
+
+
+def eta_quotient(r: dict, n: int) -> np.ndarray:
+    """``prod_m (q**m; q**m)_inf ** r[m]`` below ``q**n`` as int64, from the
+    logarithmic derivative of the product.
+
+    With f that product, ``q f'/f = sum_k s(k) q**k``, where
+    ``s(k) = -sum_{m | k} r[m] * m * sigma(k/m)`` (each factor
+    ``1 - q**(m*j)`` adds ``-m*j*q**(m*j) / (1 - q**(m*j))``), so
+    ``c(0) = 1`` and ``k*c(k) = sum_{j=1..k} s(j) c(k - j)``: the partition
+    recurrence ``k p(k) = sum sigma(j) p(k - j)``, generalised.  No identity
+    is used beyond that derivative.  sigma comes from
+    ``_kernels.sigma_table(n - 1, 1)``.
+
+    Each division by k must be exact, or ``InexactRecurrence`` is raised.
+    Overflow guard: each partial sum of ``s(k)`` is at most
+    ``sum_m |r[m]| * m * max sigma``, and each partial sum of the dot
+    product for c(k) at most ``sum_{j<=k} |s(j)|`` times the largest
+    ``|c(i)|``, i < k; ``OverflowError`` is raised before either could
+    reach 2**63.  The signed product's second bound is 8.8e13 at n = 90001.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if any(m < 1 for m in r):
+        raise ValueError("eta quotient exponents are keyed by m >= 1")
+    r = {m: e for m, e in r.items() if e and m < n}
+    sig = _kernels.sigma_table(n - 1, 1)
+    if sum(abs(e) * m for m, e in r.items()) * int(sig.max()) >= 1 << 63:
+        raise OverflowError(f"the eta quotient's divisor sums below q**{n} "
+                            "may exceed int64")
+    s = np.zeros(n, dtype=np.int64)
+    for m, e in r.items():
+        s[m::m] -= e * m * sig[1:(n - 1) // m + 1]
+    weight = list(itertools.accumulate(np.abs(s).tolist()))
+    # c reversed, so each dot product reads c(k - 1), ..., c(0) forwards
+    rev = np.zeros(n, dtype=np.int64)
+    rev[n - 1] = 1
+    top = 1  # the largest |c(i)| so far
+    for k in range(1, n):
+        if weight[k] * top >= 1 << 63:
+            raise OverflowError(f"the eta quotient's recurrence at q**{k} "
+                                "may exceed int64")
+        c, rest = divmod(int(np.dot(s[1:k + 1], rev[n - k:])), k)
+        if rest:
+            raise InexactRecurrence(f"the eta quotient's recurrence leaves "
+                                    f"{rest} over {k} at q**{k}")
+        rev[n - 1 - k] = c
+        top = max(top, abs(c))
+    return rev[::-1].copy()

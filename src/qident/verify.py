@@ -29,6 +29,14 @@ where a comparison fails, or a coefficient is not a real integer that
 int64 holds, does its per-n expression on Fractions run
 (``report.table_check``), so each check and its failure values are those of
 the per-n sweep.  ``counting.check_sweep_int64`` bounds that arithmetic.
+
+The products read at every n <= max are eta quotients built in int64
+(``series.eta_quotient``): the signed product ``Tables.product``, the
+unsigned product of background's ``unsigned_generating_function`` and the
+triangular quotient of ``classical_checks``.  The lane's product routes pin
+the signed one on the prefix and the unsigned one below ``--order``; its
+two signed routes meet each other on the prefix here and below ``--order``
+in dkm.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .appell import verify_appell_suite
 from .quadforms import HURWITZ_X_LIMIT, hurwitz_H, hurwitz_table
 from .report import (SUITE_NAMES, Check, VerificationReport, series_check,
                      sweep_check, table_check)
-from .series import QSeries, series_bytes
+from .series import QSeries, eta_quotient, series_bytes, series_eq
 from .theta import (InternalCrossCheckFailure, Jbar, product_side_pochhammer,
                     product_side_series, product_side_theta,
                     rep_count_product_series, verify_theta_suite)
@@ -58,6 +66,13 @@ PER_N_PREFIX = 200
 _KERNELS = _kernels.MAXN_LIMIT  # sigma_table's own bound is wider at k = 0
 _H12 = (HURWITZ_X_LIMIT - 1) // 4  # hurwitz_table(4*max)
 _FORMS = (_kernels.PROGRESSION_LIMIT - 1) // 4  # reduced forms of -4n
+
+# The exponents r[m] of the eta quotients prod_m (q^m;q^m)^r[m] that
+# ``eta_quotient`` builds: by (1 + x)(1 - x) = 1 - x^2 factor by factor,
+# j(q;q^2) j(q^2;q^4)^2 = (q;q)^2 (q^2;q^2)^3 / (q^4;q^4)^2 and
+# j(-q;q^2) j(-q^2;q^4)^2 = (q^2;q^2) (q^4;q^4)^8 / ((q;q)^2 (q^8;q^8)^4).
+SIGNED_ETA = {1: 2, 2: 3, 4: -2}
+UNSIGNED_ETA = {1: -2, 2: 1, 4: 8, 8: -4}
 
 
 class _Size(NamedTuple):
@@ -77,10 +92,12 @@ class _Size(NamedTuple):
 # square-count checks (max >= 8).
 #
 # Series: dkm's sum side builds kernel tables for n <= order - 1 and
-# background's theta and Appell series follow order too.  theorem17 and
-# propositions read ``Tables.product`` (propositions also its ``Jbar``
-# products), background the eta-quotient check of ``classical_checks``
-# ((q;q)**3 and (q^2;q^2)**6, and the quotient itself on a failure).
+# background's theta and Appell series follow order too.  Of the suites
+# flagged ``max_series``, only propositions still builds lane series below
+# q**(max + 1), its ``Jbar`` products; theorem17 reads ``Tables.product``,
+# an int64 eta quotient pinned to the lane on the prefix, and background
+# its eta quotients in int64.  Their flags stay until the wide series leave
+# --max altogether.
 #
 # Table bytes add up the build peak of each table a suite builds at max, per
 # n, from tracemalloc at max = 10**5: signed/unsigned 33, r3 25, each triple
@@ -164,9 +181,9 @@ class Tables:
     series follow ``order``, builds its own.
 
     Members read the builders through their module bindings at first use
-    (``hurwitz_table`` and ``product_side_series`` here, the rest
-    ``_kernels`` attributes), so a patched builder is seen.  Their memory
-    at ``maxn`` is bounded before a run by ``size_error``.
+    (``hurwitz_table``, ``eta_quotient`` and ``product_side_series`` here,
+    the rest ``_kernels`` attributes), so a patched one is seen.  Their
+    memory at ``maxn`` is bounded before a run by ``size_error``.
     """
 
     def __init__(self, maxn: int):
@@ -209,13 +226,26 @@ class Tables:
 
     @cached_property
     def product(self) -> QSeries | Check:
-        """The signed-count series below q^(maxn+1), theta route, or a
-        failed check at the first exponent where its two routes differ."""
+        """The signed-count series below q^(maxn+1), eta route
+        (``SIGNED_ETA``), pinned on every n <= ``PER_N_PREFIX`` to the
+        lane's theta route, or a failed check at the first exponent where
+        the lane's two routes differ (``pochhammer_route_eq_theta_route``)
+        or, failing that, where the eta route and the lane differ
+        (``eta_route_eq_theta_route``)."""
+        order = self.maxn + 1
+        pin = min(PER_N_PREFIX + 1, order)
         try:
-            return product_side_series(self.maxn + 1)
+            lane = product_side_series(pin)
         except InternalCrossCheckFailure as exc:
             return Check.fail("pochhammer_route_eq_theta_route", exc.locus,
                               exc.expected, exc.actual)
+        eta = QSeries._raw(eta_quotient(SIGNED_ETA, order).tolist(), None,
+                           1, order)
+        bad = series_eq(eta, lane, pin)
+        if bad is not None:
+            return Check.fail("eta_route_eq_theta_route", bad,
+                              lane.coeff(bad), eta.coeff(bad))
+        return eta
 
     @cached_property
     def product_table(self):
@@ -419,8 +449,9 @@ def _prop_residue_zero_series_checks(order: int, a: QSeries,
                                      a_table) -> list[Check]:
     """The q^{4m} extraction: the only residue-0 products of the half-split
     expansion, their non-negativity, and the corrected six-term expansion.
-    ``a`` is ``product_side_series(order)``, the theta-route product, and
-    ``a_table`` its ``Tables.product_table``."""
+    ``a`` is ``Tables.product``, the eta-route product below ``q**order``,
+    and ``a_table`` its ``Tables.product_table``; the ``Jbar`` factors are
+    lane products, so the expansion compares two independent routes."""
     A = Jbar(4, 8, order)
     B = Jbar(0, 8, order)
     C = Jbar(8, 16, order)
@@ -579,13 +610,22 @@ def suite_background(order: int, maxn: int,
         "unsigned_zero_iff_r3_zero", ns, (r3 == 0) != (unsigned == 0),
         lambda n: (int(r3[n]) == 0, int(unsigned[n]) == 0)))
 
+    # the eta route at every n <= maxn, the lane below the order
     b_order = min(order, maxn + 1)
     b_series = rep_count_product_series(b_order)
     b, b_exact = b_series.int64_coefficients()
-    checks.append(table_check(
-        "unsigned_generating_function", ns[:b_order],
-        ~b_exact | (b != unsigned[:b_order]),
-        lambda n: (int(unsigned[n]), b_series.coeff(n))))
+    eta = eta_quotient(UNSIGNED_ETA, maxn + 1)
+    lane_fails = ~b_exact | (b != unsigned[:b_order])
+    fails = eta != unsigned
+    fails[:b_order] |= lane_fails
+
+    def unsigned_pair(n):
+        if n < b_order and lane_fails[n]:
+            return int(unsigned[n]), b_series.coeff(n)
+        return int(unsigned[n]), int(eta[n])
+
+    checks.append(table_check("unsigned_generating_function", ns, fails,
+                              unsigned_pair))
     return VerificationReport("background", {"order": order, "max": maxn},
                               checks)
 

@@ -71,6 +71,14 @@ def test_cli_import_loads_no_dataclasses():
     assert result == {"code": False, "loaded": []}
 
 
+def test_bijection_loads_no_dataclasses():
+    # ``bijections.Triple`` is a named tuple, as ``QuadForm`` and ``Check``
+    # are
+    result = _run(_cli("bijection", "21")
+                  + "\ncode = (code, 'dataclasses' in sys.modules)")
+    assert result == {"code": [0, False], "loaded": []}
+
+
 def test_verify_loads_the_batch_stack_and_passes():
     result = _run(_cli("verify", "--suite", "dkm", "--order", "20"))
     assert result == {"code": 0, "loaded": list(BATCH)}

@@ -124,8 +124,9 @@ def reference_theorem61(order, maxn, tables):
 def reference_background(order, maxn, tables):
     signed, unsigned = tables.signed_unsigned
     r3 = tables.r3
-    b_order = min(order, maxn + 1)
-    b_series = rep_count_product_series(b_order)
+    # the suite reads the lane below the order and the eta route at every
+    # n <= maxn; the lane at maxn + 1 has the values of both
+    b_series = rep_count_product_series(maxn + 1)
     return [
         *reference_classical(maxn, tables.h12, r3),
         sweep_check("abs_signed_count_eq_unsigned_count",
@@ -139,7 +140,7 @@ def reference_background(order, maxn, tables):
                      for n in range(maxn + 1))),
         sweep_check("unsigned_generating_function",
                     ((n, int(unsigned[n]), b_series.coeff(n))
-                     for n in range(b_order))),
+                     for n in range(maxn + 1))),
     ]
 
 
@@ -330,7 +331,7 @@ def test_clean_tables_fail_no_int64_comparison(monkeypatch):
     tables = verify.Tables(MAXN)
     for name in REFERENCES:
         assert verify._SUITES[name](ORDER, MAXN, tables).passed
-    assert len(seen) == 6 + 10 + 4 + 6 + 4
+    assert len(seen) == 6 + 10 + 4 + 7 + 4
     assert not [name for name, failed in seen if failed]
 
 
@@ -351,12 +352,18 @@ def test_a_fraction_agreeing_with_a_fractional_expectation_passes():
 
 
 def test_corrupted_product_fails_the_cli(monkeypatch, capsys):
+    # the run reads the lane only on the prefix, so the eta route, which
+    # it reads at every n, is corrupted past it
     from qident.cli import main
 
-    real = verify.product_side_series
-    monkeypatch.setattr(verify, "product_side_series",
-                        lambda order: real(order)
-                        + QSeries.monomial(Fraction(1, 2), 222, order))
+    real = verify.eta_quotient
+
+    def bumped(r, n):
+        out = real(r, n)
+        out[222] += 1
+        return out
+
+    monkeypatch.setattr(verify, "eta_quotient", bumped)
     assert main(["verify", "--suite", "theorem17", "--order", "32",
                  "--max", "240"]) == 1
     assert "[FAIL] a_eq_minus_4H4n_for_1_2_5_6_mod_8 at 222:" in (

@@ -1,16 +1,19 @@
 """Exact series arithmetic against independent references."""
 
 import decimal
+import itertools
 import math
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident import series
+from qident import theta as T, verify
 from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
                            _conv, _conv_packed, _decimal_columns,
@@ -214,11 +217,12 @@ class TestNewtonHalfLength:
 
 # orders 1 to 9 (1, 2, 3 and the odd ones among them), so dividend and
 # divisor come in unequal orders; the Fraction parts keep most
-# denominators above 1
-any_order_series = st.integers(1, 9).flatmap(
-    lambda order: st.builds(QSeries, st.lists(scalars, min_size=1,
-                                              max_size=order),
-                            st.just(order)))
+# denominators above 1.  One strategy per order, built once: a ``flatmap``
+# would build a fresh strategy for every example.
+any_order_series = st.one_of([
+    st.builds(QSeries, st.lists(scalars, min_size=1, max_size=order),
+              st.just(order))
+    for order in range(1, 10)])
 divisors = any_order_series.filter(lambda s: bool(s.coeff(0)))
 
 
@@ -885,3 +889,109 @@ class TestRowPath:
         nz = [(j, x) for j, x in enumerate(sparse) if x]
         out = series._conv_rows(nz, dense, n)
         assert len(out) == n and out == _conv_school(sparse, dense, n)
+
+
+def _big_eta(r, n):
+    """The recurrence of ``eta_quotient`` in Python ints, from the per-n
+    divisor sum: the coefficients and each step's largest partial sum."""
+    from qident.oracles import sigma
+
+    s = [0] + [-sum(e * m * sigma(1, k // m) for m, e in r.items()
+                    if k % m == 0) for k in range(1, n)]
+    c, peaks = [1], [0]
+    for k in range(1, n):
+        terms = [s[j] * c[k - j] for j in range(1, k + 1)]
+        peaks.append(max(map(abs, itertools.accumulate(terms))))
+        c.append(sum(terms) // k)
+    return c, peaks
+
+
+# name: (the exponents r[m] of prod (q^m;q^m)^r[m], the same product on the
+# lane below q**n): the signed and unsigned products, the four Jbar factors
+# of the propositions suite (Jbar(0, m) is twice its quotient), (q;q)^3 and
+# the triangular quotient
+ETA_CASES = {
+    "signed": (verify.SIGNED_ETA, T.product_side_series),
+    "unsigned": (verify.UNSIGNED_ETA, T.rep_count_product_series),
+    "jbar_4_8": ({4: -2, 8: 5, 16: -2}, lambda n: T.Jbar(4, 8, n)),
+    "jbar_0_8": ({8: -1, 16: 2},
+                 lambda n: T.Jbar(0, 8, n) * Fraction(1, 2)),
+    "jbar_8_16": ({8: -2, 16: 5, 32: -2}, lambda n: T.Jbar(8, 16, n)),
+    "jbar_0_16": ({16: -1, 32: 2},
+                  lambda n: T.Jbar(0, 16, n) * Fraction(1, 2)),
+    "euler_cubed": ({1: 3}, lambda n: T.Jm(1, n) ** 3),
+    "triangular": ({1: -3, 2: 6}, lambda n: T.Jm(2, n) ** 6 / T.Jm(1, n) ** 3),
+}
+
+
+class TestEtaQuotient:
+    @pytest.mark.parametrize("name", sorted(ETA_CASES))
+    def test_equals_the_lane_below_2001(self, name):
+        r, lane = ETA_CASES[name]
+        eta = series.eta_quotient(r, 2001)
+        assert eta.dtype == np.int64 and len(eta) == 2001
+        assert series_eq(QSeries._raw(eta.tolist(), None, 1, 2001),
+                         lane(2001), 2001) is None
+
+    def test_small_cases(self):
+        assert series.eta_quotient({}, 5).tolist() == [1, 0, 0, 0, 0]
+        assert series.eta_quotient({1: 1, 7: 3}, 1).tolist() == [1]
+        # Euler's pentagonal numbers, and the partitions
+        assert series.eta_quotient({1: 1}, 8).tolist() == [
+            1, -1, -1, 0, 0, 1, 0, 1]
+        assert series.eta_quotient({1: -1}, 8).tolist() == [
+            1, 1, 2, 3, 5, 7, 11, 15]
+        # factors past the order contribute nothing
+        assert series.eta_quotient({3: 4, 9: -5}, 3).tolist() == [1, 0, 0]
+        with pytest.raises(ValueError):
+            series.eta_quotient({1: 1}, 0)
+        with pytest.raises(ValueError):
+            series.eta_quotient({0: 1}, 5)
+
+    @pytest.mark.parametrize("bump, raises", [(1, True), (7, False)])
+    def test_a_wrong_divisor_sum_fails_the_division_or_the_value(
+            self, monkeypatch, bump, raises):
+        from qident import _kernels
+
+        real = _kernels.sigma_table
+
+        def patched(maxn, k=0):
+            out = real(maxn, k)
+            if k == 1:
+                out[7] += bump
+            return out
+
+        monkeypatch.setattr(_kernels, "sigma_table", patched)
+        r = ETA_CASES["signed"][0]
+        if raises:
+            # s(7) = -2 sigma(7) is off by 2, which 7 does not divide
+            with pytest.raises(series.InexactRecurrence):
+                series.eta_quotient(r, 100)
+        else:
+            # off by 14: c(7) is off by 2, and the divisions stay exact up
+            # to q**20 and leave a remainder at q**21
+            assert series.eta_quotient(r, 21)[7] == _big_eta(r, 8)[0][7] - 2
+            with pytest.raises(series.InexactRecurrence):
+                series.eta_quotient(r, 22)
+
+    def test_overflow_guard_trips_before_the_sum_wraps(self):
+        r = {1: -1000}  # s(k) = 1000 sigma(k)
+        n = 2
+        while True:
+            try:
+                got = series.eta_quotient(r, n)
+            except OverflowError:
+                break
+            n += 1
+        c, peaks = _big_eta(r, n + 1)
+        # every value before the guard is exact, and a partial sum of the
+        # next step or the one after passes 2**63
+        assert got.tolist() == c[:n - 1]
+        assert max(peaks[:n - 1]) < 1 << 63
+        assert max(peaks[n - 1:n + 1]) >= 1 << 63
+
+    def test_overflow_guard_on_the_divisor_sums(self):
+        # |s(2)| = 2**62 * sigma(2) passes 2**63
+        series.eta_quotient({1: 1 << 62}, 2)
+        with pytest.raises(OverflowError):
+            series.eta_quotient({1: 1 << 62}, 3)

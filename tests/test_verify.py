@@ -7,6 +7,7 @@ import pytest
 
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
+from qident.theta import product_side_series
 from qident import verify
 from qident.verify import SUITE_NAMES, run_suites, size_error
 
@@ -125,6 +126,7 @@ def test_all_suites_share_one_table_context(monkeypatch):
         monkeypatch.setattr(holder, attr, wrapper)
 
     counted(V, "product_side_series")
+    counted(V, "eta_quotient")
     counted(V, "hurwitz_table")
     counted(C, "hurwitz_table")
     counted(_kernels, "triple_tables")
@@ -134,11 +136,16 @@ def test_all_suites_share_one_table_context(monkeypatch):
     def args_of(attr):
         return [args for name, args in calls if name == attr]
 
+    # the lane pins the eta route on n <= 60, the whole run
     assert args_of("product_side_series") == [(61,)]
+    assert args_of("eta_quotient") == [(V.SIGNED_ETA, 61),
+                                       (V.UNSIGNED_ETA, 61)]
     assert args_of("hurwitz_table") == [(240,)]
     assert [a for a in args_of("triple_tables") if a[0] == 60] == [
         (60, False), (60, True)]
-    assert args_of("sigma_table") == [(60, 0)]
+    # sigma_0 is shared; each eta quotient (theorem17's product, then
+    # background's triangular and unsigned ones) reads its own sigma_1
+    assert args_of("sigma_table") == [(60, 1), (60, 0), (60, 1), (60, 1)]
 
 
 @pytest.mark.parametrize("name", ["theorem17", "propositions"])
@@ -173,6 +180,82 @@ def test_imaginary_part_fails_suite(monkeypatch, name):
     assert not report.passed
     assert any(c.locus == 21 for c in report.failures)
 
+
+
+def _bump_eta(monkeypatch, r, n):
+    """Add 1 to the coefficient of q^n of the eta quotient ``r`` that the
+    suites read."""
+    real = verify.eta_quotient
+
+    def bumped(exponents, order):
+        out = real(exponents, order)
+        if exponents == r:
+            out[n] += 1
+        return out
+
+    monkeypatch.setattr(verify, "eta_quotient", bumped)
+
+
+def test_signed_eta_past_the_prefix_fails_theorem17(monkeypatch, capsys):
+    from qident.cli import main
+
+    n = 221  # 5 mod 8, past the prefix the lane pins
+    assert n > verify.PER_N_PREFIX
+    _bump_eta(monkeypatch, verify.SIGNED_ETA, n)
+    assert main(["verify", "--suite", "theorem17", "--order", "32",
+                 "--max", "240"]) == 1
+    assert f"[FAIL] a_eq_minus_4H4n_for_1_2_5_6_mod_8 at {n}:" in (
+        capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", ["theorem17", "propositions"])
+@pytest.mark.parametrize("maxn, n", [(240, 0), (240, 150), (240, 200),
+                                     (60, 60)])
+def test_signed_eta_on_the_prefix_fails_the_pin(monkeypatch, name, maxn, n):
+    _bump_eta(monkeypatch, verify.SIGNED_ETA, n)
+    (report,) = run_suites(name, 32, maxn)
+    lane = product_side_series(n + 1).coeff(n)
+    assert report.failures == [Check.fail("eta_route_eq_theta_route", n,
+                                          lane, lane + 1)]
+
+
+def test_wrong_divisor_sum_is_an_internal_error(monkeypatch, capsys):
+    from qident import _kernels
+    from qident.cli import main
+
+    real = _kernels.sigma_table
+
+    def patched(maxn, k=0):
+        out = real(maxn, k)
+        if k == 1:
+            out[7] += 1
+        return out
+
+    monkeypatch.setattr(_kernels, "sigma_table", patched)
+    assert main(["verify", "--suite", "theorem17", "--order", "32",
+                 "--max", "240"]) == 3
+    assert "InexactRecurrence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route, n", [("eta", 229), ("lane", 30)])
+def test_unsigned_product_fails_past_and_below_the_order(monkeypatch, route,
+                                                         n):
+    # order 40: the eta route alone covers 229, both routes cover 30
+    from qident.cli import main
+
+    if route == "eta":
+        _bump_eta(monkeypatch, verify.UNSIGNED_ETA, n)
+    else:
+        real = verify.rep_count_product_series
+        monkeypatch.setattr(verify, "rep_count_product_series",
+                            lambda order: real(order)
+                            + QSeries.monomial(1, n, order))
+    (report,) = run_suites("background", 40, 240)
+    unsigned = int(verify.Tables(240).signed_unsigned[1][n])
+    assert report.failures == [Check.fail("unsigned_generating_function", n,
+                                          unsigned, unsigned + 1)]
+    assert main(["verify", "--suite", "background", "--order", "40",
+                 "--max", "240"]) == 1
 
 def test_report_json_roundtrip():
     (report,) = run_suites("dkm", 40, 50)
