@@ -7,10 +7,13 @@ suite passed, and the peak RSS of the process.  The first suite to read a
 shared table pays for building it.  ``--repeat K`` runs the suites K times,
 each time over a fresh ``Tables`` after ``series.clear_product_store()``,
 and reports each suite's median: the host's speed swings, so one run can
-mislead.  The suites' times exclude the import;
-``import_s`` gives it apart, for each of ``qident.cli`` (the per-n layer
-that ``qident table`` loads) and ``qident.verify`` (the batch stack): the
-median wall time of 5 fresh interpreters that import only that module.
+mislead.  The suites' times exclude the import; ``import_s`` gives it
+apart, for each of ``qident.cli`` (the per-n layer that ``qident table``
+loads) and ``qident.verify`` (the batch stack), and the cost of a whole
+smallest ``qident verify --suite dkm --order 2`` process beside them: the
+median wall and CPU seconds (user plus system, from ``wait4``) of 5 fresh
+interpreters.  CPU above wall is work on other cores, such as a BLAS thread
+pool that numpy starts.
 
 ``--table MAX`` times ``qident table`` instead of the suites: each column
 of ``cli.TABLE_COLUMNS`` alone over 0 <= n <= MAX, and ``rows_s``, every
@@ -41,20 +44,37 @@ from qident import cli, oracles, series, verify
 IMPORT_RUNS = 5
 
 
-def import_seconds(module: str) -> float:
-    """Median wall time of ``IMPORT_RUNS`` fresh ``python -c "import
-    module"`` processes, with this qident first on their path."""
+# fresh processes timed for ``import_s``, by name: the interpreter's
+# arguments
+FRESH = {
+    "qident.cli": ("-c", "import qident.cli"),
+    "qident.verify": ("-c", "import qident.verify"),
+    "verify --suite dkm --order 2": ("-m", "qident.cli", "verify", "--suite",
+                                     "dkm", "--order", "2"),
+}
+
+
+def process_seconds(args) -> dict:
+    """Median wall and CPU seconds of ``IMPORT_RUNS`` fresh ``python *args``
+    processes, with this qident first on their path; the CPU seconds are
+    the child's own user and system time from ``wait4``."""
     src = os.path.dirname(os.path.dirname(qident.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    times = []
+    walls, cpus = [], []
     for _ in range(IMPORT_RUNS):
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
-                       check=True)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        proc = subprocess.Popen([sys.executable, *args], env=env,
+                                stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        walls.append(time.perf_counter() - start)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
+        cpus.append(usage.ru_utime + usage.ru_stime)
+    return {"wall_s": round(statistics.median(walls), 4),
+            "cpu_s": round(statistics.median(cpus), 4)}
 
 
 def _timed(fn, repeat: int) -> float:
@@ -119,8 +139,7 @@ def main(argv=None) -> int:
                for name, times in runs.items()}
     # ru_maxrss is in KiB on Linux
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    imports = {m: round(import_seconds(m), 4)
-               for m in ("qident.cli", "qident.verify")}
+    imports = {name: process_seconds(args) for name, args in FRESH.items()}
     json.dump({"order": args.order, "max": args.maxn,
                "repeat": args.repeat, "seconds": seconds,
                "total_s": round(sum(seconds.values()), 4),

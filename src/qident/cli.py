@@ -13,13 +13,18 @@ layer (``oracles``, ``quadforms.hurwitz_H``, ``report``), so ``table``,
 without numpy.  ``verify`` imports the batch stack (``verify``, and through
 it ``_kernels``, ``series`` and numpy) inside ``cmd_verify``, and
 ``bijection`` imports ``bijections``, which needs only the per-n layer, so
-``bijection`` runs without numpy too.
+``bijection`` runs without numpy too.  No path calls BLAS, so
+``cmd_verify`` loads numpy with one OpenBLAS thread, unless numpy is already
+loaded or the user set ``OPENBLAS_NUM_THREADS``, and restores ``os.environ``
+right after the import (library imports of ``qident.verify`` are
+unaffected).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import oracles
@@ -58,8 +63,30 @@ def _print_report_text(report, out):
     print(f"result: {verdict} ({len(report.checks)} checks)", file=out)
 
 
+def _import_verify():
+    """``qident.verify``, with numpy loaded without the idle OpenBLAS
+    worker pool if this import is the one that loads it.
+
+    No path computes in floats, so BLAS never runs; its pool of one worker
+    per core would still start with numpy and spin on the other cores, a
+    fixed 0.05 to 0.2 s of CPU per run on a 2-core host.  OpenBLAS reads
+    ``OPENBLAS_NUM_THREADS`` once, when it loads, so the variable is set
+    only for the import and ``os.environ`` is the user's again after it.
+    A value the user set wins.
+    """
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        from . import verify
+        return verify
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from . import verify
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    return verify
+
+
 def cmd_verify(args) -> int:
-    from . import verify
+    verify = _import_verify()
 
     error = verify.size_error(args.suite, args.order, args.max)
     if error is not None:

@@ -363,12 +363,14 @@ def three_square_excluded_table(maxn: int):
     return out
 
 
-def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
+def classical_checks(maxn: int, h12=None, r3=None,
+                     sigma1=None) -> VerificationReport:
     """The classical square-counting identities, swept to maxn.
 
-    ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries and
-    ``r3`` a ``square_rep_tables(3, ...)`` table of at least ``maxn + 1``;
-    each is built when not given.
+    ``h12`` is a ``hurwitz_table`` of at least ``4*maxn + 1`` entries,
+    ``r3`` a ``square_rep_tables(3, ...)`` table and ``sigma1`` a
+    ``sigma_table(..., 1)`` table, each of at least ``maxn + 1``; each is
+    built when not given.
 
     Every sweep compares whole int64 tables and runs its per-n expression
     only at the n where they fail (``report.table_check``); the bound of
@@ -404,7 +406,7 @@ def classical_checks(maxn: int, h12=None, r3=None) -> VerificationReport:
     checks.append(table_check(
         "triangular_triple_sum_side", ns, tri[:maxn + 1] != tri_sum[:maxn + 1],
         lambda n: (int(tri[n]), int(tri_sum[n]))))
-    eta = eta_quotient({1: -3, 2: 6}, maxn + 1)
+    eta = eta_quotient({1: -3, 2: 6}, maxn + 1, sigma1)
     checks.append(table_check(
         "triangular_triple_eta_quotient", ns, tri[:maxn + 1] != eta,
         lambda n: (int(eta[n]), int(tri[n]))))

@@ -1104,7 +1104,7 @@ class InexactRecurrence(ArithmeticError):
     divisor sums are wrong: a fault of the program, not a failed check."""
 
 
-def eta_quotient(r: dict, n: int) -> np.ndarray:
+def eta_quotient(r: dict, n: int, sigma1=None) -> np.ndarray:
     """``prod_m (q**m; q**m)_inf ** r[m]`` below ``q**n`` as int64, from the
     logarithmic derivative of the product.
 
@@ -1113,8 +1113,9 @@ def eta_quotient(r: dict, n: int) -> np.ndarray:
     ``1 - q**(m*j)`` adds ``-m*j*q**(m*j) / (1 - q**(m*j))``), so
     ``c(0) = 1`` and ``k*c(k) = sum_{j=1..k} s(j) c(k - j)``: the partition
     recurrence ``k p(k) = sum sigma(j) p(k - j)``, generalised.  No identity
-    is used beyond that derivative.  sigma comes from
-    ``_kernels.sigma_table(n - 1, 1)``.
+    is used beyond that derivative.  sigma is ``sigma1``, a
+    ``_kernels.sigma_table(N, 1)`` with ``N >= n - 1``, or is built as
+    ``_kernels.sigma_table(n - 1, 1)`` when not given.
 
     Each division by k must be exact, or ``InexactRecurrence`` is raised.
     Overflow guard: each partial sum of ``s(k)`` is at most
@@ -1127,21 +1128,29 @@ def eta_quotient(r: dict, n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if any(m < 1 for m in r):
         raise ValueError("eta quotient exponents are keyed by m >= 1")
+    if sigma1 is None:
+        sigma1 = _kernels.sigma_table(n - 1, 1)
+    elif len(sigma1) < n:
+        raise ValueError(f"sigma1 holds {len(sigma1)} entries, below the "
+                         f"{n} that q**{n} needs")
     r = {m: e for m, e in r.items() if e and m < n}
-    sig = _kernels.sigma_table(n - 1, 1)
+    sig = sigma1[:n]
     if sum(abs(e) * m for m, e in r.items()) * int(sig.max()) >= 1 << 63:
         raise OverflowError(f"the eta quotient's divisor sums below q**{n} "
                             "may exceed int64")
     s = np.zeros(n, dtype=np.int64)
     for m, e in r.items():
         s[m::m] -= e * m * sig[1:(n - 1) // m + 1]
-    weight = list(itertools.accumulate(np.abs(s).tolist()))
+    # sum_{j<=k} |s(j)| in int64: each term is below 2**63, so the first
+    # partial sum to reach 2**63 reads negative, and the guard stops there
+    weight = np.cumsum(np.abs(s))
     # c reversed, so each dot product reads c(k - 1), ..., c(0) forwards
     rev = np.zeros(n, dtype=np.int64)
     rev[n - 1] = 1
     top = 1  # the largest |c(i)| so far
     for k in range(1, n):
-        if weight[k] * top >= 1 << 63:
+        w = int(weight[k])
+        if w < 0 or w * top >= 1 << 63:
             raise OverflowError(f"the eta quotient's recurrence at q**{k} "
                                 "may exceed int64")
         c, rest = divmod(int(np.dot(s[1:k + 1], rev[n - k:])), k)

@@ -217,6 +217,12 @@ class Tables:
         return _kernels.sigma_table(self.maxn, 0)
 
     @cached_property
+    def sigma1(self):
+        """sigma_1(n), n <= maxn: the divisor sums that every eta quotient
+        below q^(maxn+1) reads."""
+        return _kernels.sigma_table(self.maxn, 1)
+
+    @cached_property
     def h12(self):
         """12*H(N) for N <= 4*maxn."""
         return hurwitz_table(4 * self.maxn)
@@ -239,8 +245,9 @@ class Tables:
         except InternalCrossCheckFailure as exc:
             return Check.fail("pochhammer_route_eq_theta_route", exc.locus,
                               exc.expected, exc.actual)
-        eta = QSeries._raw(eta_quotient(SIGNED_ETA, order).tolist(), None,
-                           1, order)
+        eta = QSeries._raw(
+            eta_quotient(SIGNED_ETA, order, self.sigma1).tolist(), None, 1,
+            order)
         bad = series_eq(eta, lane, pin)
         if bad is not None:
             return Check.fail("eta_route_eq_theta_route", bad,
@@ -584,7 +591,8 @@ def suite_background(order: int, maxn: int,
     checks.extend(verify_theta_suite(order).checks)
     checks.extend(verify_appell_suite(order).checks)
     h12 = tables.h12
-    checks.extend(counting.classical_checks(maxn, h12, tables.r3).checks)
+    checks.extend(counting.classical_checks(maxn, h12, tables.r3,
+                                            tables.sigma1).checks)
     for residue, mult in ((3, 4), (7, 2)):
         fails = (mult * h12[residue:maxn + 1:8]
                  != h12[4 * residue:4 * maxn + 1:32])
@@ -614,7 +622,7 @@ def suite_background(order: int, maxn: int,
     b_order = min(order, maxn + 1)
     b_series = rep_count_product_series(b_order)
     b, b_exact = b_series.int64_coefficients()
-    eta = eta_quotient(UNSIGNED_ETA, maxn + 1)
+    eta = eta_quotient(UNSIGNED_ETA, maxn + 1, tables.sigma1)
     lane_fails = ~b_exact | (b != unsigned[:b_order])
     fails = eta != unsigned
     fails[:b_order] |= lane_fails

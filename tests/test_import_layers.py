@@ -1,7 +1,7 @@
 """Import layers: ``qident table``, ``bijection``, ``--help`` and the usage
 errors load only the standard library and the per-n layer; ``verify`` loads
-the batch stack when it runs.  Each case runs in a fresh interpreter, so
-what the other tests imported does not count."""
+the batch stack when it runs, with one OpenBLAS thread.  Each case runs in
+a fresh interpreter, so what the other tests imported does not count."""
 
 import json
 import os
@@ -30,8 +30,13 @@ print(json.dumps({{"code": code,
 """
 
 
-def _run(body: str) -> dict:
+def _run(body: str, blas_threads: str | None = None) -> dict:
+    """Run ``body`` in a fresh interpreter whose ``OPENBLAS_NUM_THREADS``
+    is ``blas_threads``, unset when None."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -82,6 +87,58 @@ def test_bijection_loads_no_dataclasses():
 def test_verify_loads_the_batch_stack_and_passes():
     result = _run(_cli("verify", "--suite", "dkm", "--order", "20"))
     assert result == {"code": 0, "loaded": list(BATCH)}
+
+
+# Records in ``seen`` the OPENBLAS_NUM_THREADS that ``import numpy`` runs
+# under, and keeps the environment from before in ``env``.
+SPY = """\
+import os
+env = dict(os.environ)
+seen = []
+
+class NumpySpy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, NumpySpy)
+"""
+
+
+_VERIFY = _cli("verify", "--suite", "dkm", "--order", "8")
+
+
+# the probe's thread count, None where there is no /proc
+THREADS = ("(len(os.listdir('/proc/self/task'))"
+           " if os.path.isdir('/proc/self/task') else None)")
+
+
+def test_verify_loads_numpy_with_one_blas_thread():
+    # no path calls BLAS, so the CLI starts none of OpenBLAS's workers and
+    # leaves the environment as it found it
+    result = _run(SPY + _VERIFY
+                  + f"\ncode = [code, seen, os.environ == env, {THREADS}]")
+    code, seen, same_env, threads = result["code"]
+    assert (code, seen, same_env) == (0, ["1"], True)
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("body,preset", [
+    (_VERIFY, "3"),
+    ("import numpy\n" + _VERIFY, None),
+    ("import qident.verify", None),
+    ("import qident.verify", "3"),
+], ids=["verify-user-setting", "verify-numpy-loaded", "library-import",
+        "library-import-user-setting"])
+def test_user_blas_setting_and_library_imports_are_left_alone(body, preset):
+    # the user's value wins; a library import, or a CLI run after numpy
+    # loaded, sets nothing
+    result = _run(SPY + body + "\ncode = [seen, os.environ == env]",
+                  blas_threads=preset)
+    assert result["code"] == [[preset], True]
 
 
 # every name ``qident`` exported from each submodule before the per-n

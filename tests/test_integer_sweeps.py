@@ -358,8 +358,8 @@ def test_corrupted_product_fails_the_cli(monkeypatch, capsys):
 
     real = verify.eta_quotient
 
-    def bumped(r, n):
-        out = real(r, n)
+    def bumped(r, n, *sigma1):
+        out = real(r, n, *sigma1)
         out[222] += 1
         return out
 

@@ -948,6 +948,17 @@ class TestEtaQuotient:
         with pytest.raises(ValueError):
             series.eta_quotient({0: 1}, 5)
 
+    def test_reads_a_given_divisor_sum_table(self):
+        from qident import _kernels
+
+        r = ETA_CASES["unsigned"][0]
+        want = series.eta_quotient(r, 300)
+        for maxn in (299, 500):
+            got = series.eta_quotient(r, 300, _kernels.sigma_table(maxn, 1))
+            assert got.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            series.eta_quotient(r, 300, _kernels.sigma_table(298, 1))
+
     @pytest.mark.parametrize("bump, raises", [(1, True), (7, False)])
     def test_a_wrong_divisor_sum_fails_the_division_or_the_value(
             self, monkeypatch, bump, raises):
@@ -989,6 +1000,13 @@ class TestEtaQuotient:
         assert got.tolist() == c[:n - 1]
         assert max(peaks[:n - 1]) < 1 << 63
         assert max(peaks[n - 1:n + 1]) >= 1 << 63
+
+    def test_overflow_guard_where_the_weights_pass_int64(self):
+        # |s(1)| + |s(2)| = 2**61 * (1 + 3) = 2**63, one past int64
+        assert series.eta_quotient({1: 1 << 61}, 2).tolist() == [
+            1, -(1 << 61)]
+        with pytest.raises(OverflowError, match=r"at q\*\*2 "):
+            series.eta_quotient({1: 1 << 61}, 3)
 
     def test_overflow_guard_on_the_divisor_sums(self):
         # |s(2)| = 2**62 * sigma(2) passes 2**63

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from package_calls import call_args
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
 from qident.theta import product_side_series
@@ -138,14 +139,23 @@ def test_all_suites_share_one_table_context(monkeypatch):
 
     # the lane pins the eta route on n <= 60, the whole run
     assert args_of("product_side_series") == [(61,)]
-    assert args_of("eta_quotient") == [(V.SIGNED_ETA, 61),
-                                       (V.UNSIGNED_ETA, 61)]
+    assert [a[:2] for a in args_of("eta_quotient")] == [
+        (V.SIGNED_ETA, 61), (V.UNSIGNED_ETA, 61)]
     assert args_of("hurwitz_table") == [(240,)]
     assert [a for a in args_of("triple_tables") if a[0] == 60] == [
         (60, False), (60, True)]
-    # sigma_0 is shared; each eta quotient (theorem17's product, then
-    # background's triangular and unsigned ones) reads its own sigma_1
-    assert args_of("sigma_table") == [(60, 1), (60, 0), (60, 1), (60, 1)]
+    # sigma_0 is shared, and so is the sigma_1 of every eta quotient
+    # (theorem17's product, then background's triangular and unsigned ones)
+    assert args_of("sigma_table") == [(60, 1), (60, 0)]
+
+
+def test_a_run_builds_each_divisor_sum_table_once():
+    # recorded however the caller reaches sigma_table, not only through
+    # the ``_kernels`` attribute that a patch replaces
+    from qident import _kernels
+
+    built = call_args(_kernels.sigma_table, run_suites, "all", 60, 250)
+    assert sorted(built) == [(250, 0), (250, 1)]
 
 
 @pytest.mark.parametrize("name", ["theorem17", "propositions"])
@@ -187,8 +197,8 @@ def _bump_eta(monkeypatch, r, n):
     suites read."""
     real = verify.eta_quotient
 
-    def bumped(exponents, order):
-        out = real(exponents, order)
+    def bumped(exponents, order, *sigma1):
+        out = real(exponents, order, *sigma1)
         if exponents == r:
             out[n] += 1
         return out
