@@ -341,9 +341,9 @@ def check_sweep_int64(maxn: int) -> None:
     background suites of ``verify``.  Each side of a sweep's comparison
     adds table entries with integer weights whose moduli sum to at most 24
     (the heaviest is 24*h12[n], that is 24*H(n) in units of 12*H), so it
-    stays below 24 times ``sweep_entry_bound(maxn)``; a series coefficient
-    enters only as an integer of modulus below 2**63 // 12
-    (``QSeries.int64_coefficients``), and 12 times it fits.  Raises
+    stays below 24 times ``sweep_entry_bound(maxn)``; the signed product
+    enters as int64 entries of modulus below 2**63 // 12 (the guard of
+    ``verify.Tables.product``), and 12 times one fits.  Raises
     ``OverflowError`` when 24 times the entry bound reaches 2**63, which
     happens first at maxn = 41 623 914 865, above every ``--max`` bound of
     those suites in ``verify._SIZES`` (the tests pin that).

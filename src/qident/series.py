@@ -517,13 +517,13 @@ class QSeries:
         den, im = self._den, self._im or [0] * self.order
         return [not y and x % den == 0 for x, y in zip(self._re, im)]
 
-    def int64_coefficients(self, limit: int = 1 << 63):
+    def int64_coefficients(self):
         """``(values, exact)``, two numpy arrays over the n below the order:
         ``exact[n]`` is whether the coefficient of ``q**n`` is an integer of
-        modulus below ``limit`` (at most 2**63), read from the numerators
-        and the denominator, and ``values[n]`` is that integer, or 0 where
-        it is not."""
+        modulus below 2**63, read from the numerators and the denominator,
+        and ``values[n]`` is that integer, or 0 where it is not."""
         den, im = self._den, self._im or [0] * self.order
+        limit = 1 << 63
         values, exact = [], []
         for x, y in zip(self._re, im):
             c, r = divmod(x, den)
@@ -1075,7 +1075,9 @@ def _lane_bytes(order: int) -> int:
 
 def series_bytes(order: int) -> int:
     """An upper estimate, computed without allocating, of the bytes the
-    series layer holds for products below ``q**order``.
+    series layer holds for products below ``q**order``: the bound on
+    ``--order`` (``verify.size_error``); no suite builds lane series at
+    ``--max``.
 
     It counts one lane build (``_lane_bytes``) and the coefficient lists,
     every coefficient an int of the bound's size: two for each of

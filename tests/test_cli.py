@@ -134,36 +134,55 @@ def test_series_budget_leaves_suites_that_ignore_order_alone(capsys,
                                    "background", "all"])
 def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
                                                      suite):
+    # no suite builds series at --max: a budget of the series below q^3001
+    # leaves --max 3001 alone, and --max is a usage error only once its
+    # tables pass the budget
     from qident import verify
     from qident.series import series_bytes
 
     ran = []
     monkeypatch.setattr(verify, "run_suites",
                         lambda name, order, maxn: ran.append(maxn) or [])
-    monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
+    budget = series_bytes(3001)
+    monkeypatch.setattr(verify, "BYTES_BUDGET", budget)
+    per_n = sum(verify._SIZES[n].table_bytes
+                for n in (verify.SUITE_NAMES if suite == "all" else (suite,)))
+    top = budget // per_n - 1
+    assert top > 3001
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
-                             "--order", "200", "--max", "3001")
+                             "--order", "200", "--max", str(top + 1))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "--max 3001" in err
-    assert "budget" in err
-    assert run_cli(capsys, "verify", "--suite", suite, "--order", "200",
-                   "--max", "3000")[0] == 0
-    assert ran == [3000]
+    assert err.startswith("error: ") and f"--max {top + 1}" in err
+    assert "MiB of tables" in err and "budget" in err
+    for maxn in (3001, top):
+        assert run_cli(capsys, "verify", "--suite", suite, "--order", "200",
+                       "--max", str(maxn))[0] == 0
+    assert ran == [3001, top]
 
 
 def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
+    # no series estimate reads --max: --max 200000 runs, and "all" is
+    # refused past the cap of its tables without running a suite
     from qident import verify
+
+    ran = []
+    monkeypatch.setattr(verify, "run_suites",
+                        lambda name, order, maxn: ran.append(maxn) or [])
+    assert run_cli(capsys, "verify", "--suite", "theorem17",
+                   "--max", "200000")[0] == 0
+    assert ran == [200000]
 
     def no_run(name, order, maxn):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(verify, "run_suites", no_run)
-    code, out, err = run_cli(capsys, "verify", "--suite", "theorem17",
-                             "--max", "200000")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                             "--max", "685221")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "3219 MiB" in err
+    assert err == ("error: suite all at --max 685221 would hold about "
+                   "1024 MiB of tables, past the 1024 MiB budget\n")
 
 
 def test_series_budget_admits_the_benchmark_orders_widely():

@@ -30,7 +30,9 @@ from qident.theta import Jbar, Jm, rep_count_product_series
 
 def reference_theorem17(order, maxn, tables):
     a, r3, H = tables.product, tables.r3, tables.H
-    av = a.coeff
+
+    def av(n):
+        return int(a[n])
 
     def split(residues):
         return [n for n in range(1, maxn + 1) if n % 8 in residues]
@@ -59,7 +61,10 @@ def reference_propositions(order, maxn, tables):
     open_total, _, open_even_r = tables.open_triples
     sh_total, sh_signed, sh_even_r = tables.shifted_triples
     r3, sig0 = tables.r3, tables.sigma0
-    av = a.coeff
+
+    def av(n):
+        return int(a[n])
+
     top = maxn + 1
     A, B = Jbar(4, 8, top), Jbar(0, 8, top)
     C, D = Jbar(8, 16, top), Jbar(0, 16, top)
@@ -89,10 +94,10 @@ def reference_propositions(order, maxn, tables):
                     ((n, (int(r3[n]), int(r3[n // 4])), (av(n), av(n)))
                      for n in range(4, maxn + 1, 4))),
         sweep_check("q4m_coefficients_match_residue0_products",
-                    ((n, residue0.coeff(n), a.coeff(n))
+                    ((n, residue0.coeff(n), av(n))
                      for n in range(0, top, 4))),
         sweep_check("q4m_coefficients_nonnegative",
-                    ((n, True, a.coeff(n).re >= 0)
+                    ((n, True, av(n) >= 0)
                      for n in range(0, top, 4))),
     ]
 
@@ -277,13 +282,6 @@ def _zero(member, index, n):
     return corrupt
 
 
-def _product_plus(n, value):
-    def corrupt(tables):
-        tables.__dict__["product"] = (tables.product
-                                      + QSeries.monomial(value, n, MAXN + 1))
-    return corrupt
-
-
 # (what is corrupted, the corruption, the n where some converted check must
 # fail); every n is past PER_N_PREFIX
 _CORRUPTIONS = [
@@ -296,11 +294,7 @@ _CORRUPTIONS = [
     ("r3", _bump("r3", None, 220), 220),
     ("r3 to zero", _zero("r3", None, 228), 228),
     ("unsigned", _bump("signed_unsigned", 1, 229), 229),
-    ("product", _product_plus(221, 1), 221),
-    ("product non-integral", _product_plus(222, Fraction(1, 2)), 222),
-    ("product imaginary", _product_plus(223, GaussianRational(0, 1)), 223),
-    ("product past int64", _product_plus(224, 1 << 70), 224),
-    ("product past 2**63 // 12", _product_plus(212, (1 << 63) // 12), 212),
+    ("product", _bump("product", None, 221), 221),
 ]
 
 
@@ -331,24 +325,88 @@ def test_clean_tables_fail_no_int64_comparison(monkeypatch):
     tables = verify.Tables(MAXN)
     for name in REFERENCES:
         assert verify._SUITES[name](ORDER, MAXN, tables).passed
-    assert len(seen) == 6 + 10 + 4 + 7 + 4
+    assert len(seen) == 6 + 11 + 4 + 7 + 4
     assert not [name for name, failed in seen if failed]
 
 
-def test_a_fraction_agreeing_with_a_fractional_expectation_passes():
-    # a(209) = -4*H(4*209) with 12*H(836) bumped by 3, so that -4H = -h12/3
-    # is no integer: the product cannot hold a(209), the per-n comparison
-    # runs there, and it passes
+# The product is an int64 table, so a coefficient that int64 cannot hold
+# arises only in the lane that pins it on the prefix; each must fail the pin
+# at its n, not read as the integer part int64 would give it.
+_LANE_CORRUPTIONS = [
+    ("product non-integral", Fraction(1, 2), 122),
+    ("product imaginary", GaussianRational(0, 1), 123),
+    ("product past int64", 1 << 70, 124),
+]
+
+
+@pytest.mark.parametrize("what, value, n", _LANE_CORRUPTIONS,
+                         ids=[c[0] for c in _LANE_CORRUPTIONS])
+def test_lane_corruption_on_the_prefix_fails_the_pin(monkeypatch, what,
+                                                     value, n):
+    assert n <= verify.PER_N_PREFIX
+    real = verify.product_side_series
+
+    def corrupted(order):
+        return real(order) + QSeries.monomial(value, n, order)
+
+    monkeypatch.setattr(verify, "product_side_series", corrupted)
     tables = verify.Tables(MAXN)
-    _bump("h12", None, 4 * 209, by=1)(tables)
-    target = -4 * tables.H(4 * 209)
-    assert target.denominator == 3
-    _product_plus(209, target - tables.product.coeff(209).re)(tables)
-    assert not tables.product_table[1][209]
-    report = assert_matches_reference("theorem17", ORDER, MAXN, tables)
-    (check,) = [c for c in report.checks
-                if c.name == "a_eq_minus_4H4n_for_1_2_5_6_mod_8"]
-    assert check.passed
+    a = verify.eta_quotient(verify.SIGNED_ETA, MAXN + 1)
+    want = Check.fail("eta_route_eq_theta_route", n,
+                      corrupted(n + 1).coeff(n), int(a[n]))
+    assert tables.product == want
+    for name in ("theorem17", "propositions"):
+        assert verify._SUITES[name](ORDER, MAXN, tables).checks == [want]
+
+
+def test_product_at_the_guard_is_an_overflow(monkeypatch):
+    # |a(212)| at 2**63 // 12 raises, one below it is read: 12*a(n) must
+    # fit int64 in every sweep
+    assert verify.PRODUCT_LIMIT == (1 << 63) // 12
+    real = verify.eta_quotient
+    for value in (verify.PRODUCT_LIMIT, -verify.PRODUCT_LIMIT,
+                  verify.PRODUCT_LIMIT - 1, 1 - verify.PRODUCT_LIMIT):
+
+        def corrupted(r, n, *sigma1, value=value):
+            out = real(r, n, *sigma1)
+            out[212] = value
+            return out
+
+        monkeypatch.setattr(verify, "eta_quotient", corrupted)
+        tables = verify.Tables(MAXN)
+        if abs(value) == verify.PRODUCT_LIMIT:
+            with pytest.raises(OverflowError, match=r"2\*\*63 // 12"):
+                tables.product
+            continue
+        report = verify._SUITES["theorem17"](ORDER, MAXN, tables)
+        (check,) = [c for c in report.checks
+                    if c.name == "a_eq_r3_for_0_mod_4"]
+        assert (check.locus, check.actual) == (212, str(value))
+
+
+def test_a_fraction_that_int64_reads_as_zero_fails_residue0(monkeypatch):
+    # A = Jbar(4, 8) gains 1/2 at q^28, where a(28) = r3(28) = 0: the
+    # residue-0 products and the expansion there read 0 in int64, and the
+    # mask of what int64 cannot hold sends n = 28 to the per-n comparison
+    from qident.theta import jtheta
+
+    real = verify.theta_j_sum
+    bumped = jtheta(-1, 4, 8)
+
+    def corrupted(spec, order):
+        out = real(spec, order)
+        if spec == bumped:
+            out = out + QSeries.monomial(Fraction(1, 2), 28, order)
+        return out
+
+    monkeypatch.setattr(verify, "theta_j_sum", corrupted)
+    tables = verify.Tables(MAXN)
+    assert tables.product[28] == 0
+    failures = verify._SUITES["propositions"](ORDER, MAXN, tables).failures
+    assert failures == [
+        Check.fail("half_split_six_term_expansion", 28, "1/2", "0"),
+        Check.fail("q4m_coefficients_match_residue0_products", 28, "1/2",
+                   "0")]
 
 
 def test_corrupted_product_fails_the_cli(monkeypatch, capsys):
@@ -446,28 +504,28 @@ def test_table_check_runs_the_per_n_expression_only_where_it_fails():
     assert table_check("demo", ns, np.isin(ns, (11,)), per_n).passed
 
 
-def _reference_int64(series, limit):
+def _reference_int64(series):
     out = []
     for c in series.coeffs():
         whole = not c.im and c.re.denominator == 1
-        out.append(whole and -limit < c.re < limit)
+        out.append(whole and -(1 << 63) < c.re < 1 << 63)
     return out
 
 
 coefficient = st.one_of(
     st.integers(-3, 3),
     st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([(1 << 63) - 1, 1 << 63, -(1 << 63) + 1, -(1 << 63)]),
     st.fractions(max_denominator=4).filter(lambda f: abs(f) < 100),
     st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(coefficient, min_size=1, max_size=12),
-       st.sampled_from([1 << 63, (1 << 63) // 12, 5]))
-def test_int64_coefficients_read_each_coefficient(coeffs, limit):
+@given(st.lists(coefficient, min_size=1, max_size=12))
+def test_int64_coefficients_read_each_coefficient(coeffs):
     series = QSeries(coeffs)
-    values, exact = series.int64_coefficients(limit)
-    assert exact.tolist() == _reference_int64(series, limit)
+    values, exact = series.int64_coefficients()
+    assert exact.tolist() == _reference_int64(series)
     for n in np.flatnonzero(exact):
         assert values[n] == series.coeff(int(n)).re
     assert not values[~exact].any()

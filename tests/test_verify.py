@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from package_calls import call_args
+from package_calls import call_args, package_calls
 from qident.report import Check, VerificationReport, series_check, sweep_check
 from qident.series import GaussianRational, QSeries
 from qident.theta import product_side_series
@@ -158,6 +158,31 @@ def test_a_run_builds_each_divisor_sum_table_once():
     assert sorted(built) == [(250, 0), (250, 1)]
 
 
+def test_half_split_factors_share_no_code_with_the_product_routes():
+    # the expansion's factors are bilateral theta sums: neither the lane
+    # nor the eta recurrence that built the product it is compared with
+    from qident import series
+
+    a = verify.Tables(250).product
+    series.clear_product_store()
+    calls = {name for _, _, name in package_calls(
+        verify._prop_residue_zero_series_checks, 251, a)}
+    assert "theta_j_sum" in calls
+    assert not calls & {"pochhammer_inf", "_stored_factors", "_factors_lane",
+                        "eta_quotient", "theta_j", "theta_j_shifted"}
+
+
+def test_no_lane_series_reaches_max_plus_one():
+    # the lane builds the pin below q^201, dkm's and background's series
+    # below q^60; nothing at --max
+    from qident import series
+
+    series.clear_product_store()
+    orders = [args[3] for args in call_args(series.pochhammer_inf,
+                                            run_suites, "all", 60, 250)]
+    assert orders and max(orders) == verify.PER_N_PREFIX + 1
+
+
 @pytest.mark.parametrize("name", ["theorem17", "propositions"])
 def test_product_route_disagreement_fails_suite(monkeypatch, name):
     # the theta route gains q^21; the suite reports it as a failed check
@@ -229,6 +254,17 @@ def test_signed_eta_on_the_prefix_fails_the_pin(monkeypatch, name, maxn, n):
                                           lane, lane + 1)]
 
 
+def test_a_pair_failure_prints_integers(monkeypatch):
+    # a(240) = r3(240) = 0, bumped to 1: the pair of values prints as
+    # integers, not as reprs of GaussianRational
+    _bump_eta(monkeypatch, verify.SIGNED_ETA, 240)
+    (report,) = run_suites("propositions", 32, 240)
+    (check,) = [c for c in report.failures
+                if c.name == "a_4m_eq_r3_eq_r3_quarter"]
+    assert check == Check.fail("a_4m_eq_r3_eq_r3_quarter", 240, "(0, 0)",
+                               "(1, 1)")
+
+
 def test_wrong_divisor_sum_is_an_internal_error(monkeypatch, capsys):
     from qident import _kernels
     from qident.cli import main
@@ -285,7 +321,6 @@ def test_check_constructors():
 
 
 ALL_NAMES = SUITE_NAMES + ("all",)
-MAX_SERIES = ("theorem17", "propositions", "background", "all")
 FOLLOWS_ORDER = ("dkm", "background", "all")
 
 
@@ -328,21 +363,22 @@ def test_size_error_order_bound_comes_from_the_kernel_bound(monkeypatch,
         assert size_error(name, top + 1, 10) is None
 
 
+def _table_bytes(name):
+    return sum(verify._SIZES[n].table_bytes
+               for n in (SUITE_NAMES if name == "all" else (name,)))
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
         monkeypatch, name):
     from qident.series import series_bytes
 
-    # the budget admits series below q^3001 and nothing longer
+    # the budget admits series below q^3001 and nothing longer; no suite
+    # builds series at --max, so --max 3001 meets only its table bytes
     monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
-    if name in MAX_SERIES:
-        assert size_error(name, 200, 3000) is None
-        err = size_error(name, 200, 3001)
-        assert err.startswith(f"suite {name} at --max 3001 ")
-        assert "of series" in err and "budget" in err
-    else:
-        # only the tables may bind --max here
-        assert "series" not in (size_error(name, 200, 10 ** 6) or "")
+    assert size_error(name, 200, 3000) is None
+    assert size_error(name, 200, 3001) is None
+    assert "series" not in (size_error(name, 200, 10 ** 6) or "")
     # --order counts for the suites that read it
     err = size_error(name, 3002, 10)
     if name in FOLLOWS_ORDER:
@@ -353,20 +389,35 @@ def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max(name):
+    # the table bytes alone bound --max: 200000 fits every suite, and
+    # 2*10**7 is refused for every suite that builds tables
     assert size_error(name, 300, 3000) is None
-    err = size_error(name, 200, 200_000)
-    if name in MAX_SERIES:
-        assert "--max 200000" in err and "of series" in err
-    else:
+    assert size_error(name, 200, 200_000) is None
+    err = size_error(name, 200, 2 * 10 ** 7)
+    if name == "dkm":
         assert err is None
+    else:
+        assert err == (f"suite {name} at --max 20000000 would hold about "
+                       f"{_table_bytes(name) * (2 * 10 ** 7 + 1) >> 20} "
+                       "MiB of tables, past the 1024 MiB budget")
+
+
+def test_all_is_bounded_by_its_table_bytes_alone():
+    # the cap of "all" within the 1 GiB budget: 1567 bytes per n
+    assert size_error("all", 300, 100_000) is None
+    cap = 685_220
+    assert (cap + 1) * 1567 <= verify.BYTES_BUDGET < (cap + 2) * 1567
+    assert size_error("all", 300, cap) is None
+    assert size_error("all", 300, cap + 1) == (
+        "suite all at --max 685221 would hold about 1024 MiB of tables, "
+        "past the 1024 MiB budget")
+    # the --order leg still refuses as before
+    assert "MiB of series" in size_error("all", 1_000_000_001, 10)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_table_budget_bounds_max(monkeypatch, name):
-    from qident.series import series_bytes
-
-    per_n = sum(verify._SIZES[n].table_bytes
-                for n in (SUITE_NAMES if name == "all" else (name,)))
+    per_n = _table_bytes(name)
     if name == "dkm":
         assert per_n == 0
         return
@@ -374,23 +425,25 @@ def test_table_budget_bounds_max(monkeypatch, name):
     monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
     monkeypatch.setattr(verify, "BYTES_BUDGET", per_n * (10 ** 6 + 1))
     assert size_error(name, 200, 10 ** 6) is None
-    assert size_error(name, 200, 10 ** 6 + 1) == (
-        f"suite {name} at --max 1000001 would hold about "
-        f"{per_n * (10 ** 6 + 2) >> 20} MiB of tables, past the "
-        f"{per_n * (10 ** 6 + 1) >> 20} MiB budget")
-    # the series are checked first
-    monkeypatch.setattr(verify, "series_bytes", series_bytes)
-    if name in MAX_SERIES:
-        assert "of series" in size_error(name, 200, 10 ** 6 + 1)
+    refusal = (f"suite {name} at --max 1000001 would hold about "
+               f"{per_n * (10 ** 6 + 2) >> 20} MiB of tables, past the "
+               f"{per_n * (10 ** 6 + 1) >> 20} MiB budget")
+    assert size_error(name, 200, 10 ** 6 + 1) == refusal
+    # the series estimate reads --order alone, never --max
+    calls = []
+    monkeypatch.setattr(verify, "series_bytes",
+                        lambda order: calls.append(order) or 0)
+    assert size_error(name, 200, 10 ** 6 + 1) == refusal
+    assert calls == ([200] if name in FOLLOWS_ORDER else [])
 
 
 @pytest.mark.parametrize("name, per_n, mib", [("corollary", 249, 2374),
-                                              ("all", 1236, 11787)])
+                                              ("all", 1567, 14944)])
 def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
     # corollary's row holds the triple tables and the sum side's build; the
-    # propositions row adds the parity walk, and "all" adds every row
-    assert sum(verify._SIZES[n].table_bytes
-               for n in (SUITE_NAMES if name == "all" else (name,))) == per_n
+    # propositions row adds the parity walk, the signed product and the
+    # six-term expansion, and "all" adds every row
+    assert _table_bytes(name) == per_n
     assert size_error(name, 300, 3000) is None
     monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
     assert size_error(name, 300, verify.BYTES_BUDGET // per_n - 1) is None
