@@ -22,8 +22,8 @@ comes from one of two idioms:
   of the three-squares formula.  The reduced forms and the octants of the
   triangular sum side are progressions of their own.
   ``progression_terms`` and ``progression_counts`` list and count the
-  triples and forms, and ``counting.parity_bijection_images`` and
-  ``counting.parity_bijection_walk`` walk ``ragged_blocks`` too.
+  triples and forms, and ``counting.parity_bijection_walk`` walks
+  ``ragged_blocks`` too.
   ``budget_windows`` cuts a walk into windows of bounded size.
 
 Overflow bound: a lattice entry counts points of at most four variables,

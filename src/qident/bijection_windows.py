@@ -2,11 +2,12 @@
 ``bijections.verify_case`` for all n of a window of consecutive n at once.
 
 Its triples and forms come from ``_kernels.progression_terms``, and it
-reads no kernel table but the ``hurwitz_table`` it is given.  The per-n
-route shares none of these: its triples come from the loop
-``oracles.iter_solution_triples``, its forms from ``enumerate_reduced``'s
-own loop and its class numbers from ``hurwitz_H``.  Of the per-n code the
-lane runs only the inverse maps of ``bijections`` and ``sigma``.
+reads no table but the ``hurwitz_table`` and ``sigma_table(maxn, 0)`` it is
+given.  The per-n route shares none of these: its triples come from the
+loop ``oracles.iter_solution_triples``, its forms from
+``enumerate_reduced``'s own loop, its class numbers from ``hurwitz_H`` and
+its divisor counts from ``oracles.sigma``.  Of the per-n code the lane runs
+only the inverse maps of ``bijections``.
 ``verify.suite_bijections`` runs ``verify_case`` beside it on a prefix of
 n; the enumeration is pinned by the tests to its loop oracles, and in
 every run by ``count_identity`` (triples against ``hurwitz_table``) and
@@ -23,7 +24,7 @@ from . import _kernels
 from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, CaseMismatch,
                          NotASolution, UnclassifiableForm, _half_inverse,
                          _open_inverse, _shifted_inverse)
-from .counting import OPEN, SHIFTED, sigma
+from .counting import OPEN, SHIFTED
 
 # every intermediate of the lane is at most 80*maxn**2 (see verify_windows)
 WINDOW_N_LIMIT = 2 ** 28
@@ -165,7 +166,7 @@ def _incomplete_images(n, a, b, c, cat4):
     return n[~complete[image]]
 
 
-def _window_failures(lo, hi, h12):
+def _window_failures(lo, hi, h12, sigma0):
     """Which checks of ``verify_case`` fail at each n of [lo, hi]: a bool
     array per check name, indexed by n - lo (never true at a check's
     n outside its residue class).  Arrays are dropped once read for the
@@ -180,9 +181,8 @@ def _window_failures(lo, hi, h12):
     def seen(n):
         return count(n) > 0
 
-    sig = np.array([sigma(0, m) if m % 4 else 0 for m in ns.tolist()])
-    sig_half = np.array([sigma(0, m // 2) if m % 4 == 2 else 0
-                         for m in ns.tolist()])
+    sig = np.where(res4 != 0, sigma0[ns], 0)
+    sig_half = np.where(res4 == 2, sigma0[ns // 2], 0)
     roots = np.arange(math.isqrt(lo - 1) + 1, math.isqrt(hi) + 1)
     square = np.zeros(width, dtype=np.int64)
     square[roots * roots - lo] = 1
@@ -301,12 +301,13 @@ def _window_failures(lo, hi, h12):
     return failed
 
 
-def verify_windows(maxn: int, h12):
+def verify_windows(maxn: int, h12, sigma0):
     """Every check of ``verify_case`` for every n <= maxn, over windows of
     consecutive n: an iterator of ``(lo, failed)`` per window, where ``failed``
     maps each check name to a bool array, true at ``lo + i`` when the
     check fails there.  ``h12`` is ``12*H(N)`` for N <= 4*maxn, as from
-    ``quadforms.hurwitz_table``.
+    ``quadforms.hurwitz_table``, and ``sigma0`` the number of divisors of
+    each n <= maxn, as from ``_kernels.sigma_table(maxn, 0)``.
 
     Each window's triples and reduced forms come from
     ``_kernels.progression_terms``; they are classified, mapped, inverted
@@ -322,4 +323,5 @@ def verify_windows(maxn: int, h12):
     """
     if maxn >= WINDOW_N_LIMIT:
         raise OverflowError(f"window lane for n <= {maxn} may exceed int64")
-    return ((lo, _window_failures(lo, hi, h12)) for lo, hi in _windows(maxn))
+    return ((lo, _window_failures(lo, hi, h12, sigma0))
+            for lo, hi in _windows(maxn))

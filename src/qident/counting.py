@@ -168,13 +168,13 @@ def _parity_map(x, u, v):
 
 def _parity_images(n, x, u, v, m):
     """Map the solutions (x, u, v) >= 0 of x^2+u^2+v^2 = n, u = v mod 2 (n
-    one int, or an array beside x), each with every sign of its nonzero
-    entries (u = v mod 2 does not depend on the signs), by ``_parity_map``:
+    an array beside x), each with every sign of its nonzero entries (u = v
+    mod 2 does not depend on the signs), by ``_parity_map``:
     ``(n, bad)`` per signed solution, its n and whether it fails: its image
     is off x^2+2y^2+2z^2 = n, the inverse (y + z, y - z) does not give back
     (u, v), or an earlier solution has the same image.  Images are compared
     as packed int64 keys, one-to-one while every n <= m**2."""
-    cols = [x, u, v, np.broadcast_to(n, np.shape(x))]
+    cols = [x, u, v, n]
     for axis in range(3):
         nonzero = cols[axis] != 0
         cols = [np.concatenate((col, -col[nonzero] if k == axis
@@ -202,32 +202,39 @@ def parity_bijection_images(n: int) -> int | None:
     each a solution of x^2+2y^2+2z^2 = n, or None if a map or the inverse
     fails or two solutions share an image.
 
-    The pairs x, u >= 0 with x^2 + u^2 <= n are walked as one ragged grid
-    in ``_kernels.ragged_blocks``; v comes from an exact table of ``isqrt``
-    up to n, and ``_parity_images`` signs, maps and checks the solutions
-    found.  n >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
+    One loop walks x, u >= 0 and looks v up in a dict of squares.  A square
+    is 0 or 1 mod 4 and u = v mod 2 makes u^2 + v^2 = 0 or 2 mod 4, so x
+    runs over the parity of n, and (n - x^2) mod 4 fixes the parity of u.
+    Each solution is taken with every sign of its nonzero entries (u = v
+    mod 2 does not depend on the signs), mapped by ``_parity_map``, and its
+    image checked against the equation, the inverse (y + z, y - z) and the
+    set of earlier images.  It shares only ``_parity_map`` with
+    ``parity_bijection_walk``.  n >= ``PARITY_N_LIMIT``, the bound of the
+    walk's packed keys, raises ``OverflowError``, so that both arms refuse
+    the same n.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n >= PARITY_N_LIMIT:
         raise OverflowError(f"parity images for n = {n} may exceed int64")
-    m = math.isqrt(n)
-    squares = np.arange(m + 1, dtype=np.int64) ** 2
-    root = _isqrt_table(n)
-
-    def row_len(x):
-        # u runs over 0 .. isqrt(n - x^2)
-        return root[n - x * x] + 1
-
-    parts = []
-    for x, u in _kernels.ragged_blocks(0, m, row_len):
-        rem = n - x * x - u * u
-        v = root[rem]
-        hit = (squares[v] == rem) & ((u - v) % 2 == 0)
-        parts.append((x[hit], u[hit], v[hit]))
-    _, bad = _parity_images(
-        n, *(np.concatenate(col) for col in zip(*parts)), m)
-    return None if bad.any() else len(bad)
+    roots = {v * v: v for v in range(math.isqrt(n) + 1)}
+    images = set()
+    for x in range(n % 2, math.isqrt(n) + 1, 2):
+        rx = n - x * x
+        for u in range(rx % 4 // 2, math.isqrt(rx) + 1, 2):
+            v = roots.get(rx - u * u)
+            if v is None or (u - v) % 2:
+                continue
+            for sx in (x, -x) if x else (0,):
+                for su in (u, -u) if u else (0,):
+                    for sv in (v, -v) if v else (0,):
+                        y, z = _parity_map(sx, su, sv)
+                        if (sx * sx + 2 * y * y + 2 * z * z != n
+                                or (y + z, y - z) != (su, sv)
+                                or (sx, y, z) in images):
+                            return None
+                        images.add((sx, y, z))
+    return len(images)
 
 
 def parity_bijection_walk(maxn: int):

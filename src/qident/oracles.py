@@ -7,8 +7,12 @@ closed forms of ``counting`` read.  The lattice counters walk one symmetry
 chamber of the coordinates and weigh each solution by the points it stands
 for: its 2**k sign flips, k the number of nonzero coordinates, times its
 distinct images under the coordinate swaps that fix the equation (the
-permutations of x, y, z for r3, y <-> z for x^2+2y^2+2z^2).  The tests pin
-them to a brute force over every sign vector.
+permutations of x, y, z for r3, y <-> z for x^2+2y^2+2z^2).  A square is 0
+or 1 mod 4, so the residue mod 4 of what is left for y and z fixes their
+parities, or leaves them one of each: the walks step y by 2 where it is
+fixed, skip an x that leaves no solution, and look z up in a dict of the
+squares up to n.  The tests pin them to a brute force over every sign
+vector.
 
 The module imports nothing outside the standard library, so ``qident
 table`` and ``qident bijection`` run without numpy; ``counting`` imports
@@ -66,8 +70,12 @@ def rep_squares(s: int, n: int) -> int:
 
     s = 3 walks the chamber 0 <= x <= y <= z once; a solution there stands
     for its distinct permutations (6, 3 or 1) times its 2**k sign vectors,
-    k the number of nonzero coordinates.  s = 2 and s = 4 walk x >= 0,
-    weight 2 for x > 0, s = 4 over ``rep_squares(3, n - x*x)``.
+    k the number of nonzero coordinates.  A square is 0 or 1 mod 4, so
+    n mod 4 is the number of odd coordinates: n = 0 mod 4 takes only even
+    x and n = 3 mod 4 only odd x, and after x, y and z are both even, both
+    odd (y steps by 2 from its parity) or one of each (y steps by 1); z is
+    looked up in a dict of squares.  s = 2 and s = 4 walk x >= 0, weight 2
+    for x > 0, s = 4 over ``rep_squares(3, n - x*x)``.
     """
     if not 1 <= s <= 4:
         raise ValueError("s must be between 1 and 4")
@@ -78,13 +86,18 @@ def rep_squares(s: int, n: int) -> int:
         return (2 if m else 1) if m * m == n else 0
     total = 0
     if s == 3:
+        roots = {z * z: z for z in range(m + 1)}
+        k = n % 4  # the number of odd coordinates
         # x <= y <= z: 3x^2 <= n, and 2y^2 <= n - x^2 leaves z >= y
-        for x in range(math.isqrt(n // 3) + 1):
+        for x in range(k == 3, math.isqrt(n // 3) + 1,
+                       2 if k in (0, 3) else 1):
             rx = n - x * x
-            for y in range(x, math.isqrt(rx // 2) + 1):
-                rem = rx - y * y
-                z = math.isqrt(rem)
-                if z * z == rem:
+            odd = k - x % 2  # among y and z
+            top = math.isqrt(rx // 2) + 1
+            for y in (range(x, top) if odd == 1
+                      else range(x + (x + odd // 2) % 2, top, 2)):
+                z = roots.get(rx - y * y)
+                if z is not None:
                     w = 1 << ((x > 0) + (y > 0) + (z > 0))
                     if x < y < z:
                         w *= 6
@@ -111,19 +124,28 @@ def _orthant_solutions(n: int) -> tuple:
     doubled when y != z for the swap of y and z.
 
     x runs over the parity of n, the only one that leaves n - x^2 even.
+    A square is 0 or 1 mod 4, so rx = (n - x^2)/2 = y^2 + z^2 mod 4 is the
+    number of odd ones among y and z: at 3 the x is skipped, at 0 and 2
+    y steps by 2 from the parity of y and z, at 1 by 1; z is looked up in
+    a dict of squares.  The solutions come by x, then by y.
+
     Neither a sign flip nor the swap changes the parity of x + y + z, so
     all w solutions carry the sign of the one listed.  The last n's tuple
     is kept, so ``signed_rep_count`` and ``rep_count`` at one n (a row of
     ``qident table``) walk it once.
     """
     out = []
+    roots = {z * z: z for z in range(math.isqrt(n // 2) + 1)}
     for x in range(n % 2, math.isqrt(n) + 1, 2):
         rx = (n - x * x) // 2
+        k = rx % 4
+        if k == 3:
+            continue
         # 2y^2 <= rx leaves z >= y
-        for y in range(math.isqrt(rx // 2) + 1):
-            rem = rx - y * y
-            z = math.isqrt(rem)
-            if z * z == rem:
+        top = math.isqrt(rx // 2) + 1
+        for y in range(top) if k == 1 else range(k // 2, top, 2):
+            z = roots.get(rx - y * y)
+            if z is not None:
                 w = 1 << ((x > 0) + (y > 0) + (z > 0))
                 out.append((x + y + z, 2 * w if y < z else w))
     return tuple(out)

@@ -113,17 +113,19 @@ class _Size(NamedTuple):
 # (174 at 2*10**4); background's two eta quotients, and its
 # ``classical_checks`` reads the run's r3 and adds r2 and r4 25 each,
 # d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 12 and
-# hlm 17.  A sum of peaks bounds the peak of the tables held together;
+# hlm 17; bijections' window lane reads h12 and sigma0.  A sum of peaks
+# bounds the peak of the tables held together;
 # each build's fixed block scratch (``_kernels.BLOCK`` cells or fewer) is
 # within its figure from max = 10**5 on.
 #
-# Bounds: ``counting.PARITY_N_LIMIT`` bounds the keys of both parity routes,
-# the batch walk and the per-n arm; the per-n oracles that report a failure
-# past the prefix keep the bounds of their own enumerations (``_FORMS`` for
-# ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the closed forms).  At
-# the budget's cap for "all", max = 685220, the eta quotients' guards have
-# room: sum |s(k)| is 1.2e12 for the signed product there, so its largest
-# |c| would have to pass 7.9e6, and it is 13368.
+# Bounds: ``counting.PARITY_N_LIMIT`` bounds the keys of the batch parity
+# walk, and the per-n arm refuses the same n; the per-n oracles that report
+# a failure past the prefix keep the bounds of their own enumerations
+# (``_FORMS`` for ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the
+# closed forms); ``sigma_table(max, 0)`` refuses only max >= 2**63.  At
+# max = 685220, above the budget's cap for "all" (681307), the eta
+# quotients' guards have room: sum |s(k)| is 1.2e12 for the signed product
+# there, so its largest |c| would have to pass 7.9e6, and it is 13368.
 _SIZES = {
     "dkm": _Size(2, 0, (), True, 0),
     "corollary": _Size(1, 0, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
@@ -135,7 +137,7 @@ _SIZES = {
     "theorem61": _Size(1, 0, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
     "bijections": _Size(1, 7, (_H12, _FORMS,
                                bijection_windows.WINDOW_N_LIMIT - 1),
-                        False, 79),
+                        False, 79 + 9),
     "background": _Size(8, 8, (_KERNELS, _H12, _FORMS), True,
                         79 + 33 + 25 + 2 * 25 + 17 + 9 + 25 + 12 + 17
                         + 9 + 2 * 32),
@@ -530,10 +532,11 @@ def suite_bijections(order: int, maxn: int,
     """Every per-n construction check, aggregated with first-failure n.
 
     The window lane (``bijection_windows.verify_windows``) checks every
-    n <= maxn from ``Tables.h12``; ``verify_case`` also checks every
-    n <= ``PER_N_PREFIX``, which pins the lane to the per-n route in every
-    run (the two share no enumeration of triples or forms, and the per-n
-    route takes its class numbers from ``hurwitz_H``, not from ``h12``)
+    n <= maxn from ``Tables.h12`` and ``Tables.sigma0``; ``verify_case``
+    also checks every n <= ``PER_N_PREFIX``, which pins the lane to the
+    per-n route in every run (the two share no enumeration of triples or
+    forms, and the per-n route takes its class numbers from ``hurwitz_H``
+    and its divisor counts from ``oracles.sigma``, not from the tables)
     and fixes the check names and their order.
     A check fails at the first n where either route fails it, with the
     expected and actual values of ``verify_case`` at that n, or, where
@@ -553,7 +556,8 @@ def suite_bijections(order: int, maxn: int,
                     first[check.name] = n
             if not report.passed:
                 failing[n] = report
-    for lo, failed in bijection_windows.verify_windows(maxn, tables.h12):
+    for lo, failed in bijection_windows.verify_windows(maxn, tables.h12,
+                                                       tables.sigma0):
         for name, fails in failed.items():
             if fails.any():
                 n = lo + int(fails.argmax())

@@ -21,7 +21,8 @@ from package_calls import package_calls
 def lane_failures(maxn):
     """{n: set of check names the lane fails at n} over 1..maxn."""
     out = {}
-    for lo, failed in W.verify_windows(maxn, hurwitz_table(4 * maxn)):
+    for lo, failed in W.verify_windows(maxn, hurwitz_table(4 * maxn),
+                                       _kernels.sigma_table(maxn, 0)):
         for name, fails in failed.items():
             for i in np.flatnonzero(fails):
                 out.setdefault(lo + int(i), set()).add(name)
@@ -55,21 +56,22 @@ def test_per_n_route_shares_only_the_inverse_maps_with_the_lane():
     # verify_case pins the lane on the prefix, so the two enumerate their
     # triples, forms and class numbers apart.  Allowed: the inverse maps
     # (and their lambdas), the paper's formulas, which the lane imports so
-    # that each route's own forward map is checked against them; and
-    # sigma, the per-n divisor count, pinned to the kernel tables in tests
-    h12 = hurwitz_table(4 * 250)
+    # that each route's own forward map is checked against them
+    h12, sigma0 = hurwitz_table(4 * 250), _kernels.sigma_table(250, 0)
     per_n = package_calls(
         lambda: [B.verify_case(n) for n in range(1, 251) if n % 4])
-    lane = package_calls(lambda: list(W.verify_windows(250, h12)))
+    lane = package_calls(lambda: list(W.verify_windows(250, h12, sigma0)))
     spans = []
     for inverse in (B._open_inverse, B._shifted_inverse, B._half_inverse):
         lines, first = inspect.getsourcelines(inverse)
         spans.append(range(first, first + len(lines)))
-    allowed = {("oracles.py", C.sigma.__code__.co_firstlineno, "sigma")} | {
+    allowed = {
         (file, line, name) for file, line, name in per_n
         if file == "bijections.py" and any(line in span for span in spans)}
-    # the recorder sees each route's enumeration
+    # the recorder sees each route's enumeration, and the per-n divisor
+    # count that the lane reads from its sigma0 table instead
     assert any(name == "iter_solution_triples" for _, _, name in per_n)
+    assert any(name == "sigma" for _, _, name in per_n)
     assert any(name == "progression_terms" for _, _, name in lane)
     assert not (per_n & lane) - allowed, sorted((per_n & lane) - allowed)
 
@@ -274,14 +276,15 @@ def test_image_off_its_discriminant_fails_a_check(monkeypatch, capsys, n):
 
 def test_lane_overflow_guard():
     with pytest.raises(OverflowError):
-        W.verify_windows(W.WINDOW_N_LIMIT, np.zeros(1, dtype=np.int64))
+        W.verify_windows(W.WINDOW_N_LIMIT, np.zeros(1, dtype=np.int64),
+                         np.zeros(1, dtype=np.int64))
 
 
 def test_lane_memory_is_bounded():
-    h12 = hurwitz_table(12000)
+    h12, sigma0 = hurwitz_table(12000), _kernels.sigma_table(3000, 0)
     tracemalloc.start()
     try:
-        for _ in W.verify_windows(3000, h12):
+        for _ in W.verify_windows(3000, h12, sigma0):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

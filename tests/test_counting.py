@@ -58,15 +58,18 @@ def _every_vector_counts(coeffs, maxn, signed=False):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_rep_squares_match_every_sign_vector(s):
-    assert ([C.rep_squares(s, n) for n in range(101)]
-            == _every_vector_counts((1,) * s, 100))
+    # the walk of s = 3 skips cells by n mod 4 and x mod 2: 300 covers
+    # every residue mod 8 many times
+    top = 300 if s == 3 else 100
+    assert ([C.rep_squares(s, n) for n in range(top + 1)]
+            == _every_vector_counts((1,) * s, top))
 
 
 def test_rep_counts_match_every_sign_vector():
-    assert ([C.rep_count(n) for n in range(151)]
-            == _every_vector_counts((1, 2, 2), 150))
-    assert ([C.signed_rep_count(n) for n in range(151)]
-            == _every_vector_counts((1, 2, 2), 150, signed=True))
+    assert ([C.rep_count(n) for n in range(301)]
+            == _every_vector_counts((1, 2, 2), 300))
+    assert ([C.signed_rep_count(n) for n in range(301)]
+            == _every_vector_counts((1, 2, 2), 300, signed=True))
 
 
 def _squares_by_recursion(s, n):
@@ -490,6 +493,19 @@ def _parity_images_loop(n):
 def test_parity_bijection_images_match_the_loop():
     for n in range(1001):
         assert C.parity_bijection_images(n) == _parity_images_loop(n), n
+
+
+def test_parity_arm_is_one_loop_sharing_only_the_map_with_the_walk():
+    per_n = package_calls(
+        lambda: [C.parity_bijection_images(n) for n in range(201)])
+    walk = package_calls(C.parity_bijection_walk, 200)
+    # no _kernels walk, isqrt table or numpy image check; the dict of
+    # squares is the arm's own comprehension
+    assert {file for file, _, _ in per_n} == {"counting.py"}
+    assert {name for _, _, name in per_n if not name.startswith("<")} == {
+        "parity_bijection_images", "_parity_map"}
+    assert {name for _, _, name in per_n & walk} == {"_parity_map"}
+    assert any(file == "_kernels.py" for file, _, _ in walk)
 
 
 def test_parity_bijection_images_guards_and_memory():

@@ -403,13 +403,13 @@ def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max(name):
 
 
 def test_all_is_bounded_by_its_table_bytes_alone():
-    # the cap of "all" within the 1 GiB budget: 1567 bytes per n
+    # the cap of "all" within the 1 GiB budget: 1576 bytes per n
     assert size_error("all", 300, 100_000) is None
-    cap = 685_220
-    assert (cap + 1) * 1567 <= verify.BYTES_BUDGET < (cap + 2) * 1567
+    cap = 681_307
+    assert (cap + 1) * 1576 <= verify.BYTES_BUDGET < (cap + 2) * 1576
     assert size_error("all", 300, cap) is None
     assert size_error("all", 300, cap + 1) == (
-        "suite all at --max 685221 would hold about 1024 MiB of tables, "
+        "suite all at --max 681308 would hold about 1024 MiB of tables, "
         "past the 1024 MiB budget")
     # the --order leg still refuses as before
     assert "MiB of series" in size_error("all", 1_000_000_001, 10)
@@ -438,7 +438,7 @@ def test_table_budget_bounds_max(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, per_n, mib", [("corollary", 249, 2374),
-                                              ("all", 1567, 14944)])
+                                              ("all", 1576, 15029)])
 def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
     # corollary's row holds the triple tables and the sum side's build; the
     # propositions row adds the parity walk, the signed product and the
@@ -449,6 +449,17 @@ def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
     assert size_error(name, 300, verify.BYTES_BUDGET // per_n - 1) is None
     assert size_error(name, 300, 10 ** 7) == (
         f"suite {name} at --max 10000000 would hold about {mib} MiB of "
+        "tables, past the 1024 MiB budget")
+
+
+def test_bijections_row_counts_the_sigma0_its_lane_reads():
+    # h12 at 4*max + 1 entries (79 bytes per n) and sigma0 (9)
+    assert _table_bytes("bijections") == 79 + 9
+    cap = 12_201_610
+    assert (cap + 1) * 88 <= verify.BYTES_BUDGET < (cap + 2) * 88
+    assert size_error("bijections", 300, cap) is None
+    assert size_error("bijections", 300, cap + 1) == (
+        "suite bijections at --max 12201611 would hold about 1024 MiB of "
         "tables, past the 1024 MiB budget")
 
 
