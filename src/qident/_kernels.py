@@ -23,8 +23,8 @@ comes from one of two idioms:
   triangular sum side are progressions of their own.
   ``progression_terms`` and ``progression_counts`` list and count the
   triples and forms, and ``counting.parity_bijection_walk`` walks
-  ``ragged_blocks`` too.
-  ``budget_windows`` cuts a walk into windows of bounded size.
+  ``ragged_blocks`` too, one x row at a time.  ``budget_windows`` cuts the
+  n range of the bijection window lane into windows of bounded size.
 
 Overflow bound: a lattice entry counts points of at most four variables,
 each a square or a triangular number up to maxn, so each variable takes at
@@ -162,12 +162,11 @@ def ragged_blocks(first, last, row_len, block=None):
             yield rows[span].repeat(share), j
 
 
-def budget_windows(counts, first=0, budget=None):
+def budget_windows(counts, first=0):
     """``(lo, hi)`` of consecutive windows over the indices
-    ``first .. len(counts) - 1``, each holding at most ``budget``
-    (``BLOCK // 4`` unless given) of the int64 ``counts``, or a single
-    index."""
-    budget = max(1, BLOCK // 4) if budget is None else budget
+    ``first .. len(counts) - 1``, each holding at most ``BLOCK // 4`` of
+    the int64 ``counts``, or a single index."""
+    budget = max(1, BLOCK // 4)
     upto = np.cumsum(counts)
     lo = first
     while lo < len(upto):

@@ -151,14 +151,6 @@ def signed_formula_odd(n: int) -> int:
 PARITY_N_LIMIT = 2 ** 40
 
 
-def _isqrt_table(n):
-    """``isqrt(a)`` for 0 <= a <= n, exact and int64: one step up at each
-    square (8(n + 1) bytes, no float involved)."""
-    root = np.zeros(n + 1, dtype=np.int64)
-    root[np.arange(1, math.isqrt(n) + 1, dtype=np.int64) ** 2] = 1
-    return np.cumsum(root, out=root)
-
-
 def _parity_map(x, u, v):
     """The explicit map of the parity bijection: the solution (x, u, v) of
     x^2+u^2+v^2 = n, u = v mod 2, goes to (x, y, z) = (x, (u+v)/2, (u-v)/2),
@@ -166,21 +158,24 @@ def _parity_map(x, u, v):
     return (u + v) // 2, (u - v) // 2
 
 
-def _parity_images(n, x, u, v, m):
-    """Map the solutions (x, u, v) >= 0 of x^2+u^2+v^2 = n, u = v mod 2 (n
-    an array beside x), each with every sign of its nonzero entries (u = v
-    mod 2 does not depend on the signs), by ``_parity_map``:
-    ``(n, bad)`` per signed solution, its n and whether it fails: its image
-    is off x^2+2y^2+2z^2 = n, the inverse (y + z, y - z) does not give back
-    (u, v), or an earlier solution has the same image.  Images are compared
-    as packed int64 keys, one-to-one while every n <= m**2."""
-    cols = [x, u, v, n]
+def _parity_images(x, u, v, m):
+    """Map the solutions (x, u, v) >= 0 of x^2+u^2+v^2 = n, u = v mod 2,
+    each with every sign of its nonzero entries (u = v mod 2 does not
+    depend on the signs), by ``_parity_map``: ``(n, bad)`` per signed
+    solution, its n = x^2 + u^2 + v^2 and whether it fails: its image is
+    off x^2+2y^2+2z^2 = n, the inverse (y + z, y - z) does not give back
+    (u, v), or an earlier solution of the call has the same image
+    (``parity_bijection_walk`` passes one block of one x row a call).
+    Images are compared as packed int64 keys, one-to-one while every
+    n <= m**2."""
+    cols = [x, u, v]
     for axis in range(3):
         nonzero = cols[axis] != 0
         cols = [np.concatenate((col, -col[nonzero] if k == axis
                                 else col[nonzero]))
                 for k, col in enumerate(cols)]
-    x, u, v, n = cols
+    x, u, v = cols
+    n = x * x + u * u + v * v
     y, z = _parity_map(x, u, v)
     solves = x * x + 2 * y * y + 2 * z * z == n
     bad = ~solves | (y + z != u) | (y - z != v)
@@ -247,53 +242,40 @@ def parity_bijection_walk(maxn: int):
     A square is 0 or 1 mod 4, so n = 0 mod 4 leaves x, u and v all even,
     and u = v mod 2: the walk takes the cells (x, u, v) = 2(i, j, k),
     i, j, k >= 0, with x^2 + u^2 + v^2 <= maxn, each a solution at its n.
-    It goes in windows of at most ``_kernels.BLOCK // 64`` cells, so of at
-    most ``_kernels.BLOCK // 8`` signed solutions, and the solutions of a
-    window go to ``_parity_images`` together; at maxn = 3000 the walk peaks
-    at 0.7 MB (tracemalloc), within the 0.8 MB of a bijection lane window.
+    It walks one x row i at a time, in ``_kernels.ragged_blocks`` of at
+    most ``_kernels.BLOCK // 64`` cells (j, k), so of at most
+    ``_kernels.BLOCK // 8`` signed solutions, and the solutions of a block
+    go to ``_parity_images`` together; at maxn = 3000 the walk peaks at
+    0.44 MB (tracemalloc), within the 0.8 MB of a bijection lane window.
 
-    A window holds whole x rows (``_kernels.budget_windows``), and an image
-    keeps its x, so a window holds every solution that can share an image
-    with one of its own, and the distinctness test is exact.  Only a single
-    x row of more cells than that is split, by u, to bound the memory; two
-    of its solutions in different windows with one image still fail at
-    their n, as an image that passes the inverse gives back its own (u, v).
-    maxn >= ``PARITY_N_LIMIT`` raises ``OverflowError``.
+    An image keeps its x, so only solutions of one row can share an image:
+    within a block the packed keys see it, and of two solutions in
+    different blocks with one image at most one passes the inverse, which
+    gives back its own (u, v), so their n fails either way.  maxn >=
+    ``PARITY_N_LIMIT`` raises ``OverflowError``.
     """
     if maxn < 0:
         raise ValueError("maxn must be >= 0")
     if maxn >= PARITY_N_LIMIT:
         raise OverflowError(f"parity images for n <= {maxn} may exceed "
                             "int64")
-    budget = max(1, _kernels.BLOCK // 64)
     top = maxn // 4  # i^2 + j^2 + k^2 <= top
-    root = _isqrt_table(top)
-
-    def j_len(i):
-        return root[top - i * i] + 1
-
-    def k_lens(i, j):
-        return root[top - i * i - j * j] + 1
-
-    cells = np.zeros(math.isqrt(top) + 1, dtype=np.int64)  # per x row
-    for i, j in _kernels.ragged_blocks(0, len(cells) - 1, j_len):
-        np.add.at(cells, i, k_lens(i, j))
+    squares = np.arange(math.isqrt(top) + 1, dtype=np.int64) ** 2
     images = np.zeros(top + 1, dtype=np.int64)
     failed = np.zeros(top + 1, dtype=bool)
-    for lo, hi in _kernels.budget_windows(cells, budget=budget):
-        for i, j in _kernels.ragged_blocks(lo, hi, j_len):
-            lens = k_lens(i, j)
-            for first, last in _kernels.budget_windows(lens, budget=budget):
-                row, k = (np.concatenate(col) for col in zip(
-                    *_kernels.ragged_blocks(first, last, lens.__getitem__,
-                                            budget)))
-                i_, j_ = i[row], j[row]
-                n, bad = _parity_images(4 * (i_ * i_ + j_ * j_ + k * k),
-                                        2 * i_, 2 * j_, 2 * k,
-                                        math.isqrt(maxn))
-                n >>= 2
-                images += np.bincount(n, minlength=top + 1)
-                failed[n[bad]] = True
+    for i in range(len(squares)):
+        rest = top - i * i
+
+        def k_len(j):  # the k with k^2 <= rest - j^2
+            return squares.searchsorted(rest - j * j, side="right")
+
+        for j, k in _kernels.ragged_blocks(0, math.isqrt(rest), k_len,
+                                           max(1, _kernels.BLOCK // 64)):
+            n, bad = _parity_images(np.full_like(j, 2 * i), 2 * j, 2 * k,
+                                    math.isqrt(maxn))
+            n >>= 2
+            images += np.bincount(n, minlength=top + 1)
+            failed[n[bad]] = True
     return images, failed
 
 

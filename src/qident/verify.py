@@ -107,10 +107,10 @@ class _Size(NamedTuple):
 # reversed coefficients, and the copy it returns), which ``Tables.product``
 # adds nothing to at this size (its lane pin stops at ``PER_N_PREFIX``);
 # corollary's sum side 32, with the pair tables it reads (29 alone) and
-# drops (it holds 8); propositions' parity walk 14, its isqrt table, image
-# counts and window scratch (13) and the comparisons of its counts, and its
-# six-term expansion 176, the theta-sum products and their int64 readings
-# (174 at 2*10**4); background's two eta quotients, and its
+# drops (it holds 8); propositions' parity walk 11, its image counts and
+# block scratch (10) and the comparisons of its counts, and its six-term
+# expansion 176, the theta-sum products and their int64 readings (174 at
+# 2*10**4); background's two eta quotients, and its
 # ``classical_checks`` reads the run's r3 and adds r2 and r4 25 each,
 # d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 12 and
 # hlm 17; bijections' window lane reads h12 and sigma0.  A sum of peaks
@@ -123,7 +123,7 @@ class _Size(NamedTuple):
 # a failure past the prefix keep the bounds of their own enumerations
 # (``_FORMS`` for ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the
 # closed forms); ``sigma_table(max, 0)`` refuses only max >= 2**63.  At
-# max = 685220, above the budget's cap for "all" (681307), the eta
+# max = 685220, above the budget's cap for "all" (682606), the eta
 # quotients' guards have room: sum |s(k)| is 1.2e12 for the signed product
 # there, so its largest |c| would have to pass 7.9e6, and it is 13368.
 _SIZES = {
@@ -133,7 +133,7 @@ _SIZES = {
     "theorem17": _Size(1, 0, (_KERNELS, _H12), False, 25 + 79 + 9 + 32),
     "propositions": _Size(1, 0, (_KERNELS, counting.PARITY_N_LIMIT - 1),
                           False,
-                          33 + 25 + 2 * 92 + 9 + 14 + 9 + 32 + 176),
+                          33 + 25 + 2 * 92 + 9 + 11 + 9 + 32 + 176),
     "theorem61": _Size(1, 0, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
     "bijections": _Size(1, 7, (_H12, _FORMS,
                                bijection_windows.WINDOW_N_LIMIT - 1),

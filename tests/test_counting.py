@@ -554,20 +554,25 @@ def test_parity_walk_matches_the_per_n_arm_to_2000():
 
 
 @pytest.mark.parametrize("block", [64, 1024, 4096])
-def test_parity_walk_across_windows_and_split_rows(monkeypatch, block):
-    # BLOCK // 64 cells per window: 1 cell splits every x row into one
-    # window per cell, 16 and 64 split the long rows by u
+def test_parity_walk_across_blocks(monkeypatch, block):
+    # BLOCK // 64 cells per block: 1 cell walks every x row one cell per
+    # block, 16 and 64 split the long rows across blocks
     images, failed = C.parity_bijection_walk(1200)
     monkeypatch.setattr(_kernels, "BLOCK", block)
     small, small_failed = C.parity_bijection_walk(1200)
     assert (small == images).all() and not small_failed.any()
 
 
-@pytest.mark.parametrize("how", ["off", "collapse"])
-def test_parity_walk_flags_a_broken_map(monkeypatch, how):
+@pytest.mark.parametrize("how, block", [
+    pytest.param(how, block, id=how + ("" if block == _kernels.BLOCK
+                                       else "-one-cell-blocks"))
+    for block in (_kernels.BLOCK, 64) for how in ("off", "collapse")])
+def test_parity_walk_flags_a_broken_map(monkeypatch, how, block):
     # "off": images of n = 52 and n = 400 leave x^2+2y^2+2z^2 = n; "collapse":
     # z -> |z| maps z and -z onto one image (and breaks the inverse) at
-    # every n with a solution z != 0
+    # every n with a solution z != 0; with one cell per block the
+    # solutions (u, v) and (v, u) of a collision fall in different blocks
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     real = C._parity_map
 
     def broken(x, u, v):
@@ -603,7 +608,8 @@ def test_parity_walk_guards_and_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # within one window of the bijection lane (0.8 MB)
+    # blocks of BLOCK // 64 cells keep it within one window of the
+    # bijection lane (0.8 MB); it read 0.44 MB
     assert peak < 800 * 1024
 
 
