@@ -22,9 +22,21 @@ column row by row as ``table`` builds its rows, each the median of
 column timed alone pays for its own walks, while ``table`` reads one walk
 for both a and b at each row.
 
+``--lane MAX`` runs the bijection window lane alone, ``verify_windows``
+over n <= MAX, and prints its seconds (the median of ``--repeat`` runs,
+the tables it reads built beforehand) and what one more run walks,
+counted by wrapping the lane's functions from outside: the pairs that
+``_kernels._pair_blocks`` yields (``pairs_opened``), the pairs the
+cursors pop window by window (``pair_visits``; null before the cursor,
+when every opened pair was visited), the terms the enumerator gives
+(``terms_walked``: ``ProgressionCursor.take``, or ``progression_terms``
+before it), the terms the checks read (``terms_kept``: ``_window_triples``
+and ``_window_forms``) and the windows.
+
     PYTHONPATH=src python3 scripts/suite_times.py --order 300 --max 9000
     PYTHONPATH=src python3 scripts/suite_times.py --max 3000 --repeat 5
     PYTHONPATH=src python3 scripts/suite_times.py --table 2000 --repeat 5
+    PYTHONPATH=src python3 scripts/suite_times.py --lane 18000
 """
 
 from __future__ import annotations
@@ -39,7 +51,8 @@ import sys
 import time
 
 import qident
-from qident import cli, oracles, series, verify
+from qident import (_kernels, bijection_windows, cli, oracles, quadforms,
+                    series, verify)
 
 IMPORT_RUNS = 5
 
@@ -101,6 +114,71 @@ def table_seconds(maxn: int, repeat: int) -> dict:
             "rows_s": rows}
 
 
+def _counting(counts, fn, name, pairs=None):
+    """``fn`` adding the length of its first array to ``counts[name]``, and
+    the pairs it popped to ``counts[pairs]``, if given."""
+    def wrapped(*args):
+        out = fn(*args)
+        counts[name] += len(out[0])
+        if pairs:
+            counts[pairs] += len(args[0]._popped[0])
+        return out
+    return wrapped
+
+
+def _counting_blocks(counts, fn):
+    """The generator ``fn`` adding the pairs of each block it yields to
+    ``counts["pairs_opened"]``."""
+    def wrapped(*args, **kwargs):
+        for block in fn(*args, **kwargs):
+            counts["pairs_opened"] += len(block[0])
+            yield block
+    return wrapped
+
+
+def lane_counts(maxn: int, repeat: int) -> dict:
+    """Seconds and walk counts of the bijection window lane over n <= maxn
+    (see the module docstring)."""
+    h12 = quadforms.hurwitz_table(4 * maxn)
+    sigma0 = _kernels.sigma_table(maxn, 0)
+
+    def windows():
+        return sum(1 for _ in bijection_windows.verify_windows(maxn, h12,
+                                                               sigma0))
+
+    times = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        windows()
+        times.append(time.perf_counter() - start)
+    counts = dict.fromkeys(("pairs_opened", "pair_visits", "terms_walked",
+                            "terms_kept"), 0)
+    cursor = getattr(_kernels, "ProgressionCursor", None)
+    patches = [(_kernels, "_pair_blocks", _counting_blocks(
+        counts, _kernels._pair_blocks))]
+    if cursor is None:
+        counts["pair_visits"] = None
+        patches.append((_kernels, "progression_terms", _counting(
+            counts, _kernels.progression_terms, "terms_walked")))
+    else:
+        patches.append((cursor, "take", _counting(
+            counts, cursor.take, "terms_walked", "pair_visits")))
+    for name in ("_window_triples", "_window_forms"):
+        patches.append((bijection_windows, name, _counting(
+            counts, getattr(bijection_windows, name), "terms_kept")))
+    saved = [(holder, name, holder.__dict__[name])
+             for holder, name, _ in patches]
+    try:
+        for holder, name, wrapped in patches:
+            setattr(holder, name, wrapped)
+        counts["windows"] = windows()
+    finally:
+        for holder, name, orig in saved:
+            setattr(holder, name, orig)
+    return {"lane_max": maxn, "repeat": repeat,
+            "seconds": round(statistics.median(times), 4), **counts}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--order", type=int, default=300)
@@ -111,9 +189,18 @@ def main(argv=None) -> int:
     parser.add_argument("--table", type=int, metavar="MAX",
                         help="time each qident table column over n <= MAX "
                              "instead of the suites")
+    parser.add_argument("--lane", type=int, metavar="MAX",
+                        help="time and count the bijection window lane "
+                             "over n <= MAX instead of the suites")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    if args.lane is not None:
+        if not 7 <= args.lane < bijection_windows.WINDOW_N_LIMIT:
+            parser.error("--lane must be >= 7 and below the lane's bound")
+        json.dump(lane_counts(args.lane, args.repeat), sys.stdout, indent=1)
+        print()
+        return 0
     if args.table is not None:
         if args.table < 0:
             parser.error("--table must be >= 0")

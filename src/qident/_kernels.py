@@ -20,11 +20,16 @@ comes from one of two idioms:
   n = pq + r(p + q), r >= 1: the solution triples of the shapes open
   (2, 0) and shifted (2, 1), and the triples of rs + rt + st = n (1, 0)
   of the three-squares formula.  The reduced forms and the octants of the
-  triangular sum side are progressions of their own.
-  ``progression_terms`` and ``progression_counts`` list and count the
-  triples and forms, and ``counting.parity_bijection_walk`` walks
-  ``ragged_blocks`` too, one x row at a time.  ``budget_windows`` cuts the
-  n range of the bijection window lane into windows of bounded size.
+  triangular sum side are progressions of their own.  Sums symmetric in
+  s and t walk s <= t only, with weight 2 off the diagonal.
+  ``progression_counts`` counts the triples and forms, and
+  ``counting.parity_bijection_walk`` walks ``ragged_blocks`` too, one x
+  row at a time.
+
+The bijection window lane lists the triples and forms window by window
+through one ``ProgressionCursor`` per family, which opens each pair once,
+keeps its next k, and visits it only in the windows that hold one of its
+terms at n = 1, 2 or 3 mod 4.
 
 Overflow bound: a lattice entry counts points of at most four variables,
 each a square or a triangular number up to maxn, so each variable takes at
@@ -162,21 +167,6 @@ def ragged_blocks(first, last, row_len, block=None):
             yield rows[span].repeat(share), j
 
 
-def budget_windows(counts, first=0):
-    """``(lo, hi)`` of consecutive windows over the indices
-    ``first .. len(counts) - 1``, each holding at most ``BLOCK // 4`` of
-    the int64 ``counts``, or a single index."""
-    budget = max(1, BLOCK // 4)
-    upto = np.cumsum(counts)
-    lo = first
-    while lo < len(upto):
-        base = int(upto[lo - 1]) if lo else 0
-        hi = max(lo, int(np.searchsorted(upto, base + budget,
-                                         side="right")) - 1)
-        yield lo, hi
-        lo = hi + 1
-
-
 # ---------------------------------------------------------------------------
 # progressions in n: each pair (x, y) of a family carries n = first + step*k,
 # k >= 0.  A triple family (stride, chi) has the pairs (p, q) = (stride*s -
@@ -197,11 +187,12 @@ PROGRESSION_LIMIT = 2 ** 62
 _TRIPLES = {"open": (2, 0), "shifted": (2, 1), "hlm": (1, 0)}
 
 
-def _pairs(stride, chi, hi, r, block=None):
+def _pairs(stride, chi, hi, r, block=None, half=False):
     """``(s, t, p, q)`` int64 blocks of the pairs (p, q) = (stride*s - chi,
     stride*t - chi), s, t >= 1, with pq + r(p + q) <= hi, s-major in
     ``ragged_blocks``: r = 0 walks the factorings pq = n <= hi, r = 1 the
-    first terms of a triple family."""
+    first terms of a triple family.  ``half`` walks only the pairs with
+    s <= t, for sums symmetric in s and t."""
     c = r - chi  # p + r = stride*s + c
 
     def row_len(s):  # the t with (p + r)(q + r) <= hi + r*r
@@ -209,9 +200,15 @@ def _pairs(stride, chi, hi, r, block=None):
             return ((hi + r * r) // (stride * s + c) - c) // stride
         return (hi + r * r) // (stride * s) // stride
 
-    # the pairs are symmetric, so there are as many rows as t in row 1
-    for s, t in ragged_blocks(1, row_len(1), row_len, block):
-        t += 1  # cell j is t = j + 1
+    if half:
+        # the rows with (p + r)^2 <= hi + r*r, each from t = s on
+        rows = (1, (math.isqrt(hi + r * r) - c) // stride,
+                lambda s: np.maximum(row_len(s) - s + 1, 0))
+    else:
+        # the pairs are symmetric, so there are as many rows as t in row 1
+        rows = (1, row_len(1), row_len)
+    for s, t in ragged_blocks(*rows, block):
+        t += s if half else 1  # cell j is t = j + s, or t = j + 1
         p = s * stride
         q = t * stride
         if chi:
@@ -220,14 +217,14 @@ def _pairs(stride, chi, hi, r, block=None):
         yield s, t, p, q
 
 
-def _pair_blocks(family, hi, block=None):
+def _pair_blocks(family, hi, block=None, half=False):
     """``(x, y, first, step)`` of the family's pairs, labelled (s, t) or
     (a, b), in pair order ((s, t) s-major, (a, b) lexicographic) and in
     ``ragged_blocks``: the triple rows hold exactly the pairs with
-    first <= hi, the form rows every b of each a <= isqrt(m*hi/3), some
-    starting above hi."""
+    first <= hi (with s <= t only, if ``half``), the form rows every b of
+    each a <= isqrt(m*hi/3), some starting above hi."""
     if family in _TRIPLES:
-        for s, t, p, q in _pairs(*_TRIPLES[family], hi, 1, block):
+        for s, t, p, q in _pairs(*_TRIPLES[family], hi, 1, block, half):
             step = p + q
             p *= q  # first = pq + step, in place
             p += step
@@ -262,10 +259,10 @@ def _term_blocks(pairs, lo, hi, block=None):
     of the ``(x, y, first, step)`` pair blocks ``pairs``, in pair order,
     ``block`` terms at a time.
 
-    The default, ``BLOCK // 4``, is also the window budget of the bijection
-    lane: freed numpy buffers stay in the heap, and on ``verify --suite all
-    --order 300 --max 3000`` full blocks here raised the peak RSS from
-    34.2 MB to 37.0 MB, quarter blocks to 34.4 MB."""
+    The default is ``BLOCK // 4``: freed numpy buffers stay in the heap,
+    and on ``verify --suite all --order 300 --max 3000`` full blocks here
+    raised the peak RSS from 34.2 MB to 37.0 MB, quarter blocks to
+    34.4 MB."""
     block = max(1, BLOCK // 4) if block is None else block
     for x, y, first, step in pairs:
         k0 = np.maximum(-((first - lo) // step), 0)
@@ -278,23 +275,6 @@ def _term_blocks(pairs, lo, hi, block=None):
         del x, y, first, step, k0, count
 
 
-def progression_terms(family, lo, hi):
-    """``(n, p, q, k)`` int64 arrays of the terms with lo <= n <= hi of the
-    family ("open" or "shifted" triples, or m = 4 or 1 forms), from
-    ``_term_blocks`` sorted stably by n, so that within one n they come in
-    the order of ``oracles.iter_solution_triples`` and
-    ``quadforms.enumerate_reduced``, the per-n loops they are pinned to.
-    ``m*hi >= PROGRESSION_LIMIT`` raises ``OverflowError``."""
-    _check_family(family, hi)
-    parts = list(_term_blocks(_pair_blocks(family, hi), lo, hi))
-    if not parts:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
-    cols = (parts[0] if len(parts) == 1
-            else [np.concatenate(col) for col in zip(*parts)])
-    order = np.argsort(cols[0], kind="stable")
-    return tuple(col[order] for col in cols)
-
-
 def progression_counts(family, hi):
     """The number of the family's terms at each n <= hi."""
     _check_family(family, hi)
@@ -302,6 +282,150 @@ def progression_counts(family, hi):
     for n, _, _, _ in _term_blocks(_pair_blocks(family, hi), 0, hi):
         np.add.at(out, n, 1)
     return out
+
+
+def _kept_steps(family, x, y):
+    """``(step, kstep)`` of each pair: the n and the k between two of its
+    terms that a ``ProgressionCursor`` keeps."""
+    if family == "open":
+        return 4 * (x + y), np.full_like(x, 2)
+    if family == "shifted":
+        return 2 * (x + y - 1), np.ones_like(x)
+    if family == 1:
+        return 4 * x, np.ones_like(x)
+    kstep = np.where((x % 4 == 2) & (y % 4 == 0), 2, 1)
+    return kstep * x, kstep
+
+
+class ProgressionCursor:
+    """The family's terms (n, x, y, k) with n = 1, 2 or 3 mod 4 and
+    n <= maxn, in increasing windows [lo, hi] of n: ``take(hi)`` returns
+    the terms in [lo, hi], and ``advance(hi)`` moves lo past hi.
+
+    Each pair of ``_pair_blocks`` is opened once, here, and keeps its next
+    term's k, in int32 columns ``x``, ``y`` and ``k``.  A pair none of
+    whose terms the cursor keeps is never opened, and the others step over
+    their n = 0 mod 4 terms where a rule finds them:
+
+    * open: n = 4st + 2r(s + t) is 0 mod 4 for every r when s + t is even,
+      and otherwise exactly for even r, so the pairs with s + t odd step by
+      2(p + q) over odd r;
+    * m = 4 forms: n = first + a*k; 4 | a fixes n mod 4, so such a pair
+      with 4 | first is dropped, and for a = 2 mod 4 with first even n
+      alternates between 0 and 2 mod 4, so the pair steps by 2a;
+    * shifted triples and m = 1 forms have n odd and n = 3 mod 4 only;
+    * the other m = 4 pairs, with a odd, keep every term but n = 0 mod 4.
+
+    The pairs are bucketed by their next term: the cursor holds sorted runs
+    of int64 keys ``n << shift | i`` (pair i, next term at n), and
+    ``take(hi)`` pops the keys up to hi from the front of each run.  So a
+    pair is visited only in windows that hold one of its terms, whatever
+    its step, and no pass counts terms ahead of the windows.  ``advance``
+    pushes the popped pairs back as one new run, and a run is merged with
+    the one below it while that is at most twice its size, so there are
+    O(log pairs) runs.  Within one n the terms come in pair order, so a
+    stable sort by n gives the order of ``oracles.iter_solution_triples``
+    and ``quadforms.enumerate_reduced``.
+
+    Memory is the 12 bytes of the three columns and the 8 of a key per
+    opened pair.  Overflow: a pair's next term n is at most maxn + step
+    <= 3*maxn, and its k and x, y at most that, so the int32 columns hold
+    them for maxn < 2**29 (``OverflowError`` otherwise); a key holds
+    n <= maxn, so it is below (maxn + 1) << shift, 2**shift > the pairs,
+    which the cursor checks against int64 before it sorts the keys.
+    """
+
+    def __init__(self, family, maxn):
+        _check_family(family, maxn)
+        if maxn >= 2 ** 29:
+            raise OverflowError(f"progression cursor for n <= {maxn} may "
+                                "exceed int32")
+        self.family, self.maxn = family, maxn
+        cols = [[np.zeros(0, dtype)]
+                for dtype in (np.int32, np.int32, np.int32, np.int64)]
+        for x, y, first, step in _pair_blocks(family, maxn):
+            k = np.zeros_like(first)
+            if family == "open":
+                keep = (x + y) % 2 == 1
+            elif family == 4:
+                res = first % 4
+                keep = (x % 4 != 0) | (res != 0)
+                k[(x % 4 == 2) & (res == 0)] = 1
+                first += step * k
+            else:
+                keep = np.ones(len(x), dtype=bool)
+            keep &= first <= maxn
+            for col, part in zip(cols, (x, y, k, first)):
+                col.append(part[keep].astype(col[0].dtype))
+            del x, y, first, step, k, keep
+        # first is the key column, the n of each pair's first kept term;
+        # each column's blocks go as soon as it is whole
+        self.x, self.y, self.k, keys = (np.concatenate(cols.pop(0))
+                                        for _ in range(4))
+        self._shift = max(1, len(keys).bit_length())
+        self._mask = (1 << self._shift) - 1
+        if (maxn + 1) << self._shift >= 2 ** 63:
+            raise OverflowError(f"progression cursor keys for n <= {maxn} "
+                                "may exceed int64")
+        keys <<= self._shift
+        keys |= np.arange(len(keys))
+        # every sort here is stable: numpy's default sort brings in its own
+        # vectorized code, 0.25 MB more peak RSS at --max 3000
+        keys.sort(kind="stable")
+        self._runs = [keys]
+        self._popped = None
+
+    def take(self, hi):
+        """``(n, x, y, k)`` int64 arrays of the kept terms in [lo, hi], in
+        pair order and by n within a pair.  Until ``advance`` the same
+        pairs stay popped: call it once after each ``take``."""
+        bound = (hi + 1) << self._shift
+        heads = []
+        for i, run in enumerate(self._runs):
+            cut = run.searchsorted(bound)
+            heads.append(run[:cut])
+            self._runs[i] = run[cut:]
+        keys = np.concatenate(heads)
+        keys = keys[np.argsort(keys & self._mask, kind="stable")]
+        idx = keys & self._mask
+        n = keys >> self._shift
+        # int64 from here on: the int32 loops of numpy's arithmetic, run
+        # nowhere else in a verify run, would cost their own code pages
+        x, y, k = (col[idx].astype(np.int64)
+                   for col in (self.x, self.y, self.k))
+        step, kstep = _kept_steps(self.family, x, y)
+        self._popped = idx, n, k, step, kstep
+        count = (hi - n) // step + 1
+        j = np.arange(int(count.sum()), dtype=np.int64)
+        j -= np.repeat(count.cumsum() - count, count)
+        terms = (np.repeat(n, count) + np.repeat(step, count) * j,
+                 np.repeat(x, count), np.repeat(y, count),
+                 np.repeat(k, count) + np.repeat(kstep, count) * j)
+        if self.family == 4:  # the odd a
+            keep = terms[0] % 4 != 0
+            terms = tuple(col[keep] for col in terms)
+        return terms
+
+    def advance(self, hi):
+        """Move the pairs of the last ``take`` past hi, and drop those
+        with no term left below maxn."""
+        idx, n, k, step, kstep = self._popped
+        self._popped = None
+        moved = np.maximum((hi - n) // step + 1, 0)
+        n += step * moved
+        self.k[idx] = k + kstep * moved
+        live = n <= self.maxn
+        keys = n[live]
+        keys <<= self._shift
+        keys |= idx[live]
+        keys.sort(kind="stable")
+        runs = [run for run in self._runs if len(run)] + [keys]
+        while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+            merged = np.concatenate((runs.pop(-2), runs.pop()))
+            # two sorted runs: the stable sort (timsort) merges them
+            merged.sort(kind="stable")
+            runs.append(merged)
+        self._runs = runs
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +444,19 @@ def _table_blocks():
 def triple_tables(maxn, shifted):
     """(total, signed, r_even) counts of the shape's solution triples
     (r, s, t) = (k + 1, s, t) for n <= maxn: the sums of 1, (-1)^(r+s+t)
-    and [r even] over the terms of ``_term_blocks``."""
+    and [r even] over the terms of ``_term_blocks``.  Each sum is symmetric
+    in s and t, so the walk takes s <= t, with weight 2 off the
+    diagonal."""
     _check_maxn(maxn)
     # column 2*[r even] + [r + s + t odd] of each n, flattened
     table = np.zeros((maxn + 1, 4), dtype=np.int64)
     flat = table.reshape(-1)
-    pairs = _pair_blocks("shifted" if shifted else "open", maxn)
+    pairs = _pair_blocks("shifted" if shifted else "open", maxn, half=True)
     for n, s, t, k in _term_blocks(pairs, 0, maxn):
         # r = k + 1 is even for odd k
-        np.add.at(flat, 4 * n + 2 * (k % 2) + (k + 1 + s + t) % 2, 1)
+        n = 4 * n + 2 * (k % 2) + (k + 1 + s + t) % 2
+        np.add.at(flat, n, 2)
+        np.add.at(flat, n[s == t], -1)  # the diagonal counts once
     total = table.sum(axis=1)
     signed = table[:, 0] + table[:, 2] - table[:, 1] - table[:, 3]
     r_even = table[:, 2] + table[:, 3]
@@ -337,14 +465,18 @@ def triple_tables(maxn, shifted):
 
 def hlm_tables(maxn):
     """Signed sums of (-1)^(r+s) over rs = n and (-1)^(r+s+t) over
-    rs + rt + st = n, all variables >= 1."""
+    rs + rt + st = n, all variables >= 1; the triple walk takes s <= t,
+    with weight 2 off the diagonal, as its sum is symmetric in s and t."""
     _check_maxn(maxn)
     cells, terms = _table_blocks()
     triple = np.zeros(maxn + 1, dtype=np.int64)
-    for n, s, t, k in _term_blocks(_pair_blocks("hlm", maxn, cells), 0, maxn,
-                                   terms):
+    for n, s, t, k in _term_blocks(_pair_blocks("hlm", maxn, cells, True),
+                                   0, maxn, terms):
         # r = k + 1, so r + s + t is odd exactly when k + s + t is even
-        np.add.at(triple, n, (k + s + t) % 2 * 2 - 1)
+        sign = (k + s + t) % 2 * 4 - 2
+        np.add.at(triple, n, sign)
+        diag = s == t  # counts once: half its weight back
+        np.subtract.at(triple, n[diag], sign[diag] // 2)
     return _signed_pairs(maxn), triple
 
 
@@ -381,7 +513,9 @@ def triangular_sum_side(order):
     """Sum side of the sum-of-three-triangular-numbers identity,
     q^0..q^(order-1): 1 + 3*sum q^r + 3*sum q^(2rs+r+s) + two octants of
     q^(2(rs+rt+st) + sign*(r+s+t)); the all-negative octant maps to
-    sign = -1 under (r, s, t) -> (-r, -s, -t)."""
+    sign = -1 under (r, s, t) -> (-r, -s, -t).  An octant term is
+    symmetric in r and s, so its walk takes r <= s, with weight 2 off the
+    diagonal."""
     _check_maxn(order - 1)
     cells, terms = _table_blocks()
     out = np.zeros(order, dtype=np.int64)
@@ -396,12 +530,13 @@ def triangular_sum_side(order):
         # exactly when pq + 2(p + q) <= 2*order - 1 + 2*sign
         def pairs(sign=sign):
             for r, s, p, q in _pairs(2, -sign, 2 * order - 1 + 2 * sign, 2,
-                                     cells):
+                                     cells, True):
                 step = p + q - sign
                 yield r, s, (p * q >> 1) + step, step
 
-        for n, _, _, _ in _term_blocks(pairs(), 0, order - 1, terms):
-            np.add.at(out, n, 1)
+        for n, r, s, _ in _term_blocks(pairs(), 0, order - 1, terms):
+            np.add.at(out, n, 2)
+            np.add.at(out, n[r == s], -1)  # the diagonal counts once
     return out
 
 

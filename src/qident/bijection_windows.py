@@ -1,10 +1,12 @@
 """The window lane of the bijection checks: every check of
 ``bijections.verify_case`` for all n of a window of consecutive n at once.
 
-Its triples and forms come from ``_kernels.progression_terms``, and it
-reads no table but the ``hurwitz_table`` and ``sigma_table(maxn, 0)`` it is
-given.  The per-n route shares none of these: its triples come from the
-loop ``oracles.iter_solution_triples``, its forms from
+Its triples and forms come from one ``_kernels.ProgressionCursor`` per
+family, which opens each pair once and walks only the terms at n = 1, 2
+or 3 mod 4, and it reads no table but the ``hurwitz_table`` and
+``sigma_table(maxn, 0)`` it is given.  The per-n route shares none of
+these: its triples come from the loop ``oracles.iter_solution_triples``,
+its forms from
 ``enumerate_reduced``'s own loop, its class numbers from ``hurwitz_H`` and
 its divisor counts from ``oracles.sigma``.  Of the per-n code the lane runs
 only the inverse maps of ``bijections``.
@@ -16,6 +18,7 @@ the preimage checks (triples against forms).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -44,58 +47,97 @@ _EXPECTED = np.array(
                  for case in ("2", "1", "3a")])
 
 
-def _windows(maxn):
-    """``(lo, hi)`` of consecutive windows over 1..maxn, each holding at
-    most ``_kernels.BLOCK // 4`` progression terms (the budget of
-    ``_kernels._term_blocks``, for the reason given there), or a single n.
-
-    At ``--max 3000`` a window's arrays then peak at 0.8 MB (tracemalloc);
-    a full block raised the run's peak RSS by 1.8 MB, and smaller windows
-    neither lowered it nor kept the lane as fast."""
-    return _kernels.budget_windows(
-        sum(_kernels.progression_counts(family, maxn)
-            for family in (OPEN, SHIFTED, 4, 1)), 1)
+# the kept terms up to n are about this times n**1.5 (1.10 at n = 458, 1.16
+# at 3000): the first window's guess, before the stream gives its own
+_TERMS_PER_N15 = 1.1
 
 
-def _window_triples(lo, hi):
-    """``(n, r, s, t)`` of the solution triples for lo <= n <= hi, n not
-    0 mod 4: by n, then in ``iter_solution_triples`` order."""
-    n, s, t, k = (np.concatenate(col) for col in zip(
-        *(_kernels.progression_terms(shape, lo, hi)
-          for shape in (OPEN, SHIFTED))))
-    # open n are even and shifted n odd, so a stable merge keeps the order
-    keep = np.flatnonzero(n % 4 != 0)
-    keep = keep[np.argsort(n[keep], kind="stable")]
-    return n[keep], k[keep] + 1, s[keep], t[keep]
+def _window_budget():
+    """The most kept terms a window of more than one n holds.  At ``--max
+    3000`` a window's arrays then peak at about 0.8 MB (tracemalloc), as
+    with the walked-term windows of ``BLOCK // 4`` before the cursor;
+    freed numpy buffers stay in the heap, so larger windows raise the run's
+    peak RSS."""
+    return max(1, _kernels.BLOCK // 6)
 
 
-def _window_forms(lo, hi, m):
-    """``(n, a, b, c)`` of the reduced forms of discriminant -m*n for
-    lo <= n <= hi, n not 0 mod 4: by n, then in ``enumerate_reduced``
-    order."""
-    n, a, b, k = _kernels.progression_terms(m, lo, hi)
-    keep = n % 4 != 0
-    n, a, b, k = n[keep], a[keep], b[keep], k[keep]
+def _term_windows(maxn):
+    """Yield ``(lo, hi, terms)`` over consecutive windows of 1..maxn, where
+    ``terms`` maps each family ("open", "shifted", 4, 1) to the
+    ``(n, x, y, k)`` of ``_kernels.ProgressionCursor.take`` for [lo, hi].
+
+    Windows are cut from the stream itself: the cursors give their terms
+    up to a guess ``top``, from the number of terms so far as a multiple of
+    n**1.5, and the window ends at the last n that keeps it within
+    ``_window_budget()`` (at least at lo).  Terms past hi are dropped here
+    and given again by the next window.  A window spans at most 2**16 n,
+    for the 16-bit sort of ``_by_n``."""
+    cursors = {family: _kernels.ProgressionCursor(family, maxn)
+               for family in (OPEN, SHIFTED, 4, 1)}
+    budget = _window_budget()
+    lo, total = 1, 0
+    while lo <= maxn:
+        scale = total / (lo - 1) ** 1.5 if total else _TERMS_PER_N15
+        top = int(((lo - 1) ** 1.5 + 0.95 * budget / scale) ** (2 / 3))
+        top = min(max(top, lo), lo + 0xFFFF, maxn)
+        terms = {family: c.take(top) for family, c in cursors.items()}
+        kept = np.cumsum(sum(np.bincount(cols[0] - lo, minlength=top - lo + 1)
+                             for cols in terms.values()))
+        hi = lo + max(0, int(kept.searchsorted(budget, side="right")) - 1)
+        if hi < top:
+            terms = {family: tuple(col[cols[0] <= hi] for col in cols)
+                     for family, cols in terms.items()}
+        for c in cursors.values():
+            c.advance(hi)
+        yield lo, hi, terms
+        total += int(kept[hi - lo])
+        lo = hi + 1
+
+
+def _by_n(n, lo):
+    """The stable order of the n of one window [lo, lo + 2**16): the radix
+    sort of 16-bit keys, so terms of one n keep their order."""
+    return np.argsort((n - lo).astype(np.uint16), kind="stable")
+
+
+def _window_triples(lo, opened, shifted):
+    """``(n, r, s, t)`` of the solution triples of a window from lo on,
+    given the cursors' open and shifted terms: by n, then in
+    ``iter_solution_triples`` order."""
+    # open n are even and shifted n odd, so one stable sort keeps the order
+    n, s, t, k = (np.concatenate(col) for col in zip(opened, shifted))
+    del opened, shifted
+    order = _by_n(n, lo)
+    return n[order], k[order] + 1, s[order], t[order]
+
+
+def _window_forms(lo, terms):
+    """``(n, a, b, c)`` of the reduced forms of discriminant -m*n of a
+    window from lo on, given the cursor's m = 4 or 1 terms: by n, then in
+    ``enumerate_reduced`` order."""
+    order = _by_n(terms[0], lo)
+    n, a, b, k = (col[order] for col in terms)
     return n, a, b, a + (b < 0) + k
 
 
-def _triple_categories(r, u, v):
-    """``classify_triple`` over arrays, u = 2s - chi and v = 2t - chi."""
+def _triple_category_rule(r, u, v):
+    """``classify_triple`` over arrays, u = 2s - chi and v = 2t - chi, -1
+    where no category or several fit."""
     hits = [(r <= u) & (u <= v), (v <= r) & (r <= u), (u <= v) & (v <= r),
             (u < r) & (r < v), (v < u) & (u < r), (r < v) & (v < u)]
     equal = (r == u) & (u == v)
-    if (~equal & (sum(h.astype(np.int64) for h in hits) != 1)).any():
-        raise NotASolution("a triple matched no category or several")
-    return np.where(equal, ALL_EQUAL, np.select(hits, list(range(1, 7))))
+    cat = np.where(equal, ALL_EQUAL, np.select(hits, list(range(1, 7))))
+    return np.where(equal | (sum(h.astype(np.int64) for h in hits) == 1),
+                    cat, -1)
 
 
-def _images(cat, r, u, v):
-    """The category's image of each triple, on discriminant -4n."""
-    k, x, y = (np.choose(_PERM[cat, i], (r, u, v)) for i in range(3))
-    return x + k, 2 * _SIGN[cat] * k, y + k
+def _ordering(r, u, v):
+    """0..26: the signs of r - u, u - v and v - r, which fix the triple
+    category."""
+    return 9 * np.sign(r - u) + 3 * np.sign(u - v) + np.sign(v - r) + 13
 
 
-def _form_categories(res, a, b, c):
+def _form_category_rule(res, a, b, c):
     """``classify_form`` over arrays, 0 where no category fits: ``res`` =
     n mod 4 picks case '2' (1), '1' (2) or '3a' (3), whose list '4a'
     shares."""
@@ -122,6 +164,48 @@ def _form_categories(res, a, b, c):
             cats = [8, signed(1, 6), 7, signed(2, 4), signed(3, 5)]
         out[m] = np.select(conds, cats)
     return out
+
+
+def _residues(res, a, b, c):
+    """0..1023: n mod 4, the sign of b, and b, a, c mod 4, which fix the
+    form category."""
+    return (res * 256 + np.where(b > 0, 128, np.where(b == 0, 64, 0))
+            + b % 4 * 16 + a % 4 * 4 + c % 4)
+
+
+@functools.cache
+def _category_tables():
+    """Each rule applied once, to a representative of every ordering
+    (r, u, v in 0..2) and of every residue class (n mod 4, a and c in
+    0..3, b in -4..7), for the windows to read; the cyclic orderings never
+    occur and stay -1.  Built on first use, so an import of the lane costs
+    no numpy work."""
+    cells = np.indices((3, 3, 3)).reshape(3, -1)
+    triple = np.full(27, -1)
+    triple[_ordering(*cells)] = _triple_category_rule(*cells)
+    cells = np.indices((4, 4, 12, 4)).reshape(4, -1) - [[0], [0], [4], [0]]
+    form = np.zeros(1024, dtype=np.int64)
+    form[_residues(*cells)] = _form_category_rule(*cells)
+    return triple, form
+
+
+def _triple_categories(r, u, v):
+    """``classify_triple`` over arrays, u = 2s - chi and v = 2t - chi."""
+    cat = _category_tables()[0][_ordering(r, u, v)]
+    if (cat < 0).any():
+        raise NotASolution("a triple matched no category or several")
+    return cat
+
+
+def _images(cat, r, u, v):
+    """The category's image of each triple, on discriminant -4n."""
+    k, x, y = (np.choose(_PERM[cat, i], (r, u, v)) for i in range(3))
+    return x + k, 2 * _SIGN[cat] * k, y + k
+
+
+def _form_categories(res, a, b, c):
+    """``classify_form`` over arrays, 0 where no category fits."""
+    return _category_tables()[1][_residues(res, a, b, c)]
 
 
 def _reduced(a, b, c):
@@ -166,11 +250,12 @@ def _incomplete_images(n, a, b, c, cat4):
     return n[~complete[image]]
 
 
-def _window_failures(lo, hi, h12, sigma0):
-    """Which checks of ``verify_case`` fail at each n of [lo, hi]: a bool
-    array per check name, indexed by n - lo (never true at a check's
-    n outside its residue class).  Arrays are dropped once read for the
-    last time, which bounds a window's memory."""
+def _window_failures(lo, hi, terms, h12, sigma0):
+    """Which checks of ``verify_case`` fail at each n of [lo, hi], given
+    the window's ``terms`` from ``_term_windows``: a bool array per check
+    name, indexed by n - lo (never true at a check's n outside its residue
+    class).  Arrays are dropped once read for the last time, which bounds
+    a window's memory."""
     width = hi - lo + 1
     ns = np.arange(lo, hi + 1)
     res4, res8 = ns % 4, ns % 8
@@ -194,7 +279,8 @@ def _window_failures(lo, hi, h12, sigma0):
         return (n * (amax + 1) + a) * (2 * amax + 1) + b + amax
 
     failed = {}
-    n, r, s, t = _window_triples(lo, hi)
+    n, r, s, t = _window_triples(lo, terms.pop(OPEN),
+                                 terms.pop(SHIFTED))
     chi = n % 2
     u, v = 2 * s - chi, 2 * t - chi
     if ((np.minimum(np.minimum(r, s), t) < 1)
@@ -243,12 +329,16 @@ def _window_failures(lo, hi, h12, sigma0):
     failed["category_match"] = seen(n[classified & (form_cat
                                                     != _EXPECTED[res, cat])])
     del form_cat, classified
+    # the inverse maps, each on a contiguous slice of one stable grouping
+    # by (case, category): open 0..6, shifted onto -4n 7..13, halved 14..20
+    group = (7 * np.where(res == 2, 0, 1 + half) + cat).astype(np.uint16)
+    order = np.argsort(group, kind="stable")
+    ends = np.bincount(group, minlength=21).cumsum()
     back = np.ones(len(n), dtype=bool)
-    for inverse, part in ((_open_inverse, res == 2),
-                          (_shifted_inverse, (res != 2) & ~half),
-                          (_half_inverse, half)):
+    for case, inverse in enumerate((_open_inverse, _shifted_inverse,
+                                    _half_inverse)):
         for k in range(1, 7):
-            m = part & (cat == k)
+            m = order[ends[7 * case + k - 1]:ends[7 * case + k]]
             rst = inverse(k, a[m], b[m], c[m])
             back[m] = (rst[0] == r[m]) & (rst[1] == s[m]) & (rst[2] == t[m])
     failed["map_inverse_roundtrip"] = seen(n[~half & ~back])
@@ -266,7 +356,7 @@ def _window_failures(lo, hi, h12, sigma0):
     del a, b, c, cat4, g, seven
 
     # categories 1-6 of the discriminant -4n list
-    qn, qa, qb, qc = _window_forms(lo, hi, 4)
+    qn, qa, qb, qc = _window_forms(lo, terms.pop(4))
     if (qb * qb - 4 * qa * qc != -4 * qn).any():
         raise CaseMismatch("a form is off its discriminant -4n")
     qcat = _form_categories(qn % 4, qa, qb, qc)
@@ -289,7 +379,7 @@ def _window_failures(lo, hi, h12, sigma0):
     del qn, qcat, qkey, pos, found, outside, hits
 
     # n = 3 mod 4: the doubled forms and the odd-r maps onto -n
-    pn, pa, pb, pc = _window_forms(lo, hi, 1)
+    pn, pa, pb, pc = _window_forms(lo, terms.pop(1))
     pkey = key(pn, pa, pb)
     failed["doubled_forms_count"] = (res4 == 3) & _lists_differ(
         dn, dkey, pn, pkey, lo, width)
@@ -309,13 +399,16 @@ def verify_windows(maxn: int, h12, sigma0):
     ``quadforms.hurwitz_table``, and ``sigma0`` the number of divisors of
     each n <= maxn, as from ``_kernels.sigma_table(maxn, 0)``.
 
-    Each window's triples and reduced forms come from
-    ``_kernels.progression_terms``; they are classified, mapped, inverted
-    and counted with array masks, and images are matched to forms by
-    packed int64 ``(n, a, b)`` keys through ``searchsorted``.  A window's
-    arrays, and the pair blocks walked for it, are bounded by
-    ``_kernels.BLOCK``.  Where the per-n route raises (``NotASolution``,
-    ``CaseMismatch``, ``UnclassifiableForm``), so does the lane.
+    The windows, cut from the stream of kept terms by ``_term_windows``,
+    hold at most ``_window_budget()`` terms each (or a single n).  Their
+    triples and reduced forms are ordered by a stable 16-bit sort of
+    n - lo, classified through tables of the category rules, mapped,
+    inverted on the slices of one stable grouping by (case, category), and
+    counted with array masks, and images are matched to forms by packed
+    int64 ``(n, a, b)`` keys through ``searchsorted``.  Beside a window's
+    arrays the lane holds the cursors, about 20 bytes per pair.  Where the
+    per-n route raises (``NotASolution``, ``CaseMismatch``,
+    ``UnclassifiableForm``), so does the lane.
 
     Overflow bound: r, s, t <= maxn, so u, v <= 2*maxn, image entries are
     at most 4*maxn, and every product, discriminant and key is at most
@@ -323,5 +416,5 @@ def verify_windows(maxn: int, h12, sigma0):
     """
     if maxn >= WINDOW_N_LIMIT:
         raise OverflowError(f"window lane for n <= {maxn} may exceed int64")
-    return ((lo, _window_failures(lo, hi, h12, sigma0))
-            for lo, hi in _windows(maxn))
+    return ((lo, _window_failures(lo, hi, terms, h12, sigma0))
+            for lo, hi, terms in _term_windows(maxn))

@@ -15,7 +15,7 @@ Everything here works one n at a time and is the oracle behind
 windows of consecutive n for the ``bijections`` suite, which compares the
 two on a prefix of n.  The two share no enumeration: the triples come from
 the loop ``oracles.iter_solution_triples`` here and the forms from
-``enumerate_reduced``'s own loop, both from ``_kernels.progression_terms``
+``enumerate_reduced``'s own loop, both from ``_kernels.ProgressionCursor``
 in the lane.  The module imports only the per-n layer (``oracles``,
 ``quadforms``, ``report``), so ``qident bijection`` runs without numpy.
 """

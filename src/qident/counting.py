@@ -274,7 +274,7 @@ def parity_bijection_walk(maxn: int):
             n, bad = _parity_images(np.full_like(j, 2 * i), 2 * j, 2 * k,
                                     math.isqrt(maxn))
             n >>= 2
-            images += np.bincount(n, minlength=top + 1)
+            np.add.at(images, n, 1)
             failed[n[bad]] = True
     return images, failed
 

@@ -113,7 +113,9 @@ class _Size(NamedTuple):
 # 2*10**4); background's two eta quotients, and its
 # ``classical_checks`` reads the run's r3 and adds r2 and r4 25 each,
 # d_mod4 17, sigma_no_mult4 9, triangular3 25, triangular_sum_side 12 and
-# hlm 17; bijections' window lane reads h12 and sigma0.  A sum of peaks
+# hlm 17; bijections' window lane reads h12 and sigma0 and holds its
+# progression cursors, 138 with a window (88 of them the cursors' 20 bytes
+# per opened pair, the rest the merges of their key runs).  A sum of peaks
 # bounds the peak of the tables held together;
 # each build's fixed block scratch (``_kernels.BLOCK`` cells or fewer) is
 # within its figure from max = 10**5 on.
@@ -123,7 +125,7 @@ class _Size(NamedTuple):
 # a failure past the prefix keep the bounds of their own enumerations
 # (``_FORMS`` for ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the
 # closed forms); ``sigma_table(max, 0)`` refuses only max >= 2**63.  At
-# max = 685220, above the budget's cap for "all" (682606), the eta
+# max = 685220, above the budget's cap for "all" (627551), the eta
 # quotients' guards have room: sum |s(k)| is 1.2e12 for the signed product
 # there, so its largest |c| would have to pass 7.9e6, and it is 13368.
 _SIZES = {
@@ -137,7 +139,7 @@ _SIZES = {
     "theorem61": _Size(1, 0, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
     "bijections": _Size(1, 7, (_H12, _FORMS,
                                bijection_windows.WINDOW_N_LIMIT - 1),
-                        False, 79 + 9),
+                        False, 79 + 9 + 138),
     "background": _Size(8, 8, (_KERNELS, _H12, _FORMS), True,
                         79 + 33 + 25 + 2 * 25 + 17 + 9 + 25 + 12 + 17
                         + 9 + 2 * 32),

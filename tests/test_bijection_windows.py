@@ -18,20 +18,51 @@ from qident.verify import run_suites
 from package_calls import package_calls
 
 
-def lane_failures(maxn):
+def _add_failures(out, lo, failed):
+    for name, fails in failed.items():
+        for i in np.flatnonzero(fails):
+            out.setdefault(lo + int(i), set()).add(name)
+
+
+def lane_failures(maxn, h12=None):
     """{n: set of check names the lane fails at n} over 1..maxn."""
+    h12 = hurwitz_table(4 * maxn) if h12 is None else h12
     out = {}
-    for lo, failed in W.verify_windows(maxn, hurwitz_table(4 * maxn),
+    for lo, failed in W.verify_windows(maxn, h12,
                                        _kernels.sigma_table(maxn, 0)):
-        for name, fails in failed.items():
-            for i in np.flatnonzero(fails):
-                out.setdefault(lo + int(i), set()).add(name)
+        _add_failures(out, lo, failed)
+    return out
+
+
+def walked_failures(maxn, h12, width):
+    """``lane_failures`` from windows of ``width`` n whose terms come from
+    a walk of every pair up to the window's end, less the terms at
+    n = 0 mod 4: the enumeration of the lane before its cursors."""
+    sigma0 = _kernels.sigma_table(maxn, 0)
+    out = {}
+    for lo in range(1, maxn + 1, width):
+        hi = min(lo + width - 1, maxn)
+        terms = {}
+        for family in (C.OPEN, C.SHIFTED, 4, 1):
+            blocks = list(_kernels._term_blocks(
+                _kernels._pair_blocks(family, hi), lo, hi))
+            cols = [np.concatenate(col) for col in zip(*blocks)] or [
+                np.zeros(0, dtype=np.int64)] * 4
+            keep = cols[0] % 4 != 0
+            terms[family] = tuple(col[keep] for col in cols)
+        _add_failures(out, lo, W._window_failures(lo, hi, terms, h12,
+                                                  sigma0))
     return out
 
 
 def lane_arrays(maxn):
-    return (W._window_triples(1, maxn), W._window_forms(1, maxn, 4),
-            W._window_forms(1, maxn, 1))
+    """The lane's triples, -4n forms and -n forms for n <= maxn, window
+    after window."""
+    parts = [(W._window_triples(lo, terms[C.OPEN], terms[C.SHIFTED]),
+              W._window_forms(lo, terms[4]), W._window_forms(lo, terms[1]))
+             for lo, _, terms in W._term_windows(maxn)]
+    return tuple(tuple(np.concatenate(col) for col in zip(*kind))
+                 for kind in zip(*parts))
 
 
 def test_lane_enumerates_the_per_n_triples_and_forms():
@@ -72,7 +103,8 @@ def test_per_n_route_shares_only_the_inverse_maps_with_the_lane():
     # count that the lane reads from its sigma0 table instead
     assert any(name == "iter_solution_triples" for _, _, name in per_n)
     assert any(name == "sigma" for _, _, name in per_n)
-    assert any(name == "progression_terms" for _, _, name in lane)
+    assert ("_kernels.py", _kernels.ProgressionCursor.take.__code__
+            .co_firstlineno, "take") in lane
     assert not (per_n & lane) - allowed, sorted((per_n & lane) - allowed)
 
 
@@ -106,17 +138,50 @@ def test_lane_outcome_equals_verify_case_to_1500():
 
 
 def test_lane_across_many_windows(monkeypatch):
-    whole = lane_arrays(1500)
+    # one window against many: the same rows, and every window consecutive
+    # and within its budget of kept terms, or a single n
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK", 1 << 24)
+        assert len(list(W._term_windows(1500))) == 1
+        whole = lane_arrays(1500)
     monkeypatch.setattr(_kernels, "BLOCK", 4096)
-    windows = list(W._windows(1500))
-    assert len(windows) > 20
-    parts = [(W._window_triples(lo, hi), W._window_forms(lo, hi, 4),
-              W._window_forms(lo, hi, 1)) for lo, hi in windows]
-    for k, arrays in enumerate(whole):
-        for col, want in enumerate(arrays):
-            got = np.concatenate([p[k][col] for p in parts])
-            assert got.tolist() == want.tolist()
+    spans = [(lo, hi, sum(len(cols[0]) for cols in terms.values()))
+             for lo, hi, terms in W._term_windows(1500)]
+    assert len(spans) > 20
+    assert [lo for lo, _, _ in spans] == [1] + [hi + 1
+                                                for _, hi, _ in spans[:-1]]
+    assert spans[-1][1] == 1500
+    assert all(kept <= W._window_budget() or lo == hi
+               for lo, hi, kept in spans)
+    for got, want in zip(lane_arrays(1500), whole):
+        assert [col.tolist() for col in got] == [col.tolist() for col in want]
     assert lane_failures(1500) == {}
+
+
+@pytest.mark.parametrize("maxn, small", [(3000, 1 << 12), (18000, 1 << 15)])
+def test_cursor_fails_where_the_walk_of_every_pair_fails(monkeypatch, maxn,
+                                                          small):
+    # with a late triple dropped and an h12 entry bumped, both past the
+    # prefix, the lane fails the checks that the walked enumeration fails,
+    # at the same n and nowhere else, with the default BLOCK and a small
+    # one (many more windows); clean, it fails nowhere (at 18000 the
+    # faulted runs show that everywhere but at the two faults)
+    h12 = hurwitz_table(4 * maxn)
+    blocks = (_kernels.BLOCK, small)
+    if maxn <= 3000:
+        for block in blocks:
+            monkeypatch.setattr(_kernels, "BLOCK", block)
+            assert lane_failures(maxn, h12) == {}
+    dropped, bumped = maxn - 3, maxn // 2 + 1  # 1 mod 4, past the prefix
+    h12[4 * bumped] += 12
+    real = W._window_triples
+    monkeypatch.setattr(W, "_window_triples",
+                        lambda *args: _drop_first(real(*args), dropped))
+    want = walked_failures(maxn, h12, 250)
+    assert set(want) == {dropped, bumped}
+    for block in blocks:
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        assert lane_failures(maxn, h12) == want
 
 
 def _drop_first(arrays, at, disc=None):

@@ -178,10 +178,10 @@ def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "run_suites", no_run)
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
-                             "--max", "682607")
+                             "--max", "627552")
     assert code == 2
     assert out == ""
-    assert err == ("error: suite all at --max 682607 would hold about "
+    assert err == ("error: suite all at --max 627552 would hold about "
                    "1024 MiB of tables, past the 1024 MiB budget\n")
 
 

@@ -239,28 +239,60 @@ def _plain_forms(m, n):
 @example(lo=1, width=24)
 @example(lo=1999, width=0)
 def test_progression_terms_vs_loops(block, lo, width):
-    # small blocks split rows, and blocks of form rows that start above hi
+    # the cursor's terms of [lo, hi], after a first window [1, lo - 1]:
+    # small blocks split the rows it opens, and blocks of form rows that
+    # start above hi; it keeps every term at n = 1, 2, 3 mod 4
     hi = min(lo + width, 2000)
+    got = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "BLOCK", block)
-        got = {family: _kernels.progression_terms(family, lo, hi)
-               for family in (C.OPEN, C.SHIFTED, 4, 1)}
-    for family, (n, p, q, k) in got.items():
-        assert [x.dtype for x in (n, p, q, k)] == [np.int64] * 4
-        assert ((lo <= n) & (n <= hi)).all() and (np.diff(n) >= 0).all()
+        for family in (C.OPEN, C.SHIFTED, 4, 1):
+            cursor = _kernels.ProgressionCursor(family, hi)
+            cursor.take(lo - 1)
+            cursor.advance(lo - 1)
+            got[family] = cursor.take(hi)
+    for family, cols in got.items():
+        assert [x.dtype for x in cols] == [np.int64] * 4
+        n, p, q, k = (col[np.argsort(cols[0], kind="stable")] for col in cols)
+        assert ((max(lo, 1) <= n) & (n <= hi)).all()
         for m in range(lo, hi + 1):
             sel = n == m
             rows = zip(p[sel].tolist(), q[sel].tolist(), k[sel].tolist())
             if family in (C.OPEN, C.SHIFTED):
-                assert ([(k + 1, s, t) for s, t, k in rows]
-                        == list(C.iter_solution_triples(m, family))), m
+                want = (list(C.iter_solution_triples(m, family))
+                        if m % 4 else [])
+                assert [(k + 1, s, t) for s, t, k in rows] == want, m
                 continue
             forms = [(a, b, a + (b < 0) + k) for a, b, k in rows]
-            assert forms == _plain_forms(family, m), (family, m)
+            assert forms == (_plain_forms(family, m) if m % 4 else []), (
+                family, m)
             D = -family * m
-            if 0 < -D <= 400 and D % 4 in (0, 1) and (family == 4 or m % 4):
+            if 0 < -D <= 400 and D % 4 in (0, 1) and m % 4:
                 assert forms == [(f.a, f.b, f.c)
                                  for f in enumerate_reduced_bruteforce(D)]
+
+
+@pytest.mark.parametrize("family", [C.OPEN, C.SHIFTED, 4, 1])
+def test_cursor_opens_exactly_the_pairs_with_a_kept_term(family):
+    # a pair the cursor skips reaches only n = 0 mod 4: open pairs with
+    # s + t even, and m = 4 pairs with 4 | a and 4 | first or with a = 2
+    # mod 4 and their one term 0 mod 4; it opens every other pair with a
+    # term, and no more but the odd-a m = 4 pairs, which filter n % 4
+    maxn = 3000
+    cursor = _kernels.ProgressionCursor(family, maxn)
+    opened = set(zip(cursor.x.tolist(), cursor.y.tolist()))
+    assert len(opened) == len(cursor.x)
+    reach = {}
+    for n, x, y, _ in _kernels._term_blocks(
+            _kernels._pair_blocks(family, maxn), 0, maxn):
+        for pair, m in zip(zip(x.tolist(), y.tolist()), n.tolist()):
+            reach.setdefault(pair, set()).add(m % 4)
+    kept = {pair for pair, res in reach.items() if res - {0}}
+    filtered = {pair for pair in reach if family == 4 and pair[0] % 2}
+    assert opened == kept | filtered
+    skipped = set(reach) - opened
+    assert all(reach[pair] == {0} for pair in skipped)
+    assert bool(skipped) == (family in (C.OPEN, 4))
 
 
 @functools.lru_cache(maxsize=None)

@@ -403,13 +403,13 @@ def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max(name):
 
 
 def test_all_is_bounded_by_its_table_bytes_alone():
-    # the cap of "all" within the 1 GiB budget: 1573 bytes per n
+    # the cap of "all" within the 1 GiB budget: 1711 bytes per n
     assert size_error("all", 300, 100_000) is None
-    cap = 682_606
-    assert (cap + 1) * 1573 <= verify.BYTES_BUDGET < (cap + 2) * 1573
+    cap = 627_551
+    assert (cap + 1) * 1711 <= verify.BYTES_BUDGET < (cap + 2) * 1711
     assert size_error("all", 300, cap) is None
     assert size_error("all", 300, cap + 1) == (
-        "suite all at --max 682607 would hold about 1024 MiB of tables, "
+        "suite all at --max 627552 would hold about 1024 MiB of tables, "
         "past the 1024 MiB budget")
     # the --order leg still refuses as before
     assert "MiB of series" in size_error("all", 1_000_000_001, 10)
@@ -438,7 +438,7 @@ def test_table_budget_bounds_max(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, per_n, mib", [("corollary", 249, 2374),
-                                              ("all", 1573, 15001)])
+                                              ("all", 1711, 16317)])
 def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
     # corollary's row holds the triple tables and the sum side's build; the
     # propositions row adds the parity walk, the signed product and the
@@ -453,13 +453,14 @@ def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
 
 
 def test_bijections_row_counts_the_sigma0_its_lane_reads():
-    # h12 at 4*max + 1 entries (79 bytes per n) and sigma0 (9)
-    assert _table_bytes("bijections") == 79 + 9
-    cap = 12_201_610
-    assert (cap + 1) * 88 <= verify.BYTES_BUDGET < (cap + 2) * 88
+    # h12 at 4*max + 1 entries (79 bytes per n), sigma0 (9) and the
+    # progression cursors with a window (138)
+    assert _table_bytes("bijections") == 79 + 9 + 138
+    cap = 4_751_069
+    assert (cap + 1) * 226 <= verify.BYTES_BUDGET < (cap + 2) * 226
     assert size_error("bijections", 300, cap) is None
     assert size_error("bijections", 300, cap + 1) == (
-        "suite bijections at --max 12201611 would hold about 1024 MiB of "
+        "suite bijections at --max 4751070 would hold about 1024 MiB of "
         "tables, past the 1024 MiB budget")
 
 
