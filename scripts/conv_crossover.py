@@ -17,8 +17,11 @@ the bit width of the dense operand, runs through both paths, best of
 five, and ``takes_rows`` is what ``_conv``'s rule picks.  For each offset
 tried in place of ``ROW_TERMS_OVER_BITS``, ``offsets`` gives the time the
 picks of the rule with that offset spend over the faster path (over every
-recorded product, repeats counted) and the products where the pick is more
-than 15 % slower than the other path.
+recorded product, repeats counted), the time of those picks, and the
+products where the pick is more than 15 % slower than the other path.
+``summary`` totals the rule's picks, the faster path and the packed
+product alone, and counts where rows were faster, over every product and
+over those that pass the rule's clauses other than the bits clause.
 
 Prints one JSON object, the radix sweep first.
 
@@ -43,10 +46,12 @@ REPEATS = 5
 # (suite, order, max) as ``verify.run_suites`` takes them: the two
 # benchmark workloads, ``verify --suite dkm --order 4000`` and ``verify
 # --suite all --order 300 --max 3000``, and ``verify --suite theorem17
-# --max 18000`` for the wider products of larger orders
+# --max 18000``, kept so that replays compare across versions: no suite
+# builds lane series at --max any more, so it multiplies only below q**201,
+# where its eta table is pinned to the lane
 REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
                ("theorem17", 200, 18000))
-OFFSETS = range(0, 65, 4)
+OFFSETS = range(0, 129, 4)
 
 
 def best(f, *args):
@@ -149,18 +154,52 @@ def row_replay() -> dict:
               f"packed={t_packed * 1e3:8.2f} ms", file=sys.stderr)
     offsets = []
     for offset in OFFSETS:
-        over, slow = 0.0, []
+        over, picked, slow = 0.0, 0.0, []
         for p in products:
-            rows = (2 * p["k"] <= p["n"] and p["k"] <= offset + p["bits"]
-                    and p["sparse_modulus"] <= 2)
+            rows = (_eligible(p) and p["k"] <= offset + p["bits"])
             pick, other = ((p["rows_s"], p["packed_s"]) if rows
                            else (p["packed_s"], p["rows_s"]))
             over += p["count"] * (pick - min(pick, other))
+            picked += p["count"] * pick
             if pick > 1.15 * other:
                 slow.append([p["n"], p["k"], p["bits"]])
         offsets.append({"offset": offset, "over_faster_s": round(over, 6),
+                        "picked_s": round(picked, 6),
                         "slower_by_15_percent": slow})
-    return {"runs": REPLAY_RUNS, "products": products, "offsets": offsets}
+    return {"runs": REPLAY_RUNS, "summary": _summary(products),
+            "products": products, "offsets": offsets}
+
+
+def _eligible(p) -> bool:
+    """Whether the product passes the clauses of ``_takes_rows`` other than
+    the bits clause: a sparse modulus of at most 2 and ``2 k <= n``."""
+    return p["sparse_modulus"] <= 2 and 2 * p["k"] <= p["n"]
+
+
+def _summary(products) -> dict:
+    """Totals over every recorded product (repeats counted), and where rows
+    were faster, overall and among the products the bits clause decides."""
+    def total(f):
+        return round(sum(p["count"] * f(p) for p in products), 6)
+
+    eligible = [p for p in products if _eligible(p)]
+    return {
+        "products": sum(p["count"] for p in products),
+        "distinct": len(products),
+        "max_n": max(p["n"] for p in products),
+        "max_bits": max(p["bits"] for p in products),
+        "rule_s": total(lambda p: p["rows_s"] if p["takes_rows"]
+                        else p["packed_s"]),
+        "faster_s": total(lambda p: min(p["rows_s"], p["packed_s"])),
+        "packed_s": total(lambda p: p["packed_s"]),
+        "rows_faster": sum(p["rows_s"] < p["packed_s"] for p in products),
+        "eligible": len(eligible),
+        "eligible_rows_faster": sum(p["rows_s"] < p["packed_s"]
+                                    for p in eligible),
+        "rule_picks_faster": sum(p["takes_rows"] == (p["rows_s"]
+                                                     < p["packed_s"])
+                                 for p in products),
+    }
 
 
 def main() -> int:

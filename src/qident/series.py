@@ -11,13 +11,16 @@ g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
 change of variable q -> q**g).  On the compressed length it then takes a
 sparse loop, shifted rows of the dense operand when the other has few
 nonzero terms of modulus at most 2 (``ROW_TERMS_OVER_BITS``), or one packed
-product (Kronecker substitution): both operands are offset to non-negative
-columns of one width, multiplied once, and the offsets are taken back out
-by a prefix sum.  Below ``DECIMAL_MIN_DIGITS`` packed digits the columns
-are bytes in one Python int multiply; at or above it they are decimal
-digits multiplied by libmpdec (the C library behind ``decimal``, which uses
-a number-theoretic transform for large operands), in a private context
-that traps every lost digit.  A quotient ``a / b`` takes one Newton step
+product.  The rows are added on int64 columns of 32-bit limbs: the dense
+operand is converted once, each row is one slice add, and the carries are
+normalised once, under an explicit int64 guard (``LIMB_ROWS_LIMIT``).
+The packed product is a Kronecker substitution: both operands are offset
+to non-negative columns of one width, multiplied once, and the offsets are
+taken back out by a prefix sum.  Below ``DECIMAL_MIN_DIGITS`` packed
+digits the columns are bytes in one Python int multiply; at or above it
+they are decimal digits multiplied by libmpdec (the C library behind
+``decimal``, which uses a number-theoretic transform for large operands),
+in a private context that traps every lost digit.  A quotient ``a / b`` takes one Newton step
 from the inverse of b at half length, and ``QSeries.invert`` is the
 quotient ``1 / b``, so the inverses halve down to order 1 and no quotient
 builds a full-length inverse.
@@ -309,17 +312,21 @@ def _conv_packed(u, v, n):
 # package's own products by the row replay of scripts/conv_crossover.py (see
 # README): every product that reaches this choice in ``verify --suite dkm
 # --order 4000``, ``verify --suite all --order 300 --max 3000`` and ``verify
-# --suite theorem17 --max 18000`` (n = 35 to 18001, dense operands up to 339
+# --suite theorem17 --max 18000`` (n = 37 to 4000, dense operands up to 155
 # bits), timed through both paths.  A sparse operand of k nonzero terms, each
 # of modulus at most 2, times a dense one whose largest coefficient has b
-# bits takes rows when ``k <= ROW_TERMS_OVER_BITS + b``.  Of the offsets
-# tried, 20 to 28 left the least time over the faster path, 0.06 ms in
-# 1.70 s summed over the 260 replayed products; 24 is the middle.  Every
-# replayed product that rows multiplied faster had a sparse operand of
-# modulus at most 2, and wider sparse coefficients each cost a scaled row.
-# Past 339 bits the rule is an extrapolation.  The sparse operand must also
-# be zero at half its exponents or more, so a dense operand, n rows, never
-# takes the path.
+# bits takes rows when ``k <= ROW_TERMS_OVER_BITS + b``.  On int64 limbs a
+# row costs a few numpy passes over n limb columns, so rows won 47 of the 51
+# replayed products that pass the other two clauses, and lost only small
+# ones (n <= 150, by at most 0.04 ms).  Of the offsets up to 36, 20 to 28
+# left the least time over the faster path, 4.6 ms in 78 ms summed over the
+# 195 replayed products; 24 is the middle.  Every offset from 60 on would
+# leave 0.14 ms, by also taking the one narrow product of n = 4000 and 64
+# terms, but past 36 the half-length clause hides the bits clause at
+# n = 334 and 130 bits, a case the tests pin on both sides.  Wider sparse
+# coefficients each cost a scaled row.  The sparse operand must also be zero
+# at half its exponents or more, so a dense operand, n rows, never takes the
+# path.
 ROW_TERMS_OVER_BITS = 24
 
 
@@ -332,20 +339,80 @@ def _takes_rows(nzu, v, n):
             and all(-2 <= x <= 2 for _, x in nzu))
 
 
+# The int64 guard of ``_conv_rows``: fewer rows than this.  Every limb of
+# a row is below 2**32 in modulus, so k rows sum to limbs below
+# k * (2**32 - 1), normalising the carries limb by limb keeps every carry
+# at most k, and every int64 on the way is at most k * 2**32, below 2**63
+# for k < 2**31.
+LIMB_ROWS_LIMIT = 1 << 31
+
+
+def _limbs(vals, width):
+    """int64 rows of ``width + 1`` limbs of 32 bits, one row per int of
+    vals: its two's complement in ``width`` limbs, the top one signed and
+    the others unsigned, and a zero limb above them for the carries."""
+    size = 4 * width
+    words = np.frombuffer(
+        b"".join([x.to_bytes(size, "little", signed=True) for x in vals]),
+        "<u4").reshape(-1, width)
+    out = np.zeros((len(vals), width + 1), np.int64)
+    out[:, :width] = words
+    out[:, width - 1] = words[:, -1].view("<i4")
+    return out
+
+
+def _carry(cols):
+    """Normalise int64 limb rows in place, from the lowest limb up: each
+    limb but the top keeps its low 32 bits and carries the rest (an
+    arithmetic shift, so negative limbs borrow) into the next."""
+    for i in range(cols.shape[1] - 1):
+        cols[:, i + 1] += cols[:, i] >> 32
+        cols[:, i] &= 0xFFFFFFFF
+    return cols
+
+
 def _conv_rows(nzu, v, n):
     """The sum of the rows ``x * q**j * v`` below q**n over the nonzero terms
-    (j, x) of a sparse operand.  Terms of one magnitude m share one row, v
-    or ``m*v``, which each adds at its shift j, or subtracts for x < 0.  v
-    is padded to n first, so every row reaches q**n."""
-    v = v + [0] * (n - len(v))
-    out = [0] * n
-    row, m = v, 1
+    (j, x) of a sparse operand, on int64 limb columns.
+
+    v, padded to n, is converted once to 32-bit limbs (``_limbs``), wide
+    enough for every row.  Terms of one magnitude m share one row, m*v:
+    the limbs of v times m with their carries normalised, or, for
+    m >= 2**31 (where that product could pass int64), the limbs of the ints
+    m*y.  Each term adds its row at its shift j as one slice of the
+    flat limb array, or subtracts it for x < 0.  The carries are normalised
+    once at the end, the last one into the spare top limb, and each
+    coefficient is read back with one ``int.from_bytes``.  Exact: every
+    limb of a row is below 2**32, and a product of ``LIMB_ROWS_LIMIT`` rows
+    or more, which could pass int64, raises ``OverflowError``.
+    """
+    if len(nzu) >= LIMB_ROWS_LIMIT:
+        raise OverflowError(f"{len(nzu)} rows would pass the int64 limbs")
+    v = v[:n] + [0] * (n - len(v))
+    top = max(abs(x) for _, x in nzu) * max(map(abs, v))
+    width = top.bit_length() // 32 + 1
+    step = width + 1
+    base = _limbs(v, width)
+    acc = np.zeros(n * step, np.int64)
+    row, m = base.ravel(), 1
     for j, x in sorted(nzu, key=lambda term: abs(term[1])):
         if abs(x) != m:
             m = abs(x)
-            row = [m * y for y in v]
-        out[j:] = map(operator.add if x > 0 else operator.sub, out[j:], row)
-    return out
+            row = (_carry(base * m) if m < 1 << 31
+                   else _limbs([m * y for y in v], width)).ravel()
+        if x > 0:
+            acc[j * step:] += row[:(n - j) * step]
+        else:
+            acc[j * step:] -= row[:(n - j) * step]
+    size = 4 * step
+    data = _carry(acc.reshape(n, step)).astype("<u4").tobytes()
+    return [int.from_bytes(data[i:i + size], "little", signed=True)
+            for i in range(0, n * size, size)]
+
+
+def _terms(u: list[int]) -> list[tuple[int, int]]:
+    """The nonzero terms (j, x) of u, in order of j."""
+    return list(zip(itertools.compress(itertools.count(), u), filter(None, u)))
 
 
 def _spread(vals: list[int], g: int, order: int) -> list[int]:
@@ -368,21 +435,26 @@ def _conv(u, v, n):
     sparse loop when few products of nonzero terms fall below q**n,
     ``_conv_rows`` when one operand has few nonzero terms, each of modulus
     at most 2, against both n and the other operand's bit width
-    (``_takes_rows``), and ``_conv_packed`` otherwise.
+    (``_takes_rows``), and ``_conv_packed`` otherwise.  The operands are
+    counted and their exponents read at C speed (``list.count`` and
+    ``itertools.compress``); the (exponent, coefficient) pairs are built
+    only for an operand that the sparse loop or the rows read.
     """
     u = u[:n]
     v = v[:n]
-    nzu = [(j, x) for j, x in enumerate(u) if x]
-    nzv = [(j, x) for j, x in enumerate(v) if x]
-    if not nzu or not nzv:
+    ku = len(u) - u.count(0)
+    kv = len(v) - v.count(0)
+    if not ku or not kv:
         return [0] * n
-    g = math.gcd(*[j for j, _ in nzu], *[j for j, _ in nzv])
+    g = math.gcd(*itertools.compress(range(len(u)), u),
+                 *itertools.compress(range(len(v)), v))
     if g > 1:  # the compressed exponents have gcd 1: one level deep
         return _spread(_conv(u[::g], v[::g], -(-n // g)), g, n)
-    if len(nzu) * len(nzv) <= max(1024, 4 * n):
-        return _conv_sparse(nzu, nzv, n)
-    if len(nzu) > len(nzv):
-        u, v, nzu = v, u, nzv
+    if ku * kv <= max(1024, 4 * n):
+        return _conv_sparse(_terms(u), _terms(v), n)
+    if ku > kv:
+        u, v = v, u
+    nzu = _terms(u)
     if _takes_rows(nzu, v, n):
         return _conv_rows(nzu, v, n)
     return _conv_packed(u, v, n)
@@ -1084,8 +1156,12 @@ def series_bytes(order: int) -> int:
     ``PRODUCT_STORE_LIMIT`` stored products and 16 more, with room to
     spare, for the operands, products and quotients of the two product
     routes (each quotient holds an inverse and a remainder at half
-    length).  The base products of the theta store are not counted apart: a
-    theta series has at most two terms at each power of q, so their
+    length).  A product's own scratch fits in those: a rows product at
+    order 4000 with a dense operand as wide as any of dkm's there, (q;q)
+    times the 155-bit ``(-q;q)``, peaks in tracemalloc at 0.68 MB in
+    ``_conv_rows``, about three such lists, with its bytes per
+    coefficient, limb rows and the list it returns.  The base products of the theta store are not counted apart:
+    a theta series has at most two terms at each power of q, so their
     coefficients have modulus at most 2, CPython's shared small ints, and a
     full store holds ``16 * PRODUCT_STORE_LIMIT`` bytes per unit of order,
     about 4 % of this estimate at order 3001 (0.22 MB measured after

@@ -90,10 +90,12 @@ class _Size(NamedTuple):
 
 # Every size rule of every suite; ``size_error`` applies them.
 #
-# Minimums: dkm compares series from q**1 on; bijections needs n = 7, the
-# first n of its last case (n = 7 mod 8), to run every check; background
-# runs the theta and Appell suites (order >= 8) and the classical
-# square-count checks (max >= 8).
+# Minimums: dkm compares series from q**1 on.  A suite that sweeps residue
+# classes of n needs --max to reach the first n of its last class, so that
+# no check passes on an empty class: corollary n = 2 (its even n),
+# theorem17, propositions, theorem61 and bijections n = 7 (their checks at
+# n = 7 mod 8).  background runs the theta and Appell suites (order >= 8)
+# and the classical square-count checks (max >= 8).
 #
 # Series: dkm's sum side builds kernel tables for n <= order - 1 and
 # background's theta and Appell series follow order too.  No suite builds a
@@ -130,13 +132,13 @@ class _Size(NamedTuple):
 # there, so its largest |c| would have to pass 7.9e6, and it is 13368.
 _SIZES = {
     "dkm": _Size(2, 0, (), True, 0),
-    "corollary": _Size(1, 0, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
+    "corollary": _Size(1, 2, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
                        False, 33 + 2 * 92 + 32),
-    "theorem17": _Size(1, 0, (_KERNELS, _H12), False, 25 + 79 + 9 + 32),
-    "propositions": _Size(1, 0, (_KERNELS, counting.PARITY_N_LIMIT - 1),
+    "theorem17": _Size(1, 7, (_KERNELS, _H12), False, 25 + 79 + 9 + 32),
+    "propositions": _Size(1, 7, (_KERNELS, counting.PARITY_N_LIMIT - 1),
                           False,
                           33 + 25 + 2 * 92 + 9 + 11 + 9 + 32 + 176),
-    "theorem61": _Size(1, 0, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
+    "theorem61": _Size(1, 7, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
     "bijections": _Size(1, 7, (_H12, _FORMS,
                                bijection_windows.WINDOW_N_LIMIT - 1),
                         False, 79 + 9 + 138),

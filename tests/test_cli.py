@@ -55,6 +55,14 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     ("table", "--max", "-1"),
     ("verify", "--suite", "bijections", "--max", "6"),
     ("verify", "--suite", "bijections", "--max", "0"),
+    # every suite with checks at n = 7 mod 8 refuses a --max that reads no
+    # such n, and corollary one that reads no even n
+    ("verify", "--suite", "theorem61", "--max", "0"),
+    ("verify", "--suite", "theorem61", "--max", "6"),
+    ("verify", "--suite", "theorem17", "--max", "6"),
+    ("verify", "--suite", "propositions", "--max", "6"),
+    ("verify", "--suite", "corollary", "--max", "0"),
+    ("verify", "--suite", "corollary", "--max", "1"),
     ("table", "--columns", ","),
     ("table", "--columns", " "),
 ])

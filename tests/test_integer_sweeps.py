@@ -228,8 +228,9 @@ def test_every_suite_matches_the_reference_at_small_max(name):
                                               verify.Tables(maxn))
             assert report.passed, report.failures
             ran += 1
-    # background and the classical checks need max >= 8
-    assert ran == (9 if name == "background" else 17)
+    # the suites with checks at n = 7 mod 8 need max >= 7, background and
+    # the classical checks max >= 8
+    assert ran == (9 if name == "background" else 10)
 
 
 def test_run_suites_all_matches_the_reference_to_16():

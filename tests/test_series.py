@@ -891,6 +891,104 @@ class TestRowPath:
         assert len(out) == n and out == _conv_school(sparse, dense, n)
 
 
+# the sparse magnitudes of the limb rows: the two that ``_conv`` sends,
+# one past them, both sides of 2**31, from which a row is converted rather
+# than scaled, the first magnitude whose scaled limbs could pass int64, and
+# magnitudes of a full limb and wider
+ROW_MAGNITUDES = (1, 2, 3, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
+                  (1 << 32) - 1, 1 << 70)
+
+
+@st.composite
+def row_cases(draw):
+    """(sparse, dense, n) in q**g, g = 1, 2 or 3: a sparse operand of up to
+    64 terms of the ``ROW_MAGNITUDES``, either sign, and a dense one of 1 to
+    n coefficients of up to 400 bits, random or at the two's complement
+    edges ±2**b and ±(2**b - 1), which fill or just overflow the top limb
+    when 32 divides b or b + 1."""
+    n = draw(st.integers(1, 600))
+    g = draw(st.sampled_from([1, 2, 3]))
+    bits = draw(st.integers(1, 400))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = 1 << bits
+    if draw(st.booleans()):
+        values = [0, top, -top, top - 1, 1 - top]
+        pick = lambda: rng.choice(values)
+    else:
+        pick = lambda: rng.randrange(-top, top + 1)
+    dense = [0] * draw(st.integers(1, n))
+    for j in range(0, len(dense), g):
+        dense[j] = pick()
+    sparse = [0] * n
+    slots = range(0, n, g)
+    for j in rng.sample(slots, draw(st.integers(1, min(64, len(slots))))):
+        sparse[j] = rng.choice(ROW_MAGNITUDES) * rng.choice((1, -1))
+    return sparse, dense, n
+
+
+class TestLimbRows:
+    @settings(max_examples=200, deadline=None)
+    @given(row_cases())
+    @example(([1], [-(1 << 400)], 1))
+    @example(([1, 0, -2], [(1 << 31) - 1, -(1 << 31), 1 << 32], 3))
+    @example(([-1] * 8, [-(1 << 63), (1 << 64) - 1], 8))
+    def test_rows_and_conv_match_school(self, case):
+        sparse, dense, n = case
+        ref = _conv_school(sparse, dense, n)
+        nz = [(j, x) for j, x in enumerate(sparse) if x]
+        assert series._conv_rows(nz, dense, n) == ref
+        assert _conv(sparse, dense, n) == ref
+        assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
+
+    def test_guard_is_the_most_rows_int64_holds(self):
+        # k rows of limbs below 2**32 sum to limbs below k * (2**32 - 1), and
+        # each carry is at most k: k * 2**32 must stay below 2**63
+        limit = series.LIMB_ROWS_LIMIT
+        assert (limit - 1) * (1 << 32) < 1 << 63 <= limit * (1 << 32)
+
+    @pytest.mark.parametrize("limit", [1, 2, 7])
+    def test_guard_at_the_boundary(self, monkeypatch, limit):
+        # every limb of the dense operand at its extreme, so each row adds
+        # the most a row can
+        n = 20
+        dense = [(1 << 64) - 1, -(1 << 63)] * (n // 2)
+        monkeypatch.setattr(series, "LIMB_ROWS_LIMIT", limit)
+        for k in (limit - 1, limit):
+            sparse = [0] * n
+            for j in range(k):
+                sparse[j] = -2 if j % 2 else 1
+            nz = [(j, x) for j, x in enumerate(sparse) if x]
+            if k < limit:
+                if nz:
+                    assert (series._conv_rows(nz, dense, n)
+                            == _conv_school(sparse, dense, n))
+            else:
+                with pytest.raises(OverflowError):
+                    series._conv_rows(nz, dense, n)
+
+    def test_rows_product_at_4000_fits_the_list_term(self):
+        # a rows product at order 4000 with a dense operand as wide as any
+        # of dkm's there: (q;q) times the 155-bit (-q;q); series_bytes
+        # counts 16 spare lists of 4000 ints at the partition bound, and the
+        # product's scratch takes fewer than 4
+        n = 4000
+        unit = pochhammer_inf(ONE, 1, 1, n)._re
+        dense = pochhammer_inf(MINUS_ONE, 1, 1, n)._re
+        nz = [(j, x) for j, x in enumerate(unit) if x]
+        one_list = n * (8 + series._int_bytes(series._partition_bound_bits(
+            n - 1)))
+        tracemalloc.start()
+        try:
+            out = series._conv_rows(nz, dense, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series._takes_rows(nz, dense, n)
+        # (q;q) (-q;q) = (q^2;q^2)
+        assert out == pochhammer_inf(ONE, 2, 2, n)._re
+        assert peak < 4 * one_list
+
+
 def _big_eta(r, n):
     """The recurrence of ``eta_quotient`` in Python ints, from the per-n
     divisor sum: the coefficients and each step's largest partial sum."""

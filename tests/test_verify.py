@@ -30,6 +30,35 @@ def test_bijections_runs_every_check_from_max_7():
         run_suites("bijections", 48, 6)
 
 
+@pytest.mark.parametrize("name", ["corollary", "theorem17", "propositions",
+                                  "theorem61"])
+def test_smallest_max_reaches_every_residue_class(monkeypatch, name):
+    # at the row's min_max every table and pinned check reads some n, and
+    # one below it some check reads none, which would pass vacuously
+    sizes = {}
+    real_table, real_pinned = verify.table_check, verify._pinned_check
+
+    def table(check, ns, *args, **kwargs):
+        sizes[check] = len(ns)
+        return real_table(check, ns, *args, **kwargs)
+
+    def pinned(check, ns, *args, **kwargs):
+        sizes[check] = len(ns)
+        return real_pinned(check, ns, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "table_check", table)
+    monkeypatch.setattr(verify, "_pinned_check", pinned)
+    least = verify._SIZES[name].min_max
+    for maxn, empty in ((least, False), (least - 1, True)):
+        sizes.clear()
+        (report,) = run_suites(name, 8, maxn)
+        assert report.passed
+        assert sizes and (0 in sizes.values()) == empty, (maxn, sizes)
+    assert size_error(name, 8, least) is None
+    assert size_error(name, 8, least - 1) == (
+        f"suite {name} needs --max >= {least}")
+
+
 def test_all_runs_every_suite_in_stable_order():
     reports = run_suites("all", 32, 60)
     assert [r.suite for r in reports] == list(SUITE_NAMES)
