@@ -23,6 +23,14 @@ products where the pick is more than 15 % slower than the other path.
 product alone, and counts where rows were faster, over every product and
 over those that pass the rule's clauses other than the bits clause.
 
+Lane replay: every ``_factors_lane`` build of the same runs, each run on
+a cleared product store, recorded as (unit, offset, modulus, order).  Each
+build is timed, best of five, with ``_tail_start`` patched to each start of
+``LANE_STARTS``: the rule's start t, half and twice t, ``ceil(order/2)``
+(the older upper-half scan) and the first exponent (no factor applied one
+at a time).  Every start must give the same product.  ``summary`` totals
+each start over every recorded build and counts where each was fastest.
+
 Prints one JSON object, the radix sweep first.
 
     PYTHONPATH=src python3 scripts/conv_crossover.py
@@ -52,6 +60,17 @@ REPEATS = 5
 REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
                ("theorem17", 200, 18000))
 OFFSETS = range(0, 129, 4)
+
+_rule_start = series._tail_start
+
+# name -> a stand-in for ``series._tail_start(e, modulus, order)``
+LANE_STARTS = {
+    "rule": _rule_start,
+    "half_rule": lambda e, m, n: _rule_start(e, m, n) // 2,
+    "twice_rule": lambda e, m, n: 2 * _rule_start(e, m, n),
+    "half_order": lambda e, m, n: -(-n // 2),
+    "first_exponent": lambda e, m, n: e,
+}
 
 
 def best(f, *args):
@@ -202,12 +221,71 @@ def _summary(products) -> dict:
     }
 
 
+def recorded_builds() -> list[tuple[int, int, int, int]]:
+    """Every (unit, e, modulus, order) that ``_factors_lane`` builds in the
+    runs of ``REPLAY_RUNS``, each run from a cleared product store, as in
+    a process of its own."""
+    builds = []
+    lane = series._factors_lane
+
+    def record(*key):
+        builds.append(key)
+        return lane(*key)
+
+    series._factors_lane = record
+    try:
+        for run in REPLAY_RUNS:
+            series.clear_product_store()
+            run_suites(*run)
+    finally:
+        series._factors_lane = lane
+        series.clear_product_store()
+    return builds
+
+
+def lane_replay() -> dict:
+    builds = []
+    for key in recorded_builds():
+        times, ref = {}, None
+        for name, start in LANE_STARTS.items():
+            series._tail_start = start
+            try:
+                times[name], out = best(series._factors_lane, *key)
+            finally:
+                series._tail_start = _rule_start
+            if ref is None:
+                ref = out
+            elif out != ref:
+                raise SystemExit(f"start {name} changes the product {key}")
+        unit, e, modulus, order = key
+        builds.append({"unit": unit, "offset": e, "modulus": modulus,
+                       "order": order,
+                       "start": _rule_start(e, modulus, order),
+                       **{f"{k}_s": round(t, 6) for k, t in times.items()}})
+        print(f"lane {key} " + " ".join(f"{k}={t * 1e3:.2f}"
+                                        for k, t in times.items()),
+              file=sys.stderr)
+    summary = {"builds": len(builds),
+               "distinct": len({(b["unit"], b["offset"], b["modulus"],
+                                 b["order"]) for b in builds}),
+               "max_order": max(b["order"] for b in builds)}
+    for name in LANE_STARTS:
+        summary[f"{name}_s"] = round(sum(b[f"{name}_s"] for b in builds), 6)
+        summary[f"{name}_fastest"] = sum(
+            min(LANE_STARTS, key=lambda k: b[f"{k}_s"]) == name
+            for b in builds)
+    summary["fastest_s"] = round(sum(min(b[f"{k}_s"] for k in LANE_STARTS)
+                                     for b in builds), 6)
+    return {"runs": REPLAY_RUNS, "summary": summary, "builds": builds}
+
+
 def main() -> int:
     rng = random.Random(0)
     out = {"repeats": REPEATS, "python": sys.version.split()[0],
            "decimal_min_digits": series.DECIMAL_MIN_DIGITS,
            "row_terms_over_bits": series.ROW_TERMS_OVER_BITS,
-           "rows": radix_sweep(rng), "row_replay": row_replay()}
+           "rows": radix_sweep(rng), "row_replay": row_replay(),
+           "lane_replay": lane_replay()}
     json.dump(out, sys.stdout, indent=1)
     print()
     return 0

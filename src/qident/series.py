@@ -29,11 +29,11 @@ builds a full-length inverse.
 package) runs on a multi-modular numpy lane: the product is formed in uint64
 residues modulo the largest primes below ``2**62``, enough of them to cover
 an a-priori bound on the coefficients (the number of partitions into
-distinct parts), and rebuilt exactly by CRT.  Each factor below
-``q**ceil(order/2)`` is one slice update; the factors from there on
-multiply to ``1 - zeta*sum q**k`` below ``q**order``, since any two of
-their exponents sum past it, so one stride prefix-sum scan applies them
-all (exact algebra on the truncation, not an identity).  Each lane product
+distinct parts), and rebuilt exactly by CRT.  Each factor below a tail
+start of about ``sqrt(modulus * order * log2(order) / 2)`` is one slice
+update; the factors from there on are multiplied in together, by counting
+sets of their exponents: level i of the tail is a stride prefix sum of
+level i - 1, added in at the least sum of i exponents.  Each lane product
 is built once per process: a bounded store keeps the longest product per
 reduced key ``(unit, e/g, m/g)``, g = gcd(e, m), and serves
 ``(zeta*q**e; q**m)`` below ``q**N`` from its prefix below
@@ -980,20 +980,45 @@ def _crt(rows, moduli: list[int]) -> list[int]:
     return out
 
 
-def _stride_prefix(c, p, stride: int, n: int, buf):
-    """``C[i] = c[i] + c[i - stride] + c[i - 2*stride] + ...`` for i < n,
-    each row mod its prime, in ``buf[:, :n]``; ``buf[:, n:2*n]`` is the
-    temporary.  Doubling steps: after adding the copy shifted by
-    ``stride * 2**k``, C[i] sums the first ``2**(k + 1)`` terms."""
-    out = buf[:, :n]
-    out[...] = c[:, :n]
+def _stride_prefix(c, p, stride: int, tmp):
+    """``c[..., i] += c[..., i - stride] + c[..., i - 2*stride] + ...`` in
+    place, each row mod its prime, with the temporaries in ``tmp``.
+    Doubling steps: after adding the copy shifted by ``stride * 2**k``,
+    c[i] sums the first ``2**(k + 1)`` terms."""
+    n = c.shape[-1]
     shift = stride
     while shift < n:
-        s = buf[:, n:2 * n - shift]
-        np.add(out[:, shift:], out[:, :n - shift], out=s)
-        _reduce(s, p, np.subtract, out[:, shift:])
+        s = tmp[..., :n - shift]
+        np.add(c[..., shift:], c[..., :n - shift], out=s)
+        _reduce(s, p, np.subtract, c[..., shift:])
         shift *= 2
-    return out
+
+
+def _subtract_times(c, k: int, e: int, src, p, tmp):
+    """``c -= i**k * q**e * src``, each row mod its prime, with the real
+    part in ``c[0]`` and the imaginary part, if any, in ``c[1]``:
+    ``i**k * (a + b*i)`` is (a, b), (-b, a), (-a, -b) or (b, -a).  src may
+    overlap the columns written, so every unreduced sum goes to ``tmp``
+    before any part is written."""
+    n = src.shape[-1]
+    if k % 2:
+        groups = ((0, 1, k == 1), (1, 0, k == 3))
+    else:
+        groups = ((slice(None), slice(None), k == 2),)
+    for part, other, add in groups:
+        (np.add if add else np.subtract)(c[part, :, e:], src[other],
+                                         out=tmp[part, :, :n])
+    for part, _, add in groups:
+        _reduce(tmp[part, :, :n], p, np.subtract if add else np.add,
+                c[part, :, e:])
+
+
+def _tail_start(e: int, modulus: int, order: int) -> int:
+    """The first exponent of ``e, e + modulus, ...`` at or above
+    ``sqrt(modulus * order * log2(order) / 2)``: where ``_factors_lane``
+    stops applying factors one at a time (its docstring derives it)."""
+    t = math.isqrt(modulus * order * order.bit_length() // 2)
+    return e + max(0, -(-(t - e) // modulus)) * modulus
 
 
 def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
@@ -1006,54 +1031,51 @@ def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
     ``_partition_bound_bits`` bounds.  Reduction mod p is a ring
     homomorphism, so only the final coefficients need to fit that bound.
 
-    Each factor below h = ceil(order/2) is one slice update of all rows.
-    Any two exponents at or above h sum to at least the order, so the
-    factors from the first such exponent e_h on multiply to
-    ``1 - zeta * sum q**k`` below ``q**order``: one scan applies them all,
-    ``c[e_h + i] -= zeta * C[i]``, where C is the stride-``modulus`` prefix
-    sum of ``c`` taken before the scan writes.  Every update and the scan
-    write in place through preallocated scratch rows.
+    Each factor below the tail start t (``_tail_start``) is one slice
+    update of all rows, giving a partial product A.  The factors from t on
+    are multiplied in together by counting sets of exponents: i distinct
+    exponents ``t + a_1 m < ... < t + a_i m`` (m the modulus) sum to
+    ``i t + m i(i-1)/2`` plus m times a partition into at most i parts, so
+    the tail is ``sum_i (-zeta)**i q**(i t + m i(i-1)/2) / (q**m; q**m)_i``
+    (Andrews, *The Theory of Partitions*, Cor. 2.2).  Level i is
+    ``A / (q**m; q**m)_i``, the stride-``i m`` prefix sum of level i - 1,
+    taken in place below ``q**(order - i t - m i(i-1)/2)`` only, and each
+    level is added into the product at its shift.  No level starts at or
+    past the order, so there are fewer than ``order / t`` of them.
+
+    The start balances column passes.  A factor at k costs one pass over
+    ``order - k`` columns, so the factors below t cost about
+    ``t order / m``.  A level costs one doubling prefix, about
+    ``log2(order)`` passes over its length, and the levels' lengths fall
+    from ``order - t`` towards 0 in steps of at least t, so the tail costs
+    about ``order**2 log2(order) / (2 t)``.  The sum is least at
+    ``t = sqrt(m order log2(order) / 2)``, which ``_tail_start`` takes with
+    the bit length of the order for its log.  Every update writes in place
+    through preallocated scratch rows.
     """
     moduli = _lane_moduli(_partition_bound_bits(order - 1))
     p = np.array(moduli, dtype=np.uint64)[:, None]
-    re = np.zeros((len(moduli), order), dtype=np.uint64)
-    re[:, 0] = 1
-    odd = unit % 2
-    im = np.zeros_like(re) if odd else None
-    scratch = np.empty((1 + odd, len(moduli), order), dtype=np.uint64)
-    # c <- c - zeta * q**e * src: re steps by +im or -im for i and -i, by
-    # +re or -re for -1 and 1, and im of the odd units by the other sign.
-    # src may overlap the slice of c written, so the unreduced sums go to
-    # scratch columns from ``col`` on before either array is written.
-    step, undo = ((np.add, np.subtract) if unit in (1, 2)
-                  else (np.subtract, np.add))
-
-    def apply(e, src_re, src_im, col):
-        hi = slice(e, None)
-        cols = slice(col, col + order - e)
-        s = scratch[0, :, cols]
-        step(re[:, hi], (src_im if odd else src_re), out=s)
-        if odd:
-            t = scratch[1, :, cols]
-            undo(im[:, hi], src_re, out=t)
-            _reduce(t, p, step, im[:, hi])
-        _reduce(s, p, undo, re[:, hi])
-
-    half = -(-order // 2)
-    while e < half:
-        n = order - e
-        apply(e, re[:, :n], im[:, :n] if odd else None, 0)
+    # the real part, and the imaginary part for the odd units
+    c = np.zeros((1 + unit % 2, len(moduli), order), dtype=np.uint64)
+    c[0, :, 0] = 1
+    tmp = np.empty_like(c)
+    t = _tail_start(e, modulus, order)
+    while e < min(t, order):
+        _subtract_times(c, unit, e, c[..., :order - e], p, tmp)
         e += modulus
-    if e < order:
-        # n <= order // 2, so each scratch row holds the prefix sum in its
-        # first n columns and the temporaries in the next n
-        n = order - e
-        apply(e, _stride_prefix(re, p, modulus, n, scratch[0]),
-              _stride_prefix(im, p, modulus, n, scratch[1]) if odd else None,
-              n)
-    return QSeries._raw(_crt(re, moduli),
-                        None if im is None else _crt(im, moduli),
-                        1, order)
+    level = c.copy()
+    i, s = 1, e
+    while s < order:
+        n = order - s
+        _stride_prefix(level[..., :n], p, i * modulus, tmp)
+        # level i enters with -(-zeta)**i = i**k: k = unit at i = 1
+        _subtract_times(c, (2 + i * (unit + 2)) % 4, s, level[..., :n], p,
+                        tmp)
+        s += e + i * modulus
+        i += 1
+    del level, tmp  # before _crt fills its lists
+    return QSeries._raw(_crt(c[0], moduli),
+                        _crt(c[1], moduli) if unit % 2 else None, 1, order)
 
 
 # ---------------------------------------------------------------------------
@@ -1128,17 +1150,18 @@ def _int_bytes(bits: int) -> int:
 def _lane_bytes(order: int) -> int:
     """The lane term of ``series_bytes``: one build below ``q**order``.
 
-    It counts the uint64 rows (real, imaginary and two scratch arrays, one
-    row per prime at the bound, every prime being above ``2**61``; the scan
-    over the upper-half factors keeps its prefix sums and temporaries in
-    the scratch rows), and one int of 62 bits with its list slot per
-    residue.  ``_crt`` converts residues a block of columns at a time, so
-    those slots are room for the two coefficient lists it fills: from order
-    3001 on they hold them, and ``_factors_lane(1, 1, 1, N)`` peaks in
-    tracemalloc at 0.65 MB for N = 3001 and 0.86 MB for 4000, against 0.68
-    and 0.91 MB counted here.  Below that the lists outgrow the slots (56
-    against 23 KB at 300), and the list term of ``series_bytes`` covers
-    them.
+    It counts, per column and per prime at the bound (every prime being
+    above ``2**61``), four uint64 words and one int of 62 bits with its
+    list slot: 76 bytes.  The build holds six uint64 rows per prime for
+    the odd units (the real and imaginary rows, their level rows and
+    their temporaries), 48 of those bytes.  ``_crt`` runs after the level
+    rows and temporaries are freed and converts residues a block of
+    columns at a time, so the rest is room for the two coefficient lists
+    it fills: from order 3001 on they fit, and ``_factors_lane(1, 1, 1,
+    N)`` peaks in tracemalloc at 0.63 MB for N = 3001 and 0.77 MB for
+    4000, against 0.68 and 0.91 MB counted here.  Below that the lists
+    outgrow the slots (51 against 23 KB at 300), and the list term of
+    ``series_bytes`` covers them.
     """
     bits = _partition_bound_bits(max(order - 1, 0))
     rows = (bits + 2) // 61 + 1

@@ -127,9 +127,10 @@ class _Size(NamedTuple):
 # a failure past the prefix keep the bounds of their own enumerations
 # (``_FORMS`` for ``hurwitz_H(4n)``, ``counting.TRIPLE_N_LIMIT`` for the
 # closed forms); ``sigma_table(max, 0)`` refuses only max >= 2**63.  At
-# max = 685220, above the budget's cap for "all" (627551), the eta
-# quotients' guards have room: sum |s(k)| is 1.2e12 for the signed product
-# there, so its largest |c| would have to pass 7.9e6, and it is 13368.
+# max = 685220, above the budget's cap for "all" (627168 at --order 200),
+# the eta quotients' guards have room: sum |s(k)| is 1.2e12 for the signed
+# product there, so its largest |c| would have to pass 7.9e6, and it is
+# 13368.
 _SIZES = {
     "dkm": _Size(2, 0, (), True, 0),
     "corollary": _Size(1, 2, (_KERNELS, counting.TRIPLE_N_LIMIT - 1),
@@ -147,21 +148,21 @@ _SIZES = {
                         + 9 + 2 * 32),
 }
 
-# The most bytes the series at ``--order`` may be estimated to hold
-# (``series.series_bytes``), and, apart from them, the most the int64
-# tables at ``--max`` may hold, before the CLI refuses the size: 1 GiB,
-# about 57 times the series estimate at order 4000.
+# The most bytes the series at ``--order`` (``series.series_bytes``) and
+# the int64 tables at ``--max`` may be estimated to hold together before
+# the CLI refuses the size: 1 GiB, about 57 times the series estimate at
+# order 4000.
 BYTES_BUDGET = 1 << 30
 
 
 def size_error(name: str, order: int, maxn: int) -> str | None:
     """Why suite ``name``, or "all", refuses ``(order, maxn)``, or None if
     it accepts them.  The checks run in a fixed order: the minimums, the
-    int64 bounds on --order and --max, then the series bytes at --order and
-    the table bytes at --max against ``BYTES_BUDGET``.  Nothing is
-    allocated; "all" takes the tightest bound of every suite and adds up
-    their table bytes (a shared table counts once per suite that reads
-    it)."""
+    int64 bounds on --order and --max, then the series bytes at --order
+    (for the suites that follow it) plus the table bytes at --max against
+    ``BYTES_BUDGET``, since one run holds both.  Nothing is allocated;
+    "all" takes the tightest bound of every suite and adds up their table
+    bytes (a shared table counts once per suite that reads it)."""
     names = SUITE_NAMES if name == "all" else (name,)
     rows = [_SIZES[n] for n in names]
     min_order = max(r.min_order for r in rows)
@@ -176,16 +177,18 @@ def size_error(name: str, order: int, maxn: int) -> str | None:
         return f"suite {name} needs --order <= {_KERNELS + 1}"
     if max_max is not None and maxn > max_max:
         return f"suite {name} needs --max <= {max_max}"
-    needs = []
+    legs = []
     if follows_order:
-        needs.append(("--order", order, series_bytes(order), "series"))
-    needs.append(("--max", maxn,
-                  sum(r.table_bytes for r in rows) * (maxn + 1), "tables"))
-    for flag, value, need, what in needs:
-        if need > BYTES_BUDGET:
-            return (f"suite {name} at {flag} {value} would hold about "
-                    f"{need >> 20} MiB of {what}, past the "
-                    f"{BYTES_BUDGET >> 20} MiB budget")
+        legs.append((f"--order {order}", series_bytes(order), "series"))
+    per_n = sum(r.table_bytes for r in rows)
+    if per_n:
+        legs.append((f"--max {maxn}", per_n * (maxn + 1), "tables"))
+    need = sum(b for _, b, _ in legs)
+    if need > BYTES_BUDGET:
+        return (f"suite {name} at {' '.join(f for f, _, _ in legs)} would "
+                f"hold about {need >> 20} MiB of "
+                f"{' and '.join(w for _, _, w in legs)}, past the "
+                f"{BYTES_BUDGET >> 20} MiB budget")
     return None
 
 

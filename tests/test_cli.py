@@ -116,7 +116,12 @@ def test_order_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
     ran = []
     monkeypatch.setattr(verify, "run_suites",
                         lambda name, order, maxn: ran.append(order) or [])
-    monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(4000))
+    # room for the series below q^4000 and the tables at --max 10, which
+    # one run holds together
+    per_n = sum(verify._SIZES[n].table_bytes
+                for n in (verify.SUITE_NAMES if suite == "all" else (suite,)))
+    monkeypatch.setattr(verify, "BYTES_BUDGET",
+                        series_bytes(4000) + per_n * 11)
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--order", "4001", "--max", "10")
     assert code == 2
@@ -144,7 +149,8 @@ def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
                                                      suite):
     # no suite builds series at --max: a budget of the series below q^3001
     # leaves --max 3001 alone, and --max is a usage error only once its
-    # tables pass the budget
+    # tables, with the series at --order for the suites that follow it,
+    # pass the budget
     from qident import verify
     from qident.series import series_bytes
 
@@ -153,16 +159,18 @@ def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
                         lambda name, order, maxn: ran.append(maxn) or [])
     budget = series_bytes(3001)
     monkeypatch.setattr(verify, "BYTES_BUDGET", budget)
-    per_n = sum(verify._SIZES[n].table_bytes
-                for n in (verify.SUITE_NAMES if suite == "all" else (suite,)))
-    top = budget // per_n - 1
+    names = verify.SUITE_NAMES if suite == "all" else (suite,)
+    per_n = sum(verify._SIZES[n].table_bytes for n in names)
+    # the suites that follow --order hold their series below q^200 too
+    follows = any(verify._SIZES[n].follows_order for n in names)
+    top = (budget - (series_bytes(200) if follows else 0)) // per_n - 1
     assert top > 3001
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--order", "200", "--max", str(top + 1))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and f"--max {top + 1}" in err
-    assert "MiB of tables" in err and "budget" in err
+    assert "tables, past" in err and "budget" in err
     for maxn in (3001, top):
         assert run_cli(capsys, "verify", "--suite", suite, "--order", "200",
                        "--max", str(maxn))[0] == 0
@@ -171,7 +179,8 @@ def test_max_past_the_series_budget_is_a_usage_error(capsys, monkeypatch,
 
 def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
     # no series estimate reads --max: --max 200000 runs, and "all" is
-    # refused past the cap of its tables without running a suite
+    # refused past the cap of its series and tables at the default --order
+    # without running a suite
     from qident import verify
 
     ran = []
@@ -186,11 +195,12 @@ def test_a_max_past_the_real_series_budget_is_refused(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "run_suites", no_run)
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
-                             "--max", "627552")
+                             "--max", "627169")
     assert code == 2
     assert out == ""
-    assert err == ("error: suite all at --max 627552 would hold about "
-                   "1024 MiB of tables, past the 1024 MiB budget\n")
+    assert err == ("error: suite all at --order 200 --max 627169 would "
+                   "hold about 1024 MiB of series and tables, past the "
+                   "1024 MiB budget\n")
 
 
 def test_series_budget_admits_the_benchmark_orders_widely():

@@ -409,21 +409,48 @@ class TestMultiModularLane:
                 == naive_pochhammer(zeta, offset, modulus, order))
 
 
-def exponents_below_half(offset, modulus, order):
-    """How many factor exponents of ``(zeta*q**offset; q**modulus)`` lie
-    below ``ceil(order/2)``, where the lane's one scan starts."""
-    return len(range(offset, -(-order // 2), modulus))
+def tail_levels(offset, modulus, order):
+    """How many levels of the lane's tail start below ``q**order``: level i
+    starts at ``i t + modulus i(i-1)/2``, t the tail start."""
+    t = series._tail_start(offset, modulus, order)
+    i = 0
+    while (i + 1) * t + modulus * (i + 1) * i // 2 < order:
+        i += 1
+    return i
+
+
+def first_orders(offset, modulus):
+    """The first order below 700 of each tail shape that occurs: the tail
+    starting at the first exponent ("first"), after exactly one factor
+    ("one"), and with exactly 1, 2 and 3 levels below ``q**order``."""
+    orders = {}
+    for order in range(1, 700):
+        t = series._tail_start(offset, modulus, order)
+        shapes = [tail_levels(offset, modulus, order)]
+        if t < order:
+            shapes.append({offset: "first", offset + modulus: "one"}.get(t))
+        for shape in shapes:
+            if shape in ("first", "one", 1, 2, 3):
+                orders.setdefault(shape, order)
+    return orders
+
+
+def half_start(e, modulus, order):
+    """A tail start at ``ceil(order/2)``, where the tail has one level: the
+    lane's older upper-half scan."""
+    return -(-order // 2)
 
 
 class TestUpperHalfScan:
-    """The lane applies every factor from ``ceil(order/2)`` on in one
-    stride prefix-sum scan; each case is pinned to the big-integer loop."""
+    """The lane over small orders and at 1500, with its tail at the rule's
+    start and, patched, at ``ceil(order/2)``, where the tail is one stride
+    prefix-sum scan; each case is pinned to the big-integer loop."""
 
     @pytest.mark.parametrize("unit", range(4))
     def test_lane_equals_loop_over_small_orders(self, unit):
         zeta = UNITS[unit]
-        for offset in range(1, 7):
-            for modulus in range(1, 7):
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
                 # below q**80 every order is a prefix of the loop product
                 ref = _factors_loop(zeta, offset, modulus, 80)
                 for order in range(1, 81):
@@ -439,11 +466,13 @@ class TestUpperHalfScan:
         (5, 1, 9, 0), (40, 3, 80, 0), (64, 7, 128, 0), (13, 2, 25, 0),
         (79, 1, 80, 0), (39, 1, 80, 1), (30, 11, 80, 1), (63, 1, 127, 1),
         (12, 2, 25, 1)])
-    def test_scan_alone_and_after_one_factor(self, unit, offset, modulus,
-                                             order, below):
+    def test_scan_alone_and_after_one_factor(self, monkeypatch, unit, offset,
+                                             modulus, order, below):
         # below = 0: the whole product is the scan; below = 1: one slice
         # update precedes it
-        assert exponents_below_half(offset, modulus, order) == below
+        monkeypatch.setattr(series, "_tail_start", half_start)
+        assert len(range(offset, half_start(offset, modulus, order),
+                         modulus)) == below
         assert (_factors_lane(unit, offset, modulus, order)
                 == _factors_loop(UNITS[unit], offset, modulus, order))
 
@@ -462,6 +491,53 @@ class TestUpperHalfScan:
         finally:
             tracemalloc.stop()
         assert peak < series._lane_bytes(4000) < series.series_bytes(4000)
+
+
+class TestTail:
+    """The lane applies factors one at a time below the tail start and the
+    rest through the tail's levels, whatever the start; each case is pinned
+    to the big-integer loop."""
+
+    @pytest.mark.parametrize("unit", range(4))
+    def test_lane_equals_loop_at_each_tail_shape(self, unit):
+        zeta = UNITS[unit]
+        pairs = {}
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                orders = first_orders(offset, modulus)
+                assert {1, 2, 3} <= set(orders), (offset, modulus)
+                ref = _factors_loop(zeta, offset, modulus,
+                                    max(orders.values()))
+                for shape, order in orders.items():
+                    assert (_factors_lane(unit, offset, modulus, order)
+                            == ref.truncate(order)), (shape, offset,
+                                                      modulus, order)
+                    pairs[shape] = pairs.get(shape, 0) + 1
+        # a large modulus puts its second exponent past the start at every
+        # order, so the first two shapes occur for some pairs only
+        assert pairs["first"] and pairs["one"]
+
+    @pytest.mark.parametrize("unit", range(4))
+    @pytest.mark.parametrize("start", ["first exponent", "half", "order"])
+    def test_product_does_not_depend_on_the_start(self, monkeypatch, unit,
+                                                  start):
+        pick = {"first exponent": lambda e, modulus, order: e,
+                "half": half_start,
+                "order": lambda e, modulus, order: order}[start]
+        monkeypatch.setattr(series, "_tail_start", pick)
+        zeta = UNITS[unit]
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                ref = _factors_loop(zeta, offset, modulus, 130)
+                for order in (*range(1, 41), 97, 130):
+                    assert (_factors_lane(unit, offset, modulus, order)
+                            == ref.truncate(order)), (offset, modulus, order)
+
+    @pytest.mark.parametrize("zeta,offset,modulus", [(MINUS_ONE, 1, 2),
+                                                     (I_UNIT, 1, 3)])
+    def test_lane_equals_loop_at_4000(self, zeta, offset, modulus):
+        assert (_factors_lane(UNITS.index(zeta), offset, modulus, 4000)
+                == _factors_loop(zeta, offset, modulus, 4000))
 
 
 @pytest.fixture

@@ -397,6 +397,16 @@ def _table_bytes(name):
                for n in (SUITE_NAMES if name == "all" else (name,)))
 
 
+def _legs(name, order, maxn):
+    """The flags and the kinds of bytes a refusal of ``name`` names: the
+    series for the suites that follow --order, the tables for those that
+    build any."""
+    legs = ([(f"--order {order}", "series")] if name in FOLLOWS_ORDER
+            else []) + ([(f"--max {maxn}", "tables")] if _table_bytes(name)
+                        else [])
+    return (" ".join(f for f, _ in legs), " and ".join(w for _, w in legs))
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
         monkeypatch, name):
@@ -407,7 +417,14 @@ def test_series_budget_bounds_max_for_the_suites_that_build_max_series(
     monkeypatch.setattr(verify, "BYTES_BUDGET", series_bytes(3001))
     assert size_error(name, 200, 3000) is None
     assert size_error(name, 200, 3001) is None
-    assert "series" not in (size_error(name, 200, 10 ** 6) or "")
+    # the series leg reads --order 200, never --max
+    need = _table_bytes(name) * (10 ** 6 + 1) + (
+        series_bytes(200) if name in FOLLOWS_ORDER else 0)
+    err = size_error(name, 200, 10 ** 6)
+    if name == "dkm":
+        assert err is None
+    else:
+        assert f"would hold about {need >> 20} MiB" in err
     # --order counts for the suites that read it
     err = size_error(name, 3002, 10)
     if name in FOLLOWS_ORDER:
@@ -422,26 +439,39 @@ def test_series_budget_keeps_the_stress_size_and_refuses_a_large_max(name):
     # 2*10**7 is refused for every suite that builds tables
     assert size_error(name, 300, 3000) is None
     assert size_error(name, 200, 200_000) is None
+    from qident.series import series_bytes
+
     err = size_error(name, 200, 2 * 10 ** 7)
+    need = _table_bytes(name) * (2 * 10 ** 7 + 1) + (
+        series_bytes(200) if name in FOLLOWS_ORDER else 0)
+    flags, what = _legs(name, 200, 20000000)
     if name == "dkm":
         assert err is None
     else:
-        assert err == (f"suite {name} at --max 20000000 would hold about "
-                       f"{_table_bytes(name) * (2 * 10 ** 7 + 1) >> 20} "
-                       "MiB of tables, past the 1024 MiB budget")
+        assert err == (f"suite {name} at {flags} would hold about "
+                       f"{need >> 20} MiB of {what}, past the 1024 MiB "
+                       "budget")
 
 
-def test_all_is_bounded_by_its_table_bytes_alone():
-    # the cap of "all" within the 1 GiB budget: 1711 bytes per n
+def test_all_is_bounded_by_its_series_and_table_bytes():
+    from qident.series import series_bytes
+
+    # the cap of "all" at --order 300 within the 1 GiB budget: the series
+    # below q^300 and 1711 bytes per n of tables
+    series = series_bytes(300)
     assert size_error("all", 300, 100_000) is None
-    cap = 627_551
-    assert (cap + 1) * 1711 <= verify.BYTES_BUDGET < (cap + 2) * 1711
+    cap = 626_976
+    assert (series + (cap + 1) * 1711 <= verify.BYTES_BUDGET
+            < series + (cap + 2) * 1711)
     assert size_error("all", 300, cap) is None
     assert size_error("all", 300, cap + 1) == (
-        "suite all at --max 627552 would hold about 1024 MiB of tables, "
-        "past the 1024 MiB budget")
-    # the --order leg still refuses as before
-    assert "MiB of series" in size_error("all", 1_000_000_001, 10)
+        "suite all at --order 300 --max 626977 would hold about 1024 MiB "
+        "of series and tables, past the 1024 MiB budget")
+    # the tables alone at the old cap, and the series alone, each fit the
+    # budget, but one run holds both
+    assert 627_552 * 1711 <= verify.BYTES_BUDGET
+    assert size_error("all", 300, 627_551) is not None
+    assert "MiB of series and tables" in size_error("all", 1_000_000_001, 10)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -454,8 +484,9 @@ def test_table_budget_bounds_max(monkeypatch, name):
     monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
     monkeypatch.setattr(verify, "BYTES_BUDGET", per_n * (10 ** 6 + 1))
     assert size_error(name, 200, 10 ** 6) is None
-    refusal = (f"suite {name} at --max 1000001 would hold about "
-               f"{per_n * (10 ** 6 + 2) >> 20} MiB of tables, past the "
+    flags, what = _legs(name, 200, 1000001)
+    refusal = (f"suite {name} at {flags} would hold about "
+               f"{per_n * (10 ** 6 + 2) >> 20} MiB of {what}, past the "
                f"{per_n * (10 ** 6 + 1) >> 20} MiB budget")
     assert size_error(name, 200, 10 ** 6 + 1) == refusal
     # the series estimate reads --order alone, never --max
@@ -476,9 +507,10 @@ def test_table_budget_counts_the_batch_sweeps(monkeypatch, name, per_n, mib):
     assert size_error(name, 300, 3000) is None
     monkeypatch.setattr(verify, "series_bytes", lambda order: 0)
     assert size_error(name, 300, verify.BYTES_BUDGET // per_n - 1) is None
+    flags, what = _legs(name, 300, 10000000)
     assert size_error(name, 300, 10 ** 7) == (
-        f"suite {name} at --max 10000000 would hold about {mib} MiB of "
-        "tables, past the 1024 MiB budget")
+        f"suite {name} at {flags} would hold about {mib} MiB of {what}, "
+        "past the 1024 MiB budget")
 
 
 def test_bijections_row_counts_the_sigma0_its_lane_reads():
