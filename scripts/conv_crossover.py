@@ -24,12 +24,16 @@ product alone, and counts where rows were faster, over every product and
 over those that pass the rule's clauses other than the bits clause.
 
 Lane replay: every ``_factors_lane`` build of the same runs, each run on
-a cleared product store, recorded as (unit, offset, modulus, order).  Each
-build is timed, best of five, with ``_tail_start`` patched to each start of
-``LANE_STARTS``: the rule's start t, half and twice t, ``ceil(order/2)``
-(the older upper-half scan) and the first exponent (no factor applied one
-at a time).  Every start must give the same product.  ``summary`` totals
-each start over every recorded build and counts where each was fastest.
+a cleared product store, recorded as (unit, offset, modulus, order,
+inverse).  Each product build is timed, best of five, with ``_tail_start``
+patched to each start of ``LANE_STARTS``: the rule's start t, half and
+twice t, ``ceil(order/2)`` (the older upper-half scan) and the first
+exponent (no factor applied one at a time).  Each inverse build is timed
+the same way with ``_inverse_tail_start`` patched to each start of
+``INVERSE_STARTS``: the rule's start, half and twice it, and the first
+exponent.  Every start must give the same series.  ``summary`` totals each
+start over every recorded build of its direction and counts where each was
+fastest.
 
 Prints one JSON object, the radix sweep first.
 
@@ -61,16 +65,22 @@ REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
                ("theorem17", 200, 18000))
 OFFSETS = range(0, 129, 4)
 
-_rule_start = series._tail_start
 
-# name -> a stand-in for ``series._tail_start(e, modulus, order)``
-LANE_STARTS = {
-    "rule": _rule_start,
-    "half_rule": lambda e, m, n: _rule_start(e, m, n) // 2,
-    "twice_rule": lambda e, m, n: 2 * _rule_start(e, m, n),
-    "half_order": lambda e, m, n: -(-n // 2),
-    "first_exponent": lambda e, m, n: e,
-}
+
+def _around(rule) -> dict:
+    """name -> a stand-in for the start rule ``rule(e, modulus, order)``:
+    the rule, half and twice its start, and the first exponent."""
+    return {"rule": rule,
+            "half_rule": lambda e, m, n: rule(e, m, n) // 2,
+            "twice_rule": lambda e, m, n: 2 * rule(e, m, n),
+            "first_exponent": lambda e, m, n: e}
+
+
+# the stand-ins for ``series._tail_start`` and, for the inverse builds,
+# ``series._inverse_tail_start``
+LANE_STARTS = {**_around(series._tail_start),
+               "half_order": lambda e, m, n: -(-n // 2)}
+INVERSE_STARTS = _around(series._inverse_tail_start)
 
 
 def best(f, *args):
@@ -221,16 +231,16 @@ def _summary(products) -> dict:
     }
 
 
-def recorded_builds() -> list[tuple[int, int, int, int]]:
-    """Every (unit, e, modulus, order) that ``_factors_lane`` builds in the
-    runs of ``REPLAY_RUNS``, each run from a cleared product store, as in
-    a process of its own."""
+def recorded_builds() -> list[tuple[int, int, int, int, bool]]:
+    """Every (unit, e, modulus, order, inverse) that ``_factors_lane``
+    builds in the runs of ``REPLAY_RUNS``, each run from a cleared product
+    store, as in a process of its own."""
     builds = []
     lane = series._factors_lane
 
-    def record(*key):
-        builds.append(key)
-        return lane(*key)
+    def record(*key, inverse=False):
+        builds.append((*key, inverse))
+        return lane(*key, inverse=inverse)
 
     series._factors_lane = record
     try:
@@ -246,37 +256,50 @@ def recorded_builds() -> list[tuple[int, int, int, int]]:
 def lane_replay() -> dict:
     builds = []
     for key in recorded_builds():
+        *args, inverse = key
+        name_of_rule = "_inverse_tail_start" if inverse else "_tail_start"
+        starts = INVERSE_STARTS if inverse else LANE_STARTS
         times, ref = {}, None
-        for name, start in LANE_STARTS.items():
-            series._tail_start = start
+        for name, start in starts.items():
+            setattr(series, name_of_rule, start)
             try:
                 times[name], out = best(series._factors_lane, *key)
             finally:
-                series._tail_start = _rule_start
+                setattr(series, name_of_rule, starts["rule"])
             if ref is None:
                 ref = out
             elif out != ref:
-                raise SystemExit(f"start {name} changes the product {key}")
-        unit, e, modulus, order = key
+                raise SystemExit(f"start {name} changes the series {key}")
+        unit, e, modulus, order = args
         builds.append({"unit": unit, "offset": e, "modulus": modulus,
-                       "order": order,
-                       "start": _rule_start(e, modulus, order),
+                       "order": order, "inverse": inverse,
+                       "start": starts["rule"](e, modulus, order),
                        **{f"{k}_s": round(t, 6) for k, t in times.items()}})
         print(f"lane {key} " + " ".join(f"{k}={t * 1e3:.2f}"
                                         for k, t in times.items()),
               file=sys.stderr)
+    return {"runs": REPLAY_RUNS,
+            "summary": _lane_summary([b for b in builds
+                                      if not b["inverse"]], LANE_STARTS),
+            "inverse_summary": _lane_summary([b for b in builds
+                                              if b["inverse"]],
+                                             INVERSE_STARTS),
+            "builds": builds}
+
+
+def _lane_summary(builds, starts) -> dict:
+    """Totals of each start over the builds, and where each was fastest."""
     summary = {"builds": len(builds),
                "distinct": len({(b["unit"], b["offset"], b["modulus"],
                                  b["order"]) for b in builds}),
                "max_order": max(b["order"] for b in builds)}
-    for name in LANE_STARTS:
+    for name in starts:
         summary[f"{name}_s"] = round(sum(b[f"{name}_s"] for b in builds), 6)
         summary[f"{name}_fastest"] = sum(
-            min(LANE_STARTS, key=lambda k: b[f"{k}_s"]) == name
-            for b in builds)
-    summary["fastest_s"] = round(sum(min(b[f"{k}_s"] for k in LANE_STARTS)
+            min(starts, key=lambda k: b[f"{k}_s"]) == name for b in builds)
+    summary["fastest_s"] = round(sum(min(b[f"{k}_s"] for k in starts)
                                      for b in builds), 6)
-    return {"runs": REPLAY_RUNS, "summary": summary, "builds": builds}
+    return summary
 
 
 def main() -> int:

@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "series": ("GaussianRational", "QSeries", "IndexBeyondOrder",
-               "NonUnitConstantTerm", "pochhammer_inf", "series_eq"),
+               "NonUnitConstantTerm", "pochhammer_inf", "pochhammer_inverse",
+               "series_eq"),
     "theta": ("J", "Jbar", "Jm", "Monomial", "NegativeQPower", "ThetaSpec",
               "InternalCrossCheckFailure", "jtheta", "mono",
               "product_side_series", "rep_count_product_series", "theta_j",

@@ -183,6 +183,10 @@ def ragged_blocks(first, last, row_len, block=None):
 # the largest is 4a(a + 1) <= 4*m*hi/3 + 4*isqrt(m*hi/3)
 PROGRESSION_LIMIT = 2 ** 62
 
+# maxn below this keeps every intermediate of the bijection window lane, at
+# most 80*maxn**2, in int64 (``bijection_windows.verify_windows``)
+WINDOW_N_LIMIT = 2 ** 28
+
 # (stride, chi) of each triple family
 _TRIPLES = {"open": (2, 0), "shifted": (2, 1), "hlm": (1, 0)}
 

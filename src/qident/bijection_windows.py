@@ -24,13 +24,11 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._kernels import WINDOW_N_LIMIT
 from .bijections import (ALL_EQUAL, FORM_CATEGORY_OF_TRIPLE, CaseMismatch,
                          NotASolution, UnclassifiableForm, _half_inverse,
                          _open_inverse, _shifted_inverse)
 from .counting import OPEN, SHIFTED
-
-# every intermediate of the lane is at most 80*maxn**2 (see verify_windows)
-WINDOW_N_LIMIT = 2 ** 28
 
 # With u = 2s - chi and v = 2t - chi, the category-k map sends (r, s, t) to
 # (X + K, +-2K, Y + K), where (K, X, Y) is the permutation _PERM[k] of

@@ -25,25 +25,29 @@ from the inverse of b at half length, and ``QSeries.invert`` is the
 quotient ``1 / b``, so the inverses halve down to order 1 and no quotient
 builds a full-length inverse.
 
-``pochhammer_inf`` with a fourth root of unity ``zeta`` (every caller in the
-package) runs on a multi-modular numpy lane: the product is formed in uint64
-residues modulo the largest primes below ``2**62``, enough of them to cover
-an a-priori bound on the coefficients (the number of partitions into
-distinct parts), and rebuilt exactly by CRT.  Each factor below a tail
-start of about ``sqrt(modulus * order * log2(order) / 2)`` is one slice
-update; the factors from there on are multiplied in together, by counting
-sets of their exponents: level i of the tail is a stride prefix sum of
-level i - 1, added in at the least sum of i exponents.  Each lane product
-is built once per process: a bounded store keeps the longest product per
-reduced key ``(unit, e/g, m/g)``, g = gcd(e, m), and serves
-``(zeta*q**e; q**m)`` below ``q**N`` from its prefix below
-``q**ceil(N/g)`` with q -> q**g, a change of variable rather than an
-identity.  Every call still returns a fresh series.
+``pochhammer_inf`` and ``pochhammer_inverse`` with a fourth root of unity
+``zeta`` (every caller in the package) run on a multi-modular numpy lane:
+the product or its inverse is formed in uint64 residues modulo the largest
+primes below ``2**62``, enough of them to cover an a-priori bound on the
+coefficients (the number of partitions into distinct parts for a product,
+of all partitions for an inverse), and rebuilt exactly by CRT.  Each factor
+below a tail start is applied one at a time: one slice update for a
+product, a doubling pass of slice updates that divides it out for an
+inverse.  The factors from there on are multiplied in together, by counting
+sets (or, for an inverse, multisets) of their exponents: level i of the
+tail is a stride prefix sum of level i - 1, added in at the least sum of i
+exponents (Andrews, Cor. 2.2, both halves).  Each lane series is built once
+per process: a bounded store keeps the longest one per reduced key
+``(unit, e/g, m/g)``, g = gcd(e, m), with ``"inverse"`` appended for an
+inverse, and serves ``(zeta*q**e; q**m)`` or its inverse below ``q**N`` from
+its prefix below ``q**ceil(N/g)`` with q -> q**g, a change of variable
+rather than an identity.  Every call still returns a fresh series.
 ``product_store`` opens further stores under the same bound, which
 ``clear_product_store`` empties too (``theta`` keeps its base products in
 one).
-Any other scalar takes the big-integer loop, which also pins the lane in the
-tests.  Every path is exact: no floats anywhere.
+Any other scalar takes the big-integer loop, inverted by ``QSeries.invert``
+for an inverse, which also pins the lane in the tests.  Every path is
+exact: no floats anywhere.
 
 ``eta_quotient`` builds a product of Euler products ``(q**m; q**m)_inf`` and
 their inverses as one int64 table, from the product's logarithmic
@@ -825,6 +829,24 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
     store; any other exact scalar runs on the big-integer loop.  The result
     is always a fresh series that shares no list with the store.
     """
+    return _pochhammer(zeta, offset, modulus, order, False)
+
+
+def pochhammer_inverse(zeta, offset: int, modulus: int,
+                       order: int) -> QSeries:
+    """``1 / (zeta*q**offset; q**modulus)_inf`` truncated to order.
+
+    A fourth root of unity ``zeta`` runs on the lane's inverse direction
+    through the product store; any other exact scalar inverts the
+    big-integer loop's product (``QSeries.invert``).  ``offset == 0`` takes
+    the first factor out as the scalar ``1/(1 - zeta)``, and with
+    ``zeta == 1`` raises ``NonUnitConstantTerm``, as ``invert`` does.
+    """
+    return _pochhammer(zeta, offset, modulus, order, True)
+
+
+def _pochhammer(zeta, offset, modulus, order, inverse) -> QSeries:
+    """``pochhammer_inf``, or with ``inverse`` its inverse."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if offset < 0:
@@ -840,15 +862,19 @@ def pochhammer_inf(zeta, offset: int, modulus: int, order: int) -> QSeries:
     if e == 0:
         w = GaussianRational(1) - z
         if not w:
+            if inverse:
+                raise NonUnitConstantTerm("constant term is zero")
             return QSeries.zeros(order)
-        scalar = w
+        scalar = w.inverse() if inverse else w
         e = modulus
 
     unit = _UNIT_INDEX.get((z.re, z.im))
-    if unit is None:
-        out = _factors_loop(z, e, modulus, order)
+    if unit is not None:
+        out = _stored_factors(unit, e, modulus, order, inverse)
+    elif inverse:
+        out = _factors_loop(z, e, modulus, order).invert()
     else:
-        out = _stored_factors(unit, e, modulus, order)
+        out = _factors_loop(z, e, modulus, order)
     if scalar is not None:
         out = out * scalar
     return out
@@ -941,6 +967,21 @@ def _partition_bound_bits(n: int) -> int:
     return 262 * (math.isqrt(n) + 1) // 100 + 1
 
 
+def _p_bound_bits(n: int) -> int:
+    """A ``bits`` with ``p(n) < 2**bits``, where p(n) counts the partitions
+    of n, in integers only.
+
+    For 0 < x < 1, ``p(n) x**n <= prod 1/(1 - x**k)``, whose log is
+    ``sum_j x**j / (j (1 - x**j))``.  With x = e**-t the j-th term is
+    ``1/(j (e**(jt) - 1)) <= 1/(j**2 t)``, so the log is at most
+    ``pi**2/(6t)`` and ``log p(n) <= n t + pi**2/(6t)``.  Taking
+    ``t = pi/sqrt(6n)`` gives ``p(n) <= exp(pi*sqrt(2n/3))``: the exponent
+    in base 2 is ``pi sqrt(2/3) / ln 2 < 3.71`` times
+    ``sqrt(n) < isqrt(n) + 1``.
+    """
+    return 371 * (math.isqrt(n) + 1) // 100 + 1
+
+
 def _lane_moduli(bits: int) -> list[int]:
     """The largest primes below ``2**62``, as few as make a product above
     ``2**(bits + 2)``: balanced residues then cover ``|c| <= 2**bits``."""
@@ -1013,65 +1054,107 @@ def _subtract_times(c, k: int, e: int, src, p, tmp):
                 c[part, :, e:])
 
 
-def _tail_start(e: int, modulus: int, order: int) -> int:
-    """The first exponent of ``e, e + modulus, ...`` at or above
-    ``sqrt(modulus * order * log2(order) / 2)``: where ``_factors_lane``
-    stops applying factors one at a time (its docstring derives it)."""
-    t = math.isqrt(modulus * order * order.bit_length() // 2)
+def _first_at(e: int, modulus: int, t: int) -> int:
+    """The first exponent of ``e, e + modulus, ...`` at or above t."""
     return e + max(0, -(-(t - e) // modulus)) * modulus
 
 
-def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
+def _tail_start(e: int, modulus: int, order: int) -> int:
+    """Where ``_factors_lane`` stops applying factors one at a time to a
+    product: the first exponent at or above ``sqrt(m order log2(t/m) / 2)``,
+    m the modulus, with ``t = sqrt(m order log2(order) / 2)`` in the log
+    (its docstring derives it)."""
+    t = math.isqrt(modulus * order * order.bit_length() // 2)
+    return _first_at(e, modulus, math.isqrt(
+        modulus * order * (t // modulus).bit_length() // 2))
+
+
+def _inverse_tail_start(e: int, modulus: int, order: int) -> int:
+    """Where ``_factors_lane`` stops dividing factors out one at a time
+    from an inverse: the first exponent at or above
+    ``sqrt(modulus * order / 2)`` (its docstring derives it)."""
+    return _first_at(e, modulus, math.isqrt(modulus * order // 2))
+
+
+def _factors_lane(unit: int, e: int, modulus: int, order: int,
+                  inverse: bool = False) -> QSeries:
     """``prod (1 - i**unit * q**k)`` over ``k = e, e + modulus, ...`` below
-    order, computed modulo several primes and rebuilt by CRT.
+    order, or with ``inverse`` its inverse, computed modulo several primes
+    and rebuilt by CRT.
 
     Each coefficient of the product is a signed count of sets of distinct
     exponents with a given sum, so its real and imaginary parts are at
     most q(n), the number of partitions of n into distinct parts, which
-    ``_partition_bound_bits`` bounds.  Reduction mod p is a ring
+    ``_partition_bound_bits`` bounds.  Each coefficient of the inverse is a
+    signed count of multisets of exponents, at most p(n), the number of
+    partitions of n (``_p_bound_bits``).  Reduction mod p is a ring
     homomorphism, so only the final coefficients need to fit that bound.
 
-    Each factor below the tail start t (``_tail_start``) is one slice
-    update of all rows, giving a partial product A.  The factors from t on
-    are multiplied in together by counting sets of exponents: i distinct
-    exponents ``t + a_1 m < ... < t + a_i m`` (m the modulus) sum to
-    ``i t + m i(i-1)/2`` plus m times a partition into at most i parts, so
-    the tail is ``sum_i (-zeta)**i q**(i t + m i(i-1)/2) / (q**m; q**m)_i``
-    (Andrews, *The Theory of Partitions*, Cor. 2.2).  Level i is
-    ``A / (q**m; q**m)_i``, the stride-``i m`` prefix sum of level i - 1,
-    taken in place below ``q**(order - i t - m i(i-1)/2)`` only, and each
-    level is added into the product at its shift.  No level starts at or
-    past the order, so there are fewer than ``order / t`` of them.
+    Each factor below the tail start t is applied one at a time, giving a
+    head A.  A product multiplies each in by one slice update.  An inverse
+    divides each out by doubling, ``1/(1 - x) = (1 + x)(1 + x**2)
+    (1 + x**4)...`` with x = zeta q**k: one slice update
+    ``c[n] += zeta**(2**j) c[n - 2**j k]`` per shift ``2**j k`` below the
+    order.  The factors from t on are multiplied in together, by both
+    halves of Euler's identities (Andrews, *The Theory of Partitions*,
+    Cor. 2.2), with q**m for q (m the modulus) and ``z = zeta q**t``:
+    ``(z; q**m)_inf = sum_i (-z)**i q**(m i(i-1)/2) / (q**m; q**m)_i``, since
+    i distinct exponents ``t + a_1 m < ... < t + a_i m`` sum to
+    ``i t + m i(i-1)/2`` plus m times a partition into at most i parts, and
+    ``1 / (z; q**m)_inf = sum_i z**i / (q**m; q**m)_i``, since i exponents
+    from t on, repeats allowed, sum to ``i t`` plus m times such a
+    partition.  Level i is ``A / (q**m; q**m)_i``, the stride-``i m``
+    prefix sum of level i - 1, taken in place below the order less its
+    shift only, and added into the head at its shift, ``i t + m i(i-1)/2``
+    with unit ``-(-zeta)**i`` for a product and ``i t`` with unit
+    ``zeta**i`` for an inverse.  No level starts at or past the order, so
+    there are fewer than ``order / t`` of them.
 
-    The start balances column passes.  A factor at k costs one pass over
-    ``order - k`` columns, so the factors below t cost about
-    ``t order / m``.  A level costs one doubling prefix, about
-    ``log2(order)`` passes over its length, and the levels' lengths fall
-    from ``order - t`` towards 0 in steps of at least t, so the tail costs
-    about ``order**2 log2(order) / (2 t)``.  The sum is least at
-    ``t = sqrt(m order log2(order) / 2)``, which ``_tail_start`` takes with
-    the bit length of the order for its log.  Every update writes in place
-    through preallocated scratch rows.
+    The start balances column passes.  A level of stride ``i m`` over n
+    columns costs one doubling prefix, ``log2(n / (i m))`` passes.  With
+    levels at about ``i t``, i below ``order / t``, the tail costs about
+    ``order**2 / t`` times the integral of ``(1 - x) log2(t (1 - x) /
+    (m x))`` over 0 < x < 1, that is ``order**2 log2(e t / m) / (2 t)``
+    passes of one column.  A product's head costs one pass over
+    ``order - k`` columns per factor, about ``t order / m``, and the sum is
+    least where ``t**2 = m order log2(t / m) / 2``: ``_tail_start`` takes
+    one step to it from ``t = sqrt(m order log2(order) / 2)``, with bit
+    lengths for the logs.  An inverse's head costs ``log2(order / k)``
+    passes per factor, about ``t order log2(e order / t) / m``, so the sum
+    is least where ``t**2 = m order log2(t / m) / (2 log2(order / t))``.
+    Near ``t = sqrt(m order)`` the two logs are about equal, so
+    ``_inverse_tail_start`` takes ``t = sqrt(m order / 2)``; the step to
+    the logs' ratio was slower on the replay of ``scripts/conv_crossover.py``
+    (see README).  Every update writes in place through preallocated
+    scratch rows, which go before ``_crt`` fills its lists.
     """
-    moduli = _lane_moduli(_partition_bound_bits(order - 1))
+    bits = _p_bound_bits if inverse else _partition_bound_bits
+    moduli = _lane_moduli(bits(order - 1))
     p = np.array(moduli, dtype=np.uint64)[:, None]
     # the real part, and the imaginary part for the odd units
     c = np.zeros((1 + unit % 2, len(moduli), order), dtype=np.uint64)
     c[0, :, 0] = 1
     tmp = np.empty_like(c)
-    t = _tail_start(e, modulus, order)
+    t = (_inverse_tail_start if inverse else _tail_start)(e, modulus, order)
     while e < min(t, order):
-        _subtract_times(c, unit, e, c[..., :order - e], p, tmp)
+        # a product multiplies in 1 - zeta q**e; an inverse divides it out,
+        # multiplying in 1 + zeta**(2**j) q**(e 2**j) for each such shift
+        # below the order
+        for j in range(((order - 1) // e).bit_length() if inverse else 1):
+            k = e << j
+            _subtract_times(c, ((unit << j) + 2 * inverse) % 4, k,
+                            c[..., :order - k], p, tmp)
         e += modulus
     level = c.copy()
     i, s = 1, e
     while s < order:
         n = order - s
         _stride_prefix(level[..., :n], p, i * modulus, tmp)
-        # level i enters with -(-zeta)**i = i**k: k = unit at i = 1
-        _subtract_times(c, (2 + i * (unit + 2)) % 4, s, level[..., :n], p,
-                        tmp)
-        s += e + i * modulus
+        # level i enters with i**k: zeta**i = i**(i unit) for an inverse,
+        # -(-zeta)**i = i**(2 + i (unit + 2)) for a product
+        k = i * unit + 2 if inverse else 2 + i * (unit + 2)
+        _subtract_times(c, k % 4, s, level[..., :n], p, tmp)
+        s += e if inverse else e + i * modulus
         i += 1
     del level, tmp  # before _crt fills its lists
     return QSeries._raw(_crt(c[0], moduli),
@@ -1087,8 +1170,9 @@ def _factors_lane(unit: int, e: int, modulus: int, order: int) -> QSeries:
 PRODUCT_STORE_LIMIT = 32
 
 # (unit, e, modulus) with gcd(e, modulus) == 1 -> the longest lane product
-# built for it.  Its lists never leave the store: every hit is copied.
-_products: dict[tuple[int, int, int], QSeries] = {}
+# built for it, and (unit, e, modulus, "inverse") -> the longest inverse.
+# Their lists never leave the store: every hit is copied.
+_products: dict[tuple, QSeries] = {}
 
 # Every product store: the lane products above and the stores other modules
 # open with ``product_store`` (the theta base products of ``theta``).
@@ -1124,19 +1208,25 @@ def stored_product(store: dict, key, need: int, build) -> QSeries:
     return have
 
 
-def _stored_factors(unit: int, e: int, modulus: int, order: int) -> QSeries:
-    """``_factors_lane(unit, e, modulus, order)`` served from the store.
+def _stored_factors(unit: int, e: int, modulus: int, order: int,
+                    inverse: bool = False) -> QSeries:
+    """``_factors_lane(unit, e, modulus, order, inverse)`` served from the
+    store.
 
     With g = gcd(e, modulus), the product over ``k = e, e + modulus, ...``
     is the one over ``k = e/g, e/g + modulus/g, ...`` with q -> q**g, and
     below ``q**order`` it needs that product below ``q**ceil(order/g)``
-    only, the prefix of any longer one.  A miss, or a stored product too
-    short, builds the reduced product at the length asked for.
+    only, the prefix of any longer one; so does its inverse, which is
+    stored under the reduced key with ``"inverse"`` appended.  A miss, or a
+    stored series too short, builds the reduced one at the length asked
+    for.
     """
     g = math.gcd(e, modulus)
-    key = (unit, e // g, modulus // g)
-    have = stored_product(_products, key, -(-order // g),
-                          lambda need: _factors_lane(*key, need))
+    args = (unit, e // g, modulus // g)
+    key = args + ("inverse",) if inverse else args
+    have = stored_product(
+        _products, key, -(-order // g),
+        lambda need: _factors_lane(*args, need, inverse=inverse))
     im = None if have._im is None else _spread(have._im, g, order)
     return QSeries._raw(_spread(have._re, g, order), im, 1, order)
 
@@ -1148,22 +1238,27 @@ def _int_bytes(bits: int) -> int:
 
 
 def _lane_bytes(order: int) -> int:
-    """The lane term of ``series_bytes``: one build below ``q**order``.
+    """The lane term of ``series_bytes``: one build below ``q**order``, a
+    product or an inverse.
 
-    It counts, per column and per prime at the bound (every prime being
-    above ``2**61``), four uint64 words and one int of 62 bits with its
-    list slot: 76 bytes.  The build holds six uint64 rows per prime for
-    the odd units (the real and imaginary rows, their level rows and
-    their temporaries), 48 of those bytes.  ``_crt`` runs after the level
-    rows and temporaries are freed and converts residues a block of
-    columns at a time, so the rest is room for the two coefficient lists
-    it fills: from order 3001 on they fit, and ``_factors_lane(1, 1, 1,
-    N)`` peaks in tracemalloc at 0.63 MB for N = 3001 and 0.77 MB for
-    4000, against 0.68 and 0.91 MB counted here.  Below that the lists
-    outgrow the slots (51 against 23 KB at 300), and the list term of
+    It counts, per column and per prime at the larger of the two bounds
+    (an inverse's, ``_p_bound_bits``; every prime being above ``2**61``),
+    four uint64 words and one int of 62 bits with its list slot: 76 bytes.
+    The build holds six uint64 rows per prime for the odd units (the real
+    and imaginary rows, their level rows and their temporaries), 48 of
+    those bytes, and numpy (2.4) adds up to three ufunc buffers of
+    ``np.getbufsize()`` words, 192 KiB, where it iterates slices of several
+    rows shorter than about 2048 columns.  ``_crt`` runs after the level
+    rows and temporaries are freed and converts residues a block of columns
+    at a time, so the rest is room for the two coefficient lists it fills:
+    from order 3001 on they fit.  ``_factors_lane(1, 1, 1, N, inverse=True)``
+    peaks in tracemalloc at 0.77 MB for N = 3001 and 0.97 MB for 4000, and
+    the product ``_factors_lane(1, 1, 1, N)``, on fewer primes, at 0.63 and
+    0.77 MB, against 0.91 and 1.22 MB counted here.  Below that the lists
+    outgrow the slots (68 against 46 KB at 300), and the list term of
     ``series_bytes`` covers them.
     """
-    bits = _partition_bound_bits(max(order - 1, 0))
+    bits = _p_bound_bits(max(order - 1, 0))
     rows = (bits + 2) // 61 + 1
     return rows * order * (4 * 8 + 8 + _int_bytes(62))
 
@@ -1175,20 +1270,22 @@ def series_bytes(order: int) -> int:
     ``--max``.
 
     It counts one lane build (``_lane_bytes``) and the coefficient lists,
-    every coefficient an int of the bound's size: two for each of
+    every coefficient an int of the bound on q(n): two for each of
     ``PRODUCT_STORE_LIMIT`` stored products and 16 more, with room to
-    spare, for the operands, products and quotients of the two product
-    routes (each quotient holds an inverse and a remainder at half
-    length).  A product's own scratch fits in those: a rows product at
-    order 4000 with a dense operand as wide as any of dkm's there, (q;q)
-    times the 155-bit ``(-q;q)``, peaks in tracemalloc at 0.68 MB in
-    ``_conv_rows``, about three such lists, with its bytes per
-    coefficient, limb rows and the list it returns.  The base products of the theta store are not counted apart:
-    a theta series has at most two terms at each power of q, so their
-    coefficients have modulus at most 2, CPython's shared small ints, and a
-    full store holds ``16 * PRODUCT_STORE_LIMIT`` bytes per unit of order,
-    about 4 % of this estimate at order 3001 (0.22 MB measured after
-    ``verify --suite all --order 300 --max 3000``, against 13.2 MB).
+    spare, for the operands and products of the two product routes.  The
+    only inverses a suite stores are those of ``(-q;q)`` and its spread
+    ``(-q**2;q**2)``, and ``1/(-q;q) = (q;q**2)`` (Euler) has coefficients
+    of modulus at most q(n) too.  A product's own scratch fits in those: a
+    rows product at order 4000 with a dense operand as wide as any of dkm's
+    there, (q;q) times the 106-bit ``1/(-q;q)``, peaks in tracemalloc at
+    0.71 MB in ``_conv_rows``, about three such lists, with its bytes per
+    coefficient, limb rows and the list it returns.  The base products of
+    the theta store are not counted apart: a theta series has at most two
+    terms at each power of q, so their coefficients have modulus at most 2,
+    CPython's shared small ints, and a full store holds
+    ``16 * PRODUCT_STORE_LIMIT`` bytes per unit of order, about 11 % of
+    this estimate at order 3001 (0.22 MB measured after ``verify --suite
+    all --order 300 --max 3000``, against 13.4 MB).
     """
     bits = _partition_bound_bits(max(order - 1, 0))
     lists = 2 * PRODUCT_STORE_LIMIT + 16

@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .report import Check, VerificationReport, series_check
 from .series import (GaussianRational, QSeries, pochhammer_inf,
-                     product_store, series_eq, stored_product, ONE, I_UNIT,
-                     MINUS_ONE, MINUS_I, _I_POWERS, _UNIT_INDEX, _as_gaussian)
+                     pochhammer_inverse, product_store, series_eq,
+                     stored_product, ONE, I_UNIT, MINUS_ONE, MINUS_I,
+                     _I_POWERS, _UNIT_INDEX, _as_gaussian)
 
 
 class NegativeQPower(ArithmeticError):
@@ -272,9 +273,10 @@ def Jm(m: int, order: int) -> QSeries:
 
 
 def product_side_pochhammer(order: int) -> QSeries:
-    """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients."""
-    s1 = pochhammer_inf(1, 1, 1, order) / pochhammer_inf(-1, 1, 1, order)
-    s2 = pochhammer_inf(1, 2, 2, order) / pochhammer_inf(-1, 2, 2, order)
+    """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients, each
+    the lane's product times the lane's inverse of its divisor."""
+    s1 = pochhammer_inf(1, 1, 1, order) * pochhammer_inverse(-1, 1, 1, order)
+    s2 = pochhammer_inf(1, 2, 2, order) * pochhammer_inverse(-1, 2, 2, order)
     return s1 * (s2 * s2)
 
 

@@ -48,8 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, bijection_windows, bijections, counting
-from .appell import verify_appell_suite
+from . import _kernels, counting
 from .quadforms import HURWITZ_X_LIMIT, hurwitz_H, hurwitz_table
 from .report import (SUITE_NAMES, Check, VerificationReport, series_check,
                      sweep_check, table_check)
@@ -140,8 +139,7 @@ _SIZES = {
                           False,
                           33 + 25 + 2 * 92 + 9 + 11 + 9 + 32 + 176),
     "theorem61": _Size(1, 7, (_KERNELS, _H12), False, 2 * 92 + 9 + 79),
-    "bijections": _Size(1, 7, (_H12, _FORMS,
-                               bijection_windows.WINDOW_N_LIMIT - 1),
+    "bijections": _Size(1, 7, (_H12, _FORMS, _kernels.WINDOW_N_LIMIT - 1),
                         False, 79 + 9 + 138),
     "background": _Size(8, 8, (_KERNELS, _H12, _FORMS), True,
                         79 + 33 + 25 + 2 * 25 + 17 + 9 + 25 + 12 + 17
@@ -548,6 +546,8 @@ def suite_bijections(order: int, maxn: int,
     A check fails at the first n where either route fails it, with the
     expected and actual values of ``verify_case`` at that n, or, where
     only the lane fails, a failure naming the disagreement."""
+    from . import bijection_windows, bijections  # loaded by this suite only
+
     if maxn < 7:
         raise ValueError("maxn must be >= 7")
     per_n = bijections.verify_case
@@ -595,6 +595,8 @@ def suite_background(order: int, maxn: int,
     other sweeps compare int64 tables (``report.table_check``); the
     local-global criterion reads ``counting.three_square_excluded_table``,
     with ``is_three_square_excluded`` where the tables disagree."""
+    from .appell import verify_appell_suite  # loaded by this suite only
+
     counting.check_sweep_int64(maxn)
     checks = []
     checks.extend(verify_theta_suite(order).checks)

@@ -89,6 +89,27 @@ def test_verify_loads_the_batch_stack_and_passes():
     assert result == {"code": 0, "loaded": list(BATCH)}
 
 
+# the modules of the bijection lane and the Appell suite, which ``verify``
+# loads only for the suites that run them
+SUITE_MODULES = ("qident.bijections", "qident.bijection_windows",
+                 "qident.appell")
+
+
+@pytest.mark.parametrize("suite,loaded", [
+    ("dkm", []),
+    ("theorem17", []),
+    ("bijections", ["qident.bijections", "qident.bijection_windows"]),
+    ("background", ["qident.appell"]),
+    ("all", list(SUITE_MODULES)),
+])
+def test_verify_loads_suite_modules_only_for_their_suites(suite, loaded):
+    result = _run(_cli("verify", "--suite", suite, "--order", "20",
+                       "--max", "30")
+                  + f"\ncode = [code, [m for m in {SUITE_MODULES!r}"
+                  "if m in sys.modules]]")
+    assert result["code"] == [0, loaded]
+
+
 # Records in ``seen`` the OPENBLAS_NUM_THREADS that ``import numpy`` runs
 # under, and keeps the environment from before in ``env``.
 SPY = """\

@@ -18,8 +18,9 @@ from qident.series import (I_UNIT, MINUS_I, MINUS_ONE, ONE, GaussianRational,
                            IndexBeyondOrder, NonUnitConstantTerm, QSeries,
                            _conv, _conv_packed, _decimal_columns,
                            _factors_lane, _factors_loop, _lane_moduli,
-                           _lane_prime, _partition_bound_bits,
-                           clear_product_store, pochhammer_inf, series_eq)
+                           _lane_prime, _p_bound_bits, _partition_bound_bits,
+                           clear_product_store, pochhammer_inf,
+                           pochhammer_inverse, series_eq)
 from series_oracles import _conv_school
 
 
@@ -540,6 +541,138 @@ class TestTail:
                 == _factors_loop(zeta, offset, modulus, 4000))
 
 
+def partition_numbers(n_max):
+    """p(0..n_max), by the coin-change loop over the largest allowed part."""
+    p = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for n in range(k, n_max + 1):
+            p[n] += p[n - k]
+    return p
+
+
+def inverse_loop(unit, offset, modulus, order):
+    """The inverse through the big-integer loop and ``QSeries.invert``."""
+    return _factors_loop(UNITS[unit], offset, modulus, order).invert()
+
+
+def inverse_levels(offset, modulus, order):
+    """How many levels of the inverse's tail start below ``q**order``:
+    level i starts at ``i t``, t the tail start."""
+    t = series._inverse_tail_start(offset, modulus, order)
+    return len(range(t, order, t))
+
+
+def inverse_first_orders(offset, modulus):
+    """The first order below 700 of each tail shape of the inverse that
+    occurs, as ``first_orders`` finds them for the product."""
+    orders = {}
+    for order in range(1, 700):
+        t = series._inverse_tail_start(offset, modulus, order)
+        shapes = [inverse_levels(offset, modulus, order)]
+        if t < order:
+            shapes.append({offset: "first", offset + modulus: "one"}.get(t))
+        for shape in shapes:
+            if shape in ("first", "one", 1, 2, 3):
+                orders.setdefault(shape, order)
+    return orders
+
+
+class TestInverseLane:
+    """The lane's inverse direction, pinned to the big-integer loop's
+    product inverted by ``QSeries.invert``: the head divides factors out by
+    doubling passes, the tail multiplies the rest in by Euler's sum."""
+
+    @pytest.mark.parametrize("unit", range(4))
+    def test_inverse_equals_inverted_loop_over_small_orders(self, unit):
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                ref = inverse_loop(unit, offset, modulus, 80)
+                for order in range(1, 81):
+                    assert (_factors_lane(unit, offset, modulus, order, True)
+                            == ref.truncate(order)), (offset, modulus, order)
+                for order in (127, 128, 257):
+                    assert (_factors_lane(unit, offset, modulus, order, True)
+                            == inverse_loop(unit, offset, modulus, order)), (
+                                offset, modulus, order)
+
+    @pytest.mark.parametrize("unit", range(4))
+    def test_inverse_equals_inverted_loop_at_each_tail_shape(self, unit):
+        pairs = {}
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                orders = inverse_first_orders(offset, modulus)
+                assert {1, 2, 3} <= set(orders), (offset, modulus)
+                ref = inverse_loop(unit, offset, modulus,
+                                   max(orders.values()))
+                for shape, order in orders.items():
+                    assert (_factors_lane(unit, offset, modulus, order, True)
+                            == ref.truncate(order)), (shape, offset,
+                                                      modulus, order)
+                    pairs[shape] = pairs.get(shape, 0) + 1
+        assert pairs["first"] and pairs["one"]
+
+    @pytest.mark.parametrize("unit", range(4))
+    @pytest.mark.parametrize("start", ["first exponent", "order"])
+    def test_inverse_does_not_depend_on_the_start(self, monkeypatch, unit,
+                                                  start):
+        # at the first exponent every factor goes through the tail; at the
+        # order every factor is divided out by doubling
+        pick = {"first exponent": lambda e, modulus, order: e,
+                "order": lambda e, modulus, order: order}[start]
+        monkeypatch.setattr(series, "_inverse_tail_start", pick)
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                ref = inverse_loop(unit, offset, modulus, 130)
+                for order in (*range(1, 41), 97, 130):
+                    assert (_factors_lane(unit, offset, modulus, order, True)
+                            == ref.truncate(order)), (offset, modulus, order)
+
+    @pytest.mark.parametrize("zeta,offset,modulus", [(MINUS_ONE, 1, 1),
+                                                     (I_UNIT, 1, 3)])
+    def test_inverse_equals_inverted_loop_at_1500(self, zeta, offset,
+                                                  modulus):
+        unit = UNITS.index(zeta)
+        assert (_factors_lane(unit, offset, modulus, 1500, True)
+                == inverse_loop(unit, offset, modulus, 1500))
+
+    @pytest.mark.parametrize("zeta,offset,modulus", [(MINUS_ONE, 1, 2),
+                                                     (I_UNIT, 1, 3)])
+    def test_inverse_equals_inverted_loop_at_4000(self, zeta, offset,
+                                                  modulus):
+        unit = UNITS.index(zeta)
+        assert (_factors_lane(unit, offset, modulus, 4000, True)
+                == inverse_loop(unit, offset, modulus, 4000))
+
+    def test_partition_bound(self):
+        p = partition_numbers(3000)
+        assert p[:12] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+        assert all(p[n] < 2 ** _p_bound_bits(n) for n in range(3001))
+        # an inverse takes a fourth prime at order 4000, a product three
+        assert len(_lane_moduli(_p_bound_bits(3999))) == 4
+        assert len(_lane_moduli(_partition_bound_bits(3999))) == 3
+
+    def test_coefficients_reach_the_bound_of_all_partitions(self):
+        # 1/(q;q) is the partition generating function itself
+        inverse = _factors_lane(0, 1, 1, 1500, True)
+        assert inverse._re == partition_numbers(1499)
+        assert (partition_numbers(1499)[-1].bit_length()
+                > _partition_bound_bits(1499))
+
+    @pytest.mark.parametrize("unit", range(4))
+    @pytest.mark.parametrize("order", [3001, 4000])
+    def test_inverse_peak_stays_below_its_share_of_series_bytes(self, unit,
+                                                                order):
+        _factors_lane(unit, 1, 1, 50, True)  # primes found outside the trace
+        _lane_moduli(_p_bound_bits(order - 1))
+        tracemalloc.start()
+        try:
+            _factors_lane(unit, 1, 1, order, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < series._lane_bytes(order) < series.series_bytes(order)
+
+
 @pytest.fixture
 def empty_store():
     clear_product_store()
@@ -572,7 +705,8 @@ class TestProductStore:
         builds = []
         real = series._factors_lane
         monkeypatch.setattr(series, "_factors_lane",
-                            lambda *key: builds.append(key) or real(*key))
+                            lambda *key, **kw: builds.append(key)
+                            or real(*key, **kw))
         for offset, order in ((1, 50), (2, 100), (2, 101), (1, 40), (3, 150)):
             assert (pochhammer_inf(-1, offset, offset, order)
                     == _factors_loop(MINUS_ONE, offset, offset, order))
@@ -605,6 +739,66 @@ class TestProductStore:
         assert list(empty_store) == [(2, 1, 5), (2, 1, 6), (2, 1, 4)]
         clear_product_store()
         assert not empty_store
+
+
+class TestPochhammerInverse:
+    @pytest.mark.parametrize("unit", range(4))
+    def test_units_run_on_the_lane_through_the_store(self, empty_store,
+                                                     monkeypatch, unit):
+        builds = []
+        real = series._factors_lane
+        monkeypatch.setattr(series, "_factors_lane",
+                            lambda *key, **kw: builds.append((key, kw))
+                            or real(*key, **kw))
+        zeta = UNITS[unit]
+        for offset, modulus, order in ((1, 1, 120), (2, 2, 240), (3, 3, 360),
+                                       (1, 1, 60)):
+            assert (pochhammer_inverse(zeta, offset, modulus, order)
+                    == _factors_loop(zeta, offset, modulus, order).invert())
+        # (zeta q^g; q^g) below q^(120 g) is (zeta q; q) below q^120 with
+        # q -> q^g: one build, kept under a key that names the direction
+        assert builds == [((unit, 1, 1, 120), {"inverse": True})]
+        assert list(empty_store) == [(unit, 1, 1, "inverse")]
+
+    def test_products_and_inverses_keep_apart_keys(self, empty_store):
+        product = pochhammer_inf(-1, 1, 1, 90)
+        inverse = pochhammer_inverse(-1, 1, 1, 90)
+        assert product * inverse == QSeries.one(90)
+        assert list(empty_store) == [(2, 1, 1), (2, 1, 1, "inverse")]
+        clear_product_store()
+        assert not empty_store
+
+    @pytest.mark.parametrize("zeta", [2, Fraction(1, 2), GaussianRational(1, 1)])
+    @pytest.mark.parametrize("offset,modulus", [(1, 1), (3, 2)])
+    def test_other_scalars_invert_the_loop(self, empty_store, zeta, offset,
+                                           modulus):
+        order = 24
+        assert (pochhammer_inverse(zeta, offset, modulus, order)
+                == naive_pochhammer(zeta, offset, modulus, order).invert())
+        assert not empty_store
+
+    @pytest.mark.parametrize("zeta", [*UNITS[1:], 2, Fraction(1, 3)])
+    @pytest.mark.parametrize("modulus", [1, 2, 3])
+    def test_offset_zero_takes_out_the_scalar(self, zeta, modulus):
+        order = 40
+        got = pochhammer_inverse(zeta, 0, modulus, order)
+        assert got == pochhammer_inf(zeta, 0, modulus, order).invert()
+        assert got == (pochhammer_inverse(zeta, modulus, modulus, order)
+                       * (ONE - zeta).inverse())
+
+    @pytest.mark.parametrize("modulus", [1, 2])
+    def test_a_vanishing_first_factor_has_no_inverse(self, modulus):
+        with pytest.raises(NonUnitConstantTerm):
+            pochhammer_inverse(1, 0, modulus, 10)
+        with pytest.raises(NonUnitConstantTerm):
+            pochhammer_inf(1, 0, modulus, 10).invert()
+
+    def test_rejects_bad_arguments(self):
+        for args in ((1, -1, 1, 4), (1, 1, 0, 4), (1, 1, 1, 0)):
+            with pytest.raises(ValueError):
+                pochhammer_inverse(*args)
+        with pytest.raises(TypeError):
+            pochhammer_inverse(0.5, 1, 1, 4)
 
 
 class TestRingAxioms:

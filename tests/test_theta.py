@@ -372,12 +372,14 @@ def test_base_product_build_has_a_unit_operand_in_every_product(
 
 
 # ---------------------------------------------------------------------------
-# the Pochhammer route's quotients
+# the Pochhammer route's quotients: products times inverses
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 150, 601])
-def test_pochhammer_route_inverts_at_half_order_only(monkeypatch, order):
+def test_pochhammer_route_calls_no_invert(monkeypatch, order):
+    # each quotient is the lane's product times the lane's inverse of the
+    # divisor, so no Newton division runs
     orders = []
     real = QSeries.invert
 
@@ -386,16 +388,16 @@ def test_pochhammer_route_inverts_at_half_order_only(monkeypatch, order):
         return real(self)
 
     monkeypatch.setattr(QSeries, "invert", spy)
-    product_side_pochhammer(order)
-    assert orders and max(orders) <= -(-order // 2), orders
+    assert product_side_pochhammer(order) == product_side_theta(order)
+    assert orders == []
 
 
 def bump_minus_q(monkeypatch, e):
-    """Make ``(-q;q)_inf``, the divisor of the Pochhammer route's first
-    quotient, gain q**e wherever theta builds it."""
+    """Make ``1/(-q;q)_inf``, the inverse of the divisor of the Pochhammer
+    route's first quotient, gain q**e wherever theta builds it."""
     import qident.theta as T
 
-    real = T.pochhammer_inf
+    real = T.pochhammer_inverse
 
     def bumped(zeta, offset, modulus, order):
         out = real(zeta, offset, modulus, order)
@@ -403,22 +405,32 @@ def bump_minus_q(monkeypatch, e):
             out = out + QSeries.monomial(1, e, order)
         return out
 
-    monkeypatch.setattr(T, "pochhammer_inf", bumped)
+    monkeypatch.setattr(T, "pochhammer_inverse", bumped)
+
+
+def assert_bump_fails_the_cross_check(monkeypatch, order, e):
+    from qident.theta import InternalCrossCheckFailure
+
+    bump_minus_q(monkeypatch, e)
+    with pytest.raises(InternalCrossCheckFailure) as info:
+        product_side_series(order)
+    assert info.value.locus == e
 
 
 @pytest.mark.parametrize("order, e", [(200, 101), (200, 163), (200, 199),
                                       (601, 444)])
 def test_a_divisor_bump_above_half_order_fails_the_cross_check(
         monkeypatch, order, e):
-    # the inverse reads the divisor below q**ceil(order/2) only, so only
-    # the correction sees the bump
-    from qident.theta import InternalCrossCheckFailure
-
     assert order / 2 < e < order
-    bump_minus_q(monkeypatch, e)
-    with pytest.raises(InternalCrossCheckFailure) as info:
-        product_side_series(order)
-    assert info.value.locus == e
+    assert_bump_fails_the_cross_check(monkeypatch, order, e)
+
+
+@pytest.mark.parametrize("order, e", [(200, 1), (200, 57), (200, 100),
+                                      (601, 300)])
+def test_a_divisor_bump_below_half_order_fails_the_cross_check(
+        monkeypatch, order, e):
+    assert 0 < e <= order / 2
+    assert_bump_fails_the_cross_check(monkeypatch, order, e)
 
 
 def test_a_divisor_bump_above_half_order_fails_dkm(monkeypatch, capsys):

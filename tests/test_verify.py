@@ -460,12 +460,12 @@ def test_all_is_bounded_by_its_series_and_table_bytes():
     # below q^300 and 1711 bytes per n of tables
     series = series_bytes(300)
     assert size_error("all", 300, 100_000) is None
-    cap = 626_976
+    cap = 626_963
     assert (series + (cap + 1) * 1711 <= verify.BYTES_BUDGET
             < series + (cap + 2) * 1711)
     assert size_error("all", 300, cap) is None
     assert size_error("all", 300, cap + 1) == (
-        "suite all at --order 300 --max 626977 would hold about 1024 MiB "
+        "suite all at --order 300 --max 626964 would hold about 1024 MiB "
         "of series and tables, past the 1024 MiB budget")
     # the tables alone at the old cap, and the series alone, each fit the
     # budget, but one run holds both
