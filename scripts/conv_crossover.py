@@ -66,7 +66,6 @@ REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
 OFFSETS = range(0, 129, 4)
 
 
-
 def _around(rule) -> dict:
     """name -> a stand-in for the start rule ``rule(e, modulus, order)``:
     the rule, half and twice its start, and the first exponent."""

@@ -392,6 +392,24 @@ def test_pochhammer_route_calls_no_invert(monkeypatch, order):
     assert orders == []
 
 
+def test_only_the_pochhammer_route_builds_lane_inverses():
+    # dkm's product routes stay apart: the Pochhammer route multiplies lane
+    # products by lane inverses, the theta route builds base products only
+    from package_calls import package_calls
+
+    from qident.series import clear_product_store
+
+    routes = {}
+    for route in (product_side_pochhammer, product_side_theta):
+        clear_product_store()
+        routes[route] = {name for _, _, name in package_calls(route, 300)}
+    clear_product_store()
+    assert {"pochhammer_inverse", "_factors_lane"} <= routes[
+        product_side_pochhammer]
+    assert "invert" not in routes[product_side_pochhammer]
+    assert "pochhammer_inverse" not in routes[product_side_theta]
+
+
 def bump_minus_q(monkeypatch, e):
     """Make ``1/(-q;q)_inf``, the inverse of the divisor of the Pochhammer
     route's first quotient, gain q**e wherever theta builds it."""
