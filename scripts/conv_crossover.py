@@ -14,21 +14,24 @@ suites of ``REPLAY_RUNS`` with ``_conv_rows`` and ``_conv_packed`` (only
 choice between them.  Each distinct product, by length n, number k of
 nonzero terms of the sparser operand, the largest modulus among them and
 the bit width of the dense operand, runs through both paths, best of
-five, and ``takes_rows`` is what ``_conv``'s rule picks.  For each offset
-tried in place of ``ROW_TERMS_OVER_BITS``, ``offsets`` gives the time the
-picks of the rule with that offset spend over the faster path (over every
-recorded product, repeats counted), the time of those picks, and the
-products where the pick is more than 15 % slower than the other path.
-``summary`` totals the rule's picks, the faster path and the packed
-product alone, and counts where rows were faster, over every product and
-over those that pass the rule's clauses other than the bits clause.
+five; ``limbs`` is the limbs of one coefficient of its rows, carry limb
+included, and ``takes_rows`` is what ``_conv``'s rule picks.  For each
+divisor d tried in place of ``ROW_COLUMNS_PER_TERM`` (rows when
+``d k <= n limbs``), ``divisors`` gives the time the picks of the rule
+with that divisor spend over the faster path (over every recorded
+product, repeats counted), the time of those picks, and the products
+where the pick is more than 15 % slower than the other path.  ``summary``
+totals the rule's picks, the faster path and the packed product alone,
+and counts where rows were faster, over every product and over those that
+pass the rule's clauses other than the limb clause.
 
 Lane replay: every ``_factors_lane`` build of the same runs, each run on
 a cleared product store, recorded as (unit, offset, modulus, order,
-inverse).  Each product build is timed, best of five, with ``_tail_start``
-patched to each start of ``LANE_STARTS``: the rule's start t, half and
-twice t, ``ceil(order/2)`` (the older upper-half scan) and the first
-exponent (no factor applied one at a time).  Each inverse build is timed
+inverse) with ``primes``, the primes its key's bound takes
+(``_key_bound_bits``).  Each product build is timed, best of five, with
+``_tail_start`` patched to each start of ``LANE_STARTS``: the rule's start
+t, half and twice t, ``ceil(order/2)`` (the older upper-half scan) and the
+first exponent (no factor applied one at a time).  Each inverse build is timed
 the same way with ``_inverse_tail_start`` patched to each start of
 ``INVERSE_STARTS``: the rule's start, half and twice it, and the first
 exponent.  Every start must give the same series.  ``summary`` totals each
@@ -63,7 +66,7 @@ REPEATS = 5
 # where its eta table is pinned to the lane
 REPLAY_RUNS = (("dkm", 4000, 1000), ("all", 300, 3000),
                ("theorem17", 200, 18000))
-OFFSETS = range(0, 129, 4)
+DIVISORS = (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32)
 
 
 def _around(rule) -> dict:
@@ -160,19 +163,19 @@ def row_replay() -> dict:
             u, v = v, u
         nzu = [(j, x) for j, x in enumerate(u) if x]
         key = (n, len(nzu), max(abs(x) for _, x in nzu),
-               max(map(abs, v)).bit_length())
+               max(map(abs, v)).bit_length(), series._limb_width(nzu, v) + 1)
         counts[key] += 1
         seen.setdefault(key, (u, v, nzu))
     products = []
     for key, (u, v, nzu) in sorted(seen.items()):
-        n, k, modulus, bits = key
+        n, k, modulus, bits, limbs = key
         t_rows, out = best(series._conv_rows, nzu, v, n)
         t_packed, ref = best(series._conv_packed, u, v, n)
         if out != ref:
             raise SystemExit(f"row path differs at n={n}, k={k}, "
                              f"bits={bits}")
         products.append({"n": n, "k": k, "sparse_modulus": modulus,
-                         "bits": bits, "count": counts[key],
+                         "bits": bits, "limbs": limbs, "count": counts[key],
                          "rows_s": round(t_rows, 6),
                          "packed_s": round(t_packed, 6),
                          "rows_over_packed": round(t_rows / t_packed, 3),
@@ -180,33 +183,33 @@ def row_replay() -> dict:
         print(f"n={n:5d} k={k:5d} modulus={modulus} bits={bits:4d} "
               f"rows={t_rows * 1e3:8.2f} ms "
               f"packed={t_packed * 1e3:8.2f} ms", file=sys.stderr)
-    offsets = []
-    for offset in OFFSETS:
+    divisors = []
+    for d in DIVISORS:
         over, picked, slow = 0.0, 0.0, []
         for p in products:
-            rows = (_eligible(p) and p["k"] <= offset + p["bits"])
+            rows = _eligible(p) and d * p["k"] <= p["n"] * p["limbs"]
             pick, other = ((p["rows_s"], p["packed_s"]) if rows
                            else (p["packed_s"], p["rows_s"]))
             over += p["count"] * (pick - min(pick, other))
             picked += p["count"] * pick
             if pick > 1.15 * other:
                 slow.append([p["n"], p["k"], p["bits"]])
-        offsets.append({"offset": offset, "over_faster_s": round(over, 6),
-                        "picked_s": round(picked, 6),
-                        "slower_by_15_percent": slow})
+        divisors.append({"divisor": d, "over_faster_s": round(over, 6),
+                         "picked_s": round(picked, 6),
+                         "slower_by_15_percent": slow})
     return {"runs": REPLAY_RUNS, "summary": _summary(products),
-            "products": products, "offsets": offsets}
+            "products": products, "divisors": divisors}
 
 
 def _eligible(p) -> bool:
     """Whether the product passes the clauses of ``_takes_rows`` other than
-    the bits clause: a sparse modulus of at most 2 and ``2 k <= n``."""
+    the limb clause: a sparse modulus of at most 2 and ``2 k <= n``."""
     return p["sparse_modulus"] <= 2 and 2 * p["k"] <= p["n"]
 
 
 def _summary(products) -> dict:
     """Totals over every recorded product (repeats counted), and where rows
-    were faster, overall and among the products the bits clause decides."""
+    were faster, overall and among the products the limb clause decides."""
     def total(f):
         return round(sum(p["count"] * f(p) for p in products), 6)
 
@@ -270,11 +273,13 @@ def lane_replay() -> dict:
             elif out != ref:
                 raise SystemExit(f"start {name} changes the series {key}")
         unit, e, modulus, order = args
+        primes = len(series._lane_moduli(series._key_bound_bits(
+            unit, e, modulus, order - 1, inverse)))
         builds.append({"unit": unit, "offset": e, "modulus": modulus,
-                       "order": order, "inverse": inverse,
+                       "order": order, "inverse": inverse, "primes": primes,
                        "start": starts["rule"](e, modulus, order),
                        **{f"{k}_s": round(t, 6) for k, t in times.items()}})
-        print(f"lane {key} " + " ".join(f"{k}={t * 1e3:.2f}"
+        print(f"lane {key} primes={primes} " + " ".join(f"{k}={t * 1e3:.2f}"
                                         for k, t in times.items()),
               file=sys.stderr)
     return {"runs": REPLAY_RUNS,
@@ -305,7 +310,7 @@ def main() -> int:
     rng = random.Random(0)
     out = {"repeats": REPEATS, "python": sys.version.split()[0],
            "decimal_min_digits": series.DECIMAL_MIN_DIGITS,
-           "row_terms_over_bits": series.ROW_TERMS_OVER_BITS,
+           "row_columns_per_term": series.ROW_COLUMNS_PER_TERM,
            "rows": radix_sweep(rng), "row_replay": row_replay(),
            "lane_replay": lane_replay()}
     json.dump(out, sys.stdout, indent=1)

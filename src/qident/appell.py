@@ -38,9 +38,12 @@ class AppellSpec:
             raise ValueError("modulus must be >= 1")
 
 
-def _expanded_term(unit, base, zeta, e, order):
-    """``unit * q**base / (1 - zeta*q**e)`` as a QSeries, or None if the
-    term starts at or beyond the truncation order."""
+def _add_term(re, im, unit, base, zeta, e, order) -> bool:
+    """Add twice ``unit * q**base / (1 - zeta*q**e)`` below ``q**order`` into
+    the coefficient lists re and im, and return whether any of it falls
+    there.  Every term is a Gaussian integer over 2 (``1/(1 - zeta)`` is
+    one for each unit zeta other than 1), so the lists hold numerators over
+    the denominator 2."""
     if e == 0:
         if zeta == ONE:
             raise PoleAtMonomialOne("term denominator vanishes identically")
@@ -48,11 +51,14 @@ def _expanded_term(unit, base, zeta, e, order):
     else:
         lead = base if e > 0 else base - e
     if lead >= order:
-        return None
+        return False
     if lead < 0:
         raise NegativeQPower(f"Appell term starts at q^{lead}")
     if e == 0:
-        return QSeries.monomial(unit * (ONE - zeta).inverse(), base, order)
+        w = unit * (ONE - zeta).inverse() * 2
+        re[base] += int(w.re)
+        im[base] += int(w.im)
+        return True
     # unit and zeta are fourth roots of unity (Monomial validates them), so
     # the coefficient of the k-th term is i**(u + k*z), an index mod 4
     u = _unit_index(unit)
@@ -62,16 +68,19 @@ def _expanded_term(unit, base, zeta, e, order):
         # -unit * zeta**-(k+1) * q**(base - (k+1)*e), and -1 = i**2
         u, z, e = u + 2 - z, -z, -e
         base += e
-    re = [0] * order
-    im = [0] * order
-    for exp in range(base, order, e):
-        re[exp], im[exp] = _I_POWERS[u % 4]
-        u += z
-    return QSeries._raw(re, im, 1, order)
+    # the units repeat every fourth term: one slice of each list per phase
+    for k in range(4):
+        phase = slice(base + k * e, order, 4 * e)
+        for out, x in zip((re, im), _I_POWERS[(u + k * z) % 4]):
+            if x:
+                out[phase] = [c + 2 * x for c in out[phase]]
+    return True
 
 
 def appell_m(spec: AppellSpec, order: int) -> QSeries:
-    """m(x, z; q**m) truncated to ``order``."""
+    """m(x, z; q**m) truncated to ``order``: every bilateral term is added
+    into one pair of coefficient lists, which are divided by j(z; q**m)
+    once."""
     m = spec.modulus
     jz = theta_j(ThetaSpec(spec.z, m), order)
     if not jz.coeff(0):
@@ -79,37 +88,24 @@ def appell_m(spec: AppellSpec, order: int) -> QSeries:
     ez = spec.z.exponent
     ex = spec.x.exponent
     zeta_den = spec.x.unit * spec.z.unit
-    total = QSeries.zeros(order)
+    re, im = [0] * order, [0] * order
 
-    def term(r):
+    def add(r):
         # (-1)**r * z**r / (1 - q**(m*(r-1)) * x * z)
         unit = unit_power(MINUS_ONE, r) * unit_power(spec.z.unit, r)
         base = m * (r * (r - 1) // 2) + r * ez
         e = m * (r - 1) + ex + ez
-        return _expanded_term(unit, base, zeta_den, e, order)
+        return _add_term(re, im, unit, base, zeta_den, e, order)
 
     # Quadratic exponent growth bounds the bilateral sum; scan each
     # direction until a margin of four consecutive terms falls beyond order.
-    r, misses = 0, 0
-    while misses < 4:
-        t = term(r)
-        if t is None:
-            misses += 1
-        else:
-            misses = 0
-            total = total + t
-        r += 1
-    r, misses = -1, 0
-    while misses < 4:
-        t = term(r)
-        if t is None:
-            misses += 1
-        else:
-            misses = 0
-            total = total + t
-        r -= 1
+    for r, step in ((0, 1), (-1, -1)):
+        misses = 0
+        while misses < 4:
+            misses = 0 if add(r) else misses + 1
+            r += step
 
-    return total / jz
+    return QSeries._raw(re, im, 2, order) / jz
 
 
 # ---------------------------------------------------------------------------

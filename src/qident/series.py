@@ -10,10 +10,11 @@ both operands: for g > 1 both are series in q**g, and it multiplies every
 g-th coefficient below ``q**ceil(n/g)`` and spreads the product back (the
 change of variable q -> q**g).  On the compressed length it then takes a
 sparse loop, shifted rows of the dense operand when the other has few
-nonzero terms of modulus at most 2 (``ROW_TERMS_OVER_BITS``), or one packed
-product.  The rows are added on int64 columns of 32-bit limbs: the dense
-operand is converted once, each row is one slice add, and the carries are
-normalised once, under an explicit int64 guard (``LIMB_ROWS_LIMIT``).
+nonzero terms of modulus at most 2 against the limb columns of a row
+(``ROW_COLUMNS_PER_TERM``), or one packed product.  The rows are added on
+int64 columns of 32-bit limbs: the dense operand is converted once, each
+row is one slice add, and the carries are normalised once, under an
+explicit int64 guard (``LIMB_ROWS_LIMIT``).
 The packed product is a Kronecker substitution: both operands are offset
 to non-negative columns of one width, multiplied once, and the offsets are
 taken back out by a prefix sum.  Below ``DECIMAL_MIN_DIGITS`` packed
@@ -29,15 +30,16 @@ builds a full-length inverse.
 ``zeta`` (every caller in the package) run on a multi-modular numpy lane:
 the product or its inverse is formed in uint64 residues modulo the largest
 primes below ``2**62``, enough of them to cover an a-priori bound on the
-coefficients (the number of partitions into distinct parts for a product,
-of all partitions for an inverse), and rebuilt exactly by CRT.  Each factor
-below a tail start is applied one at a time: one slice update for a
-product, a doubling pass of slice updates that divides it out for an
-inverse.  The factors from there on are multiplied in together, by counting
-sets (or, for an inverse, multisets) of their exponents: level i of the
-tail is a stride prefix sum of level i - 1, added in at the least sum of i
-exponents (Andrews, Cor. 2.2, both halves).  Each lane series is built once
-per process: a bounded store keeps the longest one per reduced key
+coefficients of that key alone (the partitions into distinct parts from
+its exponents for a product, into any of them for an inverse:
+``_key_bound_bits``), and rebuilt exactly by CRT.  Each factor below a
+tail start is applied one at a time: one slice update for a product, a
+doubling pass of slice updates that divides it out for an inverse.  The
+factors from there on are multiplied in together, by counting sets (or,
+for an inverse, multisets) of their exponents: level i of the tail is a
+stride prefix sum of level i - 1, added in at the least sum of i exponents
+(Andrews, Cor. 2.2, both halves).  Each lane series is built once per
+process: a bounded store keeps the longest one per reduced key
 ``(unit, e/g, m/g)``, g = gcd(e, m), with ``"inverse"`` appended for an
 inverse, and serves ``(zeta*q**e; q**m)`` or its inverse below ``q**N`` from
 its prefix below ``q**ceil(N/g)`` with q -> q**g, a change of variable
@@ -316,31 +318,36 @@ def _conv_packed(u, v, n):
 # package's own products by the row replay of scripts/conv_crossover.py (see
 # README): every product that reaches this choice in ``verify --suite dkm
 # --order 4000``, ``verify --suite all --order 300 --max 3000`` and ``verify
-# --suite theorem17 --max 18000`` (n = 37 to 4000, dense operands up to 155
-# bits), timed through both paths.  A sparse operand of k nonzero terms, each
-# of modulus at most 2, times a dense one whose largest coefficient has b
-# bits takes rows when ``k <= ROW_TERMS_OVER_BITS + b``.  On int64 limbs a
-# row costs a few numpy passes over n limb columns, so rows won 47 of the 51
-# replayed products that pass the other two clauses, and lost only small
-# ones (n <= 150, by at most 0.04 ms).  Of the offsets up to 36, 20 to 28
-# left the least time over the faster path, 4.6 ms in 78 ms summed over the
-# 195 replayed products; 24 is the middle.  Every offset from 60 on would
-# leave 0.14 ms, by also taking the one narrow product of n = 4000 and 64
-# terms, but past 36 the half-length clause hides the bits clause at
-# n = 334 and 130 bits, a case the tests pin on both sides.  Wider sparse
-# coefficients each cost a scaled row.  The sparse operand must also be zero
-# at half its exponents or more, so a dense operand, n rows, never takes the
-# path.
-ROW_TERMS_OVER_BITS = 24
+# --suite theorem17 --max 18000``, timed through both paths.  A sparse
+# operand of k nonzero terms, each of modulus at most 2, takes rows below
+# q**n when ``ROW_COLUMNS_PER_TERM * k <= n * s``, s the limbs of one
+# coefficient of a row (``_limb_width`` and its carry limb): each term
+# costs one slice add over the n * s limb columns of its row, while the
+# packed product's cost grows with n and with the width of its columns
+# faster than that, so the rows may take more terms as either grows.  On
+# three replays the divisors 6 to 12 left the least time over the faster
+# path, 0.02 to 0.27 ms in 33 to 42 ms, and 8, near their middle, picked
+# no path more than 0.09 ms slower than the other (n = 300 at most).  From
+# s = 4 on (row coefficients of 64 bits or more) the rule admits every k
+# up to half the length.  Wider sparse coefficients each cost a scaled row.
+# The sparse operand must also be zero at half its exponents or more, so a
+# dense operand, n rows, never takes the path.
+ROW_COLUMNS_PER_TERM = 8
+
+
+def _limb_width(nzu, v) -> int:
+    """The 32-bit limbs ``_conv_rows`` gives one coefficient of a row of
+    the sparse terms nzu times the dense operand v, less the carry limb."""
+    top = max(abs(x) for _, x in nzu) * max(map(abs, v))
+    return top.bit_length() // 32 + 1
 
 
 def _takes_rows(nzu, v, n):
     """Whether ``_conv`` multiplies the sparse operand with nonzero terms
     nzu by the dense operand v below q**n as shifted rows."""
     k = len(nzu)
-    bits = max(map(abs, v)).bit_length()
-    return (2 * k <= n and k <= ROW_TERMS_OVER_BITS + bits
-            and all(-2 <= x <= 2 for _, x in nzu))
+    return (2 * k <= n and all(-2 <= x <= 2 for _, x in nzu)
+            and ROW_COLUMNS_PER_TERM * k <= n * (_limb_width(nzu, v) + 1))
 
 
 # The int64 guard of ``_conv_rows``: fewer rows than this.  Every limb of
@@ -393,8 +400,7 @@ def _conv_rows(nzu, v, n):
     if len(nzu) >= LIMB_ROWS_LIMIT:
         raise OverflowError(f"{len(nzu)} rows would pass the int64 limbs")
     v = v[:n] + [0] * (n - len(v))
-    top = max(abs(x) for _, x in nzu) * max(map(abs, v))
-    width = top.bit_length() // 32 + 1
+    width = _limb_width(nzu, v)
     step = width + 1
     base = _limbs(v, width)
     acc = np.zeros(n * step, np.int64)
@@ -438,11 +444,11 @@ def _conv(u, v, n):
     paths below, and the radix threshold, see the compressed length: a
     sparse loop when few products of nonzero terms fall below q**n,
     ``_conv_rows`` when one operand has few nonzero terms, each of modulus
-    at most 2, against both n and the other operand's bit width
-    (``_takes_rows``), and ``_conv_packed`` otherwise.  The operands are
-    counted and their exponents read at C speed (``list.count`` and
-    ``itertools.compress``); the (exponent, coefficient) pairs are built
-    only for an operand that the sparse loop or the rows read.
+    at most 2, against n and the limbs of a row (``_takes_rows``), and
+    ``_conv_packed`` otherwise.  The operands are counted and their
+    exponents read at C speed (``list.count`` and ``itertools.compress``);
+    the (exponent, coefficient) pairs are built only for an operand that
+    the sparse loop or the rows read.
     """
     u = u[:n]
     v = v[:n]
@@ -783,6 +789,17 @@ class QSeries:
         im = None if self._im is None else self._im + pad
         return QSeries._raw(self._re + pad, im, self._den, order)
 
+    def spread(self, g: int, order: int) -> "QSeries":
+        """``f(q**g)`` below ``q**order``, f this series, which must be
+        known below ``q**ceil(order/g)``: a change of variable, not an
+        identity."""
+        if self.order < -(-order // g):
+            raise IndexBeyondOrder(f"q -> q^{g} below q^{order} needs order "
+                                   f"{-(-order // g)}, not {self.order}")
+        im = None if self._im is None else _spread(self._im, g, order)
+        return QSeries._raw(_spread(self._re, g, order), im, self._den,
+                            order)
+
     def shift(self, k: int) -> "QSeries":
         """Multiply by ``q**k``.  Negative ``k`` must not drop nonzero terms."""
         if k == 0:
@@ -982,6 +999,34 @@ def _p_bound_bits(n: int) -> int:
     return 371 * (math.isqrt(n) + 1) // 100 + 1
 
 
+def _key_bound_bits(unit: int, e: int, modulus: int, n: int,
+                    inverse: bool) -> int:
+    """A ``bits`` with every coefficient of ``_factors_lane(unit, e,
+    modulus, N, inverse)`` below ``2**bits`` in its real and imaginary
+    parts for every N <= n + 1: a bound for that key alone, in integers.
+
+    Each coefficient of the product at q**n is a signed count of sets of
+    distinct parts from ``{e, e + m, ...}`` (m the modulus) that sum to n.
+    For 0 < x < 1 that count times x**n is at most ``prod (1 + x**(e + k m))``.
+    With e >= m each part ``e + k m`` is at least ``(k + 1) m``, so the
+    product is at most ``prod (1 + y**j)`` with y = x**m, and the steps of
+    ``_partition_bound_bits`` with n/m for n give ``exp(pi sqrt(n/(3m)))``.
+    With e < m the first factor is at most 2 and the others ``e + k m >=
+    k m``, one more bit.  An inverse counts multisets of parts instead, and
+    the steps of ``_p_bound_bits`` give ``exp(pi sqrt(2n/(3m)))`` for
+    e >= m and ``p(n)`` otherwise.  The inverse of ``(-q**e; q)`` is a
+    product: ``1 + y = (1 - y**2)/(1 - y)`` makes it ``prod (1 - q**k)``
+    over k >= e less ``2e, 2e + 2, ...``, distinct exponents from e on,
+    which for e = 1 are the odd ones, the key of ``(q; q**2)``.  Each bound
+    grows with n, so it covers every coefficient below q**(n + 1).
+    """
+    if inverse and unit == 2 and modulus == 1:
+        e, modulus, inverse = (1, 2, False) if e == 1 else (e, 1, False)
+    if inverse:
+        return _p_bound_bits(n // modulus if e >= modulus else n)
+    return _partition_bound_bits(n // modulus) + (e < modulus)
+
+
 def _lane_moduli(bits: int) -> list[int]:
     """The largest primes below ``2**62``, as few as make a product above
     ``2**(bits + 2)``: balanced residues then cover ``|c| <= 2**bits``."""
@@ -1083,12 +1128,13 @@ def _factors_lane(unit: int, e: int, modulus: int, order: int,
     and rebuilt by CRT.
 
     Each coefficient of the product is a signed count of sets of distinct
-    exponents with a given sum, so its real and imaginary parts are at
-    most q(n), the number of partitions of n into distinct parts, which
-    ``_partition_bound_bits`` bounds.  Each coefficient of the inverse is a
-    signed count of multisets of exponents, at most p(n), the number of
-    partitions of n (``_p_bound_bits``).  Reduction mod p is a ring
-    homomorphism, so only the final coefficients need to fit that bound.
+    exponents with a given sum, and each coefficient of the inverse a
+    signed count of multisets of them, so their real and imaginary parts
+    are at most those counts, which ``_key_bound_bits`` bounds for this key
+    alone: at order 4000 (q;q) takes 3 primes, and (q;q**2) and
+    ``1/(-q;q)``, which is (q;q**2), take 2 (106-bit coefficients against a
+    bound of 119 bits).  Reduction mod p is a ring homomorphism, so only
+    the final coefficients need to fit that bound.
 
     Each factor below the tail start t is applied one at a time, giving a
     head A.  A product multiplies each in by one slice update.  An inverse
@@ -1128,8 +1174,8 @@ def _factors_lane(unit: int, e: int, modulus: int, order: int,
     (see README).  Every update writes in place through preallocated
     scratch rows, which go before ``_crt`` fills its lists.
     """
-    bits = _p_bound_bits if inverse else _partition_bound_bits
-    moduli = _lane_moduli(bits(order - 1))
+    moduli = _lane_moduli(_key_bound_bits(unit, e, modulus, order - 1,
+                                          inverse))
     p = np.array(moduli, dtype=np.uint64)[:, None]
     # the real part, and the imaginary part for the odd units
     c = np.zeros((1 + unit % 2, len(moduli), order), dtype=np.uint64)
@@ -1224,11 +1270,10 @@ def _stored_factors(unit: int, e: int, modulus: int, order: int,
     g = math.gcd(e, modulus)
     args = (unit, e // g, modulus // g)
     key = args + ("inverse",) if inverse else args
-    have = stored_product(
+    return stored_product(
         _products, key, -(-order // g),
-        lambda need: _factors_lane(*args, need, inverse=inverse))
-    im = None if have._im is None else _spread(have._im, g, order)
-    return QSeries._raw(_spread(have._re, g, order), im, 1, order)
+        lambda need: _factors_lane(*args, need, inverse=inverse)).spread(
+            g, order)
 
 
 def _int_bytes(bits: int) -> int:
@@ -1241,12 +1286,13 @@ def _lane_bytes(order: int) -> int:
     """The lane term of ``series_bytes``: one build below ``q**order``, a
     product or an inverse.
 
-    It counts, per column and per prime at the larger of the two bounds
-    (an inverse's, ``_p_bound_bits``; every prime being above ``2**61``),
-    four uint64 words and one int of 62 bits with its list slot: 76 bytes.
-    The build holds six uint64 rows per prime for the odd units (the real
-    and imaginary rows, their level rows and their temporaries), 48 of
-    those bytes, and numpy (2.4) adds up to three ufunc buffers of
+    It counts, per column and per prime at the bound on p(n)
+    (``_p_bound_bits``), the widest that ``_key_bound_bits`` gives any key
+    (1/(q;q) takes it), every prime being above ``2**61``: four uint64
+    words and one int of 62 bits with its list slot, 76 bytes.  The build
+    holds six uint64 rows per prime for the odd units (the real and
+    imaginary rows, their level rows and their temporaries), 48 of those
+    bytes, and numpy (2.4) adds up to three ufunc buffers of
     ``np.getbufsize()`` words, 192 KiB, where it iterates slices of several
     rows shorter than about 2048 columns.  ``_crt`` runs after the level
     rows and temporaries are freed and converts residues a block of columns
@@ -1273,16 +1319,16 @@ def series_bytes(order: int) -> int:
     every coefficient an int of the bound on q(n): two for each of
     ``PRODUCT_STORE_LIMIT`` stored products and 16 more, with room to
     spare, for the operands and products of the two product routes.  The
-    only inverses a suite stores are those of ``(-q;q)`` and its spread
-    ``(-q**2;q**2)``, and ``1/(-q;q) = (q;q**2)`` (Euler) has coefficients
-    of modulus at most q(n) too.  A product's own scratch fits in those: a
-    rows product at order 4000 with a dense operand as wide as any of dkm's
-    there, (q;q) times the 106-bit ``1/(-q;q)``, peaks in tracemalloc at
-    0.71 MB in ``_conv_rows``, about three such lists, with its bytes per
-    coefficient, limb rows and the list it returns.  The base products of
-    the theta store are not counted apart: a theta series has at most two
-    terms at each power of q, so their coefficients have modulus at most 2,
-    CPython's shared small ints, and a full store holds
+    only inverse a suite stores is ``1/(-q;q)``, which ``_key_bound_bits``
+    bounds as the product ``(q;q**2)``: its coefficients count sets of
+    distinct odd parts, at most q(n) too.  A product's own scratch fits in
+    those: a rows product at order 4000 with a dense operand as wide as any
+    of dkm's there, (q;q) times the 106-bit ``1/(-q;q)``, peaks in
+    tracemalloc at 0.71 MB in ``_conv_rows``, about three such lists, with
+    its bytes per coefficient, limb rows and the list it returns.  The base
+    products of the theta store are not counted apart: a theta series has
+    at most two terms at each power of q, so their coefficients have
+    modulus at most 2, CPython's shared small ints, and a full store holds
     ``16 * PRODUCT_STORE_LIMIT`` bytes per unit of order, about 11 % of
     this estimate at order 3001 (0.22 MB measured after ``verify --suite
     all --order 300 --max 3000``, against 13.4 MB).

@@ -273,17 +273,20 @@ def Jm(m: int, order: int) -> QSeries:
 
 
 def product_side_pochhammer(order: int) -> QSeries:
-    """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients, each
-    the lane's product times the lane's inverse of its divisor."""
+    """((q;q)/(−q;q)) * ((q²;q²)/(−q²;q²))² via pochhammer quotients: s1,
+    the lane's product (q;q) times the lane's inverse of its divisor, and
+    s2, s1 with q -> q², a change of variable rather than a rebuild."""
     s1 = pochhammer_inf(1, 1, 1, order) * pochhammer_inverse(-1, 1, 1, order)
-    s2 = pochhammer_inf(1, 2, 2, order) * pochhammer_inverse(-1, 2, 2, order)
+    s2 = s1.spread(2, order)
     return s1 * (s2 * s2)
 
 
 def product_side_theta(order: int) -> QSeries:
-    """The same series as ``j(q;q²) * j(q²;q⁴)²``."""
+    """The same series as ``j(q;q²) * j(q²;q⁴)²``, with ``j(q²;q⁴)`` read
+    as ``j(q;q²)`` with q -> q², a change of variable rather than a
+    rebuild."""
     a = J(1, 2, order)
-    b = J(2, 4, order)
+    b = a.spread(2, order)
     return a * (b * b)
 
 

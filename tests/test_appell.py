@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qident.appell import (AppellSpec, NonUnitThetaDenominator,
-                           PoleAtMonomialOne, _expanded_term, appell_m,
+                           PoleAtMonomialOne, _add_term, appell_m,
                            changing_z_difference, verify_appell_suite)
 from qident.series import GaussianRational, QSeries, series_eq
 from qident.theta import I_UNIT, MINUS_I, MINUS_ONE, ONE, mono
@@ -103,10 +103,57 @@ def power_loop_term(unit, base, zeta, e, order):
 @pytest.mark.parametrize("zeta", UNITS)
 @pytest.mark.parametrize("unit", UNITS)
 def test_expanded_term_matches_a_power_loop(unit, zeta, e):
+    # one term of ``_add_term`` on lists of its own, over 2
     for base, order in ((0, 23), (2, 23), (5, 6), (1, 1)):
-        got = _expanded_term(unit, base, zeta, e, order)
+        re, im = [0] * order, [0] * order
+        added = _add_term(re, im, unit, base, zeta, e, order)
         lead = base if e > 0 else base - e
+        assert added == (lead < order)
         if lead >= order:
-            assert got is None
+            assert not any(re) and not any(im)
         else:
-            assert got == power_loop_term(unit, base, zeta, e, order)
+            assert (QSeries._raw(re, im, 2, order)
+                    == power_loop_term(unit, base, zeta, e, order))
+
+
+# the five Appell sums the suite reads at each order: the two specials, the
+# conjugate pair and the change-of-z instance at z0 = -1
+SUITE_SPECS = [
+    AppellSpec(mono(1, 1), mono(-1, 0), 2),
+    AppellSpec(mono(-1, 0), mono(1, 1), 2),
+    AppellSpec(mono(-1, 1), mono(I_UNIT, 1), 2),
+    AppellSpec(mono(-1, 1), mono(MINUS_I, 1), 2),
+    AppellSpec(mono(-1, 1), mono(-1, 0), 2),
+]
+
+
+def term_by_term(spec, order):
+    """m(x, z; q**m) as a sum of one ``QSeries`` per bilateral term, each by
+    GaussianRational powers (``power_loop_term``), over every r whose term
+    can start below ``q**order``, divided by j(z; q**m)."""
+    from qident.theta import ThetaSpec, theta_j, unit_power
+
+    m, x, z = spec.modulus, spec.x, spec.z
+    total = QSeries.zeros(order)
+    for r in range(-order - 2, order + 3):
+        unit = unit_power(MINUS_ONE, r) * unit_power(z.unit, r)
+        base = m * (r * (r - 1) // 2) + r * z.exponent
+        e = m * (r - 1) + x.exponent + z.exponent
+        zeta = x.unit * z.unit
+        if e == 0:
+            if base < order:
+                total = total + QSeries.monomial(
+                    unit * (ONE - zeta).inverse(), base, order)
+        elif (base if e > 0 else base - e) < order:
+            total = total + power_loop_term(unit, base, zeta, e, order)
+    return total / theta_j(ThetaSpec(z, m), order)
+
+
+@pytest.mark.parametrize("spec", SUITE_SPECS)
+def test_appell_m_is_the_term_by_term_sum(spec):
+    # the sum at 300 truncates to the sum at every lower order, since the
+    # quotient below q**n is unique
+    ref = term_by_term(spec, 300)
+    assert appell_m(spec, 300) == ref
+    for order in range(8, 300):
+        assert appell_m(spec, order) == ref.truncate(order), order

@@ -673,6 +673,71 @@ class TestInverseLane:
         assert peak < series._lane_bytes(order) < series.series_bytes(order)
 
 
+class TestKeyBound:
+    """Each lane build takes its primes from the bound of its own key
+    (``_key_bound_bits``): every coefficient of the key's series stays
+    below it, and a bound below the widest coefficient breaks the build."""
+
+    @pytest.mark.parametrize("unit", range(4))
+    def test_every_coefficient_stays_below_its_key_bound(self, unit):
+        for offset in range(1, 8):
+            for modulus in range(1, 8):
+                product = _factors_loop(UNITS[unit], offset, modulus, 601)
+                for inverse, ref in ((False, product),
+                                     (True, product.invert())):
+                    assert ref._den == 1
+                    im = ref._im or [0] * 601
+                    for n, (x, y) in enumerate(zip(ref._re, im)):
+                        bits = series._key_bound_bits(unit, offset, modulus,
+                                                      n, inverse)
+                        assert max(abs(x), abs(y)) < 1 << bits, (
+                            offset, modulus, inverse, n)
+
+    def test_dkm_builds_take_3_2_and_2_primes_at_4000(self, monkeypatch):
+        # (q;q) on the bound of q(n), 1/(-q;q) = (q;q^2) and (q;q^2) on
+        # the bound of (q;q^2): 119 bits against 106-bit coefficients
+        primes = []
+        real = series._lane_moduli
+        monkeypatch.setattr(series, "_lane_moduli",
+                            lambda bits: primes.append(len(real(bits)))
+                            or real(bits))
+        builds = []
+        lane = series._factors_lane
+        monkeypatch.setattr(series, "_factors_lane",
+                            lambda *key, **kw: builds.append(
+                                (*key, kw.get("inverse", False)))
+                            or lane(*key, **kw))
+        clear_product_store()
+        try:
+            T.product_side_series(4000)
+        finally:
+            clear_product_store()
+        assert builds == [(0, 1, 1, 4000, False), (2, 1, 1, 4000, True),
+                          (0, 1, 2, 4000, False)]
+        assert primes == [3, 2, 2]
+        widest = max(abs(x) for x in _factors_lane(0, 1, 2, 4000)._re)
+        assert widest.bit_length() == 106
+        assert series._key_bound_bits(2, 1, 1, 3999, True) == 119
+
+    def test_a_bound_below_the_widest_coefficient_breaks_the_key(
+            self, monkeypatch):
+        # (q;q^2) below q^1500 has coefficients past 61 bits; one prime
+        # covers 59 bits, so the lane's residues no longer determine them
+        order = 1500
+        ref = _factors_loop(ONE, 1, 2, order)
+        assert max(abs(x) for x in ref._re).bit_length() > 61
+        assert _factors_lane(0, 1, 2, order) == ref
+        real = series._key_bound_bits
+        monkeypatch.setattr(
+            series, "_key_bound_bits",
+            lambda *key: 59 if key[:3] == (0, 1, 2) else real(*key))
+        assert len(_lane_moduli(59)) == 1
+        assert _factors_lane(0, 1, 2, order) != ref
+        # every other key keeps its bound
+        assert _factors_lane(0, 1, 1, order) == _factors_loop(ONE, 1, 1,
+                                                              order)
+
+
 @pytest.fixture
 def empty_store():
     clear_product_store()
@@ -1090,6 +1155,23 @@ def _sparse_ints(rng, n, k, sizes, g):
     return out
 
 
+class TestSpread:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_spread_is_the_change_of_variable(self, g):
+        f = QSeries([1, I_UNIT, Fraction(1, 3), 0, -2], 5)
+        for order in range(1, 5 * g + 1):
+            want = [0] * order
+            for n in range(0, order, g):
+                want[n] = f.coeff(n // g)
+            assert f.spread(g, order) == QSeries(want, order), order
+
+    def test_spread_needs_the_series_below_ceil_order_over_g(self):
+        f = QSeries([1, 1, 1], 3)
+        assert f.spread(2, 6) == QSeries([1, 0, 1, 0, 1, 0], 6)
+        with pytest.raises(IndexBeyondOrder):
+            f.spread(2, 7)
+
+
 class TestRowPath:
     SIZES = {"unit": (1,), "small": (1, 2)}
 
@@ -1104,9 +1186,12 @@ class TestRowPath:
         dense = _strided_ints(rng, g, n - 5 * g, bits)
         rows = _spy(monkeypatch, "_conv_rows")
         packed = _spy(monkeypatch, "_conv_packed")
-        # the most nonzero terms that still take the row path
-        k = (series.ROW_TERMS_OVER_BITS
-             + max(map(abs, dense)).bit_length())
+        # the most nonzero terms that still take the row path: the limb
+        # rule for 2 and 40 bits (2 and 3 limbs a coefficient with the
+        # carry), the half-length clause for 130 bits (6 limbs)
+        step = series._limb_width([(0, max(self.SIZES[sizes]))], dense) + 1
+        k = min(m // 2, m * step // series.ROW_COLUMNS_PER_TERM)
+        assert (k < m // 2) == (bits < 130)
         for terms in (k, k + 1):
             sparse = _sparse_ints(rng, n, terms, self.SIZES[sizes], g)
             assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
@@ -1138,6 +1223,18 @@ class TestRowPath:
         assert _conv(sparse, dense, n) == _conv_school(sparse, dense, n)
         assert _conv(dense, sparse, n) == _conv_school(dense, sparse, n)
         assert rows == [] and packed == [n, n]
+
+    def test_the_product_routes_last_products_take_rows(self):
+        # both routes end with (q;q)/(-q;q) = j(q;q^2), 64 terms of modulus
+        # 1 or 2 below q^4000, times the square of its q -> q^2 spread, a
+        # dense operand of 6 bits
+        n = 4000
+        a = T.J(1, 2, n)
+        b = a.spread(2, n)
+        dense = (b * b)._re
+        nz = series._terms(a._re)
+        assert len(nz) == 64 and max(map(abs, dense)).bit_length() == 6
+        assert series._takes_rows(nz, dense, n)
 
     def test_rows_scale_every_magnitude(self):
         rng = random.Random(5)

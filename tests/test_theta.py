@@ -410,6 +410,47 @@ def test_only_the_pochhammer_route_builds_lane_inverses():
     assert "pochhammer_inverse" not in routes[product_side_theta]
 
 
+def test_the_q2_halves_are_spreads_of_the_q_halves():
+    # s2 = ((q²;q²)/(−q²;q²)) and j(q²;q⁴) are read as s1 and j(q;q²)
+    # with q -> q²: each equals the rebuild of its own factors
+    from qident.series import (clear_product_store, pochhammer_inf,
+                               pochhammer_inverse)
+
+    clear_product_store()
+    try:
+        for order in (*range(1, 301), 4000):
+            s1 = (pochhammer_inf(1, 1, 1, order)
+                  * pochhammer_inverse(-1, 1, 1, order))
+            assert s1.spread(2, order) == (
+                pochhammer_inf(1, 2, 2, order)
+                * pochhammer_inverse(-1, 2, 2, order)), order
+            assert J(1, 2, order).spread(2, order) == J(2, 4, order), order
+    finally:
+        clear_product_store()
+
+
+@pytest.mark.parametrize("route, keys", [
+    (product_side_pochhammer, {(1, 1, 1), (-1, 1, 1)}),
+    (product_side_theta, {(1, 1, 2), (1, 2, 2)})])
+def test_the_routes_build_no_q2_factor(route, keys):
+    # each route asks for the factors of its q-half only, as (zeta,
+    # offset, modulus): (q;q) and 1/(-q;q) for the Pochhammer route, and
+    # for the theta route j(q;q²)'s base product, (q;q²) twice and
+    # (q²;q²), none of them at modulus 4
+    from package_calls import call_args
+
+    from qident import series
+
+    series.clear_product_store()
+    try:
+        built = {args[:3] for fn in (series.pochhammer_inf,
+                                     series.pochhammer_inverse)
+                 for args in call_args(fn, route, 600)}
+    finally:
+        series.clear_product_store()
+    assert built == keys
+
+
 def bump_minus_q(monkeypatch, e):
     """Make ``1/(-q;q)_inf``, the inverse of the divisor of the Pochhammer
     route's first quotient, gain q**e wherever theta builds it."""
